@@ -20,7 +20,8 @@ import numpy as np
 
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
 from .complete import gauss_sum, partial_gauss
-from .expsum import QuadratureConvergenceError, _leggauss, double_sum
+from .ergodic import EmptyRegionError
+from .expsum import double_sum, dyadic_refine, gauss_legendre_adaptive
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
 from .poly import Poly2, RealPoly2, scale
@@ -49,10 +50,6 @@ def validate_arc_parameters(beta: float, rho: Optional[Fraction] = None) -> bool
 
 DEFAULT_BETA = 4.0
 DEFAULT_RHO = Fraction(1, 100)
-
-
-class EmptyRegionError(ValueError):
-    pass
 
 
 def _axis_count(M: RealLike, tau: RealLike) -> Tuple[int, int]:
@@ -100,46 +97,18 @@ def _phase_fn(Q: RealPoly2, M1: float, M2: float):
     return f
 
 
-def _tensor_quad(f2, lo: float, hi: float, tol: float, order: int = 32,
-                 max_depth: int = 20) -> complex:
-    x, w = _leggauss(order)
-    prev = None
-    for depth in range(max_depth + 1):
-        panels = 1 << depth
-        edges = np.linspace(lo, hi, panels + 1)
-        half = (edges[1:] - edges[:-1]) / 2.0
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (w[None, :] * half[:, None]).ravel()
-        n = len(nodes)
-        block = max(1, (1 << 21) // n)
+def _tensor_level(f2):
+    """Tensor-product rule for f2 on one refinement level, in blocks of 2**21 cells."""
+
+    def level(nodes, wts):
+        block = max(1, (1 << 21) // len(nodes))
         total = 0j
-        for i in range(0, n, block):
+        for i in range(0, len(nodes), block):
             ys = nodes[i : i + block]
-            vals = f2(nodes[None, :], ys[:, None])
-            total += wts[i : i + block] @ (vals @ wts)
-        if prev is not None and abs(total - prev) < tol:
-            return total
-        prev = total
-    raise QuadratureConvergenceError(f"tensor quadrature did not reach {tol} by depth {max_depth}")
+            total += wts[i : i + block] @ (f2(nodes[None, :], ys[:, None]) @ wts)
+        return total
 
-
-def _line_quad(f, lo: float, hi: float, tol: float, order: int = 32,
-               max_depth: int = 20) -> complex:
-    x, w = _leggauss(order)
-    prev = None
-    for depth in range(max_depth + 1):
-        panels = 1 << depth
-        edges = np.linspace(lo, hi, panels + 1)
-        half = (edges[1:] - edges[:-1]) / 2.0
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (w[None, :] * half[:, None]).ravel()
-        total = complex(wts @ f(nodes))
-        if prev is not None and abs(total - prev) < tol:
-            return total
-        prev = total
-    raise QuadratureConvergenceError(f"quadrature did not reach {tol} by depth {max_depth}")
+    return level
 
 
 def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
@@ -161,7 +130,7 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     norm = 1.0 / (1.0 - lo)
     if axis_partial is None:
         f2 = _phase_fn(Q, float(M1), float(M2))
-        return norm * norm * _tensor_quad(f2, lo, 1.0, tol)
+        return norm * norm * dyadic_refine(_tensor_level(f2), lo, 1.0, tol)
     axis, frozen = axis_partial
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
     if axis == 1:
@@ -173,7 +142,7 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
                 p = p + c * float(frozen) ** g1 * (M * Y) ** g2
             return np.exp(2j * np.pi * p)
 
-        return norm * _line_quad(f, lo, 1.0, tol)
+        return norm * gauss_legendre_adaptive(f, lo, 1.0, tol)
     if axis == 2:
         M = float(M1)
 
@@ -183,7 +152,7 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
                 p = p + c * (M * X) ** g1 * float(frozen) ** g2
             return np.exp(2j * np.pi * p)
 
-        return norm * _line_quad(f, lo, 1.0, tol)
+        return norm * gauss_legendre_adaptive(f, lo, 1.0, tol)
     raise ValueError("axis must be 1 or 2")
 
 

@@ -4,10 +4,9 @@ Subcommands map onto the library: diagram construction, sector grids,
 exponential sums, solution counts, complete sums, denominator sets,
 oscillation statistics, shift averages, arc classification, and the named
 verification suites.  Exit codes: 0 all checks pass, 1 a check failed or an
-I/O error occurred, 2 usage error.
-
-The only environment knob is NEWTON_CIRCLE_THREADS (positive integer, default
-1), the partition count for summation.
+I/O error occurred, 2 usage error.  No environment variable changes what a
+command computes; with --stable-runtime, identical inputs give byte-identical
+reports.
 """
 
 from __future__ import annotations

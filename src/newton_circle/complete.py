@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike, is_exact
-from .expsum import CompensatedComplex, unit_phase, weyl_sum
+from .expsum import residue_sum, weyl_sum
 from .poly import Poly2, evaluate
 
 WORK_CAP_CELLS = 10**8
@@ -32,12 +32,8 @@ class WorkCapExceeded(RuntimeError):
 def gauss_sum(P: Poly2, a_over_q: Fraction) -> complex:
     """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q)."""
     a, q = a_over_q.numerator, a_over_q.denominator
-    acc = CompensatedComplex()
-    for r1 in range(1, q + 1):
-        for r2 in range(1, q + 1):
-            t = a * evaluate(P, (r1, r2)) % q
-            acc.add(unit_phase(t, q))
-    return acc.total / q**2
+    residues = [a * evaluate(P, (r1, r2)) % q for r1 in range(1, q + 1) for r2 in range(1, q + 1)]
+    return residue_sum(residues, q) / q**2
 
 
 def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> complex:
@@ -45,11 +41,8 @@ def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> compl
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     a, q = a_over_q.numerator, a_over_q.denominator
-    acc = CompensatedComplex()
-    for r in range(1, q + 1):
-        point = (frozen, r) if axis == 1 else (r, frozen)
-        acc.add(unit_phase(a * evaluate(P, point) % q, q))
-    return acc.total / q
+    points = [(frozen, r) if axis == 1 else (r, frozen) for r in range(1, q + 1)]
+    return residue_sum([a * evaluate(P, m) % q for m in points], q) / q
 
 
 def averaged_partial(P: Poly2, a_over_q: Fraction, M: int, axis: int) -> float:

@@ -1,36 +1,46 @@
-"""One- and two-parameter exponential sums with exact or compensated phases.
+"""One- and two-parameter exponential sums with exactly reduced phases.
 
-Exact mode applies whenever every phase coefficient is rational: phases are
-reduced mod 1 in big-integer arithmetic before any trigonometric evaluation,
-so no phase error accumulates no matter how large the polynomial values get.
-Roots of unity come from a cached table for denominators up to 2**16; larger
-denominators fall back to one correctly-rounded float division per term.
-Float mode uses Neumaier compensated summation and reports an engineering
-error budget of 8 ulp of the running magnitude per term.
+Every coefficient is read as an exact rational: a Fraction or int as itself,
+a binary float as the dyadic rational it denotes.  With L the common
+denominator, the residues L*Q(m) mod L are formed by Horner's rule on numpy
+blocks of the lattice, in int64 when no intermediate can reach 2**63 and in
+Python integers otherwise, so no phase error accumulates however large the
+polynomial values get.  The residues are histogrammed, each distinct phase
+t/L is one correctly rounded division, and the terms are added with
+``math.fsum``.
 
-Summation over the outer index range may be partitioned (NEWTON_CIRCLE_THREADS
-or the ``workers`` argument); partial sums combine in a fixed tree order, so
-results are bit-reproducible for a given worker count.  The default is a
-single partition.
+``mode`` names the kind of input.  Exact (rational) inputs report
+``error_budget == 0``; float inputs report a budget that bounds the rounding
+of the phases, the trigonometry and the summation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .arith import RealLike, as_fraction, is_exact
 from .poly import RealPoly2, UniPoly
 
-ROOT_TABLE_MAX = 1 << 16
+# Lattice cells per numpy block of the phase kernel; bounds its working memory.
+BLOCK_CELLS = 1 << 14
+
+# Integers up to 2**53 convert to float64 exactly, so t / L rounds only once.
+_FLOAT_EXACT = 1 << 53
+
+# Per-term rounding error of a sum, u = 2**-53.  The angle 2*pi*t/L carries
+# three relative roundings (t/L, the float 2*pi, their product) on a phase
+# below 1, so it is off by less than 2*pi*3u < 19u.  cos and sin are
+# 1-Lipschitz and add at most 4 ulp of a value below 1: 23u.  Multiplying by
+# the residue count adds u per term, and the two fsum levels (within a block,
+# then over the block partials) add u each: 26u per component, below
+# sqrt(2)*26u < 37u for the complex term.  The budget rounds that up to 64u.
+FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
 class PhaseHypothesisError(ValueError):
@@ -52,126 +62,73 @@ class ExpSumValue:
         return self.value
 
 
-def workers_from_env(workers=None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ValueError("worker count must be positive")
-        return int(workers)
-    raw = os.environ.get("NEWTON_CIRCLE_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"NEWTON_CIRCLE_THREADS must be a positive integer, got {raw!r}") from exc
-    return max(1, w)
+def residue_sum(residues, L: int) -> complex:
+    """Sum of e(t/L) over residues t in [0, L), taken from their histogram."""
+    t = np.sort(np.asarray(residues, dtype=np.int64 if L <= _FLOAT_EXACT else object), axis=None)
+    # bounds of the runs of equal residues
+    edge = np.empty(t.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(t[1:], t[:-1], out=edge[1:-1])
+    idx = edge.nonzero()[0]
+    counts = idx[1:] - idx[:-1]
+    angle = math.tau * np.asarray(t[idx[:-1]] / L, dtype=np.float64)
+    return complex(math.fsum((counts * np.cos(angle)).tolist()),
+                   math.fsum((counts * np.sin(angle)).tolist()))
 
 
-@lru_cache(maxsize=64)
-def _root_table(q: int) -> Tuple[complex, ...]:
-    return tuple(cmath.exp(2j * math.pi * (t / q)) for t in range(q))
+def _integer_form(terms: Dict[Tuple[int, int], RealLike]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """(L, rows): L*Q has integer coefficients, and rows lists, from the top m2
+    degree down to 0, the m1-coefficients mod L of each m2 power, top first."""
+    fracs = {g: as_fraction(c) for g, c in terms.items()}
+    L = math.lcm(*(f.denominator for f in fracs.values()))
+    by_g2: Dict[int, Dict[int, int]] = {}
+    for (g1, g2), f in fracs.items():
+        by_g2.setdefault(g2, {})[g1] = f.numerator * (L // f.denominator) % L
+    rows = []
+    for g2 in range(max(by_g2, default=0), -1, -1):
+        row = by_g2.get(g2, {})
+        rows.append(tuple(row.get(g1, 0) for g1 in range(max(row, default=-1), -1, -1)))
+    return L, rows
 
 
-def unit_phase(t: int, q: int) -> complex:
-    """e(t/q) with t already reduced mod q."""
-    if q <= ROOT_TABLE_MAX:
-        return _root_table(q)[t]
-    return cmath.exp(2j * math.pi * (t / q))  # big-int division is correctly rounded
+def _horner(coeffs: Tuple[int, ...], x: int, L: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = (acc * x + c) % L
+    return acc
 
 
-class _Neumaier:
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.s + x
-        if abs(self.s) >= abs(x):
-            self.c += (self.s - t) + x
-        else:
-            self.c += (x - t) + self.s
-        self.s = t
-
-    @property
-    def total(self) -> float:
-        return self.s + self.c
-
-
-class CompensatedComplex:
-    """Complex accumulator with per-component Neumaier compensation."""
-
-    __slots__ = ("re", "im", "max_mag")
-
-    def __init__(self):
-        self.re = _Neumaier()
-        self.im = _Neumaier()
-        self.max_mag = 0.0
-
-    def add(self, z: complex) -> None:
-        self.re.add(z.real)
-        self.im.add(z.imag)
-        mag = abs(self.re.s) + abs(self.im.s)
-        if mag > self.max_mag:
-            self.max_mag = mag
-
-    @property
-    def total(self) -> complex:
-        return complex(self.re.total, self.im.total)
-
-
-def _combine_tree(parts: Sequence[complex]) -> complex:
-    vals = list(parts)
-    if not vals:
+def _lattice_phase_sum(form, K1: int, M1: int, K2: int, M2: int) -> complex:
+    """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form."""
+    if M1 <= K1 or M2 <= K2:
         return 0j
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    L, rows = form
+    # every Horner step over m2 stays below (M2 + 1) * L
+    dtype = np.int64 if L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63 else object
+    cols = min(M2 - K2, BLOCK_CELLS)
+    height = max(1, BLOCK_CELLS // cols)
+    parts = []
+    for r0 in range(K1 + 1, M1 + 1, height):
+        # per row m1, the m2-coefficients of Q mod L, top degree first
+        coeffs = np.array([[_horner(row, m1, L) for row in rows]
+                           for m1 in range(r0, min(r0 + height, M1 + 1))], dtype=dtype)
+        for c0 in range(K2 + 1, M2 + 1, cols):
+            m2 = np.arange(c0, min(c0 + cols, M2 + 1), dtype=dtype)
+            t = coeffs[:, :1].repeat(len(m2), axis=1)
+            for j in range(1, len(rows)):
+                t = (t * m2 + coeffs[:, j:j + 1]) % L
+            parts.append(residue_sum(t, L))
+    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
 
-def _partition(lo: int, hi: int, workers: int):
-    # contiguous chunks of (lo, hi]; empty chunks are dropped
-    total = hi - lo
-    if total <= 0:
-        return []
-    w = min(workers, total)
-    step = total // w
-    extra = total % w
-    chunks = []
-    start = lo
-    for i in range(w):
-        size = step + (1 if i < extra else 0)
-        chunks.append((start, start + size))
-        start += size
-    return chunks
+def _result(value: complex, exact: bool, count: int) -> ExpSumValue:
+    if exact:
+        return ExpSumValue(value=value, mode="exact", term_count=count, error_budget=0.0)
+    return ExpSumValue(value=value, mode="float", term_count=count,
+                       error_budget=count * FLOAT_TERM_BUDGET)
 
 
-def _run_chunks(chunk_fn: Callable[[int, int], Tuple[complex, float]], lo: int, hi: int,
-                workers: int) -> Tuple[complex, float]:
-    chunks = _partition(lo, hi, workers)
-    if not chunks:
-        return 0j, 0.0
-    if len(chunks) == 1:
-        return chunk_fn(*chunks[0])
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        results = list(pool.map(lambda c: chunk_fn(*c), chunks))
-    value = _combine_tree([r[0] for r in results])
-    max_mag = max(max(r[1] for r in results), abs(value.real) + abs(value.imag))
-    return value, max_mag
-
-
-def _exact_coeffs(values: Sequence[Fraction]) -> Tuple[Tuple[int, ...], int]:
-    L = 1
-    for v in values:
-        L = L * v.denominator // math.gcd(L, v.denominator)
-    return tuple(v.numerator * (L // v.denominator) % L for v in values), L
-
-
-def weyl_sum(xi: Sequence[RealLike], N: int, K: int = 0, workers=None) -> ExpSumValue:
+def weyl_sum(xi: Sequence[RealLike], N: int, K: int = 0) -> ExpSumValue:
     """Sum of e(xi_1 n + ... + xi_k n^k) over n in (K, N]."""
     xs = tuple(xi)
     k = len(xs)
@@ -179,96 +136,9 @@ def weyl_sum(xi: Sequence[RealLike], N: int, K: int = 0, workers=None) -> ExpSum
         raise ValueError(f"moment-curve dimension must lie in [1, 8], got {k}")
     if N < 1 or K < 0 or K >= N:
         raise ValueError(f"need 0 <= K < N, got K={K}, N={N}")
-    w = workers_from_env(workers)
-    count = N - K
-    if all(is_exact(x) for x in xs):
-        coeffs, L = _exact_coeffs([as_fraction(x) for x in xs])
-
-        def chunk(lo: int, hi: int) -> Tuple[complex, float]:
-            acc = CompensatedComplex()
-            rev = tuple(reversed(coeffs))
-            for n in range(lo + 1, hi + 1):
-                t = 0
-                for c in rev:
-                    t = (t + c) * n % L
-                acc.add(unit_phase(t, L))
-            return acc.total, acc.max_mag
-
-        value, _ = _run_chunks(chunk, K, N, w)
-        return ExpSumValue(value=value, mode="exact", term_count=count, error_budget=0.0)
-
-    fs = tuple(float(x) for x in xs)
-
-    def chunk(lo: int, hi: int) -> Tuple[complex, float]:
-        acc = CompensatedComplex()
-        rev = tuple(reversed(fs))
-        for n in range(lo + 1, hi + 1):
-            p = 0.0
-            for c in rev:
-                p = (p + c) * n
-            acc.add(cmath.exp(2j * math.pi * (p % 1.0)))
-        return acc.total, acc.max_mag
-
-    value, max_mag = _run_chunks(chunk, K, N, w)
-    budget = 8.0 * count * math.ulp(max(1.0, max_mag))
-    return ExpSumValue(value=value, mode="float", term_count=count, error_budget=budget)
-
-
-def _axis_grouped(Q: RealPoly2):
-    # terms grouped as {g2: [(g1, c), ...]} for Horner in m1 then m2
-    grouped = {}
-    for (g1, g2), c in Q.terms.items():
-        grouped.setdefault(g2, []).append((g1, c))
-    for lst in grouped.values():
-        lst.sort()
-    return grouped
-
-
-def _inner_sums_exact(Q: RealPoly2, K1, M1, K2, M2):
-    """Yield per-row Horner coefficients (m1, rev, L) for exact inner sums."""
-    fracs = {g: as_fraction(c) for g, c in Q.terms.items()} or {(0, 0): Fraction(0)}
-    keys = list(fracs)
-    ints, L = _exact_coeffs([fracs[k] for k in keys])
-    grouped = {}
-    for key, c in zip(keys, ints):
-        grouped.setdefault(key[1], []).append((key[0], c))
-    top = max(grouped)
-    for m1 in range(K1 + 1, M1 + 1):
-        # collapse the m1-dependence: b[g2] = sum_g1 c*m1^g1 mod L
-        b = {}
-        for g2, lst in grouped.items():
-            acc = 0
-            for g1, c in lst:
-                acc = (acc + c * pow(m1, g1, L)) % L
-            b[g2] = acc
-        rev = tuple(b.get(g, 0) for g in range(top, -1, -1))
-        yield m1, rev, L
-
-
-def _exact_row_sum(rev, L, K2, M2, acc: CompensatedComplex) -> complex:
-    row = CompensatedComplex()
-    for m2 in range(K2 + 1, M2 + 1):
-        t = 0
-        for c in rev:
-            t = (t * m2 + c) % L
-        z = unit_phase(t, L)
-        row.add(z)
-        acc.add(z)
-    return row.total
-
-
-def _float_row_sum(coeffs_by_g2, K2, M2, acc: CompensatedComplex) -> complex:
-    top = max(coeffs_by_g2)
-    rev = tuple(coeffs_by_g2.get(g, 0.0) for g in range(top, -1, -1))
-    row = CompensatedComplex()
-    for m2 in range(K2 + 1, M2 + 1):
-        p = 0.0
-        for c in rev:
-            p = p * m2 + c
-        z = cmath.exp(2j * math.pi * (p % 1.0))
-        row.add(z)
-        acc.add(z)
-    return row.total
+    form = _integer_form({(0, i + 1): x for i, x in enumerate(xs)})
+    value = _lattice_phase_sum(form, 0, 1, K, N)
+    return _result(value, all(is_exact(x) for x in xs), N - K)
 
 
 def _check_ranges(K1, M1, K2, M2):
@@ -276,56 +146,11 @@ def _check_ranges(K1, M1, K2, M2):
         raise ValueError(f"need 0 <= K1 <= M1 and 0 <= K2 <= M2, got {(K1, M1, K2, M2)}")
 
 
-def double_sum(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, workers=None) -> ExpSumValue:
+def double_sum(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int) -> ExpSumValue:
     """Sum of e(Q(m1, m2)) over the lattice box (K1, M1] x (K2, M2]."""
     _check_ranges(K1, M1, K2, M2)
-    w = workers_from_env(workers)
-    count = (M1 - K1) * (M2 - K2)
-    if count == 0:
-        return ExpSumValue(0j, "exact" if Q.exact else "float", 0, 0.0)
-    if Q.exact:
-        fracs = {g: as_fraction(c) for g, c in Q.terms.items()} or {(0, 0): Fraction(0)}
-        coeff_list = list(fracs.items())
-        ints, L = _exact_coeffs([c for _, c in coeff_list])
-        grouped = {}
-        for (key, _), c in zip(coeff_list, ints):
-            grouped.setdefault(key[1], []).append((key[0], c))
-        top = max(grouped)
-
-        def chunk(lo: int, hi: int) -> Tuple[complex, float]:
-            acc = CompensatedComplex()
-            for m1 in range(lo + 1, hi + 1):
-                b = {}
-                for g2, lst in grouped.items():
-                    s = 0
-                    for g1, c in lst:
-                        s = (s + c * pow(m1, g1, L)) % L
-                    b[g2] = s
-                rev = tuple(b.get(g, 0) for g in range(top, -1, -1))
-                for m2 in range(K2 + 1, M2 + 1):
-                    t = 0
-                    for c in rev:
-                        t = (t * m2 + c) % L
-                    acc.add(unit_phase(t, L))
-            return acc.total, acc.max_mag
-
-        value, _ = _run_chunks(chunk, K1, M1, w)
-        return ExpSumValue(value=value, mode="exact", term_count=count, error_budget=0.0)
-
-    grouped_f = {}
-    for (g1, g2), c in Q.terms.items():
-        grouped_f.setdefault(g2, []).append((g1, float(c)))
-
-    def chunk(lo: int, hi: int) -> Tuple[complex, float]:
-        acc = CompensatedComplex()
-        for m1 in range(lo + 1, hi + 1):
-            b = {g2: sum(c * m1**g1 for g1, c in lst) for g2, lst in grouped_f.items()}
-            _float_row_sum(b, K2, M2, acc)
-        return acc.total, acc.max_mag
-
-    value, max_mag = _run_chunks(chunk, K1, M1, w)
-    budget = 8.0 * count * math.ulp(max(1.0, max_mag))
-    return ExpSumValue(value=value, mode="float", term_count=count, error_budget=budget)
+    value = _lattice_phase_sum(_integer_form(Q.terms), K1, M1, K2, M2)
+    return _result(value, Q.exact, (M1 - K1) * (M2 - K2))
 
 
 def _transpose(Q: RealPoly2) -> RealPoly2:
@@ -339,20 +164,9 @@ def double_sum_abs(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, outer_axis:
         return double_sum_abs(_transpose(Q), K2, M2, K1, M1, outer_axis=1)
     if outer_axis != 1:
         raise ValueError("outer_axis must be 1 or 2")
-    total = _Neumaier()
-    if Q.exact:
-        sink = CompensatedComplex()
-        for _m1, rev, L in _inner_sums_exact(Q, K1, M1, K2, M2):
-            total.add(abs(_exact_row_sum(rev, L, K2, M2, sink)))
-        return total.total
-    grouped_f = {}
-    for (g1, g2), c in Q.terms.items():
-        grouped_f.setdefault(g2, []).append((g1, float(c)))
-    sink = CompensatedComplex()
-    for m1 in range(K1 + 1, M1 + 1):
-        b = {g2: sum(c * m1**g1 for g1, c in lst) for g2, lst in grouped_f.items()}
-        total.add(abs(_float_row_sum(b, K2, M2, sink)))
-    return total.total
+    form = _integer_form(Q.terms)
+    return math.fsum(abs(_lattice_phase_sum(form, m1 - 1, m1, K2, M2))
+                     for m1 in range(K1 + 1, M1 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +180,12 @@ def _leggauss(order: int):
     return x, w
 
 
-def gauss_legendre_adaptive(f, a: float, b: float, tol: float = 1e-12,
-                            order: int = 32, max_depth: int = 20) -> complex:
-    """Integrate a vectorized complex f over [a, b] by dyadic panel refinement.
+def dyadic_refine(level, a: float, b: float, tol: float, order: int = 32,
+                  max_depth: int = 20) -> complex:
+    """Gauss-Legendre panels on [a, b], halved until two successive levels agree within tol.
 
-    Refinement stops when two successive levels agree within tol.
+    level(nodes, weights) turns one level's nodes and weights into a value, so
+    the same refinement serves line integrals and tensor-product rules.
     """
     if b <= a:
         raise ValueError("empty integration interval")
@@ -382,12 +197,18 @@ def gauss_legendre_adaptive(f, a: float, b: float, tol: float = 1e-12,
         half = (edges[1:] - edges[:-1]) / 2.0
         mid = (edges[1:] + edges[:-1]) / 2.0
         nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        vals = f(nodes).reshape(panels, order)
-        cur = complex((vals * w[None, :]).sum(axis=1) @ half)
+        wts = (w[None, :] * half[:, None]).ravel()
+        cur = level(nodes, wts)
         if prev is not None and abs(cur - prev) < tol:
             return cur
         prev = cur
     raise QuadratureConvergenceError(f"no convergence to {tol} within depth {max_depth}")
+
+
+def gauss_legendre_adaptive(f, a: float, b: float, tol: float = 1e-12,
+                            order: int = 32, max_depth: int = 20) -> complex:
+    """Integrate a vectorized complex f over [a, b] by dyadic panel refinement."""
+    return dyadic_refine(lambda nodes, wts: complex(wts @ f(nodes)), a, b, tol, order, max_depth)
 
 
 def _poly_on_array(p: UniPoly, s: np.ndarray) -> np.ndarray:
@@ -420,10 +241,10 @@ def sum_integral_gap(phase: UniPoly, a: float, b: float, tol: float = 1e-12) -> 
         signs = {s for s in np.sign(vals).tolist() if s != 0.0}
     if len(signs) > 1:
         raise PhaseHypothesisError("phase derivative is not monotonic on the interval")
-    acc = CompensatedComplex()
-    for n in range(math.floor(a) + 1, math.floor(b) + 1):
-        acc.add(cmath.exp(2j * math.pi * (float(phase(n)) % 1.0)))
+    terms = [cmath.exp(2j * math.pi * (float(phase(n)) % 1.0))
+             for n in range(math.floor(a) + 1, math.floor(b) + 1)]
+    total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
     integral = gauss_legendre_adaptive(
         lambda s: np.exp(2j * math.pi * _poly_on_array(phase, s)), float(a), float(b), tol=tol
     )
-    return abs(acc.total - integral)
+    return abs(total - integral)

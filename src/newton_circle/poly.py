@@ -159,17 +159,6 @@ def evaluate(P: Union[Poly2, RealPoly2], m: Tuple[int, int]):
     return total
 
 
-def evaluate_exact(P: Union[Poly2, RealPoly2], m: Tuple[int, int]):
-    """Exact value (int or Fraction); requires an exact-coefficient polynomial."""
-    if isinstance(P, RealPoly2) and not P.exact:
-        raise ValueError("exact evaluation needs rational coefficients")
-    m1, m2 = m
-    total = 0
-    for (g1, g2), c in P.terms.items():
-        total += c * m1**g1 * m2**g2
-    return total
-
-
 @dataclass(frozen=True)
 class AxisParts:
     """Collected coefficients of P along one axis: P = sum_g parts[g] * m_axis^g."""

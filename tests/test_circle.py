@@ -52,6 +52,14 @@ def test_discrete_multiplier_empty_region(mixed):
         discrete_multiplier(mixed, Fraction(0), Fraction(5, 2), 8, Fraction(6, 5))
 
 
+def test_empty_region_error_is_shared(mixed):
+    from newton_circle import circle, ergodic
+
+    assert circle.EmptyRegionError is ergodic.EmptyRegionError
+    with pytest.raises(ergodic.EmptyRegionError):
+        discrete_multiplier(mixed, Fraction(0), Fraction(5, 2), 8, Fraction(6, 5))
+
+
 def test_discrete_partial_normalization(mixed):
     v = discrete_multiplier(mixed, Fraction(0), 8, 8, 2, axis_partial=(1, 5))
     assert v == pytest.approx(1)

@@ -136,8 +136,7 @@ def test_io_failure_exit_code(tmp_path, capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
-def test_threads_env_reproducibility(tmp_path, monkeypatch):
-    monkeypatch.setenv("NEWTON_CIRCLE_THREADS", "3")
+def test_expsum_reports_reproducible(tmp_path):
     _, a = run(tmp_path, "expsum", "--poly", "m1^2*m2", "--xi", "3/7",
                "--m1", "30", "--m2", "11", name="a.json")
     _, b = run(tmp_path, "expsum", "--poly", "m1^2*m2", "--xi", "3/7",

@@ -13,7 +13,7 @@ from newton_circle.expsum import (
     sum_integral_gap,
     weyl_sum,
 )
-from newton_circle.poly import UniPoly, parse_poly, scale
+from newton_circle.poly import RealPoly2, UniPoly, parse_poly, scale
 
 
 def brute_weyl(xs, N, K=0):
@@ -113,21 +113,45 @@ def test_scale_periodicity_exact():
     assert a == b
 
 
-def test_partitioned_summation_matches_sequential():
-    Q = scale(parse_poly("m1^2*m2"), Fraction(3, 11))
-    base = double_sum(Q, 0, 40, 0, 17, workers=1).value
-    for w in (2, 3, 5):
-        assert abs(double_sum(Q, 0, 40, 0, 17, workers=w).value - base) < 1e-12
-    # bit-reproducible for a fixed worker count
-    assert double_sum(Q, 0, 40, 0, 17, workers=3).value == double_sum(
-        Q, 0, 40, 0, 17, workers=3).value
+def brute_dyadic(coeffs, points):
+    """Per-term sum with each phase reduced mod 1 exactly: floats read as dyadic
+    rationals, big-integer evaluation, Fraction mod 1, math.fsum."""
+    fracs = {g: Fraction(c) for g, c in coeffs.items()}
+    L = math.lcm(*(f.denominator for f in fracs.values()))
+    ints = {g: f.numerator * (L // f.denominator) for g, f in fracs.items()}
+    re, im = [], []
+    for m1, m2 in points:
+        t = sum(c * m1**g1 * m2**g2 for (g1, g2), c in ints.items())
+        angle = 2 * math.pi * float(Fraction(t, L) % 1)
+        re.append(math.cos(angle))
+        im.append(math.sin(angle))
+    return complex(math.fsum(re), math.fsum(im))
 
 
-def test_weyl_partitioned_matches_sequential():
-    xs = [Fraction(1, 7), Fraction(3, 5)]
-    base = weyl_sum(xs, 101, workers=1).value
-    for w in (2, 4, 7):
-        assert abs(weyl_sum(xs, 101, workers=w).value - base) < 1e-12
+def test_float_error_budget_bounds_the_error():
+    Q = scale(parse_poly("m1^3*m2^4 + m1*m2"), 0.1234567)
+    got = double_sum(Q, 0, 200, 0, 200)
+    want = brute_dyadic(Q.terms, [(m1, m2) for m1 in range(1, 201) for m2 in range(1, 201)])
+    assert got.mode == "float"
+    assert abs(got.value - want) <= got.error_budget
+    xs = (0.1, 0, 0, 0.3141)
+    got = weyl_sum(xs, 5000)
+    want = brute_dyadic({(0, i + 1): x for i, x in enumerate(xs)},
+                        [(1, n) for n in range(1, 5001)])
+    assert abs(got.value - want) <= got.error_budget
+
+
+def test_wide_denominator_matches_int64_path():
+    # L = 7 * 2**61 exceeds 2**53, so the shifted sum takes Python-integer
+    # residues while the unshifted one stays on int64
+    Q = scale(parse_poly("m1^2*m2^3 + m1*m2"), Fraction(3, 7))
+    k = 3**38
+    shifted = RealPoly2({**Q.terms, (0, 0): Fraction(k, 2**61)})
+    base = double_sum(Q, 0, 30, 0, 20).value
+    got = double_sum(shifted, 0, 30, 0, 20)
+    assert got.mode == "exact"
+    want = cmath.exp(2j * math.pi * float(Fraction(k, 2**61))) * base
+    assert abs(got.value - want) <= 1e-12 * got.term_count
 
 
 def test_double_sum_abs_examples():
