@@ -1,11 +1,13 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
-The solution counts use a sparse dynamic program: the s-fold additive
+The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
-C(N+s-1, s) lattice points (multisets of size s), so counts stay exact in
-big-integer arithmetic at desk scale.  A work guard rejects configurations
-whose correlation table would exceed the configured cell cap rather than
-truncating anything silently.
+C(N+s-1, s) lattice points (multisets of size s).  Each convolution and the
+difference table lambda = u - v are formed as arrays of lattice points and
+merged by one sort-reduce kernel (a mixed-radix int64 sort key when it fits,
+np.lexsort otherwise).  Work guards raise WorkCapExceeded before allocating
+when a table would exceed the configured cell cap or when a count or
+coordinate could overflow int64, so nothing is truncated or wrapped silently.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .expsum import residue_sum, weyl_sum
 from .poly import Poly2, evaluate
 
 WORK_CAP_CELLS = 10**8
+INT64_LIMIT = 2**63
 
 
 class WorkCapExceeded(RuntimeError):
@@ -61,10 +64,18 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     A q x q residue histogram of P mod q turns each coprime a into an O(q)
     evaluation; rows are cross-checkable against gauss_sum directly.
     """
+    q_values = list(q_values)
+    if any(q < 1 for q in q_values):
+        raise ValueError("moduli must be positive")
+    q_top = max(q_values, default=1)
+    # one q x q int64 table per modulus; (c mod q)*p1*p2 stays below q**3
+    if q_top * q_top > WORK_CAP_CELLS or q_top**3 >= INT64_LIMIT:
+        raise WorkCapExceeded(
+            f"gauss sweep needs a {q_top} x {q_top} residue table; the cap is "
+            f"{WORK_CAP_CELLS} cells and q**3 must stay below 2**63 (int64)"
+        )
     rows = []
     for q in q_values:
-        if q < 1:
-            raise ValueError("moduli must be positive")
         if q == 1:
             rows.append({"q": 1, "a_count": 1, "max_abs_G": 1.0})
             continue
@@ -138,12 +149,50 @@ def _check_params(s: int, k: int, N: int, work_cap: int, table: bool = False) ->
         raise ValueError(f"k must lie in [1, 3], got {k}")
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
+    # the total mass (N**s for s-fold sums, N**(2s) for the difference table)
+    # bounds every count, every product c_u*c_v and every partial sum of them;
+    # s*N**k bounds every coordinate
+    mass = N ** (2 * s if table else s)
+    if mass >= INT64_LIMIT or s * N**k >= INT64_LIMIT:
+        raise WorkCapExceeded(
+            f"counts up to {mass} or coordinates up to s*N**k = {s * N**k} "
+            f"would overflow int64"
+        )
     cells = math.comb(N + s - 1, s)  # exact bound on the sparse support
     needed = cells * cells if table else cells
     if needed > work_cap:
         raise WorkCapExceeded(
             f"count table needs up to {needed} cells, cap is {work_cap}"
         )
+
+
+def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
+                 N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the (n, k) int64 array ``keys`` with their summed weights.
+
+    Coordinate i (from 1) must lie in [-s*N**i, s*N**i].  Rows come back in
+    lexicographic order: sorted by one mixed-radix int64 code when the k
+    radices 2*s*N**i + 1 multiply to less than 2**63, by np.lexsort over the
+    columns otherwise.
+    """
+    bounds = [s * N**i for i in range(1, keys.shape[1] + 1)]
+    if math.prod(2 * b + 1 for b in bounds) < INT64_LIMIT:
+        code = np.zeros(len(keys), dtype=np.int64)
+        for col, b in zip(keys.T, bounds):
+            code = code * (2 * b + 1) + (col + b)
+        order = np.argsort(code)
+        code = code[order]
+        new_run = code[1:] != code[:-1]
+    else:
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        new_run = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], new_run)))
+    return keys[order[starts]], np.add.reduceat(weights[order], starts)
+
+
+def _as_dict(keys: np.ndarray, weights: np.ndarray) -> Dict[Tuple[int, ...], int]:
+    return dict(zip(map(tuple, keys.tolist()), weights.tolist()))
 
 
 @lru_cache(maxsize=32)
@@ -154,16 +203,13 @@ def moment_curve_counts(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
     Treat as immutable; results are cached.
     """
     _check_params(s, k, N, WORK_CAP_CELLS)
-    base = {tuple(x**i for i in range(1, k + 1)): 1 for x in range(1, N + 1)}
-    counts = base
+    x = np.arange(1, N + 1, dtype=np.int64)
+    base = np.stack([x**i for i in range(1, k + 1)], axis=1)
+    keys, weights = base, np.ones(N, dtype=np.int64)
     for _ in range(s - 1):
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for u, cu in counts.items():
-            for v, cv in base.items():
-                key = tuple(a + b for a, b in zip(u, v))
-                nxt[key] = nxt.get(key, 0) + cu * cv
-        counts = nxt
-    return counts
+        sums = (keys[:, None, :] + base[None, :, :]).reshape(-1, k)
+        keys, weights = _sort_reduce(sums, np.repeat(weights, N), s, N)
+    return _as_dict(keys, weights)
 
 
 def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int],
@@ -187,16 +233,27 @@ def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int],
 
 
 @lru_cache(maxsize=16)
-def vinogradov_table(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
-    """Full sparse table lambda -> count for the inhomogeneous moment system."""
+def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only arrays (lam, J(lam)) of the inhomogeneous moment system.
+
+    Built from every difference u - v of s-fold moment-curve sums, weighted
+    by c_u * c_v; rows are in lexicographic order.
+    """
     _check_params(s, k, N, WORK_CAP_CELLS, table=True)
     counts = moment_curve_counts(s, k, N)
-    table: Dict[Tuple[int, ...], int] = {}
-    for u, cu in counts.items():
-        for v, cv in counts.items():
-            key = tuple(a - b for a, b in zip(u, v))
-            table[key] = table.get(key, 0) + cu * cv
-    return table
+    u = np.array(list(counts), dtype=np.int64)
+    c = np.array(list(counts.values()), dtype=np.int64)
+    diffs = (u[:, None, :] - u[None, :, :]).reshape(-1, k)
+    lam, J = _sort_reduce(diffs, np.outer(c, c).ravel(), s, N)
+    lam.flags.writeable = False
+    J.flags.writeable = False
+    return lam, J
+
+
+@lru_cache(maxsize=16)
+def vinogradov_table(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
+    """Full sparse table lambda -> count for the inhomogeneous moment system."""
+    return _as_dict(*_difference_table(s, k, N))
 
 
 def vinogradov_diagonal(s: int, k: int, N: int) -> int:
@@ -217,11 +274,9 @@ def moment_identity_gap(s: int, k: int, N: int, xi: Sequence[RealLike]) -> float
     ws = weyl_sum(xs, N)
     v = ws.value
     lhs = (v.real * v.real + v.imag * v.imag) ** s
-    table = vinogradov_table(s, k, N)
+    lam, counts = _difference_table(s, k, N)
     if all(is_exact(x) and Fraction(x) == 0 for x in xs):
-        return abs(lhs - float(sum(table.values())))
-    lam = np.array(list(table.keys()), dtype=np.float64)
-    counts = np.array(list(table.values()), dtype=np.float64)
-    phases = (lam @ np.array([float(x) for x in xs])) % 1.0
-    rhs = (counts * np.exp(2j * np.pi * phases)).sum()
+        return abs(lhs - float(counts.sum()))
+    phases = (lam.astype(np.float64) @ np.array([float(x) for x in xs])) % 1.0
+    rhs = (counts.astype(np.float64) * np.exp(2j * np.pi * phases)).sum()
     return abs(lhs - rhs)

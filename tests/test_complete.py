@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from newton_circle import complete
 from newton_circle.complete import (
     WorkCapExceeded,
     averaged_partial,
@@ -16,6 +18,7 @@ from newton_circle.complete import (
     vinogradov_diagonal,
     vinogradov_table,
 )
+from newton_circle.cli import run_command
 from newton_circle.expsum import double_sum
 from newton_circle.poly import parse_poly, scale
 
@@ -100,6 +103,37 @@ def test_count_brute_force_small():
     assert table == vinogradov_table(s, k, N)
 
 
+def test_count_brute_force_cubic():
+    # full enumeration over [N]^4 for the three-equation system
+    N = 4
+    table = {}
+    for x1, x2, y1, y2 in itertools.product(range(1, N + 1), repeat=4):
+        key = tuple(x1**i + x2**i - y1**i - y2**i for i in (1, 2, 3))
+        table[key] = table.get(key, 0) + 1
+    assert table == vinogradov_table(2, 3, N)
+
+
+def test_moment_counts_brute_force():
+    N = 5
+    counts = {}
+    for xs in itertools.product(range(1, N + 1), repeat=3):
+        key = tuple(sum(x**i for x in xs) for i in (1, 2, 3))
+        counts[key] = counts.get(key, 0) + 1
+    assert counts == moment_curve_counts(3, 3, N)
+
+
+def test_table_lexsort_branch():
+    # the radices (2N+1)(2N^2+1)(2N^3+1) multiply past 2**63 from N = 1024 on,
+    # so the columns are lexsorted; for s=1 every x != y gives its own
+    # difference (x-y and x+y are recovered from it)
+    N = 1100
+    table = vinogradov_table(1, 3, N)
+    assert len(table) == N * (N - 1) + 1
+    assert table[(0, 0, 0)] == N
+    assert sum(table.values()) == N * N
+    assert all(table[tuple(-x for x in lam)] == c for lam, c in table.items())
+
+
 def test_diagonal_formula():
     for N in range(2, 30):
         assert vinogradov_diagonal(2, 2, N) == 2 * N * N - N
@@ -125,6 +159,33 @@ def test_count_outside_support_is_zero():
 def test_work_cap():
     with pytest.raises(WorkCapExceeded):
         vinogradov_count(6, 3, 200, (0, 0, 0), work_cap=10**4)
+
+
+def _no_tables(*args):
+    raise AssertionError("a count table was built before the overflow guard ran")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: vinogradov_table(6, 1, 1500),  # counts up to 1500**12
+    lambda: moment_identity_gap(6, 1, 1500, [0.25]),
+    lambda: vinogradov_count(1, 3, 3 * 10**6, (0, 0, 0)),  # coordinates 2.7e19
+], ids=["table", "identity_gap", "count_coordinates"])
+def test_int64_overflow_guard(monkeypatch, call):
+    monkeypatch.setattr(complete, "WORK_CAP_CELLS", 10**60)
+    monkeypatch.setattr(complete, "moment_curve_counts", _no_tables)
+    monkeypatch.setattr(complete, "_sort_reduce", _no_tables)
+    with pytest.raises(WorkCapExceeded, match="int64"):
+        call()
+
+
+def test_gauss_sweep_work_cap(tmp_path, capsys):
+    with pytest.raises(WorkCapExceeded):
+        gauss_sum_sweep(parse_poly("m1*m2"), [20000])
+    code = run_command(["gauss", "--poly", "m1*m2", "--qmax", "20000",
+                        "--json", str(tmp_path / "out.json")])
+    assert code == 1
+    assert "20000 x 20000 residue table" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_moment_identity_examples():
