@@ -2,12 +2,15 @@
 
 Every coefficient is read as an exact rational: a Fraction or int as itself,
 a binary float as the dyadic rational it denotes.  With L the common
-denominator, the residues L*Q(m) mod L are formed by Horner's rule on numpy
-blocks of the lattice, in int64 when no intermediate can reach 2**63 and in
-Python integers otherwise, so no phase error accumulates however large the
-polynomial values get.  The residues are histogrammed, each distinct phase
-t/L is one correctly rounded division, and the terms are added with
-``math.fsum``.
+denominator, the residues L*Q(m) mod L are formed by Horner's rule on int64
+numpy blocks of the lattice when no intermediate can reach 2**63, so no
+phase error accumulates however large the polynomial values get; the
+residues are histogrammed and each distinct phase t/L is one correctly
+rounded division.  For a wider L (binary floats, big rationals) each
+coefficient is scaled to 2**64 * c / L: its integer part runs the same
+Horner in uint64, whose wraparound reduces the phase mod 1 exactly, and its
+fractional part adds a float tail below 2**-11 of a turn.  That phase is
+off by less than 2**-52 of a turn.  The terms are added with ``math.fsum``.
 
 ``mode`` names the kind of input.  Exact (rational) inputs report
 ``error_budget == 0``; float inputs report a budget that bounds the rounding
@@ -20,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,13 +37,21 @@ BLOCK_CELLS = 1 << 14
 # Integers up to 2**53 convert to float64 exactly, so t / L rounds only once.
 _FLOAT_EXACT = 1 << 53
 
-# Per-term rounding error of a sum, u = 2**-53.  The angle 2*pi*t/L carries
-# three relative roundings (t/L, the float 2*pi, their product) on a phase
-# below 1, so it is off by less than 2*pi*3u < 19u.  cos and sin are
-# 1-Lipschitz and add at most 4 ulp of a value below 1: 23u.  Multiplying by
+# Modulus of uint64 arithmetic: the wide kernel holds 2**64 * phase mod 2**64.
+_WRAP = 1 << 64
+
+# Per-term rounding error of a sum, u = 2**-53.  The phase (in turns) is off
+# by less than 2u.  On the histogram paths it is t/L rounded once: below u.
+# On the float-tail path of _wrapped_blocks the tail, below 2**-11, takes
+# the rounding of its d+1 coefficients and 2d Horner steps, (2d+1)u * 2**-11;
+# lo + tail rounds by at most u * 2**-10 and hi + (lo + tail) by u, so the
+# phase is off by u * (1 + (2d+3) * 2**-11) < 2u for any m2-degree d < 1000.
+# The angle 2*pi*phase, with the phase below 1 + 2**-10, adds the rounding of
+# the float 2*pi and of the product: below 2*pi*4u < 26u.  cos and sin are
+# 1-Lipschitz and add at most 4 ulp of a value below 1: 30u.  Multiplying by
 # the residue count adds u per term, and the two fsum levels (within a block,
-# then over the block partials) add u each: 26u per component, below
-# sqrt(2)*26u < 37u for the complex term.  The budget rounds that up to 64u.
+# then over the block partials) add u each: 33u per component, below
+# sqrt(2)*33u < 47u for the complex term.  The budget rounds that up to 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
@@ -63,8 +75,14 @@ class ExpSumValue:
 
 
 def residue_sum(residues, L: int) -> complex:
-    """Sum of e(t/L) over residues t in [0, L), taken from their histogram."""
-    t = np.sort(np.asarray(residues, dtype=np.int64 if L <= _FLOAT_EXACT else object), axis=None)
+    """Sum of e(t/L) over residues t in [0, L), taken from their histogram.
+
+    A uint64 array is taken as it is, with L = 2**64: float(t) rounds once and
+    the division by 2**64 is exact, so each phase is fl(t/L) as for int64.
+    """
+    if getattr(residues, "dtype", None) != np.uint64:
+        residues = np.asarray(residues, dtype=np.int64 if L <= _FLOAT_EXACT else object)
+    t = np.sort(residues, axis=None)
     # bounds of the runs of equal residues
     edge = np.empty(t.size + 1, dtype=bool)
     edge[0] = edge[-1] = True
@@ -72,8 +90,11 @@ def residue_sum(residues, L: int) -> complex:
     idx = edge.nonzero()[0]
     counts = idx[1:] - idx[:-1]
     angle = math.tau * np.asarray(t[idx[:-1]] / L, dtype=np.float64)
-    return complex(math.fsum((counts * np.cos(angle)).tolist()),
-                   math.fsum((counts * np.sin(angle)).tolist()))
+    return _fsum_complex(counts * np.cos(angle), counts * np.sin(angle))
+
+
+def _fsum_complex(re, im) -> complex:
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
 def _integer_form(terms: Dict[Tuple[int, int], RealLike]) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -98,27 +119,101 @@ def _horner(coeffs: Tuple[int, ...], x: int, L: int) -> int:
     return acc
 
 
+def _taylor_shift(coeffs: List[int], o: int, L: int) -> List[int]:
+    """Coefficients of p(o + u) mod L, top degree first, from those of p."""
+    c = list(coeffs)
+    for i in range(len(c) - 1, 0, -1):
+        for j in range(1, i + 1):
+            c[j] = (c[j] + c[j - 1] * o) % L
+    return c
+
+
+def _tail_width(d: int) -> int:
+    """Widest w <= BLOCK_CELLS with w**d <= 2**52, so 1 + w + ... + w**d <= 2**53."""
+    w = min(BLOCK_CELLS, int(2.0 ** (52 / max(d, 1))) + 1)
+    while w > 1 and w**d > 1 << 52:
+        w -= 1
+    return w
+
+
 def _lattice_phase_sum(form, K1: int, M1: int, K2: int, M2: int) -> complex:
     """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form."""
     if M1 <= K1 or M2 <= K2:
         return 0j
     L, rows = form
-    # every Horner step over m2 stays below (M2 + 1) * L
-    dtype = np.int64 if L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63 else object
+    # every int64 Horner step over m2 stays below (M2 + 1) * L
+    blocks = _int64_blocks if L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63 else _wrapped_blocks
+    parts = list(blocks(L, rows, K1, M1, K2, M2))
+    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+
+
+def _int64_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
+    """Partial sums of the lattice sum over blocks, from int64 residues mod L."""
     cols = min(M2 - K2, BLOCK_CELLS)
     height = max(1, BLOCK_CELLS // cols)
-    parts = []
     for r0 in range(K1 + 1, M1 + 1, height):
         # per row m1, the m2-coefficients of Q mod L, top degree first
         coeffs = np.array([[_horner(row, m1, L) for row in rows]
-                           for m1 in range(r0, min(r0 + height, M1 + 1))], dtype=dtype)
+                           for m1 in range(r0, min(r0 + height, M1 + 1))], dtype=np.int64)
         for c0 in range(K2 + 1, M2 + 1, cols):
-            m2 = np.arange(c0, min(c0 + cols, M2 + 1), dtype=dtype)
+            m2 = np.arange(c0, min(c0 + cols, M2 + 1), dtype=np.int64)
             t = coeffs[:, :1].repeat(len(m2), axis=1)
             for j in range(1, len(rows)):
                 t = (t * m2 + coeffs[:, j:j + 1]) % L
-            parts.append(residue_sum(t, L))
-    return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+            yield residue_sum(t, L)
+
+
+def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
+    """Partial sums of the lattice sum over blocks, for an L or M2 too large
+    for int64 residues mod L.
+
+    The box is cut into row segments m2 = o + u, u in [1, w], and each row's
+    m2-coefficients are Taylor-shifted mod L to the origin o.  A coefficient
+    c splits as 2**64 * c / L = H + rho / L with H = (c << 64) // L < 2**64.
+    Horner over u in uint64 wraps mod 2**64, so it gives exactly 2**64 times
+    the fractional phase of the H part, however large the polynomial gets.
+    When L divides 2**64 every rho is 0 and that is the whole phase, summed
+    through the residue histogram.  Otherwise the tail sum of rho_j/(L*2**64)
+    * u**(d-j) is a float Horner added to the head; w keeps it below 2**-11
+    (see FLOAT_TERM_BUDGET), and the nearly distinct phases are summed term
+    by term.
+    """
+    d = len(rows) - 1
+    dyadic = _WRAP % L == 0
+    n = M2 - K2
+    w = min(n, BLOCK_CELLS if dyadic else _tail_width(d))
+    segs = -(-n // w)
+    w = -(-n // segs)                    # balanced widths, the same segment count
+    u = np.arange(1, w + 1, dtype=np.uint64)
+    uf = u.astype(np.float64)
+    # per row m1, the m2-coefficients of Q mod L, top degree first
+    row_coeffs = ([_horner(row, m1, L) for row in rows] for m1 in range(K1 + 1, M1 + 1))
+    segments = ((b, o) for b in row_coeffs for o in range(K2, M2, w))
+    while chunk := list(islice(segments, BLOCK_CELLS // w)):
+        heads, tails, widths = [], [], []
+        for b, o in chunk:
+            split = [divmod(c << 64, L) for c in (_taylor_shift(b, o, L) if o else b)]
+            heads.append([h for h, _ in split])
+            tails.append([rho / (L << 64) for _, rho in split])
+            widths.append(min(w, M2 - o))
+        head = np.array(heads, dtype=np.uint64)
+        t = head[:, :1].repeat(w, axis=1)
+        for j in range(1, d + 1):
+            t = t * u + head[:, j:j + 1]
+        keep = u <= np.array(widths)[:, None]
+        if dyadic:
+            yield residue_sum(t[keep], _WRAP)
+            continue
+        tail = np.array(tails)
+        acc = tail[:, :1].repeat(w, axis=1)
+        for j in range(1, d + 1):
+            acc = acc * uf + tail[:, j:j + 1]
+        # (t >> 11) * 2**-53 and (t & 2047) * 2**-64 are exact floats; the sum
+        # lies below 1 + 2**-10 and needs no reduction mod 1 before cos and sin
+        phase = ((t >> 11).astype(np.float64) * 2.0**-53
+                 + ((t & 2047).astype(np.float64) * 2.0**-64 + acc))
+        angle = math.tau * phase[keep]
+        yield _fsum_complex(np.cos(angle), np.sin(angle))
 
 
 def _result(value: complex, exact: bool, count: int) -> ExpSumValue:

@@ -139,6 +139,18 @@ def test_diagonal_formula():
         assert vinogradov_diagonal(2, 2, N) == 2 * N * N - N
 
 
+def test_table_cache_holds_one_dict():
+    # each dict is a large copy of the cached difference arrays, so only the
+    # latest one stays cached; an evicted table is rebuilt equal
+    first = vinogradov_table(2, 2, 7)
+    second = vinogradov_table(2, 3, 6)
+    assert vinogradov_table.cache_info().currsize <= 1
+    for (s, k, N), table in (((2, 2, 7), first), ((2, 3, 6), second)):
+        assert sum(table.values()) == N ** (2 * s)
+        assert table[(0,) * k] == vinogradov_diagonal(s, k, N)
+        assert table == vinogradov_table(s, k, N)
+
+
 def test_table_invariants():
     for s, k, N in [(2, 2, 9), (3, 2, 6), (2, 3, 5)]:
         table = vinogradov_table(s, k, N)

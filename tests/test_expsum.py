@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newton_circle.arith import torus_distance
+from newton_circle.arith import golden_ratio_conjugate, torus_distance
 from newton_circle.expsum import (
+    FLOAT_TERM_BUDGET,
     PhaseHypothesisError,
     double_sum,
     double_sum_abs,
@@ -134,16 +135,18 @@ def test_float_error_budget_bounds_the_error():
     want = brute_dyadic(Q.terms, [(m1, m2) for m1 in range(1, 201) for m2 in range(1, 201)])
     assert got.mode == "float"
     assert abs(got.value - want) <= got.error_budget
-    xs = (0.1, 0, 0, 0.3141)
-    got = weyl_sum(xs, 5000)
-    want = brute_dyadic({(0, i + 1): x for i, x in enumerate(xs)},
-                        [(1, n) for n in range(1, 5001)])
-    assert abs(got.value - want) <= got.error_budget
+    # 1e-20 has denominator 2**119 > 2**64: the float tail of the wide kernel
+    for xs in [(0.1, 0, 0, 0.3141), (0.3, 0, 1e-20)]:
+        got = weyl_sum(xs, 5000)
+        want = brute_dyadic({(0, i + 1): x for i, x in enumerate(xs)},
+                            [(1, n) for n in range(1, 5001)])
+        assert abs(got.value - want) <= got.error_budget
 
 
 def test_wide_denominator_matches_int64_path():
-    # L = 7 * 2**61 exceeds 2**53, so the shifted sum takes Python-integer
-    # residues while the unshifted one stays on int64
+    # L = 7 * 2**61 exceeds 2**53, so the shifted sum takes the uint64
+    # wraparound kernel (with a float tail, as L does not divide 2**64) while
+    # the unshifted one stays on int64 residues mod L: two algorithms
     Q = scale(parse_poly("m1^2*m2^3 + m1*m2"), Fraction(3, 7))
     k = 3**38
     shifted = RealPoly2({**Q.terms, (0, 0): Fraction(k, 2**61)})
@@ -152,6 +155,30 @@ def test_wide_denominator_matches_int64_path():
     assert got.mode == "exact"
     want = cmath.exp(2j * math.pi * float(Fraction(k, 2**61))) * base
     assert abs(got.value - want) <= 1e-12 * got.term_count
+
+
+GOLDEN = golden_ratio_conjugate(192)
+
+
+@pytest.mark.parametrize("k, N", [(8, 3000), (6, 20000)])
+def test_golden_weyl_matches_brute_force(k, N):
+    # L is a 98-bit Fibonacci number; the float tail stays below 2**-11 of a
+    # turn only because each segment of a few hundred n is re-centred
+    xs = (GOLDEN,) * k
+    got = weyl_sum(xs, N)
+    want = brute_dyadic({(0, i + 1): x for i, x in enumerate(xs)},
+                        [(1, n) for n in range(1, N + 1)])
+    assert got.mode == "exact"
+    assert abs(got.value - want) <= N * FLOAT_TERM_BUDGET
+
+
+def test_golden_double_sum_matches_brute_force():
+    # K2 > 0, so every row is Taylor-shifted to its origin
+    Q = scale(parse_poly("m1^2*m2^3 + m1*m2"), GOLDEN)
+    got = double_sum(Q, 20, 60, 30, 110)
+    want = brute_dyadic(Q.terms, [(m1, m2) for m1 in range(21, 61) for m2 in range(31, 111)])
+    assert got.mode == "exact"
+    assert abs(got.value - want) <= got.term_count * FLOAT_TERM_BUDGET
 
 
 def test_double_sum_abs_examples():
