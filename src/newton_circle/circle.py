@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
-from .complete import gauss_sum, partial_gauss
+from .complete import _check_residue_table, _residue_histogram, gauss_sum, partial_gauss
 from .ergodic import EmptyRegionError
 from .expsum import double_sum, dyadic_refine, gauss_legendre_adaptive
 from .iw import IWParams, sigma_fractions
@@ -83,6 +83,25 @@ def discrete_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
         k1, m1 = _axis_count(M1, tau)
         return double_sum(Q, k1, m1, frozen - 1, frozen).value / (m1 - k1)
     raise ValueError("axis must be 1 or 2")
+
+
+def discrete_multiplier_grid(P: Poly2, n: int, M1: RealLike, M2: RealLike,
+                             tau: RealLike) -> np.ndarray:
+    """discrete_multiplier(P, i/n, M1, M2, tau) for every i in [0, n), as one array.
+
+    With h the histogram of P(m) mod n over the (M/tau, M] box, the sum of
+    e(i*P(m)/n) over the box is the sum of h[t] * e(i*t/n) over t, which is
+    n times the inverse DFT of h at i.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    k1, m1 = _axis_count(M1, tau)
+    k2, m2 = _axis_count(M2, tau)
+    cells = (m1 - k1) * (m2 - k2)
+    _check_residue_table(cells, n, f"multiplier grid needs a {m1 - k1} x {m2 - k2} "
+                                   f"residue table mod q = {n}")
+    hist = _residue_histogram(P, n, range(k1 + 1, m1 + 1), range(k2 + 1, m2 + 1))
+    return np.fft.ifft(hist) * (n / cells)
 
 
 def _phase_fn(Q: RealPoly2, M1: float, M2: float):

@@ -246,9 +246,8 @@ def _cmd_gauss(args, report: VerificationReport) -> None:
     rows = complete.gauss_sum_sweep(P, range(1, args.qmax + 1))
     report.results.extend(rows)
     if args.qmax >= 8:
-        report.results.append(
-            {"fitted_decay_exponent": complete.fitted_decay_exponent(P, args.qmax)}
-        )
+        # the fit runs over 2 <= q <= qmax, the rows after q = 1
+        report.results.append({"fitted_decay_exponent": complete._decay_fit(rows[1:])})
     report.add_check("sweep_moduli_at_most_one",
                      max(r["max_abs_G"] for r in rows) <= 1 + 1e-12,
                      max(r["max_abs_G"] for r in rows), 1.0, 1e-12)

@@ -1,5 +1,11 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
+gauss_sum and partial_gauss evaluate P directly in Python integers, one
+frequency at a time.  The all-frequency sweep instead builds the int64
+histogram of P mod q over the residue box once, by outer products of
+per-axis power tables, and takes one DFT of it:
+q**2 * G(a/q) = sum_t h[t] * e(a*t/q) for every a at once.
+
 The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
 C(N+s-1, s) lattice points (multisets of size s).  Each convolution and the
@@ -58,51 +64,75 @@ def averaged_partial(P: Poly2, a_over_q: Fraction, M: int, axis: int) -> float:
     return total / M
 
 
+def _residue_histogram(P: Poly2, n: int, xs1, xs2) -> np.ndarray:
+    """int64 histogram of P(m1, m2) mod n over m1 in xs1 and m2 in xs2.
+
+    The terms are grouped by their m1 exponent g1, so each group is one column
+    vector C_g1(m2) mod n, and the table is the sum over the groups of the
+    outer products m1**g1 * C_g1.  Every product is below n**2 and no sum has
+    more than 65 of them (exponents are at most 64), so every intermediate
+    stays below max(n, 65) * n**2, below 2**63 once the caller keeps n**3
+    there.
+    """
+    x1 = np.asarray(xs1, dtype=np.int64) % n
+    x2 = np.asarray(xs2, dtype=np.int64) % n
+    pow1, pow2 = _power_table(x1, P, 0, n), _power_table(x2, P, 1, n)
+    cols: Dict[int, np.ndarray] = {}
+    for (g1, g2), c in P.terms.items():
+        cols[g1] = cols.get(g1, 0) + (c % n) * pow2[g2]
+    # the zero polynomial has no group: its one part is the zero table
+    parts = [(pow1[g1], col % n) for g1, col in cols.items()] or [(0 * x1, 0 * x2)]
+    # in place after the first part: a fresh table per step costs page faults
+    table = np.multiply.outer(*parts[0])
+    for p1, col in parts[1:]:
+        table += np.multiply.outer(p1, col)
+    np.remainder(table, n, out=table)
+    return np.bincount(table.ravel(), minlength=n)
+
+
+def _power_table(x: np.ndarray, P: Poly2, axis: int, n: int) -> List[np.ndarray]:
+    """[x**0, x**1, ...] mod n, up to the top exponent of P on one axis."""
+    top = max((g[axis] for g in P.terms), default=0)
+    powers = [np.ones_like(x) % n]
+    for _ in range(top):
+        powers.append(powers[-1] * x % n)
+    return powers
+
+
+def _check_residue_table(cells: int, q: int, what: str) -> None:
+    """Raise WorkCapExceeded, before any work, unless _residue_histogram can
+    build a table of this many cells mod q within the cell cap and int64."""
+    if cells > WORK_CAP_CELLS or q**3 >= INT64_LIMIT:
+        raise WorkCapExceeded(
+            f"{what}; the cap is {WORK_CAP_CELLS} cells and q**3 must stay below "
+            f"2**63 (int64)"
+        )
+
+
 def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     """|G(a/q)| envelope rows for every q: count of coprime a and the max modulus.
 
-    A q x q residue histogram of P mod q turns each coprime a into an O(q)
-    evaluation; rows are cross-checkable against gauss_sum directly.
+    With h the q x q residue histogram of P mod q, q**2 * G(a/q) is the sum of
+    h[t] * e(a*t/q) over t, so one DFT of h gives every a at once: the row
+    maximises |fft(h)| / q**2 over the units a.  Rows are cross-checkable
+    against gauss_sum, which evaluates P directly.
     """
     q_values = list(q_values)
     if any(q < 1 for q in q_values):
         raise ValueError("moduli must be positive")
     q_top = max(q_values, default=1)
-    # one q x q int64 table per modulus; (c mod q)*p1*p2 stays below q**3
-    if q_top * q_top > WORK_CAP_CELLS or q_top**3 >= INT64_LIMIT:
-        raise WorkCapExceeded(
-            f"gauss sweep needs a {q_top} x {q_top} residue table; the cap is "
-            f"{WORK_CAP_CELLS} cells and q**3 must stay below 2**63 (int64)"
-        )
+    _check_residue_table(q_top * q_top, q_top,
+                         f"gauss sweep needs a {q_top} x {q_top} residue table")
     rows = []
     for q in q_values:
         if q == 1:
             rows.append({"q": 1, "a_count": 1, "max_abs_G": 1.0})
             continue
-        r = np.arange(1, q + 1, dtype=np.int64)
-        table = np.zeros((q, q), dtype=np.int64)
-        for (g1, g2), c in P.terms.items():
-            p1 = np.ones(q, dtype=np.int64)
-            base1 = r % q
-            for _ in range(g1):
-                p1 = (p1 * base1) % q
-            p2 = np.ones(q, dtype=np.int64)
-            for _ in range(g2):
-                p2 = (p2 * base1) % q
-            table = (table + (c % q) * np.outer(p1, p2)) % q
-        hist = np.bincount(table.ravel(), minlength=q).astype(np.float64)
-        roots = np.exp(2j * np.pi * np.arange(q) / q)
-        best = 0.0
-        a_count = 0
-        for a in range(1, q):
-            if math.gcd(a, q) != 1:
-                continue
-            a_count += 1
-            val = (hist * roots[(a * np.arange(q)) % q]).sum() / q**2
-            mag = abs(val)
-            if mag > best:
-                best = mag
-        rows.append({"q": q, "a_count": a_count, "max_abs_G": float(best)})
+        r = np.arange(q, dtype=np.int64)
+        spectrum = np.abs(np.fft.fft(_residue_histogram(P, q, r, r))) / q**2
+        units = np.gcd(r, q) == 1
+        rows.append({"q": q, "a_count": int(units.sum()),
+                     "max_abs_G": float(spectrum[units].max())})
     return rows
 
 
@@ -121,7 +151,11 @@ def fitted_decay_exponent(P: Poly2, q_max: int = 200) -> float:
     The true decay rate is existential, so it is reported, never asserted;
     exact-zero rows are floored at machine scale before taking logs.
     """
-    rows = gauss_sum_sweep(P, range(2, q_max + 1))
+    return _decay_fit(gauss_sum_sweep(P, range(2, q_max + 1)))
+
+
+def _decay_fit(rows: Sequence[dict]) -> float:
+    """Least-squares exponent d in max_abs_G ~ q**-d over the given sweep rows."""
     xs = np.array([math.log(r["q"]) for r in rows])
     ys = np.array([math.log(max(r["max_abs_G"], 1e-300)) for r in rows])
     slope = ((xs - xs.mean()) * (ys - ys.mean())).sum() / ((xs - xs.mean()) ** 2).sum()

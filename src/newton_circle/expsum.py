@@ -12,9 +12,10 @@ Horner in uint64, whose wraparound reduces the phase mod 1 exactly, and its
 fractional part adds a float tail below 2**-11 of a turn.  That phase is
 off by less than 2**-52 of a turn.  The terms are added with ``math.fsum``.
 
-``mode`` names the kind of input.  Exact (rational) inputs report
-``error_budget == 0``; float inputs report a budget that bounds the rounding
-of the phases, the trigonometry and the summation.
+``mode`` names the kind of input, exact (rational) or float.  Either way the
+value carries the rounding of the phases, the trigonometry and the
+summation, and every result reports an ``error_budget`` of
+``FLOAT_TERM_BUDGET`` per term that bounds it.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class QuadratureConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class ExpSumValue:
     value: complex
-    mode: str                 # "exact" or "float"
+    mode: str                 # the kind of input: "exact" or "float"
     term_count: int
-    error_budget: float       # 0 in exact mode
+    error_budget: float       # term_count * FLOAT_TERM_BUDGET in both modes
 
     def __complex__(self) -> complex:
         return self.value
@@ -217,9 +218,7 @@ def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
 
 
 def _result(value: complex, exact: bool, count: int) -> ExpSumValue:
-    if exact:
-        return ExpSumValue(value=value, mode="exact", term_count=count, error_budget=0.0)
-    return ExpSumValue(value=value, mode="float", term_count=count,
+    return ExpSumValue(value=value, mode="exact" if exact else "float", term_count=count,
                        error_budget=count * FLOAT_TERM_BUDGET)
 
 

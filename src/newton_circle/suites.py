@@ -431,9 +431,11 @@ def suite_multiplier(grid: int = 1000, n_polys: int = 5, seed: int = 17,
             norm_viol += 1
         if abs(circle.continuous_multiplier(P, 0, M1, M2, tau) - 1) > 1e-9:
             cont_viol += 1
-        for i in range(grid):
+        # v(i/grid) from the DFT of the residue histogram; xi + 1 and -xi from
+        # the lattice kernel, so both checks compare two algorithms
+        values = circle.discrete_multiplier_grid(P, grid, M1, M2, tau).tolist()
+        for i, v in enumerate(values):
             xi = Fraction(i, grid)
-            v = circle.discrete_multiplier(P, xi, M1, M2, tau)
             if abs(v) > 1 + 1e-12:
                 bound_viol += 1
             v_shift = circle.discrete_multiplier(P, xi + 1, M1, M2, tau)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from newton_circle.circle import (
     continuous_multiplier,
     cutoff_eta,
     discrete_multiplier,
+    discrete_multiplier_grid,
     major_approximant,
     partial_approx_error,
     projection_complement,
@@ -19,10 +21,11 @@ from newton_circle.circle import (
     threshold_level,
     validate_arc_parameters,
 )
-from newton_circle.complete import gauss_sum, partial_gauss
+from newton_circle.complete import WorkCapExceeded, gauss_sum, partial_gauss
 from newton_circle.iw import IWParams
 from newton_circle.newton import build_diagram
 from newton_circle.poly import parse_poly
+from newton_circle.suites import random_nondegenerate_poly
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,27 @@ def test_discrete_multiplier_examples(mixed):
     a = discrete_multiplier(P, Fraction(2, 9), 8, 8, 2)
     b = discrete_multiplier(P, Fraction(2, 9) + 1, 8, 8, 2)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [12, 1000])
+def test_multiplier_grid_matches_scalar(n):
+    # DFT of the residue histogram against the lattice kernel, at every i/n
+    cases = [(parse_poly("m1^2*m2^3"), 8, 8, 2),
+             (random_nondegenerate_poly(random.Random(n)), 10, 7, Fraction(3, 2))]
+    for P, M1, M2, tau in cases:
+        grid = discrete_multiplier_grid(P, n, M1, M2, tau)
+        assert grid.shape == (n,)
+        for i, v in enumerate(grid.tolist()):
+            assert abs(v - discrete_multiplier(P, Fraction(i, n), M1, M2, tau)) <= 1e-12
+
+
+def test_multiplier_grid_guards(mixed):
+    with pytest.raises(ValueError):
+        discrete_multiplier_grid(mixed, 0, 8, 8, 2)
+    with pytest.raises(WorkCapExceeded):
+        discrete_multiplier_grid(mixed, 2**21, 8, 8, 2)  # n**3 reaches 2**63
+    with pytest.raises(WorkCapExceeded):
+        discrete_multiplier_grid(mixed, 12, 10**5, 10**5, 2)
 
 
 def test_discrete_multiplier_empty_region(mixed):

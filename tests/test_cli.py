@@ -64,6 +64,29 @@ def test_gauss_sweep_rows(tmp_path):
     assert any("fitted_decay_exponent" in r for r in doc["results"])
 
 
+def test_gauss_sweeps_once(tmp_path, monkeypatch):
+    from newton_circle import complete
+    from newton_circle.poly import parse_poly
+
+    P = parse_poly("m1^2*m2^3")
+    # the report as it was assembled with two sweeps: the rows over
+    # 1 <= q <= 40, then the fit over a second sweep of 2 <= q <= 40
+    rows = complete.gauss_sum_sweep(P, range(1, 41))
+    two_sweeps = rows + [{"fitted_decay_exponent": complete.fitted_decay_exponent(P, 40)}]
+    sweep, calls = complete.gauss_sum_sweep, []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(complete, "gauss_sum_sweep", counted)
+    code, doc = run(tmp_path, "gauss", "--poly", "m1^2*m2^3", "--qmax", "40")
+    assert code == 0
+    assert len(calls) == 1
+    text = (tmp_path / "out.json").read_text()
+    assert text == json.dumps({**doc, "results": two_sweeps}, indent=2) + "\n"
+
+
 def test_iw_command(tmp_path):
     code, doc = run(tmp_path, "iw", "--rho", "1/2", "--l", "2")
     assert code == 0

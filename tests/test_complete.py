@@ -1,7 +1,10 @@
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from newton_circle import complete
@@ -19,8 +22,9 @@ from newton_circle.complete import (
     vinogradov_table,
 )
 from newton_circle.cli import run_command
-from newton_circle.expsum import double_sum
-from newton_circle.poly import parse_poly, scale
+from newton_circle.expsum import FLOAT_TERM_BUDGET, double_sum
+from newton_circle.poly import Poly2, evaluate, parse_poly, scale
+from newton_circle.suites import random_nondegenerate_poly
 
 
 def test_gauss_examples():
@@ -75,6 +79,64 @@ def test_sweep_agrees_with_direct(rng):
         assert row["max_abs_G"] == pytest.approx(direct, abs=1e-10)
         expected_count = 1 if q == 1 else sum(1 for a in range(1, q) if math.gcd(a, q) == 1)
         assert row["a_count"] == expected_count
+
+
+def fft_tolerance(q):
+    """Bound on the rounding of one normalised DFT entry q**-2 * sum_t h[t] e(a*t/q).
+
+    The standard FFT bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 24) puts the 2-norm error of a length-q FFT at
+    c * log2(q) * u times the 2-norm of the output, sqrt(q) * |h|_2 <=
+    sqrt(q) * q**2.  Higham's radix-2 constant is about 7; c = 32 leaves room
+    for the mixed-radix and Bluestein paths of numpy's FFT.
+    """
+    return 32 * max(1.0, math.log2(q)) * math.sqrt(q) * 2.0**-53
+
+
+def _units(q):
+    return [a for a in range(1, q) if math.gcd(a, q) == 1]
+
+
+def test_residue_histogram_matches_direct_evaluation(rng):
+    polys = [random_nondegenerate_poly(rng) for _ in range(5)] + [Poly2.zero()]
+    for P in polys:
+        n = rng.randint(1, 40)
+        xs1, xs2 = range(3, 4 + rng.randint(0, 12)), range(rng.randint(0, 50), 60)
+        want = Counter(evaluate(P, (m1, m2)) % n for m1 in xs1 for m2 in xs2)
+        got = complete._residue_histogram(P, n, xs1, xs2)
+        assert got.tolist() == [want[t] for t in range(n)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_dft_matches_gauss_sum_at_every_unit(seed):
+    P = random_nondegenerate_poly(random.Random(seed))
+    qs = (2, 3, 4, 5, 8, 9, 12, 16, 25, 27, 36, 48)
+    for q, row in zip(qs, gauss_sum_sweep(P, qs)):
+        tol = fft_tolerance(q) + FLOAT_TERM_BUDGET  # the DFT's rounding and gauss_sum's
+        r = np.arange(q)
+        spectrum = np.fft.fft(complete._residue_histogram(P, q, r, r)) / q**2
+        direct = {a: gauss_sum(P, Fraction(a, q)) for a in _units(q)}
+        for a, g in direct.items():
+            # fft sums h[t] * e(-a*t/q); h is real, so that is conj(q**2 * G(a/q))
+            assert abs(spectrum[a].conjugate() - g) <= tol
+        assert row["a_count"] == len(direct)
+        assert abs(row["max_abs_G"] - max(map(abs, direct.values()))) <= tol
+
+
+def test_sweep_quadratic_gauss_sum_closed_form():
+    # the m2 sum is p, and |sum_r e(a*r^2/p)| = sqrt(p) for an odd prime p
+    # not dividing a (Berndt-Evans-Williams), so every unit gives p**-1/2
+    primes = (3, 5, 7, 11, 13, 101, 257, 397)
+    for p, row in zip(primes, gauss_sum_sweep(parse_poly("m1^2"), primes)):
+        assert row["a_count"] == p - 1
+        assert abs(row["max_abs_G"] - p**-0.5) <= fft_tolerance(p)
+
+
+def test_sweep_bilinear_closed_form():
+    # for a unit a the sum over r2 of e(a*r1*r2/q) is q when q | r1, else 0
+    qs = range(2, 400)
+    for q, row in zip(qs, gauss_sum_sweep(parse_poly("m1*m2"), qs)):
+        assert abs(row["max_abs_G"] - 1 / q) <= fft_tolerance(q)
 
 
 def test_moment_counts_base_cases():

@@ -34,7 +34,25 @@ def test_weyl_examples():
 def test_weyl_modes():
     assert weyl_sum([Fraction(1, 3), Fraction(1, 5)], 10).mode == "exact"
     assert weyl_sum([0.3], 10).mode == "float"
-    assert weyl_sum([Fraction(1, 3)], 10).error_budget == 0.0
+    # an exact input still carries trig and summation rounding
+    assert weyl_sum([Fraction(1, 3)], 10).error_budget == 10 * FLOAT_TERM_BUDGET
+
+
+@pytest.mark.parametrize("a, q", [(1, 2), (2, 7), (5, 12), (3, 65537), (12345, 65536),
+                                  (7, 2**20 - 3), (2**19 + 1, 2**20)])
+def test_complete_period_vanishes(a, q):
+    # sum over n <= q of e(a*n/q) is exactly 0 for q > 1 and a coprime to q
+    v = weyl_sum((Fraction(a, q),), q)
+    assert v.mode == "exact"
+    assert abs(v.value) <= v.error_budget
+
+
+@pytest.mark.parametrize("a, p", [(1, 3), (2, 5), (3, 7), (10, 101), (3, 65537),
+                                  (5, 2**20 - 3)])
+def test_quadratic_gauss_sum_has_modulus_sqrt_p(a, p):
+    # |sum over n <= p of e(a*n^2/p)| = sqrt(p) for an odd prime p not dividing a
+    v = weyl_sum((0, Fraction(a, p)), p)
+    assert abs(abs(v.value) - math.sqrt(p)) <= v.error_budget
 
 
 def test_weyl_against_brute_force():
