@@ -13,11 +13,13 @@ from .arith import (
 )
 from .poly import Poly2, RealPoly2, UniPoly, axis_decompose, is_degenerate, parse_poly, scale
 from .newton import (
+    GeometryOverflowError,
     NewtonDiagram,
     build_diagram,
     canonical_sector,
     dominant_monomial,
     dominant_scale,
+    sector_arrays,
     sector_membership,
     subsector,
     vertex_gap,

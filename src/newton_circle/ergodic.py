@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .arith import RealLike, as_fraction, is_exact
 from .expsum import double_sum
-from .newton import NewtonDiagram, cone_coordinates
+from .newton import NewtonDiagram, _check_j, sector_arrays
 from .poly import Poly2, UniPoly, evaluate, scale
 
 
@@ -140,27 +142,27 @@ def sector_grid(diagram: NewtonDiagram, j: int, tau: Fraction,
                 bound: RealLike) -> List[Tuple[Fraction, Fraction]]:
     """Lacunary scale pairs (tau^n1, tau^n2) over sector j with both <= bound.
 
-    Exponent membership is exact integer cone arithmetic; powers are exact
-    rationals.
+    Exponent membership comes from `sector_arrays`, one call per row of the
+    exponent grid; powers are exact rationals.
     """
     t = as_fraction(tau)
     if t <= 1:
         raise ValueError("tau must exceed 1")
     b = as_fraction(bound)
+    powers = []
+    p = Fraction(1)
+    while p <= b:
+        powers.append(p)
+        p *= t
+    if powers:
+        _check_j(diagram, j)
+    # one kernel call per row keeps the arrays to O(len(powers)) beside the output
     out = []
-    n1 = 0
-    p1 = Fraction(1)
-    while p1 <= b:
-        n2 = 0
-        p2 = Fraction(1)
-        while p2 <= b:
-            t1, t2 = cone_coordinates(diagram, j, (n1, n2))
-            if t1 >= 0 and t2 >= 0:
-                out.append((p1, p2))
-            n2 += 1
-            p2 *= t
-        n1 += 1
-        p1 *= t
+    row = np.column_stack((np.zeros(len(powers), dtype=np.int64), np.arange(len(powers))))
+    for n1, p1 in enumerate(powers):
+        row[:, 0] = n1
+        member = sector_arrays(diagram, row).member[:, j - 1]
+        out.extend((p1, powers[n2]) for n2 in np.flatnonzero(member).tolist())
     return out
 
 

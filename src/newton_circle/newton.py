@@ -6,15 +6,32 @@ bottom-right, carries everything downstream: edge normals (gcd-reduced to
 coprime positive integers, which pins the determinants and gap constants to
 canonical values), the closed sector cones spanned by consecutive normals,
 their integer subsector coordinates, and the dominant monomial per sector.
+
+Sector geometry of many lattice points at once comes from one int64 array
+kernel, `sector_arrays`: for an (n, 2) array of nonnegative points it gives
+the cone coordinates (t1, t2), closed-cone membership and level N of every
+sector.  It also re-derives the open cones from the half-plane description
+(the vertex strictly beats every other support point) and raises
+AssertionError where the two tests disagree, so every caller runs that
+second algorithm.  A guard raises GeometryOverflowError before any product
+could leave int64, including the suite's exact gap comparison scaled by the
+gap denominators.  `sector_membership` is a one-point call into the kernel;
+`cone_coordinates` and `subsector` stay scalar, since they accept real
+points and resolve a single sector.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Tuple, Union
+from functools import cached_property
+from typing import FrozenSet, NamedTuple, Tuple, Union
 
+import numpy as np
+
+from .complete import INT64_LIMIT
 from .poly import Poly2, is_degenerate, support
 
 Vec = Tuple[int, int]
@@ -22,6 +39,10 @@ Vec = Tuple[int, int]
 
 class DegeneratePolynomialError(ValueError):
     """The polynomial splits as P1(m1) + P2(m2); no mixed monomial exists."""
+
+
+class GeometryOverflowError(OverflowError):
+    """A sector-geometry product over the given points could exceed int64."""
 
 
 @dataclass(frozen=True)
@@ -35,6 +56,37 @@ class NewtonDiagram:
     @property
     def r(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def _sector_operands(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Operands of `sector_arrays` and its int64 product scale.
+
+        plane (2, r+1): points @ plane gives a*w_k[1] - b*w_k[0] for every
+        normal w_k, which is t2 of sector k+1 and -t1 of sector k.  diffs
+        (2, K): every sector's support differences side by side; owner
+        (K, r) marks the sector of each.  scale bounds |product| / largest
+        coordinate over points x normals, points x support differences and
+        the suite's gap comparison dot * den > -num * level_N.
+        """
+        supp = sorted(self.support)
+        rows = [(j, v[0] - vj[0], v[1] - vj[1]) for j, vj in enumerate(self.vertices)
+                for v in supp if v != vj]
+        plane = np.array([[w[1] for w in self.normals], [-w[0] for w in self.normals]],
+                         dtype=np.int64)
+        diffs = np.array([[x for _, x, _ in rows], [y for _, _, y in rows]],
+                         dtype=np.int64).reshape(2, -1)
+        owner = np.zeros((len(rows), self.r), dtype=np.int64)
+        owner[np.arange(len(rows)), [j for j, _, _ in rows]] = 1
+        finite = [g for g in self.gaps if isinstance(g, Fraction)]
+        scale = max(
+            max(abs(x) + abs(y) for x, y in self.normals)
+            * max((abs(g.numerator) for g in finite), default=1),
+            max((abs(x) + abs(y) for _, x, y in rows), default=0)
+            * max((g.denominator for g in finite), default=1),
+        )
+        for a in (plane, diffs, owner):
+            a.setflags(write=False)
+        return plane, diffs, owner, scale
 
 
 @dataclass(frozen=True)
@@ -149,42 +201,74 @@ def cone_coordinates(diagram: NewtonDiagram, j: int, point) -> Tuple:
     return t1, t2
 
 
+class SectorArrays(NamedTuple):
+    """Sector geometry of n points; column j-1 holds sector j, all (n, r)."""
+
+    t1: np.ndarray        # int64, d_j*(a,b) = t1*w_{j-1} + t2*w_j
+    t2: np.ndarray        # int64
+    member: np.ndarray    # bool, closed cone: t1 >= 0 and t2 >= 0
+    level_N: np.ndarray   # int64, min(t1, t2)
+
+
+def support_differences(diagram: NewtonDiagram, j: int) -> np.ndarray:
+    """int64 (k, 2) array of v - v_j over the support points v other than v_j."""
+    _check_j(diagram, j)
+    _, diffs, owner, _ = diagram._sector_operands
+    return diffs.T[owner[:, j - 1] == 1]
+
+
+def sector_arrays(diagram: NewtonDiagram, points) -> SectorArrays:
+    """Cone coordinates, closed-cone membership and level N of every sector
+    at every point of an (n, 2) array of nonnegative lattice points.
+
+    The open-cone test t1 > 0 and t2 > 0 is cross-checked at interior points
+    against the half-plane description of the open cones, from one points x
+    support-differences product; a disagreement raises AssertionError.
+    """
+    # sequences go through Python ints, so no coordinate is rounded or wrapped
+    pts = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must form an (n, 2) array, got shape {pts.shape}")
+    if pts.dtype.kind not in "iuO" or (
+            pts.dtype.kind == "O"
+            and not all(isinstance(x, numbers.Integral) for x in pts.flat)):
+        raise TypeError("lattice points must be integers")
+    if pts.size and pts.min() < 0:
+        raise ValueError("sector membership is defined on nonnegative lattice points")
+    plane, diffs, owner, scale = diagram._sector_operands
+    top = int(pts.max()) if pts.size else 0
+    if top * scale >= INT64_LIMIT:
+        raise GeometryOverflowError(
+            f"coordinate {top} times the diagram's normals, support differences "
+            f"and gap constants could exceed 2**63 (int64)"
+        )
+    pts = pts.astype(np.int64, copy=False)
+    c = pts @ plane
+    t1, t2 = -c[:, 1:], c[:, :-1]
+    level = np.minimum(t1, t2)
+    # the open cone of sector j (level N > 0) holds the interior points at
+    # which every v - v_j has a negative dot product; owner counts the
+    # failures per sector
+    half_plane = ((pts @ diffs >= 0).astype(np.int64) @ owner) == 0
+    bad = ((level > 0) != half_plane) & (pts.min(axis=1) > 0)[:, None]
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        point = tuple(int(x) for x in pts[i])
+        raise AssertionError(f"cone tests disagree at point {point}, sector {j + 1}")
+    return SectorArrays(t1=t1, t2=t2, member=level >= 0, level_N=level)
+
+
 def sector_membership(diagram: NewtonDiagram, point: Vec) -> FrozenSet[int]:
     """Indices j of every closed sector cone containing the point.
 
-    The closed-cone sign test is cross-checked against the half-plane
-    description of the open cones; boundary points belong to two sectors.
+    A one-point call into `sector_arrays`, so the half-plane cross-check
+    runs here too; boundary points belong to two sectors.
     """
-    a, b = point
-    if a < 0 or b < 0:
-        raise ValueError("sector membership is defined on nonnegative lattice points")
-    members = set()
-    for j in range(1, diagram.r + 1):
-        t1, t2 = cone_coordinates(diagram, j, point)
-        closed = t1 >= 0 and t2 >= 0
-        if closed:
-            members.add(j)
-        if a > 0 and b > 0:
-            open_cone = t1 > 0 and t2 > 0
-            if open_cone != _half_plane_open(diagram, j, point):
-                raise AssertionError(
-                    f"cone tests disagree at point {point}, sector {j}"
-                )
+    members = frozenset(int(j) + 1 for j in
+                        np.flatnonzero(sector_arrays(diagram, [point]).member[0]))
     if not members:
         raise AssertionError(f"sectors fail to cover {point}")
-    return frozenset(members)
-
-
-def _half_plane_open(diagram: NewtonDiagram, j: int, point: Vec) -> bool:
-    # open cone of strictly dominating directions; whole positive quadrant if
-    # the support is a single vertex
-    vj = diagram.vertices[j - 1]
-    a, b = point
-    return all(
-        a * (v[0] - vj[0]) + b * (v[1] - vj[1]) < 0
-        for v in diagram.support
-        if v != vj
-    )
+    return members
 
 
 def canonical_sector(diagram: NewtonDiagram, point: Vec) -> int:

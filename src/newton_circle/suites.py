@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from . import circle, complete, ergodic, expsum, iw, newton, osc, poly
 from .arith import golden_ratio_conjugate
 from .poly import Poly2, UniPoly, parse_poly
@@ -156,6 +158,8 @@ def suite_newton(n_polys: int = 200, seed: int = 7, grid: int = 40,
                  level_cap: int = 20) -> List[dict]:
     rng = random.Random(seed)
     oracle_viol = cover_viol = disjoint_viol = gap_viol = sign_viol = 0
+    pts = np.indices((grid + 1, grid + 1)).reshape(2, -1).T
+    interior = (pts > 0).all(axis=1)
     for _ in range(n_polys):
         P = random_nondegenerate_poly(rng)
         diagram = newton.build_diagram(P)
@@ -172,33 +176,20 @@ def suite_newton(n_polys: int = 200, seed: int = 7, grid: int = 40,
                 d2 = w_prev[0] * (v[0] - vj[0]) + w_prev[1] * (v[1] - vj[1])
                 if d1 > 0 or d2 > 0 or (d1 == 0 and d2 == 0):
                     sign_viol += 1
-        for a in range(grid + 1):
-            for b in range(grid + 1):
-                members = newton.sector_membership(diagram, (a, b))
-                if not members:
-                    cover_viol += 1
-                if a >= 1 and b >= 1:
-                    open_hits = [
-                        j for j in range(1, r + 1)
-                        if all(t > 0 for t in newton.cone_coordinates(diagram, j, (a, b)))
-                    ]
-                    if len(open_hits) > 1:
-                        disjoint_viol += 1
-                for j in members:
-                    sp = newton.subsector(diagram, j, (a, b))
-                    if sp.level_N > level_cap:
-                        continue
-                    sigma = newton.vertex_gap(diagram, j)
-                    if sigma == math.inf:
-                        continue
-                    vj = diagram.vertices[j - 1]
-                    for v in diagram.support:
-                        if v == vj:
-                            continue
-                        dot = a * (v[0] - vj[0]) + b * (v[1] - vj[1])
-                        # exact rational comparison: dot <= -sigma*N
-                        if dot * sigma.denominator > -sigma.numerator * sp.level_N:
-                            gap_viol += 1
+        geo = newton.sector_arrays(diagram, pts)
+        cover_viol += int(np.count_nonzero(~geo.member.any(axis=1)))
+        open_hits = ((geo.t1 > 0) & (geo.t2 > 0))[interior].sum(axis=1)
+        disjoint_viol += int(np.count_nonzero(open_hits > 1))
+        for j in range(1, r + 1):
+            sigma = newton.vertex_gap(diagram, j)
+            if sigma == math.inf:
+                continue
+            level = geo.level_N[:, j - 1]
+            sel = geo.member[:, j - 1] & (level <= level_cap)
+            dot = pts[sel] @ newton.support_differences(diagram, j).T
+            # exact rational comparison: dot <= -sigma*N
+            gap_viol += int(np.count_nonzero(
+                dot * sigma.denominator > -sigma.numerator * level[sel, None]))
     return [
         _check("hull_chain_equals_direction_witness_oracle", oracle_viol, 0),
         _check("vertex_normal_sign_conditions", sign_viol, 0),

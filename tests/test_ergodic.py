@@ -135,6 +135,22 @@ def test_sector_grid_examples():
     assert sector_grid(single, 1, Fraction(2), Fraction(1, 2)) == []
 
 
+def test_sector_grid_matches_cone_coordinates(rng):
+    from newton_circle.newton import cone_coordinates
+    from newton_circle.suites import random_nondegenerate_poly
+
+    tau = Fraction(3, 2)
+    powers = [tau**n for n in range(12)]
+    for _ in range(20):
+        d = build_diagram(random_nondegenerate_poly(rng))
+        for j in range(1, d.r + 1):
+            expected = [(powers[n1], powers[n2]) for n1 in range(12) for n2 in range(12)
+                        if min(cone_coordinates(d, j, (n1, n2))) >= 0]
+            assert sector_grid(d, j, tau, powers[-1]) == expected
+    with pytest.raises(ValueError, match="sector index"):
+        sector_grid(d, d.r + 1, tau, 8)
+
+
 def test_factorization_gap_examples(rng):
     f = FiniteFunction.delta(0)
     assert degenerate_factorization_gap(

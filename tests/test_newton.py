@@ -1,15 +1,21 @@
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from newton_circle import newton, suites
 from newton_circle.newton import (
     DegeneratePolynomialError,
+    GeometryOverflowError,
     build_diagram,
     canonical_sector,
     cone_coordinates,
     dominant_monomial,
     dominant_scale,
+    sector_arrays,
     sector_membership,
     subsector,
     vertex_gap,
@@ -194,3 +200,92 @@ def test_in_sector_scales_boundaries(two_sector):
     assert in_sector_scales(two_sector, 1, 8, 8)  # diagonal boundary ray
     assert in_sector_scales(two_sector, 2, 8, 8)
     assert not in_sector_scales(two_sector, 2, 2, 16)
+
+
+def _fixture_diagrams(rng):
+    yield build_diagram(parse_poly("m1^2*m2^3"))
+    yield build_diagram(parse_poly("m1^4*m2 + m1^3*m2^3 + m1*m2^4"))
+    for _ in range(60):
+        yield build_diagram(random_nondegenerate_poly(rng))
+
+
+def test_sector_arrays_match_scalar_api_and_slopes(rng):
+    grid = [(a, b) for a in range(26) for b in range(26)]
+    for d in _fixture_diagrams(rng):
+        geo = sector_arrays(d, grid)
+        assert geo.member.shape == geo.level_N.shape == (len(grid), d.r)
+        rows = zip(geo.t1.tolist(), geo.t2.tolist(), geo.member.tolist(),
+                   geo.level_N.tolist())
+        for (a, b), (t1s, t2s, member, level) in zip(grid, rows):
+            members = sector_membership(d, (a, b))
+            for j in range(1, d.r + 1):
+                w_prev, w = d.normals[j - 1], d.normals[j]
+                # closed cone j: between the slopes of its two normals
+                inside = w[1] * a <= w[0] * b and w_prev[1] * a >= w_prev[0] * b
+                assert member[j - 1] == inside == (j in members)
+                t1, t2 = t1s[j - 1], t2s[j - 1]
+                dj = d.determinants[j - 1]
+                assert (dj * a, dj * b) == (t1 * w_prev[0] + t2 * w[0],
+                                            t1 * w_prev[1] + t2 * w[1])
+                assert level[j - 1] == min(t1, t2)
+                if inside:
+                    assert subsector(d, j, (a, b)).level_N == level[j - 1]
+
+
+def test_corrupted_normal_fails_half_plane_cross_check(two_sector):
+    bad = dataclasses.replace(two_sector, normals=((0, 1), (2, 1), (1, 0)))
+    grid = [(a, b) for a in range(6) for b in range(6)]
+    with pytest.raises(AssertionError, match="cone tests disagree"):
+        sector_arrays(bad, grid)
+    with pytest.raises(AssertionError, match="cone tests disagree"):
+        sector_membership(bad, (3, 2))
+    sector_arrays(two_sector, grid)
+
+
+def test_sector_arrays_guards(two_sector):
+    single = build_diagram(parse_poly("m1^2*m2^3"))
+    top = 2**63 - 1
+    geo = sector_arrays(single, [(top, top)])
+    assert (int(geo.t1[0, 0]), int(geo.t2[0, 0])) == (top, top)
+    with pytest.raises(GeometryOverflowError):
+        sector_arrays(single, [(2**63, 0)])
+    # gaps (1, 1/2): the widest support difference (6) times the gap
+    # denominator (2) beats the widest normal (5) times the numerator (1)
+    d = build_diagram(parse_poly("m2^2 + m1*m2^2 + m1^4*m2 + m1^5*m2"))
+    assert d.gaps == (1, Fraction(1, 2))
+    limit = (2**63 - 1) // 12
+    sector_arrays(d, [(0, limit)])
+    with pytest.raises(GeometryOverflowError):
+        sector_arrays(d, [(0, limit + 1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sector_arrays(two_sector, [(1, 2), (-1, 2)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        sector_membership(two_sector, (0, -1))
+    with pytest.raises(TypeError):
+        sector_arrays(two_sector, [(0.5, 1.0)])
+
+
+def test_overflow_guard_raises_before_allocating(two_sector):
+    # a zero-stride view: a million points that occupy 16 bytes
+    pts = np.broadcast_to(np.array([[2**62, 1]], dtype=np.int64), (10**6, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryOverflowError):
+            sector_arrays(two_sector, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # the product arrays alone would take 24 MB
+
+
+def test_suite_counts_uncovered_points(monkeypatch):
+    def drop_first_point(diagram, points):
+        geo = sector_arrays(diagram, points)
+        geo.member[0] = False
+        return geo
+
+    monkeypatch.setattr(newton, "sector_arrays", drop_first_point)
+    rows = {row["name"]: row for row in suites.suite_newton(n_polys=3, grid=6)}
+    assert rows["sector_cones_cover_grid"]["lhs"] == 3
+    assert not rows["sector_cones_cover_grid"]["pass"]
+    assert rows["subsector_gap_inequality_exact"]["pass"]
