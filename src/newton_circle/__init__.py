@@ -11,7 +11,7 @@ from .arith import (
     reduce,
     rescale_approx,
 )
-from .poly import Poly2, RealPoly2, UniPoly, axis_decompose, is_degenerate, parse_poly, scale
+from .poly import Poly2, RealPoly2, UniPoly, axis_decompose, is_degenerate, parse_poly, pin, scale
 from .newton import (
     GeometryOverflowError,
     NewtonDiagram,

@@ -1,6 +1,9 @@
 """Discrete and continuous multipliers, smooth cutoffs, rational-bump
 projections, arc classification, and the periodized major-arc approximant.
 
+Axis-partial objects pin one variable once (poly.pin, after scaling by xi)
+and run the full-path kernel or quadrature on the pinned polynomial.
+
 Conventions fixed here: the smooth cutoff is the quintic smoothstep (any even
 C^2 bump between the two indicator envelopes would do; reports should treat
 cutoff-dependent numbers as tied to this choice), and every logarithmic
@@ -24,7 +27,7 @@ from .ergodic import EmptyRegionError
 from .expsum import double_sum, dyadic_refine, gauss_legendre_adaptive
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
-from .poly import Poly2, RealPoly2, scale
+from .poly import Poly2, RealPoly2, pin, scale
 
 
 def validate_arc_parameters(beta: float, rho: Optional[Fraction] = None) -> bool:
@@ -67,22 +70,18 @@ def discrete_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
                         tau: RealLike, axis_partial: Optional[Tuple[int, int]] = None) -> complex:
     """Normalized truncated lattice sum of e(xi*P) over (M/tau, M] blocks.
 
-    With axis_partial=(axis, frozen) one variable is pinned to an integer and
-    only the other is averaged.
+    With axis_partial=(axis, frozen) m_axis is pinned to the integer frozen >= 1
+    and the pinned polynomial is averaged over a box whose pinned axis is (0, 1].
     """
-    Q = scale(P, xi)
-    if axis_partial is None:
-        k1, m1 = _axis_count(M1, tau)
-        k2, m2 = _axis_count(M2, tau)
-        return double_sum(Q, k1, m1, k2, m2).value / ((m1 - k1) * (m2 - k2))
-    axis, frozen = axis_partial
-    if axis == 1:
-        k2, m2 = _axis_count(M2, tau)
-        return double_sum(Q, frozen - 1, frozen, k2, m2).value / (m2 - k2)
-    if axis == 2:
-        k1, m1 = _axis_count(M1, tau)
-        return double_sum(Q, k1, m1, frozen - 1, frozen).value / (m1 - k1)
-    raise ValueError("axis must be 1 or 2")
+    Q, Ms = scale(P, xi), [M1, M2]
+    if axis_partial is not None:
+        axis, frozen = axis_partial
+        if frozen < 1:
+            raise ValueError(f"frozen value must be a positive integer, got {frozen}")
+        Q = pin(Q, axis, frozen)
+        Ms[axis - 1] = 1  # (1/tau, 1] holds the one lattice point 1 for every tau > 1
+    (k1, m1), (k2, m2) = (_axis_count(M, tau) for M in Ms)
+    return double_sum(Q, k1, m1, k2, m2).value / ((m1 - k1) * (m2 - k2))
 
 
 def discrete_multiplier_grid(P: Poly2, n: int, M1: RealLike, M2: RealLike,
@@ -136,8 +135,8 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     """Normalized oscillatory integral of e(xi*P(M1 y1, M2 y2)) over [1/tau, 1]^2.
 
     Gauss-Legendre panels refine dyadically until two successive levels agree
-    within tol.  axis_partial=(axis, frozen) freezes one argument at an
-    integer and integrates the other axis only.
+    within tol.  axis_partial=(axis, frozen) pins m_axis to the integer frozen
+    and integrates the pinned polynomial along the diagonal y1 = y2 only.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -150,29 +149,8 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     if axis_partial is None:
         f2 = _phase_fn(Q, float(M1), float(M2))
         return norm * norm * dyadic_refine(_tensor_level(f2), lo, 1.0, tol)
-    axis, frozen = axis_partial
-    terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
-    if axis == 1:
-        M = float(M2)
-
-        def f(Y):
-            p = Y * 0.0
-            for g1, g2, c in terms:
-                p = p + c * float(frozen) ** g1 * (M * Y) ** g2
-            return np.exp(2j * np.pi * p)
-
-        return norm * gauss_legendre_adaptive(f, lo, 1.0, tol)
-    if axis == 2:
-        M = float(M1)
-
-        def f(X):
-            p = X * 0.0
-            for g1, g2, c in terms:
-                p = p + c * (M * X) ** g1 * float(frozen) ** g2
-            return np.exp(2j * np.pi * p)
-
-        return norm * gauss_legendre_adaptive(f, lo, 1.0, tol)
-    raise ValueError("axis must be 1 or 2")
+    f2 = _phase_fn(pin(Q, *axis_partial), float(M1), float(M2))
+    return norm * gauss_legendre_adaptive(lambda y: f2(y, y), lo, 1.0, tol)
 
 
 def cutoff_eta(n: int, xi: float) -> float:
@@ -344,6 +322,7 @@ def major_approximant(P: Poly2, params: IWParams, n: int, xi: RealLike,
         raise ValueError("G_mode must be one of full, axis1, axis2, one")
     if G_mode in ("axis1", "axis2") and frozen is None:
         raise ValueError("axis-partial modes need the frozen integer")
+    axis_partial = (int(G_mode[-1]), frozen) if G_mode in ("axis1", "axis2") else None
     x = as_fraction(xi)
     total = 0j
     for frac in _cached_fractions(params):
@@ -353,19 +332,11 @@ def major_approximant(P: Poly2, params: IWParams, n: int, xi: RealLike,
             continue
         if G_mode == "one":
             G = 1.0 + 0j
-        elif G_mode == "full":
+        elif axis_partial is None:
             G = gauss_sum(P, frac)
-        elif G_mode == "axis1":
-            G = partial_gauss(P, frac, frozen, 1)
         else:
-            G = partial_gauss(P, frac, frozen, 2)
-        if G_mode == "axis1":
-            mm = continuous_multiplier(P, delta, M1, M2, tau, tol, axis_partial=(1, frozen))
-        elif G_mode == "axis2":
-            mm = continuous_multiplier(P, delta, M1, M2, tau, tol, axis_partial=(2, frozen))
-        else:
-            mm = continuous_multiplier(P, delta, M1, M2, tau, tol)
-        total += G * mm * eta
+            G = partial_gauss(P, frac, frozen, axis_partial[0])
+        total += G * continuous_multiplier(P, delta, M1, M2, tau, tol, axis_partial) * eta
     return total
 
 

@@ -12,6 +12,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from fractions import Fraction
@@ -40,6 +41,13 @@ def _real(text: str):
         return float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse turns a ValueError into a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _poly_arg(text: str, require_vanishing: bool = False) -> poly.Poly2:
@@ -115,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gauss", help="complete sums and denominator sweeps")
     p.add_argument("--poly", required=True)
-    p.add_argument("--q", type=int)
+    p.add_argument("--q", type=_positive_int)
     p.add_argument("--a", type=int, default=1)
-    p.add_argument("--qmax", type=int, default=50, help="sweep all q up to this bound")
+    p.add_argument("--qmax", type=_positive_int, default=50, help="sweep all q up to this bound")
     p.add_argument("--frozen", type=int, help="partial sum with this frozen value")
     p.add_argument("--axis", type=int, choices=(1, 2), default=1)
     _add_output_flags(p)
@@ -187,18 +195,20 @@ def _cmd_sectors(args, report: VerificationReport) -> None:
     report.add_check("grid_nonempty", len(grid) > 0, float(len(grid)), 1.0)
 
 
+def _add_sum_row(report: VerificationReport, kind: str, value: expsum.ExpSumValue) -> None:
+    report.results.append({
+        "kind": kind, "re": value.value.real, "im": value.value.imag,
+        "mode": value.mode, "terms": value.term_count, "error_budget": value.error_budget,
+    })
+    bound = value.term_count + value.error_budget
+    report.add_check("modulus_within_term_count", abs(value.value) <= bound + 1e-9,
+                     abs(value.value), bound, 1e-9)
+
+
 def _cmd_expsum(args, report: VerificationReport) -> None:
     if args.weyl:
         coeffs = [_real(t) for t in args.weyl.split(",")]
-        value = expsum.weyl_sum(coeffs, args.n)
-        report.results.append({
-            "kind": "moment_curve", "re": value.value.real, "im": value.value.imag,
-            "mode": value.mode, "terms": value.term_count,
-            "error_budget": value.error_budget,
-        })
-        report.add_check("modulus_within_term_count",
-                         abs(value.value) <= value.term_count + value.error_budget + 1e-9,
-                         abs(value.value), value.term_count + value.error_budget, 1e-9)
+        _add_sum_row(report, "moment_curve", expsum.weyl_sum(coeffs, args.n))
         return
     if not args.poly:
         raise SystemExit("error: expsum needs --poly or --weyl")
@@ -209,14 +219,7 @@ def _cmd_expsum(args, report: VerificationReport) -> None:
         report.results.append({"kind": "absolute_double_sum", "value": total})
         report.add_check("nonnegative", total >= 0, 0.0, total)
         return
-    value = expsum.double_sum(Q, args.k1, args.m1, args.k2, args.m2)
-    report.results.append({
-        "kind": "double_sum", "re": value.value.real, "im": value.value.imag,
-        "mode": value.mode, "terms": value.term_count, "error_budget": value.error_budget,
-    })
-    report.add_check("modulus_within_term_count",
-                     abs(value.value) <= value.term_count + value.error_budget + 1e-9,
-                     abs(value.value), value.term_count + value.error_budget, 1e-9)
+    _add_sum_row(report, "double_sum", expsum.double_sum(Q, args.k1, args.m1, args.k2, args.m2))
 
 
 def _cmd_vinogradov(args, report: VerificationReport) -> None:
@@ -312,6 +315,11 @@ def _cmd_arcs(args, report: VerificationReport) -> None:
     report.add_check("classification_total", ac.kind in ("major", "minor"), 0.0, 0.0)
 
 
+# the keyword argument each suite reads --trials into
+_TRIALS_PARAM = {"moment": "trials", "osc": "families", "newton": "n_polys",
+                 "factorization": "trials"}
+
+
 def _cmd_verify(args, report: VerificationReport) -> None:
     names: List[str] = []
     for s in args.suite:
@@ -324,16 +332,9 @@ def _cmd_verify(args, report: VerificationReport) -> None:
                 kwargs["rhos"] = (args.rho,)
             if args.lmax is not None:
                 kwargs["l_max"] = args.lmax
-        if name == "moment" and args.trials is not None:
-            kwargs["trials"] = args.trials
-        if name == "osc" and args.trials is not None:
-            kwargs["families"] = args.trials
-        if name == "newton" and args.trials is not None:
-            kwargs["n_polys"] = args.trials
-        if name == "factorization" and args.trials is not None:
-            kwargs["trials"] = args.trials
-        if args.seed is not None and name in ("moment", "newton", "osc",
-                                              "factorization", "multiplier", "gauss"):
+        if args.trials is not None and name in _TRIALS_PARAM:
+            kwargs[_TRIALS_PARAM[name]] = args.trials
+        if args.seed is not None and "seed" in inspect.signature(fn).parameters:
             kwargs["seed"] = args.seed
         for check in fn(**kwargs):
             report.add_check(f"{name}:{check['name']}", check["pass"],

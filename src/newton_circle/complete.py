@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import RealLike, is_exact
 from .expsum import residue_sum, weyl_sum
-from .poly import Poly2, evaluate
+from .poly import Poly2, evaluate, pin
 
 WORK_CAP_CELLS = 10**8
 INT64_LIMIT = 2**63
@@ -46,12 +46,10 @@ def gauss_sum(P: Poly2, a_over_q: Fraction) -> complex:
 
 
 def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> complex:
-    """Normalized complete sum in one residue with the other variable frozen."""
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
+    """Normalized complete sum in one residue with m_axis pinned to frozen."""
     a, q = a_over_q.numerator, a_over_q.denominator
-    points = [(frozen, r) if axis == 1 else (r, frozen) for r in range(1, q + 1)]
-    return residue_sum([a * evaluate(P, m) % q for m in points], q) / q
+    pinned = pin(P, axis, frozen)  # depends on one variable: evaluate on the diagonal
+    return residue_sum([a * evaluate(pinned, (r, r)) % q for r in range(1, q + 1)], q) / q
 
 
 def averaged_partial(P: Poly2, a_over_q: Fraction, M: int, axis: int) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .arith import RealLike, as_fraction, is_exact
 from .expsum import double_sum
 from .newton import NewtonDiagram, _check_j, sector_arrays
-from .poly import Poly2, UniPoly, evaluate, scale
+from .poly import Poly2, UniPoly, evaluate, scale, separable
 
 
 class EmptyRegionError(ValueError):
@@ -175,8 +175,6 @@ def degenerate_factorization_gap(p1: UniPoly, p2: UniPoly, f: FiniteFunction,
     """
     if p1(0) != 0 or p2(0) != 0:
         raise ValueError("separable parts must vanish at 0")
-    from .poly import separable
-
     spec = AverageSpec(P=separable(p1, p2), M1=M1, M2=M2, region="full")
     direct = shift_average(spec, f, x)
 

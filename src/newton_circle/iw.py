@@ -242,29 +242,27 @@ def verify_iw_properties(rho: Fraction, l_max: int,
     elements.  Violation counts are reported; all should be zero.
     """
     checks = []
+
+    def violations(name: str, count: int) -> None:
+        checks.append({"name": name, "pass": count == 0, "lhs": count, "rhs": 0, "tolerance": 0})
+
     prev: Tuple[int, ...] = ()
     for l in range(l_max + 1):
         cur = p_le_values(rho, l, cap)
         cur_set = set(cur)
-        nesting_viol = sum(1 for q in prev if q not in cur_set)
-        initial_viol = sum(1 for n in range(1, 2**l + 1) if n not in cur_set)
+        violations(f"nesting_l{l}", sum(1 for q in prev if q not in cur_set))
+        violations(f"initial_segment_l{l}",
+                   sum(1 for n in range(1, 2**l + 1) if n not in cur_set))
         closure_viol = 0
         for q in cur:
             for dv in range(1, int(math.isqrt(q)) + 1):
                 if q % dv == 0:
                     if dv not in cur_set or (q // dv) not in cur_set:
                         closure_viol += 1
-        new = [q for q in cur if q not in set(prev)] if l > 0 else list(cur)
-        lower_viol = sum(1 for q in new if l > 0 and not q > 2 ** (l - 1))
-        checks.append({"name": f"nesting_l{l}", "pass": nesting_viol == 0,
-                       "lhs": nesting_viol, "rhs": 0, "tolerance": 0})
-        checks.append({"name": f"initial_segment_l{l}", "pass": initial_viol == 0,
-                       "lhs": initial_viol, "rhs": 0, "tolerance": 0})
-        checks.append({"name": f"divisor_closure_l{l}", "pass": closure_viol == 0,
-                       "lhs": closure_viol, "rhs": 0, "tolerance": 0})
+        violations(f"divisor_closure_l{l}", closure_viol)
         if l > 0:
-            checks.append({"name": f"new_denominator_lower_bound_l{l}",
-                           "pass": lower_viol == 0,
-                           "lhs": lower_viol, "rhs": 0, "tolerance": 0})
+            prev_set = set(prev)
+            violations(f"new_denominator_lower_bound_l{l}",
+                       sum(1 for q in cur if q not in prev_set and q <= 2 ** (l - 1)))
         prev = cur
     return checks

@@ -8,11 +8,12 @@ integers, so evaluation can never overflow.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
 
-from .arith import RealLike, is_exact
+from .arith import RealLike, as_fraction, is_exact
 
 MAX_EXPONENT = 64
 
@@ -216,6 +217,19 @@ def scale(P: Poly2, xi: RealLike) -> RealPoly2:
         x = xi if isinstance(xi, Fraction) else Fraction(xi)
         return RealPoly2({g: x * c for g, c in P.terms.items()})
     return RealPoly2({g: float(xi) * c for g, c in P.terms.items()})
+
+
+def pin(P: Union[Poly2, RealPoly2], axis: int, value: int) -> Union[Poly2, RealPoly2]:
+    """P with m_axis = value substituted exactly (a float coefficient is read as
+    the dyadic rational it denotes): the same class, in the other variable only."""
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
+    value = operator.index(value)
+    terms: Dict[ExpPair, RealLike] = {}
+    for (g1, g2), c in P.terms.items():
+        key, power = ((0, g2), g1) if axis == 1 else ((g1, 0), g2)
+        terms[key] = terms.get(key, 0) + (c if isinstance(c, int) else as_fraction(c)) * value**power
+    return type(P)(terms)
 
 
 # ---------------------------------------------------------------------------

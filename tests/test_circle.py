@@ -22,9 +22,10 @@ from newton_circle.circle import (
     validate_arc_parameters,
 )
 from newton_circle.complete import WorkCapExceeded, gauss_sum, partial_gauss
+from newton_circle.expsum import double_sum
 from newton_circle.iw import IWParams
 from newton_circle.newton import build_diagram
-from newton_circle.poly import parse_poly
+from newton_circle.poly import evaluate, parse_poly, scale
 from newton_circle.suites import random_nondegenerate_poly
 
 
@@ -91,6 +92,37 @@ def test_discrete_partial_normalization(mixed):
     assert v == pytest.approx(1)
 
 
+def test_discrete_partial_axis2_matches_fraction_brute_force():
+    P = parse_poly("m1^2*m2^3 + 2*m1*m2 + m2^4")
+    xi, frozen = Fraction(3, 7), 5
+    got = discrete_multiplier(P, xi, 12, 8, 2, axis_partial=(2, frozen))
+    # per-term exact phase xi * P(m1, frozen) mod 1, m1 in (6, 12]
+    terms = [cmath.exp(2j * math.pi * float(xi * evaluate(P, (m1, frozen)) % 1))
+             for m1 in range(7, 13)]
+    assert got == pytest.approx(sum(terms) / 6, abs=1e-12)
+    assert abs(got - 1) > 0.1  # nonzero xi: the phases do not all vanish
+
+
+def test_discrete_partial_float_xi_is_the_frozen_row():
+    # pinning happens after scaling, exactly, so a float xi gives bit for bit
+    # the lattice sum of scale(P, xi) over the frozen row or column
+    P = parse_poly("m1^3*m2^2 + 5*m1*m2^2 + 3*m1^2*m2 + m2^4 + 7*m1^4")
+    for xi in (0.1234567, -0.987654321, 2.0**-20 * 3):
+        Q = scale(P, xi)
+        for frozen in (3, 7, 11):
+            got = discrete_multiplier(P, xi, 16, 24, 2, axis_partial=(1, frozen))
+            assert got == double_sum(Q, frozen - 1, frozen, 12, 24).value / 12
+            got = discrete_multiplier(P, xi, 16, 24, 2, axis_partial=(2, frozen))
+            assert got == double_sum(Q, 8, 16, frozen - 1, frozen).value / 8
+
+
+def test_discrete_partial_rejects_frozen_below_one(mixed):
+    for axis in (1, 2):
+        for frozen in (0, -2):
+            with pytest.raises(ValueError):
+                discrete_multiplier(mixed, Fraction(1, 3), 8, 8, 2, axis_partial=(axis, frozen))
+
+
 def test_discrete_multiplier_bounds_and_conjugation(mixed):
     for i in range(25):
         xi = Fraction(i, 25)
@@ -129,6 +161,21 @@ def test_continuous_multiplier_matches_riemann_sum(mixed):
     riemann = total / (n * 80)
     got = continuous_multiplier(mixed, xi, 4, 4, 2)
     assert got == pytest.approx(riemann, abs=5e-4)
+
+
+def test_continuous_partial_axis2_matches_riemann_sum():
+    # axis 2 pinned at frozen: the integral of e(xi * P(M1 y, frozen)) over
+    # [1/2, 1], normalized, against a plain midpoint rule
+    P = parse_poly("m1^2*m2^3 + m1*m2")
+    xi, M1, frozen, n = 0.05, 4, 2, 20000
+    total = 0j
+    for i in range(n):
+        y = 0.5 + (i + 0.5) / (2 * n)
+        total += cmath.exp(2j * math.pi * xi * ((M1 * y) ** 2 * frozen**3 + M1 * y * frozen))
+    riemann = total / n
+    got = continuous_multiplier(P, xi, M1, 64, 2, axis_partial=(2, frozen))
+    assert got == pytest.approx(riemann, abs=1e-6)
+    assert abs(got) < 0.5  # several turns of phase: far from the xi = 0 value 1
 
 
 def test_cutoff_eta_shape():

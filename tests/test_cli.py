@@ -87,6 +87,12 @@ def test_gauss_sweeps_once(tmp_path, monkeypatch):
     assert text == json.dumps({**doc, "results": two_sweeps}, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("flags", [["--q", "0"], ["--q", "-3"], ["--qmax", "0"]])
+def test_gauss_rejects_nonpositive_moduli(flags, capsys):
+    assert run_command(["gauss", "--poly", "m1*m2"] + flags) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_iw_command(tmp_path):
     code, doc = run(tmp_path, "iw", "--rho", "1/2", "--l", "2")
     assert code == 0

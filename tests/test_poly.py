@@ -5,12 +5,14 @@ import pytest
 from newton_circle.poly import (
     Poly2,
     PolynomialSyntaxError,
+    RealPoly2,
     UniPoly,
     axis_decompose,
     evaluate,
     format_poly,
     is_degenerate,
     parse_poly,
+    pin,
     scale,
     separable,
     support,
@@ -101,6 +103,45 @@ def test_scale_examples():
     assert half.terms == {(1, 1): Fraction(1, 2)} and half.exact
     quarter = scale(parse_poly("m1^2*m2^3"), 0.25)
     assert quarter.terms == {(2, 3): 0.25} and not quarter.exact
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_pin_matches_evaluate_on_grid(rng, axis):
+    for _ in range(30):
+        P = Poly2({(rng.randint(0, 5), rng.randint(0, 5)): rng.randint(-9, 9)
+                   for _ in range(rng.randint(1, 8))})
+        for value in range(-3, 5):
+            pinned = pin(P, axis, value)
+            assert type(pinned) is Poly2
+            assert all(g[axis - 1] == 0 for g in pinned.terms)
+            for r in range(-4, 5):
+                m = (value, r) if axis == 1 else (r, value)
+                # the pinned axis has exponent 0, so its argument is ignored
+                assert evaluate(pinned, (r, r)) == evaluate(P, m)
+
+
+def test_pin_zero_polynomial():
+    assert pin(Poly2.zero(), 1, 7) == Poly2.zero()
+    assert pin(RealPoly2({}), 2, 7).terms == {}
+    # cancellation leaves the zero polynomial, not a zero coefficient
+    assert pin(parse_poly("m1*m2 - 2*m2"), 1, 2).is_zero
+
+
+def test_pin_real_coefficients_are_exact():
+    Q = RealPoly2({(2, 1): 0.1, (0, 1): 0.3, (1, 0): Fraction(1, 3)})
+    pinned = pin(Q, 1, 3)
+    assert type(pinned) is RealPoly2 and pinned.exact
+    want = Fraction(0.1) * 9 + Fraction(0.3)
+    assert pinned.terms == {(0, 1): want, (0, 0): Fraction(1)}
+    assert want != Fraction(0.1 * 9 + 0.3)  # float arithmetic would round
+    assert pin(Q, 2, 2).terms == {(2, 0): Fraction(0.1) * 2, (0, 0): Fraction(0.3) * 2,
+                                  (1, 0): Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("axis", [0, 3, -1])
+def test_pin_rejects_invalid_axis(axis):
+    with pytest.raises(ValueError, match="axis must be 1 or 2"):
+        pin(parse_poly("m1*m2"), axis, 1)
 
 
 def test_parse_examples():
