@@ -75,13 +75,13 @@ def torus_representative(x: RealLike) -> RealLike:
     return x - math.floor(x + 0.5)
 
 
-def convergents(x: Fraction, depth: int = CONVERGENT_DEPTH) -> Iterator[Fraction]:
+def convergents(x: Fraction) -> Iterator[Fraction]:
     """Continued-fraction convergents of x, best rational approximations in order."""
     p0, q0 = 1, 0
     p1, q1 = math.floor(x), 1
     yield Fraction(p1, q1)
     rem = x - p1
-    for _ in range(depth - 1):
+    for _ in range(CONVERGENT_DEPTH - 1):
         if rem == 0:
             return
         x = 1 / rem

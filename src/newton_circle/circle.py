@@ -52,7 +52,6 @@ def validate_arc_parameters(beta: float, rho: Optional[Fraction] = None) -> bool
 
 
 DEFAULT_BETA = 4.0
-DEFAULT_RHO = Fraction(1, 100)
 
 
 def _axis_count(M: RealLike, tau: RealLike) -> Tuple[int, int]:
@@ -107,9 +106,15 @@ def _phase_fn(Q: RealPoly2, M1: float, M2: float):
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
 
     def f(X, Y):
-        p = X * 0.0 + Y * 0.0  # broadcast, and keep array shape for empty phases
+        p = np.zeros(np.broadcast(X, Y).shape)  # keeps the shape for empty phases
         for g1, g2, c in terms:
-            p = p + c * (M1 * X) ** g1 * (M2 * Y) ** g2
+            # a zero exponent would multiply by exactly 1.0
+            term = c
+            if g1:
+                term = term * (M1 * X) ** g1
+            if g2:
+                term = term * (M2 * Y) ** g2
+            p = p + term
         return np.exp(2j * np.pi * p)
 
     return f
@@ -130,16 +135,14 @@ def _tensor_level(f2):
 
 
 def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
-                          tau: RealLike, tol: float = 1e-10,
+                          tau: RealLike,
                           axis_partial: Optional[Tuple[int, int]] = None) -> complex:
     """Normalized oscillatory integral of e(xi*P(M1 y1, M2 y2)) over [1/tau, 1]^2.
 
     Gauss-Legendre panels refine dyadically until two successive levels agree
-    within tol.  axis_partial=(axis, frozen) pins m_axis to the integer frozen
+    within 1e-10.  axis_partial=(axis, frozen) pins m_axis to the integer frozen
     and integrates the pinned polynomial along the diagonal y1 = y2 only.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     t = float(tau)
     if t <= 1:
         raise ValueError("tau must exceed 1")
@@ -148,9 +151,9 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     norm = 1.0 / (1.0 - lo)
     if axis_partial is None:
         f2 = _phase_fn(Q, float(M1), float(M2))
-        return norm * norm * dyadic_refine(_tensor_level(f2), lo, 1.0, tol)
+        return norm * norm * dyadic_refine(_tensor_level(f2), lo, 1.0, 1e-10)
     f2 = _phase_fn(pin(Q, *axis_partial), float(M1), float(M2))
-    return norm * gauss_legendre_adaptive(lambda y: f2(y, y), lo, 1.0, tol)
+    return norm * gauss_legendre_adaptive(lambda y: f2(y, y), lo, 1.0, 1e-10)
 
 
 def cutoff_eta(n: int, xi: float) -> float:
@@ -309,8 +312,7 @@ def arc_classify(P: Poly2, diagram: NewtonDiagram, j: int, xi: RealLike,
 
 def major_approximant(P: Poly2, params: IWParams, n: int, xi: RealLike,
                       M1: RealLike, M2: RealLike, tau: RealLike,
-                      G_mode: str = "full", frozen: Optional[int] = None,
-                      tol: float = 1e-10) -> complex:
+                      G_mode: str = "full", frozen: Optional[int] = None) -> complex:
     """Periodized approximant: sum over level fractions of
     G(a/q) * m_cont(xi - a/q) * eta(xi - a/q).
 
@@ -336,7 +338,7 @@ def major_approximant(P: Poly2, params: IWParams, n: int, xi: RealLike,
             G = gauss_sum(P, frac)
         else:
             G = partial_gauss(P, frac, frozen, axis_partial[0])
-        total += G * continuous_multiplier(P, delta, M1, M2, tau, tol, axis_partial) * eta
+        total += G * continuous_multiplier(P, delta, M1, M2, tau, axis_partial) * eta
     return total
 
 

@@ -168,8 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(suites.SUITES) + ["all"])
     p.add_argument("--rho", type=_fraction, default=None, help="iw suite parameter")
     p.add_argument("--lmax", type=int, default=None, help="iw suite parameter")
-    p.add_argument("--trials", type=int, default=None, help="sample count override")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None,
+                   help="sample count of the moment, newton, osc and factorization suites")
+    p.add_argument("--seed", type=int, default=None,
+                   help="random seed of every suite that draws random inputs")
     _add_output_flags(p)
     return parser
 
@@ -315,11 +317,6 @@ def _cmd_arcs(args, report: VerificationReport) -> None:
     report.add_check("classification_total", ac.kind in ("major", "minor"), 0.0, 0.0)
 
 
-# the keyword argument each suite reads --trials into
-_TRIALS_PARAM = {"moment": "trials", "osc": "families", "newton": "n_polys",
-                 "factorization": "trials"}
-
-
 def _cmd_verify(args, report: VerificationReport) -> None:
     names: List[str] = []
     for s in args.suite:
@@ -332,10 +329,10 @@ def _cmd_verify(args, report: VerificationReport) -> None:
                 kwargs["rhos"] = (args.rho,)
             if args.lmax is not None:
                 kwargs["l_max"] = args.lmax
-        if args.trials is not None and name in _TRIALS_PARAM:
-            kwargs[_TRIALS_PARAM[name]] = args.trials
-        if args.seed is not None and "seed" in inspect.signature(fn).parameters:
-            kwargs["seed"] = args.seed
+        params = inspect.signature(fn).parameters
+        for key in ("trials", "seed"):
+            if getattr(args, key) is not None and key in params:
+                kwargs[key] = getattr(args, key)
         for check in fn(**kwargs):
             report.add_check(f"{name}:{check['name']}", check["pass"],
                              check["lhs"], check["rhs"], check["tolerance"])

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import RealLike, is_exact
+from .arith import RealLike
 from .expsum import residue_sum, weyl_sum
 from .poly import Poly2, evaluate, pin
 
@@ -309,8 +309,6 @@ def moment_identity_gap(s: int, k: int, N: int, xi: Sequence[RealLike]) -> float
     v = ws.value
     lhs = (v.real * v.real + v.imag * v.imag) ** s
     lam, counts = _difference_table(s, k, N)
-    if all(is_exact(x) and Fraction(x) == 0 for x in xs):
-        return abs(lhs - float(counts.sum()))
     phases = (lam.astype(np.float64) @ np.array([float(x) for x in xs])) % 1.0
     rhs = (counts.astype(np.float64) * np.exp(2j * np.pi * phases)).sum()
     return abs(lhs - rhs)

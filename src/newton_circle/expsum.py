@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Dict, List, Sequence, Tuple
 
@@ -168,16 +167,17 @@ def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
     """Partial sums of the lattice sum over blocks, for an L or M2 too large
     for int64 residues mod L.
 
-    The box is cut into row segments m2 = o + u, u in [1, w], and each row's
-    m2-coefficients are Taylor-shifted mod L to the origin o.  A coefficient
+    The box is cut into row segments m2 = o + u, u in [1, w].  A coefficient
     c splits as 2**64 * c / L = H + rho / L with H = (c << 64) // L < 2**64.
-    Horner over u in uint64 wraps mod 2**64, so it gives exactly 2**64 times
-    the fractional phase of the H part, however large the polynomial gets.
-    When L divides 2**64 every rho is 0 and that is the whole phase, summed
-    through the residue histogram.  Otherwise the tail sum of rho_j/(L*2**64)
-    * u**(d-j) is a float Horner added to the head; w keeps it below 2**-11
-    (see FLOAT_TERM_BUDGET), and the nearly distinct phases are summed term
-    by term.
+    Horner in uint64 wraps mod 2**64, so it gives exactly 2**64 times the
+    fractional phase of the H part, however large the polynomial gets.  When
+    L divides 2**64 every rho is 0 and that is the whole phase: Horner runs
+    at m2 = o + u on each row's own coefficients, and the phases are summed
+    through the residue histogram.  Otherwise each row's m2-coefficients are
+    Taylor-shifted mod L to the origin o, and the tail sum of rho_j/(L*2**64)
+    * u**(d-j) is a float Horner over u added to the head; w keeps it below
+    2**-11 (see FLOAT_TERM_BUDGET), and the nearly distinct phases are summed
+    term by term.
     """
     d = len(rows) - 1
     dyadic = _WRAP % L == 0
@@ -191,21 +191,22 @@ def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
     row_coeffs = ([_horner(row, m1, L) for row in rows] for m1 in range(K1 + 1, M1 + 1))
     segments = ((b, o) for b in row_coeffs for o in range(K2, M2, w))
     while chunk := list(islice(segments, BLOCK_CELLS // w)):
-        heads, tails, widths = [], [], []
-        for b, o in chunk:
-            split = [divmod(c << 64, L) for c in (_taylor_shift(b, o, L) if o else b)]
-            heads.append([h for h, _ in split])
-            tails.append([rho / (L << 64) for _, rho in split])
-            widths.append(min(w, M2 - o))
-        head = np.array(heads, dtype=np.uint64)
+        if dyadic:
+            head = np.array([[(c << 64) // L for c in b] for b, _ in chunk], dtype=np.uint64)
+            m2 = np.array([o for _, o in chunk], dtype=np.uint64)[:, None] + u
+        else:
+            split = [[divmod(c << 64, L) for c in (_taylor_shift(b, o, L) if o else b)]
+                     for b, o in chunk]
+            head = np.array([[h for h, _ in row] for row in split], dtype=np.uint64)
+            tail = np.array([[rho / (L << 64) for _, rho in row] for row in split])
+            m2 = u
         t = head[:, :1].repeat(w, axis=1)
         for j in range(1, d + 1):
-            t = t * u + head[:, j:j + 1]
-        keep = u <= np.array(widths)[:, None]
+            t = t * m2 + head[:, j:j + 1]
+        keep = u <= np.array([min(w, M2 - o) for _, o in chunk])[:, None]
         if dyadic:
             yield residue_sum(t[keep], _WRAP)
             continue
-        tail = np.array(tails)
         acc = tail[:, :1].repeat(w, axis=1)
         for j in range(1, d + 1):
             acc = acc * uf + tail[:, j:j + 1]
@@ -268,14 +269,13 @@ def double_sum_abs(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, outer_axis:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+# The 32-point Gauss-Legendre rule on [-1, 1], and the deepest refinement level
+# (2**20 panels) before dyadic_refine gives up.
+_LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
+_MAX_DEPTH = 20
 
 
-def dyadic_refine(level, a: float, b: float, tol: float, order: int = 32,
-                  max_depth: int = 20) -> complex:
+def dyadic_refine(level, a: float, b: float, tol: float) -> complex:
     """Gauss-Legendre panels on [a, b], halved until two successive levels agree within tol.
 
     level(nodes, weights) turns one level's nodes and weights into a value, so
@@ -283,26 +283,24 @@ def dyadic_refine(level, a: float, b: float, tol: float, order: int = 32,
     """
     if b <= a:
         raise ValueError("empty integration interval")
-    x, w = _leggauss(order)
     prev = None
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         panels = 1 << depth
         edges = np.linspace(a, b, panels + 1)
         half = (edges[1:] - edges[:-1]) / 2.0
         mid = (edges[1:] + edges[:-1]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (w[None, :] * half[:, None]).ravel()
+        nodes = (mid[:, None] + half[:, None] * _LEG_X[None, :]).ravel()
+        wts = (_LEG_W[None, :] * half[:, None]).ravel()
         cur = level(nodes, wts)
         if prev is not None and abs(cur - prev) < tol:
             return cur
         prev = cur
-    raise QuadratureConvergenceError(f"no convergence to {tol} within depth {max_depth}")
+    raise QuadratureConvergenceError(f"no convergence to {tol} within depth {_MAX_DEPTH}")
 
 
-def gauss_legendre_adaptive(f, a: float, b: float, tol: float = 1e-12,
-                            order: int = 32, max_depth: int = 20) -> complex:
+def gauss_legendre_adaptive(f, a: float, b: float, tol: float) -> complex:
     """Integrate a vectorized complex f over [a, b] by dyadic panel refinement."""
-    return dyadic_refine(lambda nodes, wts: complex(wts @ f(nodes)), a, b, tol, order, max_depth)
+    return dyadic_refine(lambda nodes, wts: complex(wts @ f(nodes)), a, b, tol)
 
 
 def _poly_on_array(p: UniPoly, s: np.ndarray) -> np.ndarray:
@@ -312,7 +310,7 @@ def _poly_on_array(p: UniPoly, s: np.ndarray) -> np.ndarray:
     return acc
 
 
-def sum_integral_gap(phase: UniPoly, a: float, b: float, tol: float = 1e-12) -> float:
+def sum_integral_gap(phase: UniPoly, a: float, b: float) -> float:
     """|sum of e(phase(n)) over integers in (a, b]  -  integral of e(phase(s)) ds|.
 
     Requires a monotonic derivative bounded by 1/2 in absolute value on [a, b]:
@@ -339,6 +337,6 @@ def sum_integral_gap(phase: UniPoly, a: float, b: float, tol: float = 1e-12) -> 
              for n in range(math.floor(a) + 1, math.floor(b) + 1)]
     total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
     integral = gauss_legendre_adaptive(
-        lambda s: np.exp(2j * math.pi * _poly_on_array(phase, s)), float(a), float(b), tol=tol
+        lambda s: np.exp(2j * math.pi * _poly_on_array(phase, s)), float(a), float(b), 1e-12
     )
     return abs(total - integral)

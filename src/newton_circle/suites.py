@@ -2,8 +2,11 @@
 an independent brute-force computation, and each suite returns check rows for
 the report machinery.  A check passes iff lhs <= rhs + tolerance.
 
-Defaults run the full-strength configuration; the CLI can pass lighter
-parameters for quick runs.
+Every size, bound and cap is fixed in the suite body.  The settable values
+are the ones the CLI sets: ``trials`` (``verify --trials``: the sample count of
+moment, newton, osc and factorization), ``seed`` (``verify --seed``: every
+suite that draws random inputs), and iw's ``rhos`` and ``l_max`` (``--rho``,
+``--lmax``).  The defaults run the full-strength configuration.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -30,13 +33,12 @@ def _check(name: str, lhs: float, rhs: float, tolerance: float = 0.0) -> dict:
     }
 
 
-def random_nondegenerate_poly(rng: random.Random, max_degree: int = 6,
-                              max_terms: int = 8) -> Poly2:
-    """Random polynomial with P(0,0)=0, a mixed monomial, small coefficients."""
-    pool = [(g1, g2) for g1 in range(max_degree + 1) for g2 in range(max_degree + 1)
-            if 0 < g1 + g2 <= max_degree]
+def random_nondegenerate_poly(rng: random.Random) -> Poly2:
+    """Random polynomial with P(0,0)=0, a mixed monomial, small coefficients:
+    2 to 8 terms of total degree at most 6."""
+    pool = [(g1, g2) for g1 in range(7) for g2 in range(7) if 0 < g1 + g2 <= 6]
     while True:
-        n_terms = rng.randint(2, max_terms)
+        n_terms = rng.randint(2, 8)
         exps = rng.sample(pool, min(n_terms, len(pool)))
         terms = {}
         for e in exps:
@@ -52,23 +54,22 @@ def random_nondegenerate_poly(rng: random.Random, max_degree: int = 6,
 # ---------------------------------------------------------------------------
 
 
-def suite_moment(trials: int = 100, s_max: int = 3, k_max: int = 3,
-                 n_max: int = 20, seed: int = 2024) -> List[dict]:
+def suite_moment(trials: int = 100, seed: int = 2024) -> List[dict]:
     rng = random.Random(seed)
     rel_tol = 1e-8
     worst = 0.0
     for _ in range(trials):
-        s = rng.randint(1, s_max)
-        k = rng.randint(1, k_max)
-        N = rng.randint(4, n_max)
+        s = rng.randint(1, 3)
+        k = rng.randint(1, 3)
+        N = rng.randint(4, 20)
         xi = [rng.random() for _ in range(k)]
         gap = complete.moment_identity_gap(s, k, N, xi)
         worst = max(worst, gap / float(N) ** (2 * s))
     checks = [_check("moment_identity_max_relative_gap", worst, 0.0, rel_tol)]
     # the most expensive corner of the parameter box, hit deterministically
-    corner = complete.moment_identity_gap(3, 3, n_max, [rng.random() for _ in range(3)])
+    corner = complete.moment_identity_gap(3, 3, 20, [rng.random() for _ in range(3)])
     checks.append(_check("moment_identity_corner_relative_gap",
-                         corner / float(n_max) ** 6, 0.0, rel_tol))
+                         corner / 20.0**6, 0.0, rel_tol))
     exact_fail = 0
     for s, k, N in [(1, 1, 12), (2, 2, 9), (3, 3, 7), (3, 2, 20)]:
         gap0 = complete.moment_identity_gap(s, k, N, [Fraction(0)] * k)
@@ -94,16 +95,15 @@ def _brute_count_22(N: int) -> int:
     return total
 
 
-def suite_counts(formula_n_max: int = 50, brute_n_max: int = 12,
-                 ratio_range: Tuple[int, int] = (4, 24)) -> List[dict]:
+def suite_counts() -> List[dict]:
     checks = []
     brute_viol = sum(
-        1 for N in range(2, brute_n_max + 1)
+        1 for N in range(2, 13)
         if _brute_count_22(N) != 2 * N * N - N
     )
     checks.append(_check("pair_count_formula_vs_brute_force", brute_viol, 0))
     formula_viol = sum(
-        1 for N in range(2, formula_n_max + 1)
+        1 for N in range(2, 51)
         if complete.vinogradov_diagonal(2, 2, N) != 2 * N * N - N
     )
     checks.append(_check("pair_count_formula_all_N", formula_viol, 0))
@@ -122,9 +122,8 @@ def suite_counts(formula_n_max: int = 50, brute_n_max: int = 12,
             table_viol += 1
     checks.append(_check("count_table_mass_symmetry_peak", table_viol, 0))
 
-    lo, hi = ratio_range
-    base = complete.vinogradov_diagonal(4, 2, lo) / lo**5
-    worst = max(complete.vinogradov_diagonal(4, 2, N) / N**5 for N in range(lo, hi + 1))
+    base = complete.vinogradov_diagonal(4, 2, 4) / 4**5
+    worst = max(complete.vinogradov_diagonal(4, 2, N) / N**5 for N in range(4, 25))
     checks.append(_check("deep_count_growth_envelope", worst, 1.5 * base))
     return checks
 
@@ -154,13 +153,12 @@ def direction_witness_vertices(P: Poly2) -> frozenset:
     return frozenset(out)
 
 
-def suite_newton(n_polys: int = 200, seed: int = 7, grid: int = 40,
-                 level_cap: int = 20) -> List[dict]:
+def suite_newton(trials: int = 200, seed: int = 7) -> List[dict]:
     rng = random.Random(seed)
     oracle_viol = cover_viol = disjoint_viol = gap_viol = sign_viol = 0
-    pts = np.indices((grid + 1, grid + 1)).reshape(2, -1).T
+    pts = np.indices((41, 41)).reshape(2, -1).T
     interior = (pts > 0).all(axis=1)
-    for _ in range(n_polys):
+    for _ in range(trials):
         P = random_nondegenerate_poly(rng)
         diagram = newton.build_diagram(P)
         if frozenset(diagram.vertices) != direction_witness_vertices(P):
@@ -185,7 +183,7 @@ def suite_newton(n_polys: int = 200, seed: int = 7, grid: int = 40,
             if sigma == math.inf:
                 continue
             level = geo.level_N[:, j - 1]
-            sel = geo.member[:, j - 1] & (level <= level_cap)
+            sel = geo.member[:, j - 1] & (level <= 20)
             dot = pts[sel] @ newton.support_differences(diagram, j).T
             # exact rational comparison: dot <= -sigma*N
             gap_viol += int(np.count_nonzero(
@@ -204,21 +202,18 @@ def suite_newton(n_polys: int = 200, seed: int = 7, grid: int = 40,
 # ---------------------------------------------------------------------------
 
 
-def _coprime_samples(q: int, count: int = 3) -> List[int]:
+def _coprime_samples(q: int) -> List[int]:
     if q == 1:
         return [0]
     cands = [a for a in range(1, q) if math.gcd(a, q) == 1]
-    picks = {cands[0], cands[-1], cands[len(cands) // 2]}
-    return sorted(picks)[:count]
+    return sorted({cands[0], cands[-1], cands[len(cands) // 2]})
 
 
-def suite_gauss(q_max: int = 64, envelope_starts: Sequence[int] = (8, 16, 32, 64, 128),
-                n_random: int = 5, seed: int = 11,
-                envelope_cap: float = 0.6) -> List[dict]:
+def suite_gauss(seed: int = 11) -> List[dict]:
     P0 = parse_poly("m1^2*m2^3")
     ident_viol = 0
     worst_rel = 0.0
-    for q in range(1, q_max + 1):
+    for q in range(1, 65):
         for a in _coprime_samples(q):
             frac = Fraction(a, q)
             g = complete.gauss_sum(P0, frac) * q * q
@@ -233,10 +228,10 @@ def suite_gauss(q_max: int = 64, envelope_starts: Sequence[int] = (8, 16, 32, 64
     ]
     rng = random.Random(seed)
     polys = [("m1^2*m2^3", P0)]
-    polys += [(f"random_{i}", random_nondegenerate_poly(rng)) for i in range(n_random)]
+    polys += [(f"random_{i}", random_nondegenerate_poly(rng)) for i in range(5)]
     worst_tail = 0.0
     for name, P in polys:
-        rows = complete.dyadic_envelope(P, envelope_starts)
+        rows = complete.dyadic_envelope(P, (8, 16, 32, 64, 128))
         env = [r["envelope"] for r in rows]
         steps_up = sum(1 for a, b in zip(env, env[1:]) if b > a + 1e-12)
         # NOTE: genuinely false for m1^2*m2^3 at Q=16 -> 32: the envelope jumps
@@ -244,7 +239,7 @@ def suite_gauss(q_max: int = 64, envelope_starts: Sequence[int] = (8, 16, 32, 64
         # The check is kept as specified and reported honestly.
         checks.append(_check(f"dyadic_envelope_nonincreasing[{name}]", steps_up, 0))
         worst_tail = max(worst_tail, env[-1])
-    checks.append(_check("dyadic_envelope_tail_bound", worst_tail, envelope_cap))
+    checks.append(_check("dyadic_envelope_tail_bound", worst_tail, 0.6))
     return checks
 
 
@@ -253,16 +248,14 @@ def suite_gauss(q_max: int = 64, envelope_starts: Sequence[int] = (8, 16, 32, 64
 # ---------------------------------------------------------------------------
 
 
-def suite_equidistribution(small: int = 16, big: int = 1024,
-                           decay_factor: float = 4.0,
-                           tail_bound: float = 0.05) -> List[dict]:
+def suite_equidistribution() -> List[dict]:
     P = parse_poly("m1^2*m2^3")
     theta = golden_ratio_conjugate(192)
-    v_small = abs(ergodic.character_average(P, theta, small, small))
-    v_big = abs(ergodic.character_average(P, theta, big, big))
+    v_small = abs(ergodic.character_average(P, theta, 16, 16))
+    v_big = abs(ergodic.character_average(P, theta, 1024, 1024))
     return [
-        _check("character_average_tail_bound", v_big, tail_bound),
-        _check("character_average_decay_factor", decay_factor * v_big, v_small),
+        _check("character_average_tail_bound", v_big, 0.05),
+        _check("character_average_decay_factor", 4.0 * v_big, v_small),
     ]
 
 
@@ -271,8 +264,8 @@ def suite_equidistribution(small: int = 16, big: int = 1024,
 # ---------------------------------------------------------------------------
 
 
-def _random_unipoly(rng: random.Random, max_degree: int = 4) -> UniPoly:
-    deg = rng.randint(1, max_degree)
+def _random_unipoly(rng: random.Random) -> UniPoly:
+    deg = rng.randint(1, 4)
     coeffs = [0] + [rng.randint(-5, 5) for _ in range(deg)]
     if coeffs[-1] == 0:
         coeffs[-1] = 1
@@ -312,10 +305,10 @@ def suite_factorization(trials: int = 50, seed: int = 5) -> List[dict]:
 
 
 def suite_iw(rhos: Sequence[Fraction] = (Fraction(1, 2), Fraction(1, 4)),
-             l_max: int = 3, cap: int = iw.DEFAULT_ENUMERATION_CAP) -> List[dict]:
+             l_max: int = 3) -> List[dict]:
     checks = []
     for rho in rhos:
-        rows = iw.verify_iw_properties(Fraction(rho), l_max, cap)
+        rows = iw.verify_iw_properties(Fraction(rho), l_max)
         viol = sum(1 for r in rows if not r["pass"])
         checks.append(_check(f"denominator_set_properties_rho_{rho.numerator}_{rho.denominator}",
                              viol, 0))
@@ -352,10 +345,10 @@ def _random_seq(rng: random.Random, j0: int, top: int) -> osc.IncreasingSequence
     return osc.IncreasingSequence.of(pts)
 
 
-def suite_osc(families: int = 500, seed: int = 13) -> List[dict]:
+def suite_osc(trials: int = 500, seed: int = 13) -> List[dict]:
     rng = random.Random(seed)
     axiom_viol = split_viol = variation_viol = rm_viol = crude_viol = max_viol = 0
-    for _ in range(families):
+    for _ in range(trials):
         m = rng.randint(3, 6)
         top = 1 << m
         j0 = rng.randint(0, top // 2)
@@ -377,7 +370,7 @@ def suite_osc(families: int = 500, seed: int = 13) -> List[dict]:
         rng.shuffle(dom)
         half = len(dom) // 2
         j1, j2 = dom[:half], dom[half:]
-        if osc.oscillation(fam, seq) > (
+        if o_f > (
             osc.oscillation(fam, seq, subdomain=j1)
             + osc.oscillation(fam, seq, subdomain=j2)
             + 1e-10
@@ -411,11 +404,10 @@ def suite_osc(families: int = 500, seed: int = 13) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_multiplier(grid: int = 1000, n_polys: int = 5, seed: int = 17,
-                     M1: int = 8, M2: int = 8, tau: int = 2) -> List[dict]:
+def suite_multiplier(seed: int = 17) -> List[dict]:
     rng = random.Random(seed)
-    polys = [parse_poly("m1^2*m2^3")] + [random_nondegenerate_poly(rng)
-                                         for _ in range(n_polys - 1)]
+    grid, M1, M2, tau = 1000, 8, 8, 2
+    polys = [parse_poly("m1^2*m2^3")] + [random_nondegenerate_poly(rng) for _ in range(4)]
     norm_viol = bound_viol = period_viol = conj_viol = cont_viol = 0
     for P in polys:
         if abs(circle.discrete_multiplier(P, Fraction(0), M1, M2, tau) - 1) > 1e-12:
@@ -449,30 +441,29 @@ def suite_multiplier(grid: int = 1000, n_polys: int = 5, seed: int = 17,
 # ---------------------------------------------------------------------------
 
 
-def suite_approx(q_max: int = 10, m2_primes: Sequence[int] = (64, 128, 256, 512, 1024),
-                 ratio_cap: float = 50.0, step_slack: float = 1.1) -> List[dict]:
+def suite_approx() -> List[dict]:
     P = parse_poly("m1^2*m2^3")
     diagram = newton.build_diagram(P)
     tau, beta = 2, 4.0
     M1, M2 = 4, 4096
     worst_ratio = 0.0
     step_viol = 0
-    for q in range(1, q_max + 1):
+    for q in range(1, 11):
         a_values = [0] if q == 1 else [a for a in range(1, q) if math.gcd(a, q) == 1]
         for a in a_values[:2]:
             center = Fraction(a, q)
             for m1 in (1, 2, 3):
                 prev = None
-                for m2p in m2_primes:
+                for m2p in (64, 128, 256, 512, 1024):
                     measured, budget = circle.partial_approx_error(
                         P, diagram, 1, m1, m2p, center, center, tau, beta, M1, M2
                     )
                     worst_ratio = max(worst_ratio, measured / budget)
-                    if prev is not None and measured > step_slack * prev + 1e-12:
+                    if prev is not None and measured > 1.1 * prev + 1e-12:
                         step_viol += 1
                     prev = measured
     return [
-        _check("partial_approx_ratio_cap", worst_ratio, ratio_cap),
+        _check("partial_approx_ratio_cap", worst_ratio, 50.0),
         _check("partial_approx_decreases_under_doubling", step_viol, 0),
     ]
 

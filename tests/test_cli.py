@@ -1,7 +1,9 @@
+import inspect
 import json
 
 import pytest
 
+from newton_circle import suites
 from newton_circle.cli import run_command
 from newton_circle.ergodic import FiniteFunction
 
@@ -131,6 +133,29 @@ def test_verify_iw_with_flags(tmp_path):
     code, doc = run(tmp_path, "verify", "--suite", "iw", "--rho", "1/2", "--lmax", "3")
     assert code == 0
     assert any("rho_1_2" in c["name"] for c in doc["checks"])
+
+
+def test_suites_take_only_cli_settable_parameters():
+    for name, fn in suites.SUITES.items():
+        assert set(inspect.signature(fn).parameters) <= {"trials", "seed", "rhos", "l_max"}, name
+
+
+def test_verify_trials_reaches_every_sampling_suite(tmp_path, monkeypatch):
+    names = ("moment", "newton", "osc", "factorization")
+    calls = []
+
+    def recording(name):
+        def stub(trials=100, seed=1):
+            calls.append((name, trials))
+            return []
+        return stub
+
+    for name in names:
+        monkeypatch.setitem(suites.SUITES, name, recording(name))
+    argv = ["verify", "--trials", "3"] + [a for name in names for a in ("--suite", name)]
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert calls == [(name, 3) for name in names]
 
 
 def test_failing_check_gives_exit_1(tmp_path):

@@ -285,7 +285,7 @@ def test_suite_counts_uncovered_points(monkeypatch):
         return geo
 
     monkeypatch.setattr(newton, "sector_arrays", drop_first_point)
-    rows = {row["name"]: row for row in suites.suite_newton(n_polys=3, grid=6)}
+    rows = {row["name"]: row for row in suites.suite_newton(trials=3)}
     assert rows["sector_cones_cover_grid"]["lhs"] == 3
     assert not rows["sector_cones_cover_grid"]["pass"]
     assert rows["subsector_gap_inequality_exact"]["pass"]
