@@ -17,17 +17,17 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
-from .complete import _check_residue_table, _residue_histogram, gauss_sum, partial_gauss
+from .complete import _check_work, _residue_histogram, gauss_sum, partial_gauss
 from .ergodic import EmptyRegionError
 from .expsum import double_sum, dyadic_refine, gauss_legendre_adaptive
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
-from .poly import Poly2, RealPoly2, pin, scale
+from .poly import Poly2, RealPoly2, evaluate, pin, scale
 
 
 def validate_arc_parameters(beta: float, rho: Optional[Fraction] = None) -> bool:
@@ -96,10 +96,36 @@ def discrete_multiplier_grid(P: Poly2, n: int, M1: RealLike, M2: RealLike,
     k1, m1 = _axis_count(M1, tau)
     k2, m2 = _axis_count(M2, tau)
     cells = (m1 - k1) * (m2 - k2)
-    _check_residue_table(cells, n, f"multiplier grid needs a {m1 - k1} x {m2 - k2} "
-                                   f"residue table mod q = {n}")
+    _check_work(cells, n**3, f"multiplier grid needs a {m1 - k1} x {m2 - k2} "
+                             f"residue table mod q = {n}")
     hist = _residue_histogram(P, n, range(k1 + 1, m1 + 1), range(k2 + 1, m2 + 1))
     return np.fft.ifft(hist) * (n / cells)
+
+
+def discrete_multiplier_direct(P: Poly2, numerators: Sequence[int], n: int, M1: RealLike,
+                               M2: RealLike, tau: RealLike) -> np.ndarray:
+    """discrete_multiplier(P, a/n, M1, M2, tau) for every integer a in numerators.
+
+    Term by term, with no histogram and no DFT, so it checks
+    discrete_multiplier_grid by another algorithm: P(m) mod n is evaluated
+    once per box cell in Python ints, and each frequency adds e((a*P(m) mod
+    n)/n) over the cells with math.fsum.  Any integer a is accepted.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    k1, m1 = _axis_count(M1, tau)
+    k2, m2 = _axis_count(M2, tau)
+    cells = (m1 - k1) * (m2 - k2)
+    # (a mod n) * r is below n**2
+    _check_work(len(numerators) * cells, n**2, f"direct multiplier needs {len(numerators)} "
+                                               f"frequencies x {cells} cells mod n = {n}")
+    r = np.array([evaluate(P, (x1, x2)) % n
+                  for x1 in range(k1 + 1, m1 + 1) for x2 in range(k2 + 1, m2 + 1)], dtype=np.int64)
+    a = np.array([k % n for k in numerators], dtype=np.int64)
+    angle = math.tau * (np.multiply.outer(a, r) % n / n)
+    sums = [complex(math.fsum(c), math.fsum(s))
+            for c, s in zip(np.cos(angle).tolist(), np.sin(angle).tolist())]
+    return np.array(sums, dtype=complex) / cells
 
 
 def _phase_fn(Q: RealPoly2, M1: float, M2: float):

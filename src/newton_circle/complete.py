@@ -97,13 +97,14 @@ def _power_table(x: np.ndarray, P: Poly2, axis: int, n: int) -> List[np.ndarray]
     return powers
 
 
-def _check_residue_table(cells: int, q: int, what: str) -> None:
-    """Raise WorkCapExceeded, before any work, unless _residue_histogram can
-    build a table of this many cells mod q within the cell cap and int64."""
-    if cells > WORK_CAP_CELLS or q**3 >= INT64_LIMIT:
+def _check_work(cells: int, peak: int, what: str) -> None:
+    """Raise WorkCapExceeded, before any work, unless a table of this many
+    cells fits the cell cap and peak, a bound on its largest int64
+    intermediate, stays below 2**63."""
+    if cells > WORK_CAP_CELLS or peak >= INT64_LIMIT:
         raise WorkCapExceeded(
-            f"{what}; the cap is {WORK_CAP_CELLS} cells and q**3 must stay below "
-            f"2**63 (int64)"
+            f"{what}; the cap is {WORK_CAP_CELLS} cells and every intermediate "
+            f"must stay below 2**63 (int64)"
         )
 
 
@@ -119,8 +120,7 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     if any(q < 1 for q in q_values):
         raise ValueError("moduli must be positive")
     q_top = max(q_values, default=1)
-    _check_residue_table(q_top * q_top, q_top,
-                         f"gauss sweep needs a {q_top} x {q_top} residue table")
+    _check_work(q_top * q_top, q_top**3, f"gauss sweep needs a {q_top} x {q_top} residue table")
     rows = []
     for q in q_values:
         if q == 1:

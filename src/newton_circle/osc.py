@@ -10,6 +10,7 @@ contribute zero.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -89,27 +90,32 @@ def oscillation(family: IndexedFamily, seq: IncreasingSequence,
                 subdomain: Optional[Iterable] = None) -> float:
     """Square-summed box suprema of deviations from the box anchors.
 
-    For each consecutive pair (I_j, I_{j+1}) the half-open box between them is
-    scanned for the largest |a_t - a_{I_j}| with t restricted to the subdomain.
+    For each consecutive pair (I_j, I_{j+1}) the half-open box between them
+    contributes the largest |a_t - a_{I_j}| with t restricted to the
+    subdomain.  One pass over the domain assigns each point to its box.
     """
     if not seq.is_strictly_increasing() or len(seq.points) < 2:
         raise ValueError("sequence must be strictly increasing with at least 2 points")
     missing = [p for p in seq.points if p not in family.values]
     if missing:
         raise ValueError(f"sequence points outside the family index set: {missing[:3]}")
-    domain = family.index_set if subdomain is None else (
-        {_as_point(p) for p in subdomain} & family.index_set
-    )
+    values, pts = family.values, seq.points
+    domain = values if subdomain is None else {
+        t for t in map(_as_point, subdomain) if t in values
+    }
+    # the first coordinates strictly increase, so the half-open boxes have
+    # disjoint first-coordinate intervals and bisect names the only candidate
+    firsts = [p[0] for p in pts]
+    best = [0.0] * (len(pts) - 1)
+    for t in domain:
+        j = bisect_right(firsts, t[0]) - 1
+        if 0 <= j < len(best) and _in_box(t, pts[j], pts[j + 1]):
+            dev = abs(values[t] - values[pts[j]])
+            if dev > best[j]:
+                best[j] = dev
     total = 0.0
-    for lo, hi in zip(seq.points, seq.points[1:]):
-        anchor = family.values[lo]
-        best = 0.0
-        for t in domain:
-            if _in_box(t, lo, hi):
-                dev = abs(family.values[t] - anchor)
-                if dev > best:
-                    best = dev
-        total += best * best
+    for b in best:
+        total += b * b
     return math.sqrt(total)
 
 

@@ -415,17 +415,20 @@ def suite_multiplier(seed: int = 17) -> List[dict]:
         if abs(circle.continuous_multiplier(P, 0, M1, M2, tau) - 1) > 1e-9:
             cont_viol += 1
         # v(i/grid) from the DFT of the residue histogram; xi + 1 and -xi from
-        # the lattice kernel, so both checks compare two algorithms
-        values = circle.discrete_multiplier_grid(P, grid, M1, M2, tau).tolist()
-        for i, v in enumerate(values):
-            xi = Fraction(i, grid)
-            if abs(v) > 1 + 1e-12:
-                bound_viol += 1
-            v_shift = circle.discrete_multiplier(P, xi + 1, M1, M2, tau)
-            if abs(v - v_shift) > 1e-12:
+        # the direct term-by-term sum, so both checks compare two algorithms
+        values = circle.discrete_multiplier_grid(P, grid, M1, M2, tau)
+        i = np.arange(grid)
+        shifted = circle.discrete_multiplier_direct(P, i + grid, grid, M1, M2, tau)
+        negated = circle.discrete_multiplier_direct(P, -i, grid, M1, M2, tau)
+        bound_viol += int(np.count_nonzero(np.abs(values) > 1 + 1e-12))
+        period_viol += int(np.count_nonzero(np.abs(values - shifted) > 1e-12))
+        conj_viol += int(np.count_nonzero(np.abs(negated - values.conj()) > 1e-12))
+        # the scalar lattice kernel, spot-checked at every 50th frequency
+        for k in range(0, grid, 50):
+            xi, v = Fraction(k, grid), complex(values[k])
+            if abs(v - circle.discrete_multiplier(P, xi + 1, M1, M2, tau)) > 1e-12:
                 period_viol += 1
-            v_neg = circle.discrete_multiplier(P, -xi, M1, M2, tau)
-            if abs(v_neg - v.conjugate()) > 1e-12:
+            if abs(circle.discrete_multiplier(P, -xi, M1, M2, tau) - v.conjugate()) > 1e-12:
                 conj_viol += 1
     return [
         _check("discrete_multiplier_normalized_at_zero", norm_viol, 0),

@@ -3,7 +3,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+
+from newton_circle import circle, complete, ergodic, suites
 
 from newton_circle.circle import (
     ScaleBook,
@@ -11,6 +14,7 @@ from newton_circle.circle import (
     continuous_multiplier,
     cutoff_eta,
     discrete_multiplier,
+    discrete_multiplier_direct,
     discrete_multiplier_grid,
     major_approximant,
     partial_approx_error,
@@ -67,6 +71,116 @@ def test_multiplier_grid_guards(mixed):
         discrete_multiplier_grid(mixed, 2**21, 8, 8, 2)  # n**3 reaches 2**63
     with pytest.raises(WorkCapExceeded):
         discrete_multiplier_grid(mixed, 12, 10**5, 10**5, 2)
+
+
+@pytest.mark.parametrize("n", [1, 12, 97])
+def test_direct_multiplier_matches_scalar(mixed, n):
+    rng = random.Random(n)
+    cases = [(mixed, 8, 8, 2), (random_nondegenerate_poly(rng), 8, 8, 2),
+             (random_nondegenerate_poly(rng), 10, 7, Fraction(3, 2))]
+    a = range(-2 * n, 2 * n)  # negative numerators and a >= n included
+    for P, M1, M2, tau in cases:
+        direct = discrete_multiplier_direct(P, a, n, M1, M2, tau)
+        assert direct.shape == (4 * n,)
+        for k, v in zip(a, direct.tolist()):
+            assert abs(v - discrete_multiplier(P, Fraction(k, n), M1, M2, tau)) <= 1e-14
+
+
+def test_direct_multiplier_matches_grid():
+    n = 1000
+    i = np.arange(n)
+    for P in (parse_poly("m1^2*m2^3"), random_nondegenerate_poly(random.Random(3))):
+        grid = discrete_multiplier_grid(P, n, 8, 8, 2)
+        assert np.abs(discrete_multiplier_direct(P, i, n, 8, 8, 2) - grid).max() <= 1e-14
+        assert np.abs(discrete_multiplier_direct(P, -i, n, 8, 8, 2) - grid.conj()).max() <= 1e-14
+
+
+class _Frequencies:
+    """A count of numerators that are never materialised."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __iter__(self):
+        raise AssertionError("numerators read before the work cap")
+
+
+def test_direct_multiplier_guards(mixed, monkeypatch):
+    with pytest.raises(ValueError):
+        discrete_multiplier_direct(mixed, [1], 0, 8, 8, 2)
+    # the largest n with n**2 below 2**63 runs; one more is refused
+    n = math.isqrt(2**63 - 1)
+    got = discrete_multiplier_direct(mixed, [n - 5, 7], n, 8, 8, 2)
+    for a, v in zip((n - 5, 7), got.tolist()):
+        assert abs(v - discrete_multiplier(mixed, Fraction(a, n), 8, 8, 2)) <= 1e-12
+    with pytest.raises(WorkCapExceeded):
+        discrete_multiplier_direct(mixed, [1], n + 1, 8, 8, 2)
+    with pytest.raises(ergodic.EmptyRegionError):
+        discrete_multiplier_direct(mixed, [1], 12, Fraction(5, 2), 8, Fraction(6, 5))
+
+    def refuse(*args):
+        raise AssertionError("residues evaluated before the work cap")
+
+    # the cap is checked before any residue or frequency is touched: 16 cells
+    # times the count reaches the cap exactly at 6.25 million frequencies
+    monkeypatch.setattr(circle, "evaluate", refuse)
+    cap = complete.WORK_CAP_CELLS
+    with pytest.raises(WorkCapExceeded):
+        discrete_multiplier_direct(mixed, _Frequencies(cap // 16 + 1), 12, 8, 8, 2)
+    with pytest.raises(AssertionError, match="residues evaluated"):
+        discrete_multiplier_direct(mixed, _Frequencies(cap // 16), 12, 8, 8, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(complete, "WORK_CAP_CELLS", 100)
+    with pytest.raises(WorkCapExceeded):
+        discrete_multiplier_direct(mixed, range(7), 12, 8, 8, 2)  # 112 cells
+    assert discrete_multiplier_direct(mixed, range(6), 12, 8, 8, 2).shape == (6,)
+
+
+def test_direct_multiplier_needs_no_histogram_or_fft(monkeypatch):
+    P = parse_poly("m1^2*m2^3")
+    want = discrete_multiplier_direct(P, range(-50, 50), 1000, 8, 8, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("histogram or FFT engine called")
+
+    for module, name in ((complete, "_residue_histogram"), (circle, "_residue_histogram"),
+                         (np.fft, "fft"), (np.fft, "ifft")):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        discrete_multiplier_grid(P, 1000, 8, 8, 2)
+    got = discrete_multiplier_direct(P, range(-50, 50), 1000, 8, 8, 2)
+    assert np.array_equal(got, want)
+
+
+def _multiplier_rows():
+    return {row["name"]: row["pass"] for row in suites.suite_multiplier()}
+
+
+def test_suite_multiplier_catches_conjugated_direct_kernel(monkeypatch):
+    direct = circle.discrete_multiplier_direct
+    monkeypatch.setattr(circle, "discrete_multiplier_direct",
+                        lambda *args: direct(*args).conj())
+    assert not _multiplier_rows()["discrete_multiplier_conjugation_symmetry"]
+
+
+def test_suite_multiplier_catches_shifted_numerators(monkeypatch):
+    direct = circle.discrete_multiplier_direct
+    monkeypatch.setattr(circle, "discrete_multiplier_direct",
+                        lambda P, a, n, *rest: direct(P, np.asarray(a) + 1, n, *rest))
+    assert not _multiplier_rows()["discrete_multiplier_periodic"]
+
+
+def test_suite_multiplier_spot_checks_the_scalar_kernel(monkeypatch):
+    scalar = circle.discrete_multiplier
+    monkeypatch.setattr(circle, "discrete_multiplier",
+                        lambda P, xi, *rest: scalar(P, xi, *rest) if xi == 0 else 0j)
+    rows = _multiplier_rows()
+    assert rows["discrete_multiplier_normalized_at_zero"]
+    assert not rows["discrete_multiplier_periodic"]
+    assert not rows["discrete_multiplier_conjugation_symmetry"]
 
 
 def test_discrete_multiplier_empty_region(mixed):

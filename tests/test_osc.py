@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,48 @@ def test_oscillation_requires_anchor_values():
         oscillation(fam, IncreasingSequence.of([0, 1]))
     with pytest.raises(ValueError):
         oscillation(fam, IncreasingSequence.of([2, 0]))
+
+
+def _scan_oscillation(family, seq, subdomain=None):
+    # the definition, box by box: scan the whole domain for each box
+    domain = set(family.values) if subdomain is None else (
+        {p if isinstance(p, tuple) else (p,) for p in subdomain} & set(family.values))
+    total = 0.0
+    for lo, hi in zip(seq.points, seq.points[1:]):
+        best = 0.0
+        for t in domain:
+            if all(l <= x < h for x, l, h in zip(t, lo, hi)):
+                best = max(best, abs(family.values[t] - family.values[lo]))
+        total += best * best
+    return math.sqrt(total)
+
+
+def _random_case(rng, dim):
+    if dim == 1:
+        top = rng.randint(2, 64)
+        keys = sorted(set(rng.sample(range(-8, top), rng.randint(2, top))))
+        chain = sorted(rng.sample(keys, rng.randint(2, min(8, len(keys)))))
+        outside = [rng.randint(-20, top + 20) for _ in range(6)]
+    else:
+        a, b = rng.randint(2, 16), rng.randint(2, 16)
+        k = rng.randint(2, min(a, b))
+        chain = list(zip(sorted(rng.sample(range(a), k)), sorted(rng.sample(range(b), k))))
+        keys = {(i, j) for i in range(a) for j in range(b) if rng.random() < 0.8}
+        keys = sorted(keys | set(chain))
+        outside = [(rng.randint(-3, a + 3), rng.randint(-3, b + 3)) for _ in range(6)]
+    family = IndexedFamily.of({t: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for t in keys})
+    subdomain = [t for t in family.values if rng.random() < 0.5] + outside
+    return family, IncreasingSequence.of(chain), subdomain
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_oscillation_equals_box_scan(dim):
+    rng = random.Random(dim)
+    for _ in range(300):
+        family, seq, subdomain = _random_case(rng, dim)
+        assert oscillation(family, seq) == _scan_oscillation(family, seq)
+        assert (oscillation(family, seq, subdomain)
+                == _scan_oscillation(family, seq, subdomain))
 
 
 def test_validate_examples():
