@@ -1,19 +1,25 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
 gauss_sum and partial_gauss evaluate P directly in Python integers, one
-frequency at a time.  The all-frequency sweep instead builds the int64
-histogram of P mod q over the residue box once, by outer products of
+frequency at a time (gauss_sum row by row: Horner's rule in r2 mod q on the
+coefficients of the row r1).  The all-frequency sweep instead builds the
+int64 histogram of P mod q over the residue box once, by outer products of
 per-axis power tables, and takes one DFT of it:
 q**2 * G(a/q) = sum_t h[t] * e(a*t/q) for every a at once.
 
 The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
-C(N+s-1, s) lattice points (multisets of size s).  Each convolution and the
-difference table lambda = u - v are formed as arrays of lattice points and
-merged by one sort-reduce kernel (a mixed-radix int64 sort key when it fits,
-np.lexsort otherwise).  Work guards raise WorkCapExceeded before allocating
-when a table would exceed the configured cell cap or when a count or
-coordinate could overflow int64, so nothing is truncated or wrapped silently.
+C(N+s-1, s) lattice points (multisets of size s).  Each convolution step
+u + x and the difference table lambda = u - v merge all pairs of two point
+sets with one kernel, _pair_reduce.  The mixed-radix code of a lattice point
+is linear, so the pair codes are one outer sum or difference of per-point
+codes; each code is packed above its weight c_u * c_v in one int64 and a
+single np.sort groups equal points.  When the packed value could reach 2**63
+the pair rows go to the older sort-reduce (argsort of the code, or
+np.lexsort when the code alone would not fit).  Work guards raise
+WorkCapExceeded before allocating when a table would exceed the configured
+cell cap or when a count or coordinate could overflow int64, so nothing is
+truncated or wrapped silently.
 """
 
 from __future__ import annotations
@@ -39,9 +45,25 @@ class WorkCapExceeded(RuntimeError):
 
 
 def gauss_sum(P: Poly2, a_over_q: Fraction) -> complex:
-    """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q)."""
+    """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q).
+
+    a*P(r1, r2) mod q is taken row by row in Python integers: with r1 pinned,
+    a*P is a polynomial in r2 whose coefficients are reduced mod q once per
+    row, and Horner's rule in r2 mod q gives each cell of the row.
+    """
     a, q = a_over_q.numerator, a_over_q.denominator
-    residues = [a * evaluate(P, (r1, r2)) % q for r1 in range(1, q + 1) for r2 in range(1, q + 1)]
+    top = max((g2 for _, g2 in P.terms), default=0)
+    residues = []
+    for r1 in range(1, q + 1):
+        col = [0] * (top + 1)  # highest m2 power first
+        for (g1, g2), c in P.terms.items():
+            col[top - g2] += c * pow(r1, g1, q)
+        col = [a * x % q for x in col]
+        for r2 in range(1, q + 1):
+            t = 0
+            for x in col:
+                t = (t * r2 + x) % q
+            residues.append(t)
     return residue_sum(residues, q) / q**2
 
 
@@ -202,10 +224,11 @@ def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
                  N: int) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct rows of the (n, k) int64 array ``keys`` with their summed weights.
 
-    Coordinate i (from 1) must lie in [-s*N**i, s*N**i].  Rows come back in
-    lexicographic order: sorted by one mixed-radix int64 code when the k
-    radices 2*s*N**i + 1 multiply to less than 2**63, by np.lexsort over the
-    columns otherwise.
+    The fallback of _pair_reduce, for tables whose packed sort would not fit
+    in int64.  Coordinate i (from 1) must lie in [-s*N**i, s*N**i].  Rows
+    come back in lexicographic order: sorted by one mixed-radix int64 code
+    (argsort, then gathers) when the k radices 2*s*N**i + 1 multiply to less
+    than 2**63, by np.lexsort over the columns otherwise.
     """
     bounds = [s * N**i for i in range(1, keys.shape[1] + 1)]
     if math.prod(2 * b + 1 for b in bounds) < INT64_LIMIT:
@@ -223,6 +246,44 @@ def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
     return keys[order[starts]], np.add.reduceat(weights[order], starts)
 
 
+def _pair_reduce(op: np.ufunc, a: np.ndarray, wa: np.ndarray, b: np.ndarray,
+                 wb: np.ndarray, s: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of op(a[i], b[j]) over all pairs (i, j), op np.add or
+    np.subtract, with the summed weights wa[i] * wb[j], in lexicographic order.
+
+    Coordinate i (from 1) of every op(a[i], b[j]) must lie in
+    [-s*N**i, s*N**i], and that of every a[i] and b[j] in [0, s*N**i].  The
+    mixed-radix code of a row, sum of (row_i + s*N**i) * place_i over the
+    radices 2*s*N**i + 1, is linear, so the n*m pair codes are one outer op
+    of the per-point codes and no (n*m, k) array is formed.  When the radix
+    product shifted left by the bit length of the largest weight product is
+    below 2**63, each code is packed above its weight and one in-place
+    np.sort orders the pairs: no argsort and no gather.  Otherwise the pair
+    rows go to _sort_reduce.
+    """
+    k = a.shape[1]
+    bounds = [s * N**i for i in range(1, k + 1)]
+    places = [math.prod(2 * c + 1 for c in bounds[i + 1:]) for i in range(k)]
+    bits = (int(wa.max()) * int(wb.max())).bit_length()
+    if math.prod(2 * c + 1 for c in bounds) << bits >= INT64_LIMIT:
+        keys = op(a[:, None, :], b[None, :, :]).reshape(-1, k)
+        return _sort_reduce(keys, np.multiply.outer(wa, wb).ravel(), s, N)
+    offset = sum(c * p for c, p in zip(bounds, places))  # the code of row 0
+    place = np.array(places, dtype=np.int64)
+    packed = op.outer((a @ place + offset) << bits, (b @ place) << bits).ravel()
+    packed |= np.multiply.outer(wa, wb).ravel()
+    packed.sort()
+    code = packed >> bits
+    packed &= (1 << bits) - 1  # the weights, in code order
+    starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    code = code[starts]
+    keys = np.empty((len(starts), k), dtype=np.int64)
+    for i, (c, p) in enumerate(zip(bounds, places)):
+        digit, code = np.divmod(code, p)
+        keys[:, i] = digit - c
+    return keys, np.add.reduceat(packed, starts)
+
+
 def _as_dict(keys: np.ndarray, weights: np.ndarray) -> Dict[Tuple[int, ...], int]:
     return dict(zip(map(tuple, keys.tolist()), weights.tolist()))
 
@@ -237,10 +298,10 @@ def moment_curve_counts(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
     _check_params(s, k, N, WORK_CAP_CELLS)
     x = np.arange(1, N + 1, dtype=np.int64)
     base = np.stack([x**i for i in range(1, k + 1)], axis=1)
-    keys, weights = base, np.ones(N, dtype=np.int64)
+    ones = np.ones(N, dtype=np.int64)
+    keys, weights = base, ones
     for _ in range(s - 1):
-        sums = (keys[:, None, :] + base[None, :, :]).reshape(-1, k)
-        keys, weights = _sort_reduce(sums, np.repeat(weights, N), s, N)
+        keys, weights = _pair_reduce(np.add, keys, weights, base, ones, s, N)
     return _as_dict(keys, weights)
 
 
@@ -269,14 +330,16 @@ def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only arrays (lam, J(lam)) of the inhomogeneous moment system.
 
     Built from every difference u - v of s-fold moment-curve sums, weighted
-    by c_u * c_v; rows are in lexicographic order.
+    by c_u * c_v, by one _pair_reduce: one outer difference of the per-point
+    codes and one packed sort, or the _sort_reduce fallback when the radix
+    product shifted by the bit length of max(c)**2 reaches 2**63 (at
+    s = 1, k = 3 from N = 913 on).  Rows are in lexicographic order.
     """
     _check_params(s, k, N, WORK_CAP_CELLS, table=True)
     counts = moment_curve_counts(s, k, N)
     u = np.array(list(counts), dtype=np.int64)
     c = np.array(list(counts.values()), dtype=np.int64)
-    diffs = (u[:, None, :] - u[None, :, :]).reshape(-1, k)
-    lam, J = _sort_reduce(diffs, np.outer(c, c).ravel(), s, N)
+    lam, J = _pair_reduce(np.subtract, u, c, u, c, s, N)
     lam.flags.writeable = False
     J.flags.writeable = False
     return lam, J

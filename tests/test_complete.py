@@ -22,7 +22,7 @@ from newton_circle.complete import (
     vinogradov_table,
 )
 from newton_circle.cli import run_command
-from newton_circle.expsum import FLOAT_TERM_BUDGET, double_sum
+from newton_circle.expsum import FLOAT_TERM_BUDGET, double_sum, residue_sum
 from newton_circle.poly import Poly2, evaluate, parse_poly, scale
 from newton_circle.suites import random_nondegenerate_poly
 
@@ -45,6 +45,35 @@ def test_averaged_partial_examples():
     assert averaged_partial(P, Fraction(1, 3), 3, 1) == pytest.approx(1 / 3)
     assert averaged_partial(P, Fraction(0, 1), 7, 1) == pytest.approx(1)
     assert averaged_partial(P, Fraction(1, 3), 6, 1) == pytest.approx(1 / 3)
+
+
+def _gauss_per_cell(P, a_over_q):
+    """The complete sum with one poly.evaluate per cell, in big integers."""
+    a, q = a_over_q.numerator, a_over_q.denominator
+    residues = [a * evaluate(P, (r1, r2)) % q for r1 in range(1, q + 1) for r2 in range(1, q + 1)]
+    return residue_sum(residues, q) / q**2
+
+
+def _wide_poly(rng):
+    """Up to 6 terms, constant term allowed, m2-degree up to 9, coefficients
+    of either sign up to 10**12 in size."""
+    exps = rng.sample([(g1, g2) for g1 in range(6) for g2 in range(10)], rng.randint(1, 6))
+    return Poly2({e: rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 12)) for e in exps})
+
+
+def test_gauss_sum_matches_per_cell_oracle():
+    rng = random.Random(11)
+    cases = []
+    for i in range(40):
+        P = random_nondegenerate_poly(rng) if i % 2 else _wide_poly(rng)
+        q = rng.randint(1, 48)
+        cases.append((P, Fraction(rng.choice((-1, 1)) * rng.randint(0, 3 * q), q)))
+    P = random_nondegenerate_poly(rng)
+    cases += [(P, Fraction(0)), (P, Fraction(5, 1)), (Poly2.zero(), Fraction(0)),
+              (Poly2.zero(), Fraction(3, 7)), (P, Fraction(101, 400)),
+              (_wide_poly(rng), Fraction(-7, 397)), (parse_poly("m2^9 - 4"), Fraction(3, 256))]
+    for P, frac in cases:
+        assert gauss_sum(P, frac) == _gauss_per_cell(P, frac), (P.terms, frac)
 
 
 def test_gauss_modulus_and_periodicity(rng):
@@ -196,6 +225,97 @@ def test_table_lexsort_branch():
     assert all(table[tuple(-x for x in lam)] == c for lam, c in table.items())
 
 
+def _pairs_by_fallback(op, a, wa, b, wb, s, N):
+    """Every pair row op(a[i], b[j]) reduced by _sort_reduce, as before packing."""
+    rows = op(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1])
+    return complete._sort_reduce(rows, np.multiply.outer(wa, wb).ravel(), s, N)
+
+
+def _counts_by_fallback(s, k, N):
+    x = np.arange(1, N + 1, dtype=np.int64)
+    base = np.stack([x**i for i in range(1, k + 1)], axis=1)
+    keys, weights = base, np.ones(N, dtype=np.int64)
+    for _ in range(s - 1):
+        keys, weights = _pairs_by_fallback(np.add, keys, weights, base, np.ones(N, dtype=np.int64), s, N)
+    return keys, weights
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """Record every _sort_reduce call, to tell which branch _pair_reduce took."""
+    calls = []
+    real = complete._sort_reduce
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(complete, "_sort_reduce", spy)
+    return calls
+
+
+@pytest.mark.parametrize("s, k, N, packed", [
+    (3, 3, 20, True), (3, 2, 20, True), (2, 3, 20, True), (3, 3, 12, True), (2, 2, 9, True),
+    (4, 2, 8, True), (5, 3, 5, True), (6, 1, 6, True), (3, 1, 38, True), (1, 2, 50, True),
+    (1, 3, 1100, False),  # the radix product passes 2**63: lexsort
+])
+def test_packed_sort_equals_fallback(fallback_calls, s, k, N, packed):
+    keys, weights = _counts_by_fallback(s, k, N)
+    fallback_calls.clear()
+    counts = moment_curve_counts.__wrapped__(s, k, N)  # uncached, so the sums run
+    assert not fallback_calls  # every s-fold sum on the grid is packed
+    assert counts == complete._as_dict(keys, weights)
+    lam, J = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
+    fallback_calls.clear()
+    got = complete._pair_reduce(np.subtract, keys, weights, keys, weights, s, N)
+    assert bool(fallback_calls) != packed
+    assert np.array_equal(got[0], lam) and np.array_equal(got[1], J)
+    assert got[0].dtype == got[1].dtype == np.int64
+    if len(J) < 10**5:  # the corner's dict alone is about 170 MB
+        assert vinogradov_table(s, k, N) == complete._as_dict(lam, J)
+
+
+def test_packing_guard_exact_threshold(monkeypatch, fallback_calls):
+    # radices 2*2*5**i + 1 are 21 and 101; the largest weight product is
+    # max(c)**2; the packed value needs span << bits below the int64 limit
+    s, k, N = 2, 2, 5
+    keys, weights = _counts_by_fallback(s, k, N)
+    want = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
+    bits = (int(weights.max()) ** 2).bit_length()
+    edge = 21 * 101 << bits
+    for limit, packed in ((edge, False), (edge + 1, True)):
+        monkeypatch.setattr(complete, "INT64_LIMIT", limit)
+        fallback_calls.clear()
+        got = complete._pair_reduce(np.subtract, keys, weights, keys, weights, s, N)
+        assert bool(fallback_calls) != packed
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_packing_at_the_real_int64_edge(fallback_calls):
+    # s = 1, k = 3: unit weights (bits = 1), so packing fits while the radix
+    # product (2N+1)(2N^2+1)(2N^3+1) stays below 2**62; the top packed codes
+    # then come within a factor 2 of 2**63, where an overflow would show
+    def span(N):
+        return (2 * N + 1) * (2 * N**2 + 1) * (2 * N**3 + 1)
+
+    N = max(n for n in range(800, 1000) if span(n) << 1 < 2**63)
+    for n, packed in ((N, True), (N + 1, False)):
+        x = np.arange(1, n + 1, dtype=np.int64)
+        u, c = np.stack([x, x**2, x**3], axis=1), np.ones(n, dtype=np.int64)
+        want = _pairs_by_fallback(np.subtract, u, c, u, c, 1, n)
+        fallback_calls.clear()
+        got = complete._pair_reduce(np.subtract, u, c, u, c, 1, n)
+        assert bool(fallback_calls) != packed
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_table_caches_keep_their_cache_info():
+    # the benchmark worker reads cache_info() of both in every mode
+    for fn in (moment_curve_counts, vinogradov_table):
+        info = fn.cache_info()
+        assert info.maxsize is not None and info.hits >= 0
+
+
 def test_diagonal_formula():
     for N in range(2, 30):
         assert vinogradov_diagonal(2, 2, N) == 2 * N * N - N
@@ -248,6 +368,7 @@ def test_int64_overflow_guard(monkeypatch, call):
     monkeypatch.setattr(complete, "WORK_CAP_CELLS", 10**60)
     monkeypatch.setattr(complete, "moment_curve_counts", _no_tables)
     monkeypatch.setattr(complete, "_sort_reduce", _no_tables)
+    monkeypatch.setattr(complete, "_pair_reduce", _no_tables)
     with pytest.raises(WorkCapExceeded, match="int64"):
         call()
 
