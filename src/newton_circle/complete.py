@@ -3,9 +3,12 @@
 gauss_sum and partial_gauss evaluate P directly in Python integers, one
 frequency at a time (gauss_sum row by row: Horner's rule in r2 mod q on the
 coefficients of the row r1).  The all-frequency sweep instead builds the
-int64 histogram of P mod q over the residue box once, by outer products of
+int64 histogram of P mod p**k over the residue box once, by outer products of
 per-axis power tables, and takes one DFT of it:
-q**2 * G(a/q) = sum_t h[t] * e(a*t/q) for every a at once.
+p**2k * G(a/p**k) = sum_t h[t] * e(a*t/p**k) for every a at once.  It does so
+only for prime powers: by the Chinese remainder theorem G(a/q) factors over
+the coprime prime-power factors of q, so max over units |G(a/q)| is the
+product of their maxima and a composite q needs no q x q table.
 
 The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
@@ -130,39 +133,62 @@ def _check_work(cells: int, peak: int, what: str) -> None:
         )
 
 
+def _prime_powers(q: int) -> List[Tuple[int, int]]:
+    """(p, p**k) for every prime power p**k exactly dividing q, by trial division."""
+    out = []
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            pk = 1
+            while q % p == 0:
+                q //= p
+                pk *= p
+            out.append((p, pk))
+        p += 1
+    if q > 1:
+        out.append((q, q))
+    return out
+
+
 def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     """|G(a/q)| envelope rows for every q: count of coprime a and the max modulus.
 
-    With h the q x q residue histogram of P mod q, q**2 * G(a/q) is the sum of
-    h[t] * e(a*t/q) over t, so one DFT of h gives every a at once: the row
-    maximises |fft(h)| / q**2 over the units a.  Rows are cross-checkable
-    against gauss_sum, which evaluates P directly.
+    Only prime powers get a table.  With h the p**k x p**k residue histogram
+    of P mod p**k, p**2k * G(a/p**k) is the sum of h[t] * e(a*t/p**k) over t,
+    so one DFT of h gives every a at once, and its maximum over the units
+    (a not divisible by p) is taken once per call.  For coprime q1, q2 the
+    Chinese remainder theorem factors G(a/(q1*q2)) as G(a1/q1) * G(a2/q2),
+    with (a1, a2) running over all pairs of units as a does, so a row's
+    max_abs_G is the product of its prime-power maxima and its a_count is
+    phi(q), the product of p**k - p**(k-1); q = 1 is the empty product.
+    Rows are cross-checkable against gauss_sum, which evaluates P directly.
     """
     q_values = list(q_values)
     if any(q < 1 for q in q_values):
         raise ValueError("moduli must be positive")
     q_top = max(q_values, default=1)
     _check_work(q_top * q_top, q_top**3, f"gauss sweep needs a {q_top} x {q_top} residue table")
+    maxima: Dict[int, float] = {}
     rows = []
     for q in q_values:
-        if q == 1:
-            rows.append({"q": 1, "a_count": 1, "max_abs_G": 1.0})
-            continue
-        r = np.arange(q, dtype=np.int64)
-        spectrum = np.abs(np.fft.fft(_residue_histogram(P, q, r, r))) / q**2
-        units = np.gcd(r, q) == 1
-        rows.append({"q": q, "a_count": int(units.sum()),
-                     "max_abs_G": float(spectrum[units].max())})
+        max_abs, a_count = 1.0, 1
+        for p, pk in _prime_powers(q):
+            if pk not in maxima:
+                r = np.arange(pk, dtype=np.int64)
+                spectrum = np.abs(np.fft.fft(_residue_histogram(P, pk, r, r))) / pk**2
+                maxima[pk] = float(spectrum[r % p != 0].max())
+            max_abs *= maxima[pk]
+            a_count *= pk - pk // p
+        rows.append({"q": q, "a_count": a_count, "max_abs_G": max_abs})
     return rows
 
 
 def dyadic_envelope(P: Poly2, starts: Sequence[int]) -> List[dict]:
-    """max |G(a/q)| over q in [Q, 2Q] for each dyadic start Q."""
-    rows = []
-    for Q in starts:
-        sweep = gauss_sum_sweep(P, range(Q, 2 * Q + 1))
-        rows.append({"Q": Q, "envelope": max(r["max_abs_G"] for r in sweep)})
-    return rows
+    """max |G(a/q)| over q in [Q, 2Q] for each dyadic start Q, read from one
+    sweep over the union of the windows."""
+    sweep = gauss_sum_sweep(P, sorted({q for Q in starts for q in range(Q, 2 * Q + 1)}))
+    by_q = {r["q"]: r["max_abs_G"] for r in sweep}
+    return [{"Q": Q, "envelope": max(by_q[q] for q in range(Q, 2 * Q + 1))} for Q in starts]
 
 
 def fitted_decay_exponent(P: Poly2, q_max: int = 200) -> float:

@@ -168,6 +168,95 @@ def test_sweep_bilinear_closed_form():
         assert abs(row["max_abs_G"] - 1 / q) <= fft_tolerance(q)
 
 
+def _suite_gauss_polys():
+    """The six polynomials whose dyadic envelopes suite_gauss reports."""
+    rng = random.Random(11)
+    return [parse_poly("m1^2*m2^3")] + [random_nondegenerate_poly(rng) for _ in range(5)]
+
+
+def test_prime_powers_factor_q():
+    for q in range(1, 600):
+        factors = complete._prime_powers(q)
+        assert math.prod(pk for _, pk in factors) == q
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        for p, pk in factors:
+            assert all(p % d for d in range(2, p))  # p is prime
+            assert pk == p ** round(math.log(pk, p)) and (q // pk) % p
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_sweep_product_matches_direct_composite_table(index):
+    # the second algorithm: one q x q histogram and DFT per q, prime power or not
+    P = _suite_gauss_polys()[index]
+    qs = range(2, 129)
+    for q, row in zip(qs, gauss_sum_sweep(P, qs)):
+        r = np.arange(q)
+        spectrum = np.abs(np.fft.fft(complete._residue_histogram(P, q, r, r))) / q**2
+        units = np.gcd(r, q) == 1
+        # every factor is at most 1, so the product is off by at most the
+        # sum of the factors' errors
+        tol = fft_tolerance(q) + sum(fft_tolerance(pk) for _, pk in complete._prime_powers(q))
+        assert abs(row["max_abs_G"] - spectrum[units].max()) <= tol, q
+        assert row["a_count"] == sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
+
+
+def _is_prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+@pytest.fixture
+def histogram_moduli(monkeypatch):
+    """Record the modulus of every _residue_histogram call."""
+    moduli, build = [], complete._residue_histogram
+
+    def spy(P, n, xs1, xs2):
+        moduli.append(n)
+        return build(P, n, xs1, xs2)
+
+    monkeypatch.setattr(complete, "_residue_histogram", spy)
+    return moduli
+
+
+def test_sweep_builds_each_prime_power_table_once(histogram_moduli):
+    gauss_sum_sweep(parse_poly("m1^2*m2^3"), [12, 1, 36, 7, 200, 49, 128, 9, 250])
+    assert sorted(histogram_moduli) == [2, 3, 4, 7, 8, 9, 25, 49, 125, 128]
+    histogram_moduli.clear()
+    gauss_sum_sweep(parse_poly("m1*m2 + m2^2"), range(1, 130))
+    assert sorted(histogram_moduli) == [n for n in range(2, 130) if _is_prime_power(n)]
+
+
+def test_dyadic_envelope_sweeps_once(monkeypatch, histogram_moduli):
+    P = parse_poly("m1^2*m2^3")
+    starts = (8, 16, 32, 64)
+    want = [max(r["max_abs_G"] for r in gauss_sum_sweep(P, range(Q, 2 * Q + 1))) for Q in starts]
+    sweep, calls = complete.gauss_sum_sweep, []
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(complete, "gauss_sum_sweep", counted)
+    histogram_moduli.clear()
+    rows = dyadic_envelope(P, starts)
+    assert len(calls) == 1
+    assert len(histogram_moduli) == len(set(histogram_moduli))
+    assert rows == [{"Q": Q, "envelope": e} for Q, e in zip(starts, want)]
+
+
+def test_criterion_04b_value_at_36_by_direct_path():
+    # the envelope step that breaks 04b, computed without the CRT product:
+    # gauss_sum evaluates every cell of the 36 x 36 box in Python integers
+    P = parse_poly("m1^2*m2^3")
+    direct = max(abs(gauss_sum(P, Fraction(a, 36))) for a in _units(36))
+    assert abs(direct - 5 / 12) <= FLOAT_TERM_BUDGET
+    (row,) = gauss_sum_sweep(P, [36])
+    assert abs(row["max_abs_G"] - direct) <= FLOAT_TERM_BUDGET
+    assert row["a_count"] == len(_units(36))
+
+
 def test_moment_counts_base_cases():
     counts = moment_curve_counts(1, 2, 5)
     assert counts == {(x, x * x): 1 for x in range(1, 6)}
@@ -217,12 +306,15 @@ def test_table_lexsort_branch():
     # the radices (2N+1)(2N^2+1)(2N^3+1) multiply past 2**63 from N = 1024 on,
     # so the columns are lexsorted; for s=1 every x != y gives its own
     # difference (x-y and x+y are recovered from it)
+    # the rows are distinct and in lexicographic order, which negation
+    # reverses, so the table is symmetric exactly when -lam reversed is lam
     N = 1100
-    table = vinogradov_table(1, 3, N)
-    assert len(table) == N * (N - 1) + 1
-    assert table[(0, 0, 0)] == N
-    assert sum(table.values()) == N * N
-    assert all(table[tuple(-x for x in lam)] == c for lam, c in table.items())
+    lam, J = complete._difference_table(1, 3, N)
+    assert len(lam) == N * (N - 1) + 1
+    assert J[~lam.any(axis=1)].tolist() == [N]
+    assert J.sum() == N * N
+    assert np.array_equal(lam[::-1], -lam)
+    assert np.array_equal(J[::-1], J)
 
 
 def _pairs_by_fallback(op, a, wa, b, wb, s, N):
