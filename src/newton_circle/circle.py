@@ -24,7 +24,7 @@ import numpy as np
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
 from .complete import _check_work, _residue_histogram, gauss_sum, partial_gauss
 from .ergodic import EmptyRegionError
-from .expsum import double_sum, dyadic_refine, gauss_legendre_adaptive
+from .expsum import double_sum, dyadic_refine
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
 from .poly import Poly2, RealPoly2, evaluate, pin, scale
@@ -128,34 +128,53 @@ def discrete_multiplier_direct(P: Poly2, numerators: Sequence[int], n: int, M1: 
     return np.array(sums, dtype=complex) / cells
 
 
-def _phase_fn(Q: RealPoly2, M1: float, M2: float):
+def _phase_factors(Q: RealPoly2, M1: float, M2: float):
+    """nodes -> (U, V): Q(M1 x_i, M2 y_j) = sum over t of U[t, i] * V[t, j] at x, y in
+    nodes, with U[t] = c_t (M1 x)**g1_t and V[t] = (M2 y)**g2_t for each term
+    c_t m1**g1_t m2**g2_t of Q."""
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
 
-    def f(X, Y):
-        p = np.zeros(np.broadcast(X, Y).shape)  # keeps the shape for empty phases
-        for g1, g2, c in terms:
+    def factors(nodes):
+        U = np.empty((len(terms), len(nodes)))
+        V = np.empty_like(U)
+        for t, (g1, g2, c) in enumerate(terms):
             # a zero exponent would multiply by exactly 1.0
-            term = c
-            if g1:
-                term = term * (M1 * X) ** g1
-            if g2:
-                term = term * (M2 * Y) ** g2
-            p = p + term
-        return np.exp(2j * np.pi * p)
+            U[t] = c * (M1 * nodes) ** g1 if g1 else c
+            V[t] = (M2 * nodes) ** g2 if g2 else 1.0
+        return U, V
 
-    return f
+    return factors
 
 
-def _tensor_level(f2):
-    """Tensor-product rule for f2 on one refinement level, in blocks of 2**21 cells."""
+def _e_dot(phase: np.ndarray, wts: np.ndarray):
+    """Real and imaginary parts of e(phase) @ wts, from real cos and sin of
+    2*pi*phase; phase is overwritten."""
+    phase *= math.tau
+    return np.cos(phase) @ wts, np.sin(phase, out=phase) @ wts
+
+
+def _tensor_level(factors):
+    """Tensor-product rule for e(Q) on one refinement level, in blocks of 2**21 cells;
+    each block's phase is the rank-T product V.T @ U of the term factors."""
 
     def level(nodes, wts):
+        U, V = factors(nodes)
         block = max(1, (1 << 21) // len(nodes))
         total = 0j
         for i in range(0, len(nodes), block):
-            ys = nodes[i : i + block]
-            total += wts[i : i + block] @ (f2(nodes[None, :], ys[:, None]) @ wts)
+            re, im = _e_dot(V[:, i : i + block].T @ U, wts)
+            total += complex(wts[i : i + block] @ re, wts[i : i + block] @ im)
         return total
+
+    return level
+
+
+def _diagonal_level(factors):
+    """The rule for e(Q) along the diagonal x = y on one refinement level."""
+
+    def level(nodes, wts):
+        U, V = factors(nodes)
+        return complex(*_e_dot((U * V).sum(axis=0), wts))
 
     return level
 
@@ -176,10 +195,10 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     Q = scale(P, xi)
     norm = 1.0 / (1.0 - lo)
     if axis_partial is None:
-        f2 = _phase_fn(Q, float(M1), float(M2))
-        return norm * norm * dyadic_refine(_tensor_level(f2), lo, 1.0, 1e-10)
-    f2 = _phase_fn(pin(Q, *axis_partial), float(M1), float(M2))
-    return norm * gauss_legendre_adaptive(lambda y: f2(y, y), lo, 1.0, 1e-10)
+        factors = _phase_factors(Q, float(M1), float(M2))
+        return norm * norm * dyadic_refine(_tensor_level(factors), lo, 1.0, 1e-10)
+    factors = _phase_factors(pin(Q, *axis_partial), float(M1), float(M2))
+    return norm * dyadic_refine(_diagonal_level(factors), lo, 1.0, 1e-10)
 
 
 def cutoff_eta(n: int, xi: float) -> float:

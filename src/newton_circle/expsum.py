@@ -10,7 +10,9 @@ rounded division.  For a wider L (binary floats, big rationals) each
 coefficient is scaled to 2**64 * c / L: its integer part runs the same
 Horner in uint64, whose wraparound reduces the phase mod 1 exactly, and its
 fractional part adds a float tail below 2**-11 of a turn.  That phase is
-off by less than 2**-52 of a turn.  The terms are added with ``math.fsum``.
+off by less than 2**-52 of a turn.  Each block's terms are added by an
+exact split into integer and fractional parts (``_split_sum``), within 1 ulp
+of ``math.fsum``, and the block partials with ``math.fsum``.
 
 ``mode`` names the kind of input, exact (rational) or float.  Either way the
 value carries the rounding of the phases, the trigonometry and the
@@ -49,9 +51,11 @@ _WRAP = 1 << 64
 # The angle 2*pi*phase, with the phase below 1 + 2**-10, adds the rounding of
 # the float 2*pi and of the product: below 2*pi*4u < 26u.  cos and sin are
 # 1-Lipschitz and add at most 4 ulp of a value below 1: 30u.  Multiplying by
-# the residue count adds u per term, and the two fsum levels (within a block,
-# then over the block partials) add u each: 33u per component, below
-# sqrt(2)*33u < 47u for the complex term.  The budget rounds that up to 64u.
+# the residue count adds u per term.  Within a block _split_sum lands within
+# 1 ulp of the correctly rounded sum S, so off by at most 1.5 ulp(S) <= 3u|S|,
+# and |S| is at most the block's term count: 3u per term.  The fsum over the
+# block partials adds u: 35u per component, below sqrt(2)*35u < 50u for the
+# complex term.  The budget rounds that up to 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
@@ -90,11 +94,46 @@ def residue_sum(residues, L: int) -> complex:
     idx = edge.nonzero()[0]
     counts = idx[1:] - idx[:-1]
     angle = math.tau * np.asarray(t[idx[:-1]] / L, dtype=np.float64)
-    return _fsum_complex(counts * np.cos(angle), counts * np.sin(angle))
+    return _sum_e(angle, counts, t.size)
 
 
-def _fsum_complex(re, im) -> complex:
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+def _sum_e(angle: np.ndarray, weights, W: int) -> complex:
+    """Sum of weights * e^(i*angle), with sum |weights| <= W, by _split_sum."""
+    z = np.empty((2, angle.size))
+    np.cos(angle, out=z[0])
+    np.sin(angle, out=z[1])
+    z *= weights
+    re, im = _split_sum(z, W)
+    return complex(re, im)
+
+
+# Rows of at most this many terms go to math.fsum, which beats the split sum's
+# fixed cost of a few numpy passes there (notes/decisions.md, "Phase sums").
+_SPLIT_MIN = 96
+
+
+def _split_sum(x: np.ndarray, W: int) -> List[float]:
+    """Sums of the rows of x, each within 1 ulp of math.fsum, given that
+    W < 2**52 bounds the sum of |x| over every row; x is scaled in place.
+
+    With k = 2**(52 - W.bit_length()) each x*k splits exactly as hi + lo, hi
+    = rint(x*k) and |lo| <= 1/2.  The hi are integers whose absolute sum stays
+    below k*W + n/2 < 2**53, so their float sum is exact; the computed lo sum
+    is off by less than n*n*u/2 (u = 2**-53) in any order, and one rounding of
+    hi + lo and an exact division by k give the row sum.  That is within an
+    ulp of the correctly rounded sum whenever the row sum reaches 2*n**2 in
+    units of 1/k; a smaller one (heavy cancellation) goes to math.fsum.
+    """
+    n = x.shape[-1]
+    if n <= _SPLIT_MIN:
+        return [math.fsum(row) for row in x.tolist()]
+    k = math.ldexp(1.0, 52 - W.bit_length())
+    x *= k
+    hi = np.rint(x)
+    s = hi.sum(axis=-1)
+    s += np.subtract(x, hi, out=hi).sum(axis=-1)
+    return [v / k if abs(v) >= 2.0 * n * n else math.fsum(row.tolist()) / k
+            for v, row in zip(s.tolist(), x)]
 
 
 def _integer_form(terms: Dict[Tuple[int, int], RealLike]) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -215,7 +254,7 @@ def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
         phase = ((t >> 11).astype(np.float64) * 2.0**-53
                  + ((t & 2047).astype(np.float64) * 2.0**-64 + acc))
         angle = math.tau * phase[keep]
-        yield _fsum_complex(np.cos(angle), np.sin(angle))
+        yield _sum_e(angle, 1.0, angle.size)
 
 
 def _result(value: complex, exact: bool, count: int) -> ExpSumValue:

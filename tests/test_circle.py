@@ -29,7 +29,7 @@ from newton_circle.complete import WorkCapExceeded, gauss_sum, partial_gauss
 from newton_circle.expsum import double_sum
 from newton_circle.iw import IWParams
 from newton_circle.newton import build_diagram
-from newton_circle.poly import evaluate, parse_poly, scale
+from newton_circle.poly import evaluate, parse_poly, pin, scale
 from newton_circle.suites import random_nondegenerate_poly
 
 
@@ -290,6 +290,82 @@ def test_continuous_partial_axis2_matches_riemann_sum():
     got = continuous_multiplier(P, xi, M1, 64, 2, axis_partial=(2, frozen))
     assert got == pytest.approx(riemann, abs=1e-6)
     assert abs(got) < 0.5  # several turns of phase: far from the xi = 0 value 1
+
+
+def _complex_exp_phase(Q, M1, M2):
+    """The former phase evaluation: e(Q(M1 x, M2 y)) as np.exp of a complex array."""
+    terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
+
+    def f(X, Y):
+        p = np.zeros(np.broadcast(X, Y).shape)
+        for g1, g2, c in terms:
+            term = c
+            if g1:
+                term = term * (M1 * X) ** g1
+            if g2:
+                term = term * (M2 * Y) ** g2
+            p = p + term
+        return np.exp(2j * np.pi * p)
+
+    return f
+
+
+def _complex_exp_level(f2, axis_partial):
+    """The former refinement level: complex matvecs over 2**21-cell blocks, or
+    the complex line rule along the diagonal."""
+    if axis_partial is not None:
+        return lambda nodes, wts: complex(wts @ f2(nodes, nodes))
+
+    def level(nodes, wts):
+        block = max(1, (1 << 21) // len(nodes))
+        total = 0j
+        for i in range(0, len(nodes), block):
+            ys = nodes[i : i + block]
+            total += wts[i : i + block] @ (f2(nodes[None, :], ys[:, None]) @ wts)
+        return total
+
+    return level
+
+
+def _levels_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
+    """Run continuous_multiplier, evaluating every refinement level also by the
+    complex-exp oracle; return (largest level gap, node count of each level)."""
+    Q = scale(P, xi)
+    if axis_partial is not None:
+        Q = pin(Q, *axis_partial)
+    oracle = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)), axis_partial)
+    gaps, sizes = [], []
+    real = circle.dyadic_refine
+
+    def refine(level, a, b, tol):
+        def both(nodes, wts):
+            got = level(nodes, wts)
+            gaps.append(abs(got - oracle(nodes, wts)))
+            sizes.append(len(nodes))
+            return got
+        return real(both, a, b, tol)
+
+    monkeypatch.setattr(circle, "dyadic_refine", refine)
+    continuous_multiplier(P, xi, M1, M2, 2, axis_partial=axis_partial)
+    return max(gaps), sizes
+
+
+@pytest.mark.parametrize("poly, xi, M1, M2, axis_partial, last_level", [
+    # the wide-phase benchmark anchors stop where the complex-exp rule stopped;
+    # at 2048 nodes a level is two 2**21-cell blocks
+    ("m1^2*m2^3", 0.001, 8, 8, None, 256),
+    ("m1^2*m2^3", 0.01, 8, 8, None, 2048),
+    ("3*m1^2*m2 - m1*m2^3 + 2*m1 + m2^2 + 5", 0.3, 5, 4, None, None),
+    ("m1*m2", 0, 16, 16, None, None),          # the zero phase
+    ("m1^2*m2^3 + m1*m2", 0.05, 4, 64, (2, 2), None),
+    ("m1^3*m2 - 2*m1*m2^2 + m2", 0.002, 9, 12, (1, 3), None),
+])
+def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2, axis_partial,
+                                                   last_level):
+    gap, sizes = _levels_against_oracle(monkeypatch, parse_poly(poly), xi, M1, M2, axis_partial)
+    assert gap <= 1e-13
+    if last_level is not None:
+        assert sizes[-1] == last_level
 
 
 def test_cutoff_eta_shape():

@@ -1,7 +1,8 @@
+import functools
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -309,7 +310,7 @@ def test_table_lexsort_branch():
     # the rows are distinct and in lexicographic order, which negation
     # reverses, so the table is symmetric exactly when -lam reversed is lam
     N = 1100
-    lam, J = complete._difference_table(1, 3, N)
+    lam, J = _tables(1, 3, N).got
     assert len(lam) == N * (N - 1) + 1
     assert J[~lam.any(axis=1)].tolist() == [N]
     assert J.sum() == N * N
@@ -332,6 +333,25 @@ def _counts_by_fallback(s, k, N):
     return keys, weights
 
 
+Tables = namedtuple("Tables", "keys weights want got fell_back")
+
+
+@functools.cache
+def _tables(s, k, N):
+    """The s-fold sums (keys, weights) and difference table (want) by the
+    reference, and the difference table _pair_reduce gives (got), with whether
+    it called _sort_reduce.  Cached, so the lexsort corner (1, 3, 1100) is built
+    once per test run for test_table_lexsort_branch and the packed-sort check."""
+    keys, weights = _counts_by_fallback(s, k, N)
+    want = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
+    calls = []
+    real = complete._sort_reduce
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complete, "_sort_reduce", lambda *args: calls.append(1) or real(*args))
+        got = complete._pair_reduce(np.subtract, keys, weights, keys, weights, s, N)
+    return Tables(keys, weights, want, got, bool(calls))
+
+
 @pytest.fixture
 def fallback_calls(monkeypatch):
     """Record every _sort_reduce call, to tell which branch _pair_reduce took."""
@@ -352,15 +372,12 @@ def fallback_calls(monkeypatch):
     (1, 3, 1100, False),  # the radix product passes 2**63: lexsort
 ])
 def test_packed_sort_equals_fallback(fallback_calls, s, k, N, packed):
-    keys, weights = _counts_by_fallback(s, k, N)
+    keys, weights, (lam, J), got, fell_back = _tables(s, k, N)
     fallback_calls.clear()
     counts = moment_curve_counts.__wrapped__(s, k, N)  # uncached, so the sums run
     assert not fallback_calls  # every s-fold sum on the grid is packed
     assert counts == complete._as_dict(keys, weights)
-    lam, J = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
-    fallback_calls.clear()
-    got = complete._pair_reduce(np.subtract, keys, weights, keys, weights, s, N)
-    assert bool(fallback_calls) != packed
+    assert fell_back != packed
     assert np.array_equal(got[0], lam) and np.array_equal(got[1], J)
     assert got[0].dtype == got[1].dtype == np.int64
     if len(J) < 10**5:  # the corner's dict alone is about 170 MB

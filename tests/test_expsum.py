@@ -2,11 +2,14 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newton_circle import expsum
 from newton_circle.arith import golden_ratio_conjugate, torus_distance
 from newton_circle.expsum import (
+    BLOCK_CELLS,
     FLOAT_TERM_BUDGET,
     PhaseHypothesisError,
     double_sum,
@@ -249,3 +252,77 @@ def test_sum_integral_hypothesis_errors():
 def test_double_sum_modulus_bound(m1, m2, xi):
     v = double_sum(scale(parse_poly("m1*m2"), xi), 0, m1, 0, m2)
     assert abs(v.value) <= v.term_count + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The exact-split sum against math.fsum
+# ---------------------------------------------------------------------------
+
+
+def _assert_rows_match_fsum(x, W):
+    want = [math.fsum(row) for row in x.tolist()]
+    got = expsum._split_sum(x.copy(), W)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= math.ulp(w)
+
+
+def _cancelling_rows(n, tiny, seed):
+    # n // 2 pairs +-x in random order and one remainder tiny: the exact sum
+    # is tiny, far below the split sum's lo rounding
+    r = np.random.default_rng(seed)
+    half = r.uniform(-1.0, 1.0, (2, n // 2))
+    x = np.concatenate([half, -half, np.full((2, n - 2 * (n // 2)), tiny)], axis=1)
+    return r.permuted(x, axis=1)
+
+
+@pytest.mark.parametrize("n, tiny", [(1001, 1e-20), (4097, 2.0**-60), (BLOCK_CELLS + 1, 5e-324)])
+def test_split_sum_heavy_cancellation(n, tiny):
+    x = _cancelling_rows(n, tiny, n)
+    assert [math.fsum(row) for row in x.tolist()] == [tiny, tiny]
+    _assert_rows_match_fsum(x, n)
+
+
+def test_split_sum_at_its_bound():
+    # the absolute sum is W, and sorted rows add every negative term before
+    # any positive one, so the hi partial sums climb to about k*W/2 before
+    # they cancel; a larger k would round them
+    W, n = 2**15 - 1, BLOCK_CELLS
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (2, n))
+    x *= W / np.abs(x).sum(axis=1, keepdims=True) * (1 - 1e-12)
+    _assert_rows_match_fsum(np.sort(x, axis=1), W)
+
+
+def test_split_sum_subnormal_and_zero_rows():
+    r = np.random.default_rng(7)
+    sub = r.integers(-2**40, 2**40, 1000) * 5e-324          # every term subnormal
+    _assert_rows_match_fsum(np.stack([sub, np.abs(sub)]), 1000)
+    assert expsum._split_sum(np.zeros((2, 1000)), 1000) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_split_sum_at_the_crossover(offset, monkeypatch):
+    n = expsum._SPLIT_MIN + offset
+    fsum_calls = []
+    real = math.fsum
+    monkeypatch.setattr(expsum.math, "fsum", lambda xs: fsum_calls.append(1) or real(xs))
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n)) * 3
+    want = [real(row) for row in x.tolist()]
+    got = expsum._split_sum(x, 3 * n)
+    assert bool(fsum_calls) == (offset <= 0)     # only rows above the crossover split
+    assert all(abs(g - w) <= math.ulp(w) for g, w in zip(got, want))
+
+
+def test_split_sum_of_a_full_residue_block():
+    # a block of BLOCK_CELLS residues: counts summing to W, terms count * cos/sin
+    r = np.random.default_rng(11)
+    W = BLOCK_CELLS
+    counts = np.bincount(r.integers(0, 3000, W), minlength=3000)
+    counts = counts[counts > 0]
+    assert counts.sum() == W
+    angle = r.uniform(0.0, 2 * math.pi, counts.size)
+    x = np.stack([counts * np.cos(angle), counts * np.sin(angle)])
+    _assert_rows_match_fsum(x, W)
+    want = complex(math.fsum(x[0].tolist()), math.fsum(x[1].tolist()))
+    got = expsum._sum_e(angle, counts, W)
+    assert abs(got.real - want.real) <= math.ulp(want.real)
+    assert abs(got.imag - want.imag) <= math.ulp(want.imag)
