@@ -107,11 +107,6 @@ def _sum_e(angle: np.ndarray, weights, W: int) -> complex:
     return complex(re, im)
 
 
-# Rows of at most this many terms go to math.fsum, which beats the split sum's
-# fixed cost of a few numpy passes there (notes/decisions.md, "Phase sums").
-_SPLIT_MIN = 96
-
-
 def _split_sum(x: np.ndarray, W: int) -> List[float]:
     """Sums of the rows of x, each within 1 ulp of math.fsum, given that
     W < 2**52 bounds the sum of |x| over every row; x is scaled in place.
@@ -125,8 +120,6 @@ def _split_sum(x: np.ndarray, W: int) -> List[float]:
     units of 1/k; a smaller one (heavy cancellation) goes to math.fsum.
     """
     n = x.shape[-1]
-    if n <= _SPLIT_MIN:
-        return [math.fsum(row) for row in x.tolist()]
     k = math.ldexp(1.0, 52 - W.bit_length())
     x *= k
     hi = np.rint(x)

@@ -303,21 +303,6 @@ def test_moment_counts_brute_force():
     assert counts == moment_curve_counts(3, 3, N)
 
 
-def test_table_lexsort_branch():
-    # the radices (2N+1)(2N^2+1)(2N^3+1) multiply past 2**63 from N = 1024 on,
-    # so the columns are lexsorted; for s=1 every x != y gives its own
-    # difference (x-y and x+y are recovered from it)
-    # the rows are distinct and in lexicographic order, which negation
-    # reverses, so the table is symmetric exactly when -lam reversed is lam
-    N = 1100
-    lam, J = _tables(1, 3, N).got
-    assert len(lam) == N * (N - 1) + 1
-    assert J[~lam.any(axis=1)].tolist() == [N]
-    assert J.sum() == N * N
-    assert np.array_equal(lam[::-1], -lam)
-    assert np.array_equal(J[::-1], J)
-
-
 def _pairs_by_fallback(op, a, wa, b, wb, s, N):
     """Every pair row op(a[i], b[j]) reduced by _sort_reduce, as before packing."""
     rows = op(a[:, None, :], b[None, :, :]).reshape(-1, a.shape[1])
@@ -336,12 +321,13 @@ def _counts_by_fallback(s, k, N):
 Tables = namedtuple("Tables", "keys weights want got fell_back")
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _tables(s, k, N):
     """The s-fold sums (keys, weights) and difference table (want) by the
     reference, and the difference table _pair_reduce gives (got), with whether
-    it called _sort_reduce.  Cached, so the lexsort corner (1, 3, 1100) is built
-    once per test run for test_table_lexsort_branch and the packed-sort check."""
+    it called _sort_reduce.  The last call is cached, so the reference for the
+    lexsort corner (1, 3, 1100) is built once for the packed-sort check and
+    test_table_lexsort_branch, which runs next."""
     keys, weights = _counts_by_fallback(s, k, N)
     want = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
     calls = []
@@ -382,6 +368,26 @@ def test_packed_sort_equals_fallback(fallback_calls, s, k, N, packed):
     assert got[0].dtype == got[1].dtype == np.int64
     if len(J) < 10**5:  # the corner's dict alone is about 170 MB
         assert vinogradov_table(s, k, N) == complete._as_dict(lam, J)
+
+
+def test_table_lexsort_branch():
+    # the radices (2N+1)(2N^2+1)(2N^3+1) multiply past 2**63 from N = 1024 on,
+    # so the columns are lexsorted; for s=1 every x != y gives its own
+    # difference (x-y and x+y are recovered from it)
+    # the rows are distinct and in lexicographic order, which negation
+    # reverses, so the table is symmetric exactly when -lam reversed is lam;
+    # runs right after the corner of test_packed_sort_equals_fallback, whose
+    # reference table _tables still holds
+    N = 1100
+    lam, J = complete._difference_table(1, 3, N)
+    assert len(lam) == N * (N - 1) + 1
+    assert J[~lam.any(axis=1)].tolist() == [N]
+    assert J.sum() == N * N
+    assert np.array_equal(lam[::-1], -lam)
+    assert np.array_equal(J[::-1], J)
+    assert not lam.flags.writeable and not J.flags.writeable
+    want = _tables(1, 3, N).want
+    assert np.array_equal(lam, want[0]) and np.array_equal(J, want[1])
 
 
 def test_packing_guard_exact_threshold(monkeypatch, fallback_calls):

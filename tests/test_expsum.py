@@ -299,17 +299,11 @@ def test_split_sum_subnormal_and_zero_rows():
     assert expsum._split_sum(np.zeros((2, 1000)), 1000) == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_split_sum_at_the_crossover(offset, monkeypatch):
-    n = expsum._SPLIT_MIN + offset
-    fsum_calls = []
-    real = math.fsum
-    monkeypatch.setattr(expsum.math, "fsum", lambda xs: fsum_calls.append(1) or real(xs))
+@pytest.mark.parametrize("n", [1, 2, 3, 95, 96, 97])
+def test_split_sum_short_rows(n):
+    # every row length takes the split, down to a single term
     x = np.random.default_rng(n).uniform(-1.0, 1.0, (2, n)) * 3
-    want = [real(row) for row in x.tolist()]
-    got = expsum._split_sum(x, 3 * n)
-    assert bool(fsum_calls) == (offset <= 0)     # only rows above the crossover split
-    assert all(abs(g - w) <= math.ulp(w) for g, w in zip(got, want))
+    _assert_rows_match_fsum(x, 3 * n)
 
 
 def test_split_sum_of_a_full_residue_block():
