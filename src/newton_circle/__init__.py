@@ -4,30 +4,21 @@ semi-norms controlling multi-parameter averages."""
 
 __version__ = "0.1.0"
 
-from .arith import (
-    coefficient_gcd,
-    dirichlet_approx,
-    golden_ratio_conjugate,
-    reduce,
-    rescale_approx,
-)
-from .poly import Poly2, RealPoly2, UniPoly, axis_decompose, is_degenerate, parse_poly, pin, scale
+from .arith import dirichlet_approx, golden_ratio_conjugate
+from .poly import Poly2, RealPoly2, UniPoly, is_degenerate, parse_poly, pin, scale
 from .newton import (
     GeometryOverflowError,
     NewtonDiagram,
     build_diagram,
-    canonical_sector,
-    dominant_monomial,
     dominant_scale,
     sector_arrays,
     sector_membership,
     subsector,
     vertex_gap,
 )
-from .expsum import ExpSumValue, double_sum, double_sum_abs, sum_integral_gap, weyl_sum
+from .expsum import ExpSumValue, double_sum, double_sum_abs, weyl_sum
 from .complete import (
     VinogradovCount,
-    averaged_partial,
     gauss_sum,
     moment_identity_gap,
     partial_gauss,
@@ -35,7 +26,7 @@ from .complete import (
     vinogradov_table,
 )
 from .iw import IWParams, build_p_le, build_sigma, verify_iw_properties
-from .osc import IncreasingSequence, IndexedFamily, oscillation, rademacher_menshov_sides, validate_sequence, variation
+from .osc import IncreasingSequence, IndexedFamily, oscillation, rademacher_menshov_sides, variation
 from .ergodic import AverageSpec, FiniteFunction, character_average, degenerate_factorization_gap, sector_grid, shift_average
 from .circle import (
     ArcClassification,

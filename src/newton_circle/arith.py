@@ -2,16 +2,14 @@
 
 Rationals are plain ``fractions.Fraction`` values, which already enforce the
 reduced-form invariant (coprime numerator/denominator, positive denominator).
-Float inputs are interpreted as their exact binary values; inequality checks
-on float paths get a 4-ulp guard band, since the thresholds they encode are
-asymptotic and only the rational path needs exactness.
+Float inputs are interpreted as their exact binary values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 RealLike = Union[int, float, Fraction]
 
@@ -38,23 +36,6 @@ def as_fraction(x: RealLike) -> Fraction:
 
 def is_exact(x: RealLike) -> bool:
     return isinstance(x, (int, Fraction))
-
-
-def _leq_guarded(lhs: Fraction, rhs: Fraction, float_path: bool) -> bool:
-    # 4-ulp slack on float inputs; exact comparison otherwise
-    if not float_path:
-        return lhs <= rhs
-    lf, rf = float(lhs), float(rhs)
-    return lf <= rf + 4.0 * math.ulp(max(1.0, abs(rf)))
-
-
-def reduce(a: int, q: int, torus_normalize: bool = False) -> Fraction:
-    """Reduced fraction a/q, optionally with the numerator taken mod q into [0, q)."""
-    if q < 1:
-        raise ValueError(f"denominator must be positive, got q={q}")
-    if torus_normalize:
-        a %= q
-    return Fraction(a, q)
 
 
 def torus_distance(x: RealLike) -> RealLike:
@@ -123,46 +104,6 @@ def dirichlet_approx(xi: RealLike, Q: int) -> Fraction:
         if abs(x - cand) * q * Q <= 1:
             return cand
     raise ApproximationError("Dirichlet approximation not found; input not finite?")
-
-
-def rescale_approx(theta: RealLike, a_over_q: Fraction, scale_Q: int, M: int) -> Fraction:
-    """Reduced a'/q' with |scale_Q*theta - a'/q'| <= 1/(2 q' M) mod 1 and
-    q/(2*scale_Q) <= q' <= 2M; the smallest such q' is returned and the value
-    is torus-normalized.
-
-    Preconditions: |theta - a/q| <= 1/q**2 with 0 <= a < q <= M.
-    """
-    if scale_Q < 1 or M < 1:
-        raise ValueError("scale_Q and M must be positive integers")
-    a, q = a_over_q.numerator, a_over_q.denominator
-    if not (0 <= a < q <= M):
-        raise ApproximationError(f"need 0 <= a < q <= M, got a={a}, q={q}, M={M}")
-    float_path = isinstance(theta, float)
-    th = as_fraction(theta)
-    if not _leq_guarded(abs(th - a_over_q), Fraction(1, q * q), float_path):
-        raise ApproximationError(
-            f"|theta - a/q| = {float(abs(th - a_over_q)):.3e} exceeds 1/q^2 = {1.0 / q**2:.3e}"
-        )
-    x = th * scale_Q
-    q_lower = Fraction(q, 2 * scale_Q)
-    for qp in range(1, 2 * M + 1):
-        if qp < q_lower:
-            continue
-        ap = round(x * qp)
-        if math.gcd(ap, qp) != 1:
-            continue  # the reduced form was already considered at a smaller q'
-        if abs(x - Fraction(ap, qp)) * 2 * qp * M <= 1:
-            return Fraction(ap % qp, qp)
-    raise ApproximationError(
-        f"no q' in [{float(q_lower):.3g}, {2 * M}] satisfies |Q*theta - a'/q'| <= 1/(2q'M)"
-    )
-
-
-def coefficient_gcd(a: Sequence[int], q: int) -> int:
-    """gcd of q and every entry of a; the empty tuple gives q."""
-    if q < 1:
-        raise ValueError(f"denominator must be positive, got q={q}")
-    return math.gcd(q, *[int(v) for v in a])
 
 
 def golden_ratio_conjugate(bits: int = 128) -> Fraction:

@@ -13,7 +13,6 @@ threshold uses log base tau, the lacunarity factor.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,27 +27,6 @@ from .expsum import double_sum, dyadic_refine
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
 from .poly import Poly2, RealPoly2, evaluate, pin, scale
-
-
-def validate_arc_parameters(beta: float, rho: Optional[Fraction] = None) -> bool:
-    """True iff beta*rho < 1/1000, the asymptotic-regime relation.
-
-    The desk-scale defaults below violate it on purpose (the regime constants
-    are asymptotic and unreachable at desk scale), so a violation only warns.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if rho is None:
-        return True
-    ok = beta * float(rho) < 1e-3
-    if not ok:
-        warnings.warn(
-            f"beta*rho = {beta * float(rho):.3g} is outside the asymptotic regime "
-            "(needs beta*rho < 1/1000); results are desk-scale probes only",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return ok
 
 
 DEFAULT_BETA = 4.0
@@ -252,11 +230,6 @@ def projection_multiplier(params: IWParams, n: int, xi: RealLike) -> ProjectionV
     return ProjectionValue(value=total, overlap_warning=warn)
 
 
-def projection_complement(params: IWParams, n: int, xi: RealLike) -> ProjectionValue:
-    p = projection_multiplier(params, n, xi)
-    return ProjectionValue(value=1.0 - p.value, overlap_warning=p.overlap_warning)
-
-
 # ---------------------------------------------------------------------------
 # Scale bookkeeping
 # ---------------------------------------------------------------------------
@@ -268,40 +241,6 @@ def log_scale(M: RealLike, tau: RealLike) -> float:
     if m <= 1 or t <= 1:
         raise ValueError("need M > 1 and tau > 1 for positive logs")
     return math.log(m) / math.log(t)
-
-
-def threshold_level(M: RealLike, beta: float, tau: RealLike) -> float:
-    """log2((log_tau M)^beta): the dyadic level of the denominator threshold."""
-    return math.log2(log_scale(M, tau) ** beta)
-
-
-def scale_exponent(M1: RealLike, M2: RealLike, v: Tuple[int, int], N: float) -> float:
-    """log2(M1^v1 * M2^v2) - N."""
-    return v[0] * math.log2(float(M1)) + v[1] * math.log2(float(M2)) - N
-
-
-def scale_exponent_at_threshold(M1: RealLike, M2: RealLike, v: Tuple[int, int],
-                                beta: float, M: RealLike, tau: RealLike) -> float:
-    """log2(M1^v1 * M2^v2 * (log_tau M)^-beta)."""
-    return scale_exponent(M1, M2, v, threshold_level(M, beta, tau))
-
-
-@dataclass(frozen=True)
-class ScaleBook:
-    """Threshold bookkeeping bound to one vertex and one beta/tau pair."""
-
-    v: Tuple[int, int]
-    beta: float
-    tau: float
-
-    def level(self, M: RealLike) -> float:
-        return threshold_level(M, self.beta, self.tau)
-
-    def exponent(self, M1: RealLike, M2: RealLike, N: float) -> float:
-        return scale_exponent(M1, M2, self.v, N)
-
-    def exponent_at_threshold(self, M1: RealLike, M2: RealLike, M: RealLike) -> float:
-        return scale_exponent_at_threshold(M1, M2, self.v, self.beta, M, self.tau)
 
 
 # ---------------------------------------------------------------------------

@@ -267,8 +267,9 @@ def _cmd_iw(args, report: VerificationReport) -> None:
         "largest": sets.p_le[-1], "truncated": sets.truncated,
         "fractions": len(sigma), "lcm_log2": iw.lcm_log2(sets),
     })
+    denominators = set(sets.p_le)
     report.add_check("initial_segment_contained",
-                     all(n in set(sets.p_le) for n in range(1, 2**args.l + 1)),
+                     all(n in denominators for n in range(1, 2**args.l + 1)),
                      0.0, 0.0)
 
 
@@ -365,7 +366,8 @@ def run_command(argv: Optional[List[str]] = None) -> int:
                                 version=__version__)
     try:
         _DISPATCH[args.command](args, report)
-    except PolynomialSyntaxError as exc:
+    except (PolynomialSyntaxError, argparse.ArgumentTypeError) as exc:
+        # ArgumentTypeError: a value parsed after argparse, such as --weyl's
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SystemExit as exc:

@@ -77,16 +77,6 @@ def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> compl
     return residue_sum([a * evaluate(pinned, (r, r)) % q for r in range(1, q + 1)], q) / q
 
 
-def averaged_partial(P: Poly2, a_over_q: Fraction, M: int, axis: int) -> float:
-    """Mean of |partial complete sum| over the frozen variable in [1, M]."""
-    if M < 1:
-        raise ValueError("M must be positive")
-    total = 0.0
-    for m in range(1, M + 1):
-        total += abs(partial_gauss(P, a_over_q, m, axis))
-    return total / M
-
-
 def _residue_histogram(P: Poly2, n: int, xs1, xs2) -> np.ndarray:
     """int64 histogram of P(m1, m2) mod n over m1 in xs1 and m2 in xs2.
 
@@ -191,17 +181,12 @@ def dyadic_envelope(P: Poly2, starts: Sequence[int]) -> List[dict]:
     return [{"Q": Q, "envelope": max(by_q[q] for q in range(Q, 2 * Q + 1))} for Q in starts]
 
 
-def fitted_decay_exponent(P: Poly2, q_max: int = 200) -> float:
-    """Least-squares exponent d in max_a |G(a/q)| ~ q**-d over 2 <= q <= q_max.
+def _decay_fit(rows: Sequence[dict]) -> float:
+    """Least-squares exponent d in max_abs_G ~ q**-d over the given sweep rows.
 
     The true decay rate is existential, so it is reported, never asserted;
     exact-zero rows are floored at machine scale before taking logs.
     """
-    return _decay_fit(gauss_sum_sweep(P, range(2, q_max + 1)))
-
-
-def _decay_fit(rows: Sequence[dict]) -> float:
-    """Least-squares exponent d in max_abs_G ~ q**-d over the given sweep rows."""
     xs = np.array([math.log(r["q"]) for r in rows])
     ys = np.array([math.log(max(r["max_abs_G"], 1e-300)) for r in rows])
     slope = ((xs - xs.mean()) * (ys - ys.mean())).sum() / ((xs - xs.mean()) ** 2).sum()

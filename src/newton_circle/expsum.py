@@ -22,7 +22,6 @@ summation, and every result reports an ``error_budget`` of
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -31,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike, as_fraction, is_exact
-from .poly import RealPoly2, UniPoly
+from .poly import RealPoly2
 
 # Lattice cells per numpy block of the phase kernel; bounds its working memory.
 BLOCK_CELLS = 1 << 14
@@ -57,10 +56,6 @@ _WRAP = 1 << 64
 # block partials adds u: 35u per component, below sqrt(2)*35u < 50u for the
 # complex term.  The budget rounds that up to 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
-
-
-class PhaseHypothesisError(ValueError):
-    """The sum-vs-integral hypotheses (monotone, small derivative) fail."""
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -297,7 +292,7 @@ def double_sum_abs(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, outer_axis:
 
 
 # ---------------------------------------------------------------------------
-# Sum-vs-integral comparison
+# Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -328,47 +323,3 @@ def dyadic_refine(level, a: float, b: float, tol: float) -> complex:
             return cur
         prev = cur
     raise QuadratureConvergenceError(f"no convergence to {tol} within depth {_MAX_DEPTH}")
-
-
-def gauss_legendre_adaptive(f, a: float, b: float, tol: float) -> complex:
-    """Integrate a vectorized complex f over [a, b] by dyadic panel refinement."""
-    return dyadic_refine(lambda nodes, wts: complex(wts @ f(nodes)), a, b, tol)
-
-
-def _poly_on_array(p: UniPoly, s: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(s)
-    for c in reversed(p.coeffs):
-        acc = acc * s + float(c)
-    return acc
-
-
-def sum_integral_gap(phase: UniPoly, a: float, b: float) -> float:
-    """|sum of e(phase(n)) over integers in (a, b]  -  integral of e(phase(s)) ds|.
-
-    Requires a monotonic derivative bounded by 1/2 in absolute value on [a, b]:
-    endpoints are tested directly and monotonicity comes from a sign-constant
-    second derivative (checked exactly for degree <= 3, sampled above that).
-    """
-    if not b > a:
-        raise ValueError("need b > a")
-    dp = phase.derivative()
-    d2 = dp.derivative()
-    if abs(float(dp(a))) > 0.5 or abs(float(dp(b))) > 0.5:
-        raise PhaseHypothesisError(
-            f"|phase'| exceeds 1/2 at an endpoint: {float(dp(a)):.4g}, {float(dp(b)):.4g}"
-        )
-    if phase.degree <= 3:
-        signs = {s for s in (float(d2(a)), float(d2(b))) if s != 0.0}
-    else:
-        samples = np.linspace(a, b, 129)
-        vals = _poly_on_array(d2, samples)
-        signs = {s for s in np.sign(vals).tolist() if s != 0.0}
-    if len(signs) > 1:
-        raise PhaseHypothesisError("phase derivative is not monotonic on the interval")
-    terms = [cmath.exp(2j * math.pi * (float(phase(n)) % 1.0))
-             for n in range(math.floor(a) + 1, math.floor(b) + 1)]
-    total = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
-    integral = gauss_legendre_adaptive(
-        lambda s: np.exp(2j * math.pi * _poly_on_array(phase, s)), float(a), float(b), 1e-12
-    )
-    return abs(total - integral)

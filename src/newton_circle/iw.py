@@ -214,17 +214,6 @@ def sigma_fractions(params: IWParams) -> List[Fraction]:
     return [Fraction(a[0], q) for a, q in build_sigma(params, 1)]
 
 
-def sigma_new(params: IWParams, d: int) -> List[Tuple[Tuple[int, ...], int]]:
-    """Entries appearing at this level but not at the previous one."""
-    cur = build_sigma(params, d)
-    if params.l == 0:
-        return cur
-    prev_params = IWParams(rho=params.rho, l=params.l - 1,
-                           enumeration_cap=params.enumeration_cap)
-    prev = set(build_sigma(prev_params, d))
-    return [e for e in cur if e not in prev]
-
-
 def lcm_log2(sets: IWSets) -> float:
     """log2 of the least common multiple of the denominator set."""
     l = 1

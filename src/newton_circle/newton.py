@@ -5,7 +5,7 @@ quadrants at each support point.  Its corner chain, read top-left to
 bottom-right, carries everything downstream: edge normals (gcd-reduced to
 coprime positive integers, which pins the determinants and gap constants to
 canonical values), the closed sector cones spanned by consecutive normals,
-their integer subsector coordinates, and the dominant monomial per sector.
+and their integer subsector coordinates.
 
 Sector geometry of many lattice points at once comes from one int64 array
 kernel, `sector_arrays`: for an (n, 2) array of nonnegative points it gives
@@ -271,11 +271,6 @@ def sector_membership(diagram: NewtonDiagram, point: Vec) -> FrozenSet[int]:
     return members
 
 
-def canonical_sector(diagram: NewtonDiagram, point: Vec) -> int:
-    """Smallest sector index containing the point (boundary tie-break)."""
-    return min(sector_membership(diagram, point))
-
-
 def subsector(diagram: NewtonDiagram, j: int, point: Vec) -> SectorPoint:
     """Resolve a sector point into its branch, level N, and offset n."""
     t1, t2 = cone_coordinates(diagram, j, point)
@@ -291,15 +286,6 @@ def vertex_gap(diagram: NewtonDiagram, j: int) -> Union[Fraction, float]:
     support point along the subsector direction, per unit of level N."""
     _check_j(diagram, j)
     return diagram.gaps[j - 1]
-
-
-def dominant_monomial(diagram: NewtonDiagram, j: int, P: Poly2) -> Poly2:
-    """Single-term polynomial carried by the j-th vertex."""
-    _check_j(diagram, j)
-    v = diagram.vertices[j - 1]
-    if v not in P.terms:
-        raise ValueError("diagram does not belong to this polynomial")
-    return Poly2.monomial(v[0], v[1], P.terms[v])
 
 
 _SECTOR_TOL = 1e-9

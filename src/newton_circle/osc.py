@@ -73,15 +73,6 @@ class IncreasingSequence:
         )
 
 
-def validate_sequence(seq: IncreasingSequence, ambient: Iterable) -> bool:
-    """True iff all points lie in the ambient set and strictly increase
-    coordinatewise."""
-    amb = {_as_point(p) for p in ambient}
-    if len(seq.points) < 2:
-        return False
-    return all(p in amb for p in seq.points) and seq.is_strictly_increasing()
-
-
 def _in_box(t: Point, lo: Point, hi: Point) -> bool:
     return all(l <= x < h for x, l, h in zip(t, lo, hi))
 
@@ -198,25 +189,4 @@ def rademacher_menshov_sides(family: IndexedFamily,
     """
     lhs = oscillation(family, seq)
     rhs = dyadic_block_rhs(family)
-    return lhs, rhs
-
-
-def axis_projection_sides(family: IndexedFamily, seq: IncreasingSequence,
-                          axis: int) -> Tuple[float, float]:
-    """(oscillation, per-axis sup majorant) for a two-parameter family.
-
-    The majorant is the l2 norm over one coordinate of suprema over the other.
-    The comparison constant is not quantified, so both sides are reported and
-    nothing is asserted.
-    """
-    if family.dim != 2:
-        raise ValueError("axis projection needs a two-parameter family")
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    lhs = oscillation(family, seq)
-    i = axis - 1
-    sups: Dict[float, float] = {}
-    for t, v in family.values.items():
-        sups[t[i]] = max(sups.get(t[i], 0.0), abs(v))
-    rhs = math.sqrt(sum(s * s for s in sups.values()))
     return lhs, rhs

@@ -1,4 +1,4 @@
-"""Sparse bivariate integer polynomials, axis decompositions, and real scaling.
+"""Sparse bivariate integer polynomials, exact pinning, and real scaling.
 
 A polynomial is a map from exponent pairs (g1, g2) to nonzero coefficients.
 Exponents are capped at 64 per axis; coefficients are arbitrary-precision
@@ -48,10 +48,6 @@ class Poly2:
 
     def __init__(self, terms: Mapping[ExpPair, int]):
         self.terms: Dict[ExpPair, int] = _validated_terms(terms)
-
-    @classmethod
-    def monomial(cls, g1: int, g2: int, c: int = 1) -> "Poly2":
-        return cls({(g1, g2): c})
 
     @classmethod
     def zero(cls) -> "Poly2":
@@ -118,23 +114,11 @@ class UniPoly:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def __call__(self, x: RealLike) -> RealLike:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
-    @classmethod
-    def from_dict(cls, d: Mapping[int, RealLike]) -> "UniPoly":
-        n = max(d, default=-1)
-        return cls(tuple(d.get(i, 0) for i in range(n + 1)))
 
 
 def support(P: Union[Poly2, RealPoly2]) -> frozenset:
@@ -158,42 +142,6 @@ def evaluate(P: Union[Poly2, RealPoly2], m: Tuple[int, int]):
     if isinstance(P, RealPoly2):
         return float(total)
     return total
-
-
-@dataclass(frozen=True)
-class AxisParts:
-    """Collected coefficients of P along one axis: P = sum_g parts[g] * m_axis^g."""
-
-    axis: int
-    parts: Mapping[int, UniPoly]
-
-    @property
-    def max_exponent(self) -> int:
-        """Partial degree in the collected axis (d_2 for axis=2, d_1 for axis=1)."""
-        return max(self.parts, default=0)
-
-    @property
-    def top_part_degree(self) -> int:
-        """Degree of the coefficient polynomial attached to the top exponent."""
-        if not self.parts:
-            return 0
-        return self.parts[self.max_exponent].degree
-
-
-def axis_decompose(P: Poly2, axis: int) -> AxisParts:
-    """Rewrite P as a polynomial in one variable with UniPoly coefficients.
-
-    axis=2 returns {g2 -> Q_g2(m1)} with P(m1,m2) = sum_g2 Q_g2(m1) * m2^g2;
-    axis=1 is the symmetric decomposition.
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    grouped: Dict[int, Dict[int, int]] = {}
-    for (g1, g2), c in P.terms.items():
-        outer, inner = (g2, g1) if axis == 2 else (g1, g2)
-        grouped.setdefault(outer, {})[inner] = c
-    parts = {g: UniPoly.from_dict(d) for g, d in grouped.items()}
-    return AxisParts(axis=axis, parts=parts)
 
 
 def separable(p1: UniPoly, p2: UniPoly) -> Poly2:

@@ -1,35 +1,9 @@
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from newton_circle.arith import (
-    ApproximationError,
-    coefficient_gcd,
-    dirichlet_approx,
-    golden_ratio_conjugate,
-    reduce,
-    rescale_approx,
-    torus_representative,
-)
-
-
-def test_reduce_examples():
-    assert reduce(2, 4) == Fraction(1, 2)
-    assert reduce(0, 5) == Fraction(0, 1)
-    assert reduce(-3, 6, torus_normalize=True) == Fraction(1, 2)
-
-
-def test_reduce_rejects_zero_denominator():
-    with pytest.raises(ValueError):
-        reduce(1, 0)
-
-
-def test_reduce_periodicity():
-    for a in range(-7, 8):
-        for q in range(1, 9):
-            assert reduce(a, q, torus_normalize=True) == reduce(a + q, q, torus_normalize=True)
+from newton_circle.arith import dirichlet_approx, golden_ratio_conjugate
 
 
 def test_dirichlet_exact_hit():
@@ -64,64 +38,11 @@ def test_dirichlet_bound_floats(x, Q):
     assert abs(Fraction(x) - frac) * frac.denominator * Q <= 1
 
 
-def test_rescale_examples():
-    assert rescale_approx(Fraction(1, 3), Fraction(1, 3), 2, 3) == Fraction(2, 3)
-    assert rescale_approx(Fraction(1, 2), Fraction(1, 2), 2, 2) == Fraction(0, 1)
-    assert rescale_approx(Fraction(5, 7), Fraction(5, 7), 3, 7) == Fraction(1, 7)
-
-
-def test_rescale_bounds_hold_exactly():
-    theta = Fraction(5, 7)
-    out = rescale_approx(theta, Fraction(5, 7), 3, 7)
-    q = out.denominator
-    assert Fraction(7, 6) <= q <= 14
-    # torus distance of 3*theta to the returned fraction
-    dist = abs(torus_representative(3 * theta - out))
-    assert dist * 2 * q * 7 <= 1
-
-
 def test_dirichlet_negative_input():
     frac = dirichlet_approx(-math.pi + 3, 10)
     assert frac == Fraction(-1, 7)
     frac = dirichlet_approx(-0.5, 6)
     assert frac == Fraction(-1, 2)
-
-
-def test_rescale_float_theta_guarded_path():
-    # float theta within 1/q^2 of the center passes the guarded precondition
-    out = rescale_approx(1 / 3, Fraction(1, 3), 2, 3)
-    assert out == Fraction(2, 3)
-
-
-def test_rescale_bounds_random_rational_inputs(rng):
-    # both output bounds hold exactly on random admissible rational inputs
-    for _ in range(150):
-        M = rng.randint(1, 24)
-        q = rng.randint(1, M)
-        a = rng.choice([a for a in range(q) if math.gcd(a, q) == 1])
-        center = Fraction(a, q)
-        # perturb within the 1/q^2 window, keeping theta rational
-        theta = center + Fraction(rng.randint(-1, 1), q * q * rng.randint(1, 9) + 1)
-        Q = rng.randint(1, 8)
-        out = rescale_approx(theta, center, Q, M)
-        qp = out.denominator
-        assert Fraction(q, 2 * Q) <= qp <= 2 * M
-        dist = abs(torus_representative(Q * theta - out))
-        assert dist * 2 * qp * M <= 1
-
-
-def test_rescale_rejects_bad_center():
-    with pytest.raises(ApproximationError):
-        rescale_approx(Fraction(1, 2), Fraction(1, 2), 2, 1)  # q > M
-    with pytest.raises(ApproximationError):
-        rescale_approx(0.9, Fraction(1, 5), 2, 5)  # |theta - 1/5| > 1/25
-
-
-def test_coefficient_gcd():
-    assert coefficient_gcd((2, 4, 6), 8) == 2
-    assert coefficient_gcd((0, 0), 5) == 5
-    assert coefficient_gcd((3, 5), 7) == 1
-    assert coefficient_gcd((), 9) == 9
 
 
 def test_golden_ratio_conjugate_precision():

@@ -9,7 +9,6 @@ import pytest
 from newton_circle import circle, complete, ergodic, suites
 
 from newton_circle.circle import (
-    ScaleBook,
     arc_classify,
     continuous_multiplier,
     cutoff_eta,
@@ -18,12 +17,7 @@ from newton_circle.circle import (
     discrete_multiplier_grid,
     major_approximant,
     partial_approx_error,
-    projection_complement,
     projection_multiplier,
-    scale_exponent,
-    scale_exponent_at_threshold,
-    threshold_level,
-    validate_arc_parameters,
 )
 from newton_circle.complete import WorkCapExceeded, gauss_sum, partial_gauss
 from newton_circle.expsum import double_sum
@@ -394,34 +388,11 @@ def test_projection_multiplier_bumps():
     assert off.value == pytest.approx(0.5)
     far = projection_multiplier(params, -10, Fraction(1, 2) + Fraction(1, 100))
     assert far.value == 0.0
-    comp = projection_complement(params, -10, Fraction(1, 2))
-    assert comp.value == pytest.approx(0.0)
 
 
 def test_projection_overlap_warning():
     params = IWParams(rho=Fraction(1, 2), l=0)
     assert projection_multiplier(params, -3, 0.1).overlap_warning
-
-
-def test_scale_bookkeeping_identity():
-    book = ScaleBook(v=(2, 3), beta=4.0, tau=2.0)
-    M1, M2, M = 16.0, 64.0, 64.0
-    direct = book.exponent_at_threshold(M1, M2, M)
-    assert direct == pytest.approx(book.exponent(M1, M2, book.level(M)))
-    assert direct == pytest.approx(
-        math.log2(M1**2 * M2**3 * math.log2(M) ** -4.0))
-    assert threshold_level(M, 4.0, 2.0) == pytest.approx(math.log2(math.log2(M) ** 4))
-    assert scale_exponent(M1, M2, (2, 3), 0.0) == pytest.approx(math.log2(M1**2 * M2**3))
-    assert scale_exponent_at_threshold(M1, M2, (2, 3), 4.0, M, 2.0) == pytest.approx(direct)
-
-
-def test_validate_arc_parameters():
-    assert validate_arc_parameters(4.0, Fraction(1, 100000))
-    with pytest.warns(RuntimeWarning):
-        # desk-scale defaults sit outside the asymptotic regime on purpose
-        assert not validate_arc_parameters(4.0, Fraction(1, 100))
-    with pytest.raises(ValueError):
-        validate_arc_parameters(-1.0)
 
 
 def test_arc_classify_examples(single_diagram):

@@ -51,6 +51,16 @@ def test_expsum_weyl(tmp_path):
     assert abs(complex(doc["results"][0]["re"], doc["results"][0]["im"])) < 1e-9
 
 
+@pytest.mark.parametrize("weyl, bad", [("1/3,x", "x"), ("1/0", "1/0")])
+def test_expsum_weyl_rejects_non_real(tmp_path, capsys, weyl, bad):
+    code, doc = run(tmp_path, "expsum", "--weyl", weyl)
+    assert code == 2 and doc is None
+    assert capsys.readouterr().err == f"error: not a real number: {bad!r}\n"
+    # the report keeps the raw --weyl text
+    code, doc = run(tmp_path, "expsum", "--weyl", "1/3,0,1/5")
+    assert code == 0 and doc["params"]["weyl"] == "1/3,0,1/5"
+
+
 def test_vinogradov_command(tmp_path):
     code, doc = run(tmp_path, "vinogradov", "--s", "2", "--k", "2", "--n", "3")
     assert code == 0
@@ -74,7 +84,8 @@ def test_gauss_sweeps_once(tmp_path, monkeypatch):
     # the report as it was assembled with two sweeps: the rows over
     # 1 <= q <= 40, then the fit over a second sweep of 2 <= q <= 40
     rows = complete.gauss_sum_sweep(P, range(1, 41))
-    two_sweeps = rows + [{"fitted_decay_exponent": complete.fitted_decay_exponent(P, 40)}]
+    refit = complete._decay_fit(complete.gauss_sum_sweep(P, range(2, 41)))
+    two_sweeps = rows + [{"fitted_decay_exponent": refit}]
     sweep, calls = complete.gauss_sum_sweep, []
 
     def counted(*args):

@@ -11,7 +11,6 @@ import pytest
 from newton_circle import complete
 from newton_circle.complete import (
     WorkCapExceeded,
-    averaged_partial,
     dyadic_envelope,
     gauss_sum,
     gauss_sum_sweep,
@@ -39,13 +38,6 @@ def test_partial_gauss_examples():
     assert partial_gauss(P, Fraction(0, 1), 5, 1) == 1
     assert partial_gauss(P, Fraction(1, 3), 3, 1) == pytest.approx(1)
     assert abs(partial_gauss(P, Fraction(1, 3), 1, 1)) < 1e-12
-
-
-def test_averaged_partial_examples():
-    P = parse_poly("m1*m2")
-    assert averaged_partial(P, Fraction(1, 3), 3, 1) == pytest.approx(1 / 3)
-    assert averaged_partial(P, Fraction(0, 1), 7, 1) == pytest.approx(1)
-    assert averaged_partial(P, Fraction(1, 3), 6, 1) == pytest.approx(1 / 3)
 
 
 def _gauss_per_cell(P, a_over_q):
@@ -514,10 +506,8 @@ def test_envelope_row_shape():
 
 
 def test_fitted_decay_exponent_is_positive():
-    from newton_circle.complete import fitted_decay_exponent
-
     # decay exists for non-degenerate polynomials; the rate is only reported
-    d_hat = fitted_decay_exponent(parse_poly("m1^2*m2^3"), q_max=100)
+    d_hat = complete._decay_fit(gauss_sum_sweep(parse_poly("m1^2*m2^3"), range(2, 101)))
     assert 0.1 < d_hat < 2.5
-    d_mixed = fitted_decay_exponent(parse_poly("m1*m2"), q_max=100)
+    d_mixed = complete._decay_fit(gauss_sum_sweep(parse_poly("m1*m2"), range(2, 101)))
     assert d_mixed > 0.5

@@ -11,13 +11,11 @@ from newton_circle.arith import golden_ratio_conjugate, torus_distance
 from newton_circle.expsum import (
     BLOCK_CELLS,
     FLOAT_TERM_BUDGET,
-    PhaseHypothesisError,
     double_sum,
     double_sum_abs,
-    sum_integral_gap,
     weyl_sum,
 )
-from newton_circle.poly import RealPoly2, UniPoly, parse_poly, scale
+from newton_circle.poly import RealPoly2, parse_poly, scale
 
 
 def brute_weyl(xs, N, K=0):
@@ -222,28 +220,6 @@ def test_triangle_domination(rng):
 def test_modulus_within_budget_invariant():
     v = weyl_sum([0.123456], 5000)
     assert abs(v.value) <= v.term_count + v.error_budget
-
-
-def test_sum_integral_constant_phase():
-    assert sum_integral_gap(UniPoly(()), 0, 7.5) == pytest.approx(0.5)
-
-
-def test_sum_integral_full_periods():
-    assert sum_integral_gap(UniPoly((0, Fraction(1, 4))), 0, 8) < 1e-10
-    assert sum_integral_gap(UniPoly((0, 0.1)), 0, 10) <= 3.0
-
-
-def test_sum_integral_quadratic_phase():
-    # slowly varying quadratic phase stays under a small absolute constant
-    phase = UniPoly((0, 0.001, 0.00001))
-    assert sum_integral_gap(phase, 0, 100) <= 3.0
-
-
-def test_sum_integral_hypothesis_errors():
-    with pytest.raises(PhaseHypothesisError):
-        sum_integral_gap(UniPoly((0, 2)), 0, 5)  # derivative 2 > 1/2
-    with pytest.raises(PhaseHypothesisError):
-        sum_integral_gap(UniPoly((0, -0.4, 0, 0.002)), -10, 10)  # non-monotone derivative
 
 
 @settings(max_examples=60, deadline=None)

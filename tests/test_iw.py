@@ -11,7 +11,6 @@ from newton_circle.iw import (
     build_sigma,
     lcm_log2,
     sigma_fractions,
-    sigma_new,
     verify_iw_properties,
 )
 
@@ -104,8 +103,6 @@ def test_sigma_nesting():
     lo = set(sigma_fractions(IWParams(rho=Fraction(1, 2), l=0)))
     hi = set(sigma_fractions(IWParams(rho=Fraction(1, 2), l=1)))
     assert lo <= hi
-    new = sigma_new(IWParams(rho=Fraction(1, 2), l=2), 1)
-    assert all(Fraction(a, q) not in lo for (a,), q in new)
 
 
 def test_sigma_single_fraction_for_q1():

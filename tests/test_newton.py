@@ -11,9 +11,7 @@ from newton_circle.newton import (
     DegeneratePolynomialError,
     GeometryOverflowError,
     build_diagram,
-    canonical_sector,
     cone_coordinates,
-    dominant_monomial,
     dominant_scale,
     sector_arrays,
     sector_membership,
@@ -102,11 +100,6 @@ def test_covering_and_disjointness(two_sector):
                 assert len(opens) <= 1
 
 
-def test_canonical_sector_tie_break(two_sector):
-    assert canonical_sector(two_sector, (1, 1)) == 1
-    assert canonical_sector(two_sector, (2, 1)) == 2
-
-
 def test_subsector_examples(two_sector):
     sp = subsector(two_sector, 1, (1, 2))
     assert (sp.branch, sp.level_N, sp.offset_n) == (1, 1, 0)
@@ -173,14 +166,6 @@ def test_membership_matches_boundary_slopes(two_sector, rng):
                 assert two_sector.normals[1][1] * a <= two_sector.normals[1][0] * b
             if j == 2:
                 assert two_sector.normals[1][1] * a >= two_sector.normals[1][0] * b
-
-
-def test_dominant_monomial(two_sector):
-    P = parse_poly("m1^3*m2 + m1*m2^3")
-    assert dominant_monomial(two_sector, 1, P) == parse_poly("m1*m2^3")
-    assert dominant_monomial(two_sector, 2, P) == parse_poly("m1^3*m2")
-    five = parse_poly("5*m1^2*m2^3")
-    assert dominant_monomial(build_diagram(five), 1, five) == five
 
 
 def test_dominant_scale(two_sector):

@@ -9,7 +9,6 @@ from newton_circle.osc import (
     IndexedFamily,
     oscillation,
     rademacher_menshov_sides,
-    validate_sequence,
     variation,
 )
 
@@ -90,13 +89,6 @@ def test_oscillation_equals_box_scan(dim):
                 == _scan_oscillation(family, seq, subdomain))
 
 
-def test_validate_examples():
-    amb = [(1, 1), (2, 3), (1, 2), (2, 2)]
-    assert validate_sequence(IncreasingSequence.of([(1, 1), (2, 3)]), amb)
-    assert not validate_sequence(IncreasingSequence.of([(1, 2), (2, 2)]), amb)
-    assert not validate_sequence(IncreasingSequence.of([(2, 2), (1, 3)]), amb)
-
-
 def test_variation_examples():
     assert variation(IndexedFamily.of({i: i for i in range(5)}), 1.0) == pytest.approx(4)
     assert variation(IndexedFamily.of({0: 0, 1: 1, 2: 0}), 2.0) == pytest.approx(math.sqrt(2))
@@ -171,23 +163,6 @@ def test_rademacher_menshov_majorant_property(values, data):
     ))
     lhs, rhs = rademacher_menshov_sides(fam, IncreasingSequence.of(pts))
     assert lhs <= rhs + 1e-9
-
-
-def test_axis_projection_sides(rng):
-    from newton_circle.osc import axis_projection_sides
-
-    for _ in range(20):
-        fam = IndexedFamily.of({
-            (i, j): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            for i in range(4) for j in range(4)
-        })
-        seq = IncreasingSequence.of([(0, 0), (2, 2), (3, 3)])
-        for axis in (1, 2):
-            lhs, rhs = axis_projection_sides(fam, seq, axis)
-            # both sides finite and reported; the comparison constant is not
-            # asserted, only measured
-            assert lhs >= 0 and rhs >= 0
-            assert math.isfinite(lhs / rhs) if rhs else lhs == 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,7 +7,6 @@ from newton_circle.poly import (
     PolynomialSyntaxError,
     RealPoly2,
     UniPoly,
-    axis_decompose,
     evaluate,
     format_poly,
     is_degenerate,
@@ -53,48 +52,6 @@ def test_evaluate_examples():
     assert evaluate(parse_poly("m1^2*m2^3"), (2, 3)) == 108
     assert evaluate(parse_poly("m1^3*m2 + m1*m2^3"), (2, 1)) == 10
     assert evaluate(parse_poly("m1*m2 - m1"), (0, 0)) == 0
-
-
-def test_evaluate_two_paths_agree(rng):
-    # term-by-term big-integer evaluation vs Horner through the decomposition
-    for _ in range(50):
-        terms = {(rng.randint(0, 5), rng.randint(0, 5)): rng.randint(-9, 9)
-                 for _ in range(rng.randint(1, 8))}
-        P = Poly2({g: c for g, c in terms.items() if c})
-        parts = axis_decompose(P, 2).parts
-        for m1 in range(-3, 4):
-            for m2 in range(-3, 4):
-                horner = sum(int(p(m1)) * m2**g2 for g2, p in parts.items())
-                assert evaluate(P, (m1, m2)) == horner
-
-
-def test_axis_decompose_examples():
-    parts = axis_decompose(parse_poly("m1^3*m2 + m1*m2^3"), 2).parts
-    assert parts[1].coeffs == (0, 0, 0, 1)
-    assert parts[3].coeffs == (0, 1)
-    assert axis_decompose(parse_poly("m1^2*m2^3"), 2).parts[3].coeffs == (0, 0, 1)
-    p = axis_decompose(parse_poly("m1 + m2"), 2).parts
-    assert p[0].coeffs == (0, 1) and p[1].coeffs == (1,)
-
-
-def test_axis_decompose_reexpansion_grid():
-    P = parse_poly("2*m1^3*m2 - m1*m2^3 + 4*m2^2 - m1^2")
-    for axis in (1, 2):
-        parts = axis_decompose(P, axis).parts
-        for u in range(10):
-            for v in range(10):
-                m1, m2 = (u, v)
-                outer = m2 if axis == 2 else m1
-                inner = m1 if axis == 2 else m2
-                total = sum(int(p(inner)) * outer**g for g, p in parts.items())
-                assert total == evaluate(P, (m1, m2))
-
-
-def test_axis_top_degrees():
-    ad2 = axis_decompose(parse_poly("m1^3*m2 + m1*m2^3"), 2)
-    assert ad2.max_exponent == 3 and ad2.top_part_degree == 1
-    ad1 = axis_decompose(parse_poly("m1^3*m2 + m1*m2^3"), 1)
-    assert ad1.max_exponent == 3 and ad1.top_part_degree == 1
 
 
 def test_scale_examples():
