@@ -2,7 +2,9 @@
 
 Rationals are plain ``fractions.Fraction`` values, which already enforce the
 reduced-form invariant (coprime numerator/denominator, positive denominator).
-Float inputs are interpreted as their exact binary values.
+Float inputs are interpreted as their exact binary values.  Dirichlet
+approximation runs the continued-fraction expansion to completion: every
+input is an exact rational, so it ends.
 """
 
 from __future__ import annotations
@@ -12,9 +14,6 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 RealLike = Union[int, float, Fraction]
-
-# double precision is exhausted well before this many convergents
-CONVERGENT_DEPTH = 64
 
 
 class ApproximationError(ValueError):
@@ -62,9 +61,7 @@ def convergents(x: Fraction) -> Iterator[Fraction]:
     p1, q1 = math.floor(x), 1
     yield Fraction(p1, q1)
     rem = x - p1
-    for _ in range(CONVERGENT_DEPTH - 1):
-        if rem == 0:
-            return
+    while rem != 0:
         x = 1 / rem
         a = math.floor(x)
         rem = x - a
@@ -76,34 +73,23 @@ def convergents(x: Fraction) -> Iterator[Fraction]:
 def dirichlet_approx(xi: RealLike, Q: int) -> Fraction:
     """Reduced a/q with 1 <= q <= Q and |xi - a/q| <= 1/(qQ).
 
-    Continued-fraction convergents give the approximation; if the capped
-    expansion fails the bound (only reachable for adversarial exact inputs)
-    an exhaustive scan over q <= Q recovers it.
+    The answer is the last convergent p_n/q_n with q_n <= Q.  Either it is
+    xi itself, or q_{n+1} > Q and Legendre's bound gives
+    |xi - p_n/q_n| <= 1/(q_n q_{n+1}) < 1/(q_n Q).  The bound is checked
+    once more on the result.
     """
     if Q < 1:
         raise ValueError(f"resolution must be positive, got Q={Q}")
     x = as_fraction(xi)
-    best = None
     for conv in convergents(x):
-        if conv.denominator <= Q:
-            best = conv
-        else:
+        if conv.denominator > Q:
             break
-    if best is not None and abs(x - best) * best.denominator * Q <= 1:
-        return best
-    # depth-capped expansion missed; feasible only at desk-scale resolutions
-    if Q > 10**7:
+        best = conv
+    if abs(x - best) * best.denominator * Q > 1:
         raise ApproximationError(
-            f"no convergent with q <= {Q} satisfies |xi - a/q| <= 1/(qQ)"
+            f"convergent {best} violates |xi - a/q| <= 1/(qQ) at Q={Q}"
         )
-    for q in range(1, Q + 1):
-        a = round(x * q)
-        cand = Fraction(a, q)
-        if cand.denominator != q:
-            continue
-        if abs(x - cand) * q * Q <= 1:
-            return cand
-    raise ApproximationError("Dirichlet approximation not found; input not finite?")
+    return best
 
 
 def golden_ratio_conjugate(bits: int = 128) -> Fraction:

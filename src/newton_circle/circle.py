@@ -295,20 +295,10 @@ def arc_classify(P: Poly2, diagram: NewtonDiagram, j: int, xi: RealLike,
 
 
 def major_approximant(P: Poly2, params: IWParams, n: int, xi: RealLike,
-                      M1: RealLike, M2: RealLike, tau: RealLike,
-                      G_mode: str = "full", frozen: Optional[int] = None) -> complex:
+                      M1: RealLike, M2: RealLike, tau: RealLike) -> complex:
     """Periodized approximant: sum over level fractions of
-    G(a/q) * m_cont(xi - a/q) * eta(xi - a/q).
-
-    G_mode selects the arithmetic factor: 'full' the complete sum, 'axis1' or
-    'axis2' a partial complete sum at the frozen integer, 'one' the constant 1
-    (the bare periodization).
+    G(a/q) * m_cont(xi - a/q) * eta(xi - a/q), with G the complete sum.
     """
-    if G_mode not in ("full", "axis1", "axis2", "one"):
-        raise ValueError("G_mode must be one of full, axis1, axis2, one")
-    if G_mode in ("axis1", "axis2") and frozen is None:
-        raise ValueError("axis-partial modes need the frozen integer")
-    axis_partial = (int(G_mode[-1]), frozen) if G_mode in ("axis1", "axis2") else None
     x = as_fraction(xi)
     total = 0j
     for frac in _cached_fractions(params):
@@ -316,13 +306,7 @@ def major_approximant(P: Poly2, params: IWParams, n: int, xi: RealLike,
         eta = cutoff_eta(n, delta)
         if eta == 0.0:
             continue
-        if G_mode == "one":
-            G = 1.0 + 0j
-        elif axis_partial is None:
-            G = gauss_sum(P, frac)
-        else:
-            G = partial_gauss(P, frac, frozen, axis_partial[0])
-        total += G * continuous_multiplier(P, delta, M1, M2, tau, axis_partial) * eta
+        total += gauss_sum(P, frac) * continuous_multiplier(P, delta, M1, M2, tau) * eta
     return total
 
 

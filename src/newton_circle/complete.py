@@ -207,7 +207,7 @@ class VinogradovCount:
     count: int
 
 
-def _check_params(s: int, k: int, N: int, work_cap: int, table: bool = False) -> None:
+def _check_params(s: int, k: int, N: int, table: bool = False) -> None:
     if not 1 <= s <= 6:
         raise ValueError(f"s must lie in [1, 6], got {s}")
     if not 1 <= k <= 3:
@@ -225,9 +225,9 @@ def _check_params(s: int, k: int, N: int, work_cap: int, table: bool = False) ->
         )
     cells = math.comb(N + s - 1, s)  # exact bound on the sparse support
     needed = cells * cells if table else cells
-    if needed > work_cap:
+    if needed > WORK_CAP_CELLS:
         raise WorkCapExceeded(
-            f"count table needs up to {needed} cells, cap is {work_cap}"
+            f"count table needs up to {needed} cells, cap is {WORK_CAP_CELLS}"
         )
 
 
@@ -306,7 +306,7 @@ def moment_curve_counts(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
     Returned mapping: lambda -> #{(x_1..x_s) in [N]^s : sum (x_i,..,x_i^k) = lambda}.
     Treat as immutable; results are cached.
     """
-    _check_params(s, k, N, WORK_CAP_CELLS)
+    _check_params(s, k, N)
     x = np.arange(1, N + 1, dtype=np.int64)
     base = np.stack([x**i for i in range(1, k + 1)], axis=1)
     ones = np.ones(N, dtype=np.int64)
@@ -316,13 +316,12 @@ def moment_curve_counts(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
     return _as_dict(keys, weights)
 
 
-def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int],
-                     work_cap: int = WORK_CAP_CELLS) -> VinogradovCount:
+def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCount:
     """Number of solutions of the inhomogeneous moment system in 2s variables.
 
     Counts tuples x, y in [N]^s with sum x_j^i - sum y_j^i = lam_i for i <= k.
     """
-    _check_params(s, k, N, work_cap)
+    _check_params(s, k, N)
     lam = tuple(int(v) for v in lam)
     if len(lam) != k:
         raise ValueError(f"lambda must have length k={k}")
@@ -346,7 +345,7 @@ def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
     product shifted by the bit length of max(c)**2 reaches 2**63 (at
     s = 1, k = 3 from N = 913 on).  Rows are in lexicographic order.
     """
-    _check_params(s, k, N, WORK_CAP_CELLS, table=True)
+    _check_params(s, k, N, table=True)
     counts = moment_curve_counts(s, k, N)
     u = np.array(list(counts), dtype=np.int64)
     c = np.array(list(counts.values()), dtype=np.int64)

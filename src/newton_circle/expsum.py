@@ -250,17 +250,17 @@ def _result(value: complex, exact: bool, count: int) -> ExpSumValue:
                        error_budget=count * FLOAT_TERM_BUDGET)
 
 
-def weyl_sum(xi: Sequence[RealLike], N: int, K: int = 0) -> ExpSumValue:
-    """Sum of e(xi_1 n + ... + xi_k n^k) over n in (K, N]."""
+def weyl_sum(xi: Sequence[RealLike], N: int) -> ExpSumValue:
+    """Sum of e(xi_1 n + ... + xi_k n^k) over n in [1, N]."""
     xs = tuple(xi)
     k = len(xs)
     if not 1 <= k <= 8:
         raise ValueError(f"moment-curve dimension must lie in [1, 8], got {k}")
-    if N < 1 or K < 0 or K >= N:
-        raise ValueError(f"need 0 <= K < N, got K={K}, N={N}")
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     form = _integer_form({(0, i + 1): x for i, x in enumerate(xs)})
-    value = _lattice_phase_sum(form, 0, 1, K, N)
-    return _result(value, all(is_exact(x) for x in xs), N - K)
+    value = _lattice_phase_sum(form, 0, 1, 0, N)
+    return _result(value, all(is_exact(x) for x in xs), N)
 
 
 def _check_ranges(K1, M1, K2, M2):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 DEFAULT_ENUMERATION_CAP = 10**6
+SIGMA_CARDINALITY_CAP = 4_000_000  # candidate tuples build_sigma may enumerate
 MAX_LEVEL = 24  # sieve bound 2**l stays desk-scale
 
 
@@ -77,7 +78,6 @@ class IWSets:
     params: IWParams
     p_le: Tuple[int, ...]
     truncated: bool
-    q0: int
 
 
 def _sieve(limit: int) -> List[int]:
@@ -169,18 +169,16 @@ def build_p_le(params: IWParams) -> IWSets:
         params=params,
         p_le=tuple(sorted(values)),
         truncated=truncated,
-        q0=params.Q0,
     )
 
 
-def p_le_values(rho: Fraction, l: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Tuple[int, ...]:
+def p_le_values(rho: Fraction, l: int) -> Tuple[int, ...]:
     if l < 0:
         return ()
-    return build_p_le(IWParams(rho=rho, l=l, enumeration_cap=cap)).p_le
+    return build_p_le(IWParams(rho=rho, l=l)).p_le
 
 
-def build_sigma(params: IWParams, d: int,
-                cardinality_cap: int = 4_000_000) -> List[Tuple[Tuple[int, ...], int]]:
+def build_sigma(params: IWParams, d: int) -> List[Tuple[Tuple[int, ...], int]]:
     """All reduced fraction d-tuples a/q with q in the denominator set.
 
     Entries are (a_1..a_d, q) with 0 <= a_i < q and gcd(a_1,..,a_d,q) = 1.
@@ -189,9 +187,9 @@ def build_sigma(params: IWParams, d: int,
         raise ValueError("only 1- and 2-dimensional fraction sets are supported")
     sets = build_p_le(params)
     projected = sum(q**d for q in sets.p_le)
-    if projected > cardinality_cap:
+    if projected > SIGMA_CARDINALITY_CAP:
         raise EnumerationCapError(
-            f"about {projected} candidate tuples requested, cap is {cardinality_cap}; "
+            f"about {projected} candidate tuples requested, cap is {SIGMA_CARDINALITY_CAP}; "
             f"the set cardinality grows doubly exponentially in the level"
         )
     out: List[Tuple[Tuple[int, ...], int]] = []
@@ -222,8 +220,7 @@ def lcm_log2(sets: IWSets) -> float:
     return math.log2(l)
 
 
-def verify_iw_properties(rho: Fraction, l_max: int,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> List[dict]:
+def verify_iw_properties(rho: Fraction, l_max: int) -> List[dict]:
     """Structural checks on the denominator sets for every level up to l_max.
 
     Checks per level: nesting in the previous level's set, containment of
@@ -237,7 +234,7 @@ def verify_iw_properties(rho: Fraction, l_max: int,
 
     prev: Tuple[int, ...] = ()
     for l in range(l_max + 1):
-        cur = p_le_values(rho, l, cap)
+        cur = p_le_values(rho, l)
         cur_set = set(cur)
         violations(f"nesting_l{l}", sum(1 for q in prev if q not in cur_set))
         violations(f"initial_segment_l{l}",

@@ -49,10 +49,6 @@ class Poly2:
     def __init__(self, terms: Mapping[ExpPair, int]):
         self.terms: Dict[ExpPair, int] = _validated_terms(terms)
 
-    @classmethod
-    def zero(cls) -> "Poly2":
-        return cls({})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -45,6 +45,15 @@ def test_dirichlet_negative_input():
     assert frac == Fraction(-1, 2)
 
 
+def test_dirichlet_deep_expansion():
+    # 192-bit golden ratio: the answer is the 68th convergent F_67/F_68
+    x = golden_ratio_conjugate(192)
+    Q = 10**14
+    frac = dirichlet_approx(x, Q)
+    assert frac == Fraction(44945570212853, 72723460248141)
+    assert abs(x - frac) * frac.denominator * Q <= 1
+
+
 def test_golden_ratio_conjugate_precision():
     g = golden_ratio_conjugate(128)
     exact = (math.sqrt(5) - 1) / 2

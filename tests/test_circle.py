@@ -19,7 +19,7 @@ from newton_circle.circle import (
     partial_approx_error,
     projection_multiplier,
 )
-from newton_circle.complete import WorkCapExceeded, gauss_sum, partial_gauss
+from newton_circle.complete import WorkCapExceeded, gauss_sum
 from newton_circle.expsum import double_sum
 from newton_circle.iw import IWParams
 from newton_circle.newton import build_diagram
@@ -443,26 +443,11 @@ def test_arc_classify_degenerate_threshold(single_diagram):
 def test_major_approximant_at_center(mixed):
     params = IWParams(rho=Fraction(1, 2), l=0)
     for frac in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)):
-        val = major_approximant(mixed, params, -12, frac, 8, 8, 2, G_mode="full")
+        val = major_approximant(mixed, params, -12, frac, 8, 8, 2)
         assert val == pytest.approx(gauss_sum(mixed, frac), abs=1e-9)
-    near_zero = major_approximant(mixed, params, -12, 2.0**-15, 8, 8, 2, G_mode="full")
+    near_zero = major_approximant(mixed, params, -12, 2.0**-15, 8, 8, 2)
     assert near_zero == pytest.approx(
         continuous_multiplier(mixed, 2.0**-15, 8, 8, 2), abs=1e-9)
-
-
-def test_major_approximant_bare_periodization(mixed):
-    params = IWParams(rho=Fraction(1, 2), l=0)
-    val = major_approximant(mixed, params, -12, Fraction(1, 4), 8, 8, 2, G_mode="one")
-    assert val == pytest.approx(1.0)
-
-
-def test_major_approximant_axis_mode(mixed):
-    params = IWParams(rho=Fraction(1, 2), l=0)
-    val = major_approximant(mixed, params, -12, Fraction(1, 4), 8, 64, 2,
-                            G_mode="axis1", frozen=3)
-    want = partial_gauss(mixed, Fraction(1, 4), 3, 1) * continuous_multiplier(
-        mixed, 0.0, 8, 64, 2, axis_partial=(1, 3))
-    assert val == pytest.approx(want, abs=1e-9)
 
 
 def test_partial_approx_error_probe(mixed):

@@ -118,6 +118,13 @@ def test_osc_command(tmp_path):
     assert doc["checks"][0]["pass"]
 
 
+def test_osc_variation_past_sixteen_points(tmp_path):
+    values = ",".join(["0", "1"] * 8 + ["0"])
+    code, doc = run(tmp_path, "osc", "--values", values, "--rho", "3")
+    assert code == 0
+    assert doc["results"][0]["variation"] == pytest.approx(16 ** (1 / 3))
+
+
 def test_average_command(tmp_path):
     fpath = tmp_path / "f.json"
     fpath.write_text(FiniteFunction.delta(0).to_json())

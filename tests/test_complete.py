@@ -62,8 +62,8 @@ def test_gauss_sum_matches_per_cell_oracle():
         q = rng.randint(1, 48)
         cases.append((P, Fraction(rng.choice((-1, 1)) * rng.randint(0, 3 * q), q)))
     P = random_nondegenerate_poly(rng)
-    cases += [(P, Fraction(0)), (P, Fraction(5, 1)), (Poly2.zero(), Fraction(0)),
-              (Poly2.zero(), Fraction(3, 7)), (P, Fraction(101, 400)),
+    cases += [(P, Fraction(0)), (P, Fraction(5, 1)), (Poly2({}), Fraction(0)),
+              (Poly2({}), Fraction(3, 7)), (P, Fraction(101, 400)),
               (_wide_poly(rng), Fraction(-7, 397)), (parse_poly("m2^9 - 4"), Fraction(3, 256))]
     for P, frac in cases:
         assert gauss_sum(P, frac) == _gauss_per_cell(P, frac), (P.terms, frac)
@@ -120,7 +120,7 @@ def _units(q):
 
 
 def test_residue_histogram_matches_direct_evaluation(rng):
-    polys = [random_nondegenerate_poly(rng) for _ in range(5)] + [Poly2.zero()]
+    polys = [random_nondegenerate_poly(rng) for _ in range(5)] + [Poly2({})]
     for P in polys:
         n = rng.randint(1, 40)
         xs1, xs2 = range(3, 4 + rng.randint(0, 12)), range(rng.randint(0, 50), 60)
@@ -457,9 +457,11 @@ def test_count_outside_support_is_zero():
     assert vinogradov_count(2, 2, 5, (100, 0)).count == 0
 
 
-def test_work_cap():
-    with pytest.raises(WorkCapExceeded):
-        vinogradov_count(6, 3, 200, (0, 0, 0), work_cap=10**4)
+def test_work_cap(monkeypatch):
+    # comb(201, 2) = 20100 support cells: under the real cap, over this one
+    monkeypatch.setattr(complete, "WORK_CAP_CELLS", 10**4)
+    with pytest.raises(WorkCapExceeded, match="cap is 10000"):
+        vinogradov_count(2, 2, 200, (0, 0))
 
 
 def _no_tables(*args):

@@ -18,9 +18,9 @@ from newton_circle.expsum import (
 from newton_circle.poly import RealPoly2, parse_poly, scale
 
 
-def brute_weyl(xs, N, K=0):
+def brute_weyl(xs, N):
     total = 0j
-    for n in range(K + 1, N + 1):
+    for n in range(1, N + 1):
         phase = sum(float(x) * n ** (i + 1) for i, x in enumerate(xs))
         total += cmath.exp(2j * math.pi * phase)
     return total
@@ -63,18 +63,11 @@ def test_weyl_against_brute_force():
         assert abs(got.value - want) < 1e-9
 
 
-def test_weyl_range_parameter():
-    full = weyl_sum([Fraction(1, 7)], 20)
-    head = weyl_sum([Fraction(1, 7)], 12)
-    tail = weyl_sum([Fraction(1, 7)], 20, K=12)
-    assert abs(full.value - head.value - tail.value) < 1e-12
-
-
 def test_weyl_validation():
     with pytest.raises(ValueError):
         weyl_sum([0.1] * 9, 10)
     with pytest.raises(ValueError):
-        weyl_sum([0.1], 5, K=5)
+        weyl_sum([0.1], 0)
 
 
 def test_geometric_bound_rational_linear_phase(rng):

@@ -110,9 +110,12 @@ def test_sigma_single_fraction_for_q1():
     assert sig == [((0,), 1)]
 
 
-def test_sigma_cap():
-    with pytest.raises(EnumerationCapError):
-        build_sigma(IWParams(rho=Fraction(1, 2), l=3), 2, cardinality_cap=10)
+def test_sigma_cap(monkeypatch):
+    import newton_circle.iw as iw_mod
+
+    monkeypatch.setattr(iw_mod, "SIGMA_CARDINALITY_CAP", 10)
+    with pytest.raises(EnumerationCapError, match="cap is 10;"):
+        build_sigma(IWParams(rho=Fraction(1, 2), l=3), 2)
 
 
 def test_properties_pass():
@@ -127,8 +130,8 @@ def test_properties_catch_broken_set(monkeypatch):
 
     real = iw_mod.p_le_values
 
-    def broken(rho, l, cap=iw_mod.DEFAULT_ENUMERATION_CAP):
-        vals = real(rho, l, cap)
+    def broken(rho, l):
+        vals = real(rho, l)
         if l == 2:
             vals = tuple(v for v in vals if v != 3)
         return vals

@@ -101,7 +101,7 @@ def test_variation_dp_matches_enumeration(rng):
         fam = IndexedFamily.of(
             {i: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for i in range(n)}
         )
-        for rho in (1.0, 2.0):
+        for rho in (1.0, 1.5, 2.0, 3.0):
             dp = variation(fam, rho)
             brute = 0.0
             from itertools import combinations
