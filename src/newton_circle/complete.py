@@ -1,10 +1,13 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
-gauss_sum and partial_gauss evaluate P directly in Python integers, one
-frequency at a time (gauss_sum row by row: Horner's rule in r2 mod q on the
-coefficients of the row r1).  The all-frequency sweep instead builds the
-int64 histogram of P mod p**k over the residue box once, by outer products of
-per-axis power tables, and takes one DFT of it:
+gauss_sum and partial_gauss evaluate P directly, one frequency at a time.
+Each row r1's m2-coefficients of a*P are reduced mod q in Python integers,
+Horner's rule in r2 runs mod q on int64 blocks of at most BLOCK_CELLS cells
+(every intermediate below q**2), and the residues are counted into a q-bin
+histogram; a work cap bounds the box before anything is allocated.  The
+all-frequency sweep instead builds the int64 histogram of P mod p**k over the
+residue box once, by outer products of per-axis power tables, and takes one
+DFT of it:
 p**2k * G(a/p**k) = sum_t h[t] * e(a*t/p**k) for every a at once.  It does so
 only for prime powers: by the Chinese remainder theorem G(a/q) factors over
 the coprime prime-power factors of q, so max over units |G(a/q)| is the
@@ -36,8 +39,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike
-from .expsum import residue_sum, weyl_sum
-from .poly import Poly2, evaluate, pin
+from .expsum import BLOCK_CELLS, _sum_e, weyl_sum
+from .poly import Poly2
 
 WORK_CAP_CELLS = 10**8
 INT64_LIMIT = 2**63
@@ -50,31 +53,79 @@ class WorkCapExceeded(RuntimeError):
 def gauss_sum(P: Poly2, a_over_q: Fraction) -> complex:
     """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q).
 
-    a*P(r1, r2) mod q is taken row by row in Python integers: with r1 pinned,
-    a*P is a polynomial in r2 whose coefficients are reduced mod q once per
-    row, and Horner's rule in r2 mod q gives each cell of the row.
+    a*P(r1, r2) mod q is taken row by row (_complete_histogram): with r1
+    pinned, a*P is a polynomial in r2 whose coefficients are reduced mod q
+    once per row, and Horner's rule in r2 mod q on int64 blocks gives each
+    cell of the row.  Every intermediate stays below q**2; the q x q box must
+    fit WORK_CAP_CELLS (q <= 10**4), else WorkCapExceeded is raised first.
     """
     a, q = a_over_q.numerator, a_over_q.denominator
-    top = max((g2 for _, g2 in P.terms), default=0)
-    residues = []
-    for r1 in range(1, q + 1):
-        col = [0] * (top + 1)  # highest m2 power first
-        for (g1, g2), c in P.terms.items():
-            col[top - g2] += c * pow(r1, g1, q)
-        col = [a * x % q for x in col]
-        for r2 in range(1, q + 1):
-            t = 0
-            for x in col:
-                t = (t * r2 + x) % q
-            residues.append(t)
-    return residue_sum(residues, q) / q**2
+    _check_work(q * q, q * q, f"complete sum needs a {q} x {q} residue box")
+    return _complete_sum(_complete_histogram(P.terms, a, q, range(1, q + 1)), q * q)
 
 
 def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> complex:
-    """Normalized complete sum in one residue with m_axis pinned to frozen."""
+    """Normalized complete sum in one residue with m_axis pinned to frozen.
+
+    The single row r1 = frozen of _complete_histogram (P transposed for axis
+    2): q cells whose intermediates stay below q**2; q must fit
+    WORK_CAP_CELLS, else WorkCapExceeded is raised first.
+    """
+    if axis not in (1, 2):
+        raise ValueError("axis must be 1 or 2")
     a, q = a_over_q.numerator, a_over_q.denominator
-    pinned = pin(P, axis, frozen)  # depends on one variable: evaluate on the diagonal
-    return residue_sum([a * evaluate(pinned, (r, r)) % q for r in range(1, q + 1)], q) / q
+    _check_work(q, q * q, f"partial complete sum needs {q} residues")
+    terms = P.terms if axis == 1 else {(g2, g1): c for (g1, g2), c in P.terms.items()}
+    return _complete_sum(_complete_histogram(terms, a, q, [frozen]), q)
+
+
+def _complete_histogram(terms: Dict[Tuple[int, int], int], a: int, q: int,
+                        rows: Sequence[int]) -> np.ndarray:
+    """int64 q-bin histogram of a*P(r1, r2) mod q over r1 in rows, r2 in [1, q],
+    for the polynomial P with these terms.
+
+    Per row the m2-coefficients of a*P are reduced mod q in Python integers.
+    Horner's rule in r2 then runs in place on int64 blocks of whole rows, or
+    of one row's column range when a row alone exceeds BLOCK_CELLS: with t
+    and every coefficient below q and r2 <= q, t*r2 + c stays below q**2.
+    Each step reduces mod q as t - q*(t // q), because numpy divides an
+    int64 array by a scalar with a multiply-shift but takes its remainder by
+    hardware division, about four times slower.  np.add.at counts each block
+    into the histogram in time linear in the block, however many bins q has.
+    """
+    top = max((g2 for _, g2 in terms), default=0)
+    coeffs = []
+    for r1 in rows:
+        col = [0] * (top + 1)  # highest m2 power first
+        for (g1, g2), c in terms.items():
+            col[top - g2] += c * pow(r1, g1, q)
+        coeffs.append([a * x % q for x in col])
+    coeffs = np.array(coeffs, dtype=np.int64)
+    cols = min(q, BLOCK_CELLS)
+    height = max(1, BLOCK_CELLS // cols)
+    hist = np.zeros(q, dtype=np.int64)
+    for i in range(0, len(coeffs), height):
+        c = coeffs[i:i + height]
+        for c0 in range(1, q + 1, cols):
+            r2 = np.arange(c0, min(c0 + cols, q + 1), dtype=np.int64)
+            t = c[:, :1].repeat(r2.size, axis=1)
+            quot = np.empty_like(t)
+            for j in range(1, top + 1):
+                t *= r2
+                t += c[:, j:j + 1]
+                np.floor_divide(t, q, out=quot)
+                quot *= q
+                t -= quot
+            np.add.at(hist, t.ravel(), 1)
+    return hist
+
+
+def _complete_sum(hist: np.ndarray, W: int) -> complex:
+    """W^-1 * sum of h[t] * e(t/q) over the bins of a q-bin histogram h of W
+    cells.  _sum_e gets the sorted residues, counts and W that residue_sum
+    would give it for the same cells, so the value is the same to the bit."""
+    t = np.flatnonzero(hist)
+    return _sum_e(math.tau * (t / hist.size), hist[t], W) / W
 
 
 def _residue_histogram(P: Poly2, n: int, xs1, xs2) -> np.ndarray:

@@ -76,11 +76,12 @@ class ExpSumValue:
 def residue_sum(residues, L: int) -> complex:
     """Sum of e(t/L) over residues t in [0, L), taken from their histogram.
 
-    A uint64 array is taken as it is, with L = 2**64: float(t) rounds once and
+    Residues are int64 with L <= 2**53, so each phase t/L rounds once.  A
+    uint64 array is taken as it is, with L = 2**64: float(t) rounds once and
     the division by 2**64 is exact, so each phase is fl(t/L) as for int64.
     """
     if getattr(residues, "dtype", None) != np.uint64:
-        residues = np.asarray(residues, dtype=np.int64 if L <= _FLOAT_EXACT else object)
+        residues = np.asarray(residues, dtype=np.int64)
     t = np.sort(residues, axis=None)
     # bounds of the runs of equal residues
     edge = np.empty(t.size + 1, dtype=bool)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from newton_circle import suites
-from newton_circle.cli import run_command
+from newton_circle.cli import USAGE_ERROR, run_command
 from newton_circle.ergodic import FiniteFunction
 
 
@@ -25,6 +25,15 @@ def test_newton_command(tmp_path):
 def test_newton_rejects_constant_term(tmp_path, capsys):
     code = run_command(["newton", "--poly", "m1*m2 + 1"])
     assert code == 2
+    assert "P(0,0)" in capsys.readouterr().err
+
+
+def test_sectors_command(tmp_path, capsys):
+    code, doc = run(tmp_path, "sectors", "--poly", "m1^2*m2^3", "--j", "1")
+    assert code == 0
+    assert doc["results"] and all(r["M1"] and r["M2"] for r in doc["results"])
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [("grid_nonempty", True)]
+    assert run_command(["sectors", "--poly", "m1^2*m2^3 + 1"]) == USAGE_ERROR
     assert "P(0,0)" in capsys.readouterr().err
 
 

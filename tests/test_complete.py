@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -54,7 +55,9 @@ def _wide_poly(rng):
     return Poly2({e: rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 12)) for e in exps})
 
 
-def test_gauss_sum_matches_per_cell_oracle():
+@functools.lru_cache(maxsize=None)
+def _per_cell_cases():
+    """(P, a/q, the per-cell complete sum) for seeded random and edge inputs."""
     rng = random.Random(11)
     cases = []
     for i in range(40):
@@ -65,8 +68,50 @@ def test_gauss_sum_matches_per_cell_oracle():
     cases += [(P, Fraction(0)), (P, Fraction(5, 1)), (Poly2({}), Fraction(0)),
               (Poly2({}), Fraction(3, 7)), (P, Fraction(101, 400)),
               (_wide_poly(rng), Fraction(-7, 397)), (parse_poly("m2^9 - 4"), Fraction(3, 256))]
-    for P, frac in cases:
-        assert gauss_sum(P, frac) == _gauss_per_cell(P, frac), (P.terms, frac)
+    return [(P, frac, _gauss_per_cell(P, frac)) for P, frac in cases]
+
+
+def test_gauss_sum_matches_per_cell_oracle():
+    for P, frac, want in _per_cell_cases():
+        assert gauss_sum(P, frac) == want, (P.terms, frac)
+
+
+def _partial_per_cell(P, a_over_q, frozen, axis):
+    """partial_gauss with one poly.evaluate per residue, in big integers."""
+    a, q = a_over_q.numerator, a_over_q.denominator
+    cells = [(frozen, r) if axis == 1 else (r, frozen) for r in range(1, q + 1)]
+    return residue_sum([a * evaluate(P, m) % q for m in cells], q) / q
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_complete_sums_exact_across_block_edges(monkeypatch, block):
+    # 7-cell blocks cut every row with q > 7 into column ranges; 64-cell
+    # blocks hold several whole rows for q <= 32 and cut the rows of q > 64
+    monkeypatch.setattr(complete, "BLOCK_CELLS", block)
+    rng = random.Random(block)
+    for P, frac, want in _per_cell_cases():
+        assert gauss_sum(P, frac) == want, (P.terms, frac)
+        frozen = rng.randint(-70, 70)
+        for axis in (1, 2):
+            assert partial_gauss(P, frac, frozen, axis) == _partial_per_cell(P, frac, frozen, axis)
+
+
+def _no_histogram(*args):
+    raise AssertionError("the work cap must be checked before any work")
+
+
+def test_complete_sums_work_cap(monkeypatch, capsys):
+    monkeypatch.setattr(complete, "_complete_histogram", _no_histogram)
+    P = parse_poly("m1^2*m2^3")
+    cap = f"the cap is {complete.WORK_CAP_CELLS} cells"
+    start = time.perf_counter()
+    with pytest.raises(WorkCapExceeded, match="10007 x 10007"):
+        gauss_sum(P, Fraction(1, 10007))
+    with pytest.raises(WorkCapExceeded, match=cap):
+        partial_gauss(P, Fraction(1, complete.WORK_CAP_CELLS + 1), 1, 1)
+    assert run_command(["gauss", "--poly", "m1^2*m2^3", "--q", "10007", "--a", "1"]) == 1
+    assert cap in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
 
 
 def test_gauss_modulus_and_periodicity(rng):
@@ -241,7 +286,7 @@ def test_dyadic_envelope_sweeps_once(monkeypatch, histogram_moduli):
 
 def test_criterion_04b_value_at_36_by_direct_path():
     # the envelope step that breaks 04b, computed without the CRT product:
-    # gauss_sum evaluates every cell of the 36 x 36 box in Python integers
+    # gauss_sum evaluates every cell of the 36 x 36 box by Horner's rule
     P = parse_poly("m1^2*m2^3")
     direct = max(abs(gauss_sum(P, Fraction(a, 36))) for a in _units(36))
     assert abs(direct - 5 / 12) <= FLOAT_TERM_BUDGET
