@@ -21,7 +21,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
-from .complete import _check_work, _residue_histogram, gauss_sum, partial_gauss
+from .complete import (_check_work, _histogram_peak, _residue_histogram, gauss_sum,
+                       partial_gauss)
 from .ergodic import EmptyRegionError
 from .expsum import double_sum, dyadic_refine
 from .iw import IWParams, sigma_fractions
@@ -65,18 +66,20 @@ def discrete_multiplier_grid(P: Poly2, n: int, M1: RealLike, M2: RealLike,
                              tau: RealLike) -> np.ndarray:
     """discrete_multiplier(P, i/n, M1, M2, tau) for every i in [0, n), as one array.
 
-    With h the histogram of P(m) mod n over the (M/tau, M] box, the sum of
-    e(i*P(m)/n) over the box is the sum of h[t] * e(i*t/n) over t, which is
-    n times the inverse DFT of h at i.
+    With h the histogram of P(m) mod n over the (M/tau, M] box
+    (complete._residue_histogram, the kernel of the complete sums), the sum
+    of e(i*P(m)/n) over the box is the sum of h[t] * e(i*t/n) over t, which
+    is n times the inverse DFT of h at i.  The box and the n bins must fit
+    WORK_CAP_CELLS, else WorkCapExceeded is raised first.
     """
     if n < 1:
         raise ValueError("n must be positive")
     k1, m1 = _axis_count(M1, tau)
     k2, m2 = _axis_count(M2, tau)
     cells = (m1 - k1) * (m2 - k2)
-    _check_work(cells, n**3, f"multiplier grid needs a {m1 - k1} x {m2 - k2} "
-                             f"residue table mod q = {n}")
-    hist = _residue_histogram(P, n, range(k1 + 1, m1 + 1), range(k2 + 1, m2 + 1))
+    _check_work(cells + n, _histogram_peak(n), f"multiplier grid needs a {m1 - k1} x "
+                f"{m2 - k2} residue table mod q = {n} and {n} bins")
+    hist = _residue_histogram(P.terms, 1, n, range(k1 + 1, m1 + 1), range(k2 + 1, m2 + 1))
     return np.fft.ifft(hist) * (n / cells)
 
 

@@ -1,13 +1,12 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
-gauss_sum and partial_gauss evaluate P directly, one frequency at a time.
-Each row r1's m2-coefficients of a*P are reduced mod q in Python integers,
-Horner's rule in r2 runs mod q on int64 blocks of at most BLOCK_CELLS cells
-(every intermediate below q**2), and the residues are counted into a q-bin
-histogram; a work cap bounds the box before anything is allocated.  The
-all-frequency sweep instead builds the int64 histogram of P mod p**k over the
-residue box once, by outer products of per-axis power tables, and takes one
-DFT of it:
+Every complete sum is read from one object, the int64 q-bin histogram h of
+a*P(r1, r2) mod q over a box, built by one kernel (_residue_histogram) from
+products of per-axis power tables on blocks of at most BLOCK_CELLS
+cells; a work cap bounds the box and every int64 intermediate before
+anything is allocated.  gauss_sum and partial_gauss sum e(t/q) over the
+bins of one histogram, one frequency at a time.  The all-frequency sweep
+takes one DFT of the histogram of P mod p**k:
 p**2k * G(a/p**k) = sum_t h[t] * e(a*t/p**k) for every a at once.  It does so
 only for prime powers: by the Chinese remainder theorem G(a/q) factors over
 the coprime prime-power factors of q, so max over units |G(a/q)| is the
@@ -40,7 +39,7 @@ import numpy as np
 
 from .arith import RealLike
 from .expsum import BLOCK_CELLS, _sum_e, weyl_sum
-from .poly import Poly2
+from .poly import MAX_EXPONENT, Poly2
 
 WORK_CAP_CELLS = 10**8
 INT64_LIMIT = 2**63
@@ -53,71 +52,84 @@ class WorkCapExceeded(RuntimeError):
 def gauss_sum(P: Poly2, a_over_q: Fraction) -> complex:
     """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q).
 
-    a*P(r1, r2) mod q is taken row by row (_complete_histogram): with r1
-    pinned, a*P is a polynomial in r2 whose coefficients are reduced mod q
-    once per row, and Horner's rule in r2 mod q on int64 blocks gives each
-    cell of the row.  Every intermediate stays below q**2; the q x q box must
-    fit WORK_CAP_CELLS (q <= 10**4), else WorkCapExceeded is raised first.
+    Read from the q-bin histogram of a*P mod q over the box
+    (_residue_histogram); the q x q box must fit WORK_CAP_CELLS (q <= 10**4),
+    else WorkCapExceeded is raised first.
     """
     a, q = a_over_q.numerator, a_over_q.denominator
-    _check_work(q * q, q * q, f"complete sum needs a {q} x {q} residue box")
-    return _complete_sum(_complete_histogram(P.terms, a, q, range(1, q + 1)), q * q)
+    _check_work(q * q, _histogram_peak(q), f"complete sum needs a {q} x {q} residue box")
+    box = range(1, q + 1)
+    return _complete_sum(_residue_histogram(P.terms, a, q, box, box), q * q)
 
 
 def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> complex:
     """Normalized complete sum in one residue with m_axis pinned to frozen.
 
-    The single row r1 = frozen of _complete_histogram (P transposed for axis
-    2): q cells whose intermediates stay below q**2; q must fit
-    WORK_CAP_CELLS, else WorkCapExceeded is raised first.
+    The single row r1 = frozen of _residue_histogram (P transposed for axis
+    2); q must fit WORK_CAP_CELLS, else WorkCapExceeded is raised first.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     a, q = a_over_q.numerator, a_over_q.denominator
-    _check_work(q, q * q, f"partial complete sum needs {q} residues")
     terms = P.terms if axis == 1 else {(g2, g1): c for (g1, g2), c in P.terms.items()}
-    return _complete_sum(_complete_histogram(terms, a, q, [frozen]), q)
+    _check_work(q, _histogram_peak(q), f"partial complete sum needs {q} residues")
+    return _complete_sum(_residue_histogram(terms, a, q, [frozen], range(1, q + 1)), q)
 
 
-def _complete_histogram(terms: Dict[Tuple[int, int], int], a: int, q: int,
-                        rows: Sequence[int]) -> np.ndarray:
-    """int64 q-bin histogram of a*P(r1, r2) mod q over r1 in rows, r2 in [1, q],
-    for the polynomial P with these terms.
+def _residue_histogram(terms: Dict[Tuple[int, int], int], a: int, q: int,
+                       rows: Sequence[int], cols: range) -> np.ndarray:
+    """int64 q-bin histogram of a*P(r1, r2) mod q over r1 in rows and r2 in
+    cols, for the polynomial P with these terms.
 
-    Per row the m2-coefficients of a*P are reduced mod q in Python integers.
-    Horner's rule in r2 then runs in place on int64 blocks of whole rows, or
-    of one row's column range when a row alone exceeds BLOCK_CELLS: with t
-    and every coefficient below q and r2 <= q, t*r2 + c stays below q**2.
-    Each step reduces mod q as t - q*(t // q), because numpy divides an
+    Rows, columns and each a*c are reduced mod q in Python integers, so
+    values of any size never reach numpy.  The terms are grouped by their m1
+    exponent g1: on each column block of at most BLOCK_CELLS columns the
+    group vectors C_g1(r2) mod q are one product of the coefficient matrix
+    with the block's power table, and each block of at most BLOCK_CELLS cells
+    is the product of the rows' power table r1**g1 with them.  Every term of
+    either product is below q**2 and no sum has more than MAX_EXPONENT + 1 =
+    65 of them, so every intermediate stays below _histogram_peak(q).  Each
+    block is reduced in place as t - q*(t // q), because numpy divides an
     int64 array by a scalar with a multiply-shift but takes its remainder by
-    hardware division, about four times slower.  np.add.at counts each block
-    into the histogram in time linear in the block, however many bins q has.
+    hardware division, about four times slower, and np.add.at counts it in
+    time linear in the block, however many bins q has.
     """
     top = max((g2 for _, g2 in terms), default=0)
-    coeffs = []
-    for r1 in rows:
-        col = [0] * (top + 1)  # highest m2 power first
-        for (g1, g2), c in terms.items():
-            col[top - g2] += c * pow(r1, g1, q)
-        coeffs.append([a * x % q for x in col])
-    coeffs = np.array(coeffs, dtype=np.int64)
-    cols = min(q, BLOCK_CELLS)
-    height = max(1, BLOCK_CELLS // cols)
+    groups: Dict[int, List[int]] = {}
+    for (g1, g2), c in terms.items():
+        groups.setdefault(g1, [0] * (top + 1))[g2] = a * c % q
+    groups = groups or {0: [0]}  # the zero polynomial: one group, the zero vector
+    exps = list(groups)
+    coeffs = np.array(list(groups.values()), dtype=np.int64)
+
+    def powers(r: Sequence[int], k: int) -> np.ndarray:
+        """(k + 1) x len(r) table of r**j mod q."""
+        x = np.array([v % q for v in r], dtype=np.int64)
+        table = np.empty((k + 1, x.size), dtype=np.int64)
+        table[0] = 1 % q
+        for j in range(k):
+            np.multiply(table[j], x, out=table[j + 1])
+            table[j + 1] %= q
+        return table
+
+    width = min(len(cols), BLOCK_CELLS)
+    height = BLOCK_CELLS // width
     hist = np.zeros(q, dtype=np.int64)
-    for i in range(0, len(coeffs), height):
-        c = coeffs[i:i + height]
-        for c0 in range(1, q + 1, cols):
-            r2 = np.arange(c0, min(c0 + cols, q + 1), dtype=np.int64)
-            t = c[:, :1].repeat(r2.size, axis=1)
-            quot = np.empty_like(t)
-            for j in range(1, top + 1):
-                t *= r2
-                t += c[:, j:j + 1]
-                np.floor_divide(t, q, out=quot)
-                quot *= q
-                t -= quot
+    for c0 in range(0, len(cols), width):
+        vectors = coeffs @ powers(cols[c0:c0 + width], top)
+        vectors %= q
+        for r0 in range(0, len(rows), height):
+            t = powers(rows[r0:r0 + height], max(exps))[exps].T @ vectors
+            quot = t // q
+            quot *= q
+            t -= quot
             np.add.at(hist, t.ravel(), 1)
     return hist
+
+
+def _histogram_peak(q: int) -> int:
+    """Bound on every int64 intermediate of _residue_histogram mod q."""
+    return (MAX_EXPONENT + 1) * q * q
 
 
 def _complete_sum(hist: np.ndarray, W: int) -> complex:
@@ -126,41 +138,6 @@ def _complete_sum(hist: np.ndarray, W: int) -> complex:
     would give it for the same cells, so the value is the same to the bit."""
     t = np.flatnonzero(hist)
     return _sum_e(math.tau * (t / hist.size), hist[t], W) / W
-
-
-def _residue_histogram(P: Poly2, n: int, xs1, xs2) -> np.ndarray:
-    """int64 histogram of P(m1, m2) mod n over m1 in xs1 and m2 in xs2.
-
-    The terms are grouped by their m1 exponent g1, so each group is one column
-    vector C_g1(m2) mod n, and the table is the sum over the groups of the
-    outer products m1**g1 * C_g1.  Every product is below n**2 and no sum has
-    more than 65 of them (exponents are at most 64), so every intermediate
-    stays below max(n, 65) * n**2, below 2**63 once the caller keeps n**3
-    there.
-    """
-    x1 = np.asarray(xs1, dtype=np.int64) % n
-    x2 = np.asarray(xs2, dtype=np.int64) % n
-    pow1, pow2 = _power_table(x1, P, 0, n), _power_table(x2, P, 1, n)
-    cols: Dict[int, np.ndarray] = {}
-    for (g1, g2), c in P.terms.items():
-        cols[g1] = cols.get(g1, 0) + (c % n) * pow2[g2]
-    # the zero polynomial has no group: its one part is the zero table
-    parts = [(pow1[g1], col % n) for g1, col in cols.items()] or [(0 * x1, 0 * x2)]
-    # in place after the first part: a fresh table per step costs page faults
-    table = np.multiply.outer(*parts[0])
-    for p1, col in parts[1:]:
-        table += np.multiply.outer(p1, col)
-    np.remainder(table, n, out=table)
-    return np.bincount(table.ravel(), minlength=n)
-
-
-def _power_table(x: np.ndarray, P: Poly2, axis: int, n: int) -> List[np.ndarray]:
-    """[x**0, x**1, ...] mod n, up to the top exponent of P on one axis."""
-    top = max((g[axis] for g in P.terms), default=0)
-    powers = [np.ones_like(x) % n]
-    for _ in range(top):
-        powers.append(powers[-1] * x % n)
-    return powers
 
 
 def _check_work(cells: int, peak: int, what: str) -> None:
@@ -202,22 +179,24 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     with (a1, a2) running over all pairs of units as a does, so a row's
     max_abs_G is the product of its prime-power maxima and its a_count is
     phi(q), the product of p**k - p**(k-1); q = 1 is the empty product.
-    Rows are cross-checkable against gauss_sum, which evaluates P directly.
+    Rows are cross-checkable against a per-cell evaluation of P, which
+    needs no histogram.
     """
     q_values = list(q_values)
     if any(q < 1 for q in q_values):
         raise ValueError("moduli must be positive")
     q_top = max(q_values, default=1)
-    _check_work(q_top * q_top, q_top**3, f"gauss sweep needs a {q_top} x {q_top} residue table")
+    _check_work(q_top * q_top, _histogram_peak(q_top),
+                f"gauss sweep needs a {q_top} x {q_top} residue table")
     maxima: Dict[int, float] = {}
     rows = []
     for q in q_values:
         max_abs, a_count = 1.0, 1
         for p, pk in _prime_powers(q):
             if pk not in maxima:
-                r = np.arange(pk, dtype=np.int64)
-                spectrum = np.abs(np.fft.fft(_residue_histogram(P, pk, r, r))) / pk**2
-                maxima[pk] = float(spectrum[r % p != 0].max())
+                r = range(pk)
+                spectrum = np.abs(np.fft.fft(_residue_histogram(P.terms, 1, pk, r, r))) / pk**2
+                maxima[pk] = float(spectrum[np.arange(pk) % p != 0].max())
             max_abs *= maxima[pk]
             a_count *= pk - pk // p
         rows.append({"q": q, "a_count": a_count, "max_abs_G": max_abs})

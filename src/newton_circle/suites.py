@@ -237,7 +237,8 @@ def suite_gauss(seed: int = 11) -> List[dict]:
         # NOTE: genuinely false for m1^2*m2^3 at Q=16 -> 32: the envelope jumps
         # from 3/8 (q=16) to 5/12 (q=36), the product 3/4 * 5/9 of the maxima
         # at q=4 and q=9 that the sweep itself multiplies; a test pins 5/12
-        # through gauss_sum.  The check is kept as specified and reported honestly.
+        # by evaluating every cell of the 36 x 36 box.  The check is kept as
+        # specified and reported honestly.
         checks.append(_check(f"dyadic_envelope_nonincreasing[{name}]", steps_up, 0))
         worst_tail = max(worst_tail, env[-1])
     checks.append(_check("dyadic_envelope_tail_bound", worst_tail, 0.6))

@@ -58,13 +58,24 @@ def test_multiplier_grid_matches_scalar(n):
             assert abs(v - discrete_multiplier(P, Fraction(i, n), M1, M2, tau)) <= 1e-12
 
 
-def test_multiplier_grid_guards(mixed):
+def test_multiplier_grid_guards(mixed, monkeypatch):
     with pytest.raises(ValueError):
         discrete_multiplier_grid(mixed, 0, 8, 8, 2)
     with pytest.raises(WorkCapExceeded):
-        discrete_multiplier_grid(mixed, 2**21, 8, 8, 2)  # n**3 reaches 2**63
-    with pytest.raises(WorkCapExceeded):
         discrete_multiplier_grid(mixed, 12, 10**5, 10**5, 2)
+    # a large n is only as much work as its n bins and DFT: 2**21 bins run
+    n = 2**21
+    grid = discrete_multiplier_grid(mixed, n, 8, 8, 2)
+    for i in (0, 1, 12345, n // 2, n - 1):
+        assert abs(grid[i] - discrete_multiplier(mixed, Fraction(i, n), 8, 8, 2)) <= 1e-12
+
+    def refuse(*args):
+        raise AssertionError("histogram built before the work cap")
+
+    # the n bins count towards the cap, checked before anything is allocated
+    monkeypatch.setattr(circle, "_residue_histogram", refuse)
+    with pytest.raises(WorkCapExceeded):
+        discrete_multiplier_grid(mixed, complete.WORK_CAP_CELLS + 1, 8, 8, 2)
 
 
 @pytest.mark.parametrize("n", [1, 12, 97])

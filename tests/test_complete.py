@@ -44,8 +44,15 @@ def test_partial_gauss_examples():
 def _gauss_per_cell(P, a_over_q):
     """The complete sum with one poly.evaluate per cell, in big integers."""
     a, q = a_over_q.numerator, a_over_q.denominator
-    residues = [a * evaluate(P, (r1, r2)) % q for r1 in range(1, q + 1) for r2 in range(1, q + 1)]
-    return residue_sum(residues, q) / q**2
+    return _gauss_per_cell_at(P, q, [a])[0]
+
+
+def _gauss_per_cell_at(P, q, numerators):
+    """[G(a/q) for a in numerators], each with one poly.evaluate per cell of
+    the q x q box (evaluated once for all a), in big integers: no histogram,
+    power table or DFT."""
+    values = [evaluate(P, (r1, r2)) for r1 in range(1, q + 1) for r2 in range(1, q + 1)]
+    return [residue_sum([a * v % q for v in values], q) / q**2 for a in numerators]
 
 
 def _wide_poly(rng):
@@ -96,12 +103,23 @@ def test_complete_sums_exact_across_block_edges(monkeypatch, block):
             assert partial_gauss(P, frac, frozen, axis) == _partial_per_cell(P, frac, frozen, axis)
 
 
+def test_partial_gauss_huge_frozen_value():
+    # the frozen value is reduced mod q before it reaches int64 arrays
+    frozen, frac = 10**30 + 2, Fraction(3, 7)
+    for P in _suite_gauss_polys() + [parse_poly("m1^64*m2 + m2^64")]:
+        for axis in (1, 2):
+            assert partial_gauss(P, frac, frozen, axis) == _partial_per_cell(P, frac, frozen, axis)
+    for axis in ("1", "2"):
+        assert run_command(["gauss", "--poly", "m1^2*m2^3", "--q", "7", "--a", "3",
+                            "--frozen", str(frozen), "--axis", axis]) == 0
+
+
 def _no_histogram(*args):
     raise AssertionError("the work cap must be checked before any work")
 
 
 def test_complete_sums_work_cap(monkeypatch, capsys):
-    monkeypatch.setattr(complete, "_complete_histogram", _no_histogram)
+    monkeypatch.setattr(complete, "_residue_histogram", _no_histogram)
     P = parse_poly("m1^2*m2^3")
     cap = f"the cap is {complete.WORK_CAP_CELLS} cells"
     start = time.perf_counter()
@@ -139,10 +157,8 @@ def test_sweep_agrees_with_direct(rng):
     rows = gauss_sum_sweep(P, range(1, 25))
     for row in rows:
         q = row["q"]
-        direct = max(
-            abs(gauss_sum(P, Fraction(a, q)))
-            for a in range(q) if math.gcd(a, q) == 1
-        )
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+        direct = max(map(abs, _gauss_per_cell_at(P, q, units)))
         assert row["max_abs_G"] == pytest.approx(direct, abs=1e-10)
         expected_count = 1 if q == 1 else sum(1 for a in range(1, q) if math.gcd(a, q) == 1)
         assert row["a_count"] == expected_count
@@ -164,14 +180,37 @@ def _units(q):
     return [a for a in range(1, q) if math.gcd(a, q) == 1]
 
 
-def test_residue_histogram_matches_direct_evaluation(rng):
-    polys = [random_nondegenerate_poly(rng) for _ in range(5)] + [Poly2({})]
-    for P in polys:
-        n = rng.randint(1, 40)
-        xs1, xs2 = range(3, 4 + rng.randint(0, 12)), range(rng.randint(0, 50), 60)
-        want = Counter(evaluate(P, (m1, m2)) % n for m1 in xs1 for m2 in xs2)
-        got = complete._residue_histogram(P, n, xs1, xs2)
-        assert got.tolist() == [want[t] for t in range(n)]
+def _histogram_cases(rng):
+    """(P, a, q, rows, cols) with a of either sign and above q, negative rows,
+    rows near 10**30, columns not starting at 1, q = 1 and the zero polynomial."""
+    big = 10**30
+    polys = [random_nondegenerate_poly(rng) for _ in range(4)] + [_wide_poly(rng) for _ in range(4)]
+    cases = []
+    for P in polys + [Poly2({})]:
+        q = rng.randint(1, 60)
+        a = rng.choice((-1, 1)) * rng.randint(0, 3 * q)
+        start = rng.randint(-40, 50)
+        cases.append((P, a, q, range(-7, 4 + rng.randint(0, 12)), range(start, start + rng.randint(1, 90))))
+        cases.append((P, a, q, [big + rng.randint(-5, 5), -big - 3, rng.randint(-99, 99)],
+                      range(big - 20, big + rng.randint(1, 40))))
+    P = polys[0]
+    cases += [(P, 5, 1, range(1, 9), range(1, 9)), (Poly2({}), 3, 1, range(2), range(-3, 3)),
+              (Poly2({}), -4, 13, [big], range(1, 14)), (P, -17, 11, range(-30, 30), range(-2, 70))]
+    return cases
+
+
+def test_residue_histogram_matches_direct_evaluation(monkeypatch, rng):
+    cases = _histogram_cases(rng)
+    wants = [Counter(a * evaluate(P, (m1, m2)) % q for m1 in rows for m2 in cols)
+             for P, a, q, rows, cols in cases]
+    # 7-cell blocks cut every row into column blocks; 64-cell blocks cut rows
+    # longer than 64 and hold several shorter rows
+    for block in (complete.BLOCK_CELLS, 7, 64):
+        monkeypatch.setattr(complete, "BLOCK_CELLS", block)
+        for (P, a, q, rows, cols), want in zip(cases, wants):
+            got = complete._residue_histogram(P.terms, a, q, rows, cols)
+            assert got.dtype == np.int64
+            assert got.tolist() == [want[t] for t in range(q)], (block, P.terms, a, q, rows, cols)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -179,10 +218,10 @@ def test_sweep_dft_matches_gauss_sum_at_every_unit(seed):
     P = random_nondegenerate_poly(random.Random(seed))
     qs = (2, 3, 4, 5, 8, 9, 12, 16, 25, 27, 36, 48)
     for q, row in zip(qs, gauss_sum_sweep(P, qs)):
-        tol = fft_tolerance(q) + FLOAT_TERM_BUDGET  # the DFT's rounding and gauss_sum's
-        r = np.arange(q)
-        spectrum = np.fft.fft(complete._residue_histogram(P, q, r, r)) / q**2
-        direct = {a: gauss_sum(P, Fraction(a, q)) for a in _units(q)}
+        tol = fft_tolerance(q) + FLOAT_TERM_BUDGET  # the DFT's rounding and residue_sum's
+        r = range(q)
+        spectrum = np.fft.fft(complete._residue_histogram(P.terms, 1, q, r, r)) / q**2
+        direct = dict(zip(_units(q), _gauss_per_cell_at(P, q, _units(q))))
         for a, g in direct.items():
             # fft sums h[t] * e(-a*t/q); h is real, so that is conj(q**2 * G(a/q))
             assert abs(spectrum[a].conjugate() - g) <= tol
@@ -228,9 +267,9 @@ def test_sweep_product_matches_direct_composite_table(index):
     P = _suite_gauss_polys()[index]
     qs = range(2, 129)
     for q, row in zip(qs, gauss_sum_sweep(P, qs)):
-        r = np.arange(q)
-        spectrum = np.abs(np.fft.fft(complete._residue_histogram(P, q, r, r))) / q**2
-        units = np.gcd(r, q) == 1
+        r = range(q)
+        spectrum = np.abs(np.fft.fft(complete._residue_histogram(P.terms, 1, q, r, r))) / q**2
+        units = np.gcd(np.arange(q), q) == 1
         # every factor is at most 1, so the product is off by at most the
         # sum of the factors' errors
         tol = fft_tolerance(q) + sum(fft_tolerance(pk) for _, pk in complete._prime_powers(q))
@@ -250,9 +289,9 @@ def histogram_moduli(monkeypatch):
     """Record the modulus of every _residue_histogram call."""
     moduli, build = [], complete._residue_histogram
 
-    def spy(P, n, xs1, xs2):
-        moduli.append(n)
-        return build(P, n, xs1, xs2)
+    def spy(terms, a, q, rows, cols):
+        moduli.append(q)
+        return build(terms, a, q, rows, cols)
 
     monkeypatch.setattr(complete, "_residue_histogram", spy)
     return moduli
@@ -285,10 +324,10 @@ def test_dyadic_envelope_sweeps_once(monkeypatch, histogram_moduli):
 
 
 def test_criterion_04b_value_at_36_by_direct_path():
-    # the envelope step that breaks 04b, computed without the CRT product:
-    # gauss_sum evaluates every cell of the 36 x 36 box by Horner's rule
+    # the envelope step that breaks 04b, computed without the CRT product
+    # and without a histogram: one poly.evaluate per cell of the 36 x 36 box
     P = parse_poly("m1^2*m2^3")
-    direct = max(abs(gauss_sum(P, Fraction(a, 36))) for a in _units(36))
+    direct = max(map(abs, _gauss_per_cell_at(P, 36, _units(36))))
     assert abs(direct - 5 / 12) <= FLOAT_TERM_BUDGET
     (row,) = gauss_sum_sweep(P, [36])
     assert abs(row["max_abs_G"] - direct) <= FLOAT_TERM_BUDGET
