@@ -14,6 +14,16 @@ off by less than 2**-52 of a turn.  Each block's terms are added by an
 exact split into integer and fractional parts (``_split_sum``), within 1 ulp
 of ``math.fsum``, and the block partials with ``math.fsum``.
 
+One producer (``_phase_blocks``) yields each block's residues, or its float
+phases on the tail path, and two reductions read them.  The sum over the
+whole box (``double_sum``, ``weyl_sum``) histograms each block's residues,
+so each distinct phase takes one cos and one sin.  The row sums of
+``double_sum_abs`` take cos and sin of every cell and add all rows of a
+block in one ``_split_sum``: its rows are short and their residues mostly
+distinct, so a histogram per row does not pay.  Each row sum is within
+(row length) * ``FLOAT_TERM_BUDGET`` of the exact one, by the derivation
+above ``FLOAT_TERM_BUDGET`` with count weights of 1.
+
 ``mode`` names the kind of input, exact (rational) or float.  Either way the
 value carries the rounding of the phases, the trigonometry and the
 summation, and every result reports an ``error_budget`` of
@@ -24,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, starmap
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -99,11 +109,10 @@ def _sum_e(angle: np.ndarray, weights, W: int) -> complex:
     np.cos(angle, out=z[0])
     np.sin(angle, out=z[1])
     z *= weights
-    re, im = _split_sum(z, W)
-    return complex(re, im)
+    return complex(*_split_sum(z, W).tolist())
 
 
-def _split_sum(x: np.ndarray, W: int) -> List[float]:
+def _split_sum(x: np.ndarray, W: int) -> np.ndarray:
     """Sums of the rows of x, each within 1 ulp of math.fsum, given that
     W < 2**52 bounds the sum of |x| over every row; x is scaled in place.
 
@@ -113,16 +122,23 @@ def _split_sum(x: np.ndarray, W: int) -> List[float]:
     is off by less than n*n*u/2 (u = 2**-53) in any order, and one rounding of
     hi + lo and an exact division by k give the row sum.  That is within an
     ulp of the correctly rounded sum whenever the row sum reaches 2*n**2 in
-    units of 1/k; a smaller one (heavy cancellation) goes to math.fsum.
+    units of 1/k; only a row with a smaller sum (heavy cancellation) goes to
+    math.fsum.
     """
     n = x.shape[-1]
     k = math.ldexp(1.0, 52 - W.bit_length())
     x *= k
     hi = np.rint(x)
-    s = hi.sum(axis=-1)
-    s += np.subtract(x, hi, out=hi).sum(axis=-1)
-    return [v / k if abs(v) >= 2.0 * n * n else math.fsum(row.tolist()) / k
-            for v, row in zip(s.tolist(), x)]
+    # np.add.reduce and np.minimum.reduce skip the Python wrappers of
+    # ndarray.sum and .min, a fixed cost that a two-row sum notices
+    s = np.add.reduce(hi, axis=-1)
+    s += np.add.reduce(np.subtract(x, hi, out=hi), axis=-1)
+    cut = 2.0 * n * n
+    if np.minimum.reduce(abs(s)) < cut:
+        for i in (abs(s) < cut).nonzero()[0]:
+            s[i] = math.fsum(x[i].tolist())
+    s /= k
+    return s
 
 
 def _integer_form(terms: Dict[Tuple[int, int], RealLike]) -> Tuple[int, List[Tuple[int, ...]]]:
@@ -165,47 +181,106 @@ def _tail_width(d: int) -> int:
 
 
 def _lattice_phase_sum(form, K1: int, M1: int, K2: int, M2: int) -> complex:
-    """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form."""
-    if M1 <= K1 or M2 <= K2:
-        return 0j
-    L, rows = form
-    # every int64 Horner step over m2 stays below (M2 + 1) * L
-    blocks = _int64_blocks if L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63 else _wrapped_blocks
-    parts = list(blocks(L, rows, K1, M1, K2, M2))
+    """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form;
+    the block partials are added with math.fsum."""
+    # starmap lets go of each block before the producer builds the next
+    parts = list(starmap(_block_sum, _phase_blocks(form, K1, M1, K2, M2)))
     return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
 
+def _block_sum(r, x, L, keep) -> complex:
+    """A block's part of the box sum: its residues through their histogram
+    (residue_sum), or its tail phases term by term."""
+    if keep is not None:
+        x = x[keep]
+    return residue_sum(x, L) if L else _sum_e(math.tau * x, 1.0, x.size)
+
+
+def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
+    """Sums of e(Q(m1, m2)) over m2 in (K2, M2], one per row m1 in (K1, M1],
+    with Q in integer form, as a complex array.
+
+    A row spread over several column blocks or wrapped segments, which come
+    in row order, adds its partials with math.fsum.  Each row sum is within
+    (M2 - K2) * FLOAT_TERM_BUDGET of the exact one.
+    """
+    out = np.zeros(max(M1 - K1, 0), dtype=complex)
+    blocks = list(starmap(_block_row_sums, _phase_blocks(form, K1, M1, K2, M2)))
+    if not blocks:
+        return out
+    r = np.concatenate([r for r, _ in blocks])
+    s = np.concatenate([s for _, s in blocks], axis=1)
+    if r.size == out.size:          # one partial per row
+        out.real[r], out.imag[r] = s
+        return out
+    bounds = np.searchsorted(r, np.arange(out.size + 1)).tolist()
+    re, im = s.tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        out[i] = complex(math.fsum(re[a:b]), math.fsum(im[a:b]))
+    return out
+
+
+def _block_row_sums(r, x, L, keep):
+    """(r, sums): a block's part of each of its rows' sums, sums[0] real and
+    sums[1] imaginary.  Every cell's phase goes through cos and sin directly,
+    a cell outside keep weighs 0, and one _split_sum adds the 2*h rows of
+    the h-row block, with W = its width."""
+    angle = math.tau * (x / L if L else x)
+    h, w = angle.shape
+    z = np.empty((2, h, w))
+    np.cos(angle, out=z[0])
+    np.sin(angle, out=z[1])
+    if keep is not None:
+        z *= keep
+    return r, _split_sum(z.reshape(2 * h, w), w).reshape(2, h)
+
+
+def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
+    """Blocks of the box (K1, M1] x (K2, M2] for Q in integer form (L, rows),
+    each as (r, x, L, keep): r lists the row offset m1 - K1 - 1 of each block
+    row, and x the phases of the block's cells, as residues t mod L (int64
+    for L <= 2**53, uint64 for L = 2**64) or, with L None, as float turns;
+    keep, when not None, marks the cells inside the box.  The block rows
+    come in row order: r never decreases from one block row to the next."""
+    if M1 <= K1 or M2 <= K2:
+        return iter(())
+    L, rows = form
+    # every int64 Horner step over m2 stays below (M2 + 1) * L
+    blocks = _int64_blocks if L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63 else _wrapped_blocks
+    return blocks(L, rows, K1, M1, K2, M2)
+
+
 def _int64_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
-    """Partial sums of the lattice sum over blocks, from int64 residues mod L."""
+    """Blocks of int64 residues mod L, by Horner's rule over m2."""
     cols = min(M2 - K2, BLOCK_CELLS)
     height = max(1, BLOCK_CELLS // cols)
     for r0 in range(K1 + 1, M1 + 1, height):
         # per row m1, the m2-coefficients of Q mod L, top degree first
         coeffs = np.array([[_horner(row, m1, L) for row in rows]
                            for m1 in range(r0, min(r0 + height, M1 + 1))], dtype=np.int64)
+        r = range(r0 - K1 - 1, r0 - K1 - 1 + len(coeffs))
         for c0 in range(K2 + 1, M2 + 1, cols):
             m2 = np.arange(c0, min(c0 + cols, M2 + 1), dtype=np.int64)
             t = coeffs[:, :1].repeat(len(m2), axis=1)
             for j in range(1, len(rows)):
                 t = (t * m2 + coeffs[:, j:j + 1]) % L
-            yield residue_sum(t, L)
+            yield r, t, L, None
 
 
 def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
-    """Partial sums of the lattice sum over blocks, for an L or M2 too large
-    for int64 residues mod L.
+    """Blocks of phases for an L or M2 too large for int64 residues mod L.
 
-    The box is cut into row segments m2 = o + u, u in [1, w].  A coefficient
-    c splits as 2**64 * c / L = H + rho / L with H = (c << 64) // L < 2**64.
-    Horner in uint64 wraps mod 2**64, so it gives exactly 2**64 times the
-    fractional phase of the H part, however large the polynomial gets.  When
-    L divides 2**64 every rho is 0 and that is the whole phase: Horner runs
-    at m2 = o + u on each row's own coefficients, and the phases are summed
-    through the residue histogram.  Otherwise each row's m2-coefficients are
-    Taylor-shifted mod L to the origin o, and the tail sum of rho_j/(L*2**64)
-    * u**(d-j) is a float Horner over u added to the head; w keeps it below
-    2**-11 (see FLOAT_TERM_BUDGET), and the nearly distinct phases are summed
-    term by term.
+    The box is cut into row segments m2 = o + u, u in [1, w], and each block
+    holds up to BLOCK_CELLS // w of them.  A coefficient c splits as 2**64 *
+    c / L = H + rho / L with H = (c << 64) // L < 2**64.  Horner in uint64
+    wraps mod 2**64, so it gives exactly 2**64 times the fractional phase of
+    the H part, however large the polynomial gets.  When L divides 2**64
+    every rho is 0 and that is the whole phase: Horner runs at m2 = o + u on
+    each row's own coefficients, and the block is uint64 residues mod 2**64.
+    Otherwise each row's m2-coefficients are Taylor-shifted mod L to the
+    origin o, and the tail sum of rho_j/(L*2**64) * u**(d-j) is a float
+    Horner over u added to the head; w keeps it below 2**-11 (see
+    FLOAT_TERM_BUDGET), and the block is float phases in turns.
     """
     d = len(rows) - 1
     dyadic = _WRAP % L == 0
@@ -217,33 +292,32 @@ def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
     uf = u.astype(np.float64)
     # per row m1, the m2-coefficients of Q mod L, top degree first
     row_coeffs = ([_horner(row, m1, L) for row in rows] for m1 in range(K1 + 1, M1 + 1))
-    segments = ((b, o) for b in row_coeffs for o in range(K2, M2, w))
+    segments = ((i, b, o) for i, b in enumerate(row_coeffs) for o in range(K2, M2, w))
     while chunk := list(islice(segments, BLOCK_CELLS // w)):
+        r = [i for i, _, _ in chunk]
         if dyadic:
-            head = np.array([[(c << 64) // L for c in b] for b, _ in chunk], dtype=np.uint64)
-            m2 = np.array([o for _, o in chunk], dtype=np.uint64)[:, None] + u
+            head = np.array([[(c << 64) // L for c in b] for _, b, _ in chunk], dtype=np.uint64)
+            m2 = np.array([o for _, _, o in chunk], dtype=np.uint64)[:, None] + u
         else:
             split = [[divmod(c << 64, L) for c in (_taylor_shift(b, o, L) if o else b)]
-                     for b, o in chunk]
+                     for _, b, o in chunk]
             head = np.array([[h for h, _ in row] for row in split], dtype=np.uint64)
             tail = np.array([[rho / (L << 64) for _, rho in row] for row in split])
             m2 = u
         t = head[:, :1].repeat(w, axis=1)
         for j in range(1, d + 1):
             t = t * m2 + head[:, j:j + 1]
-        keep = u <= np.array([min(w, M2 - o) for _, o in chunk])[:, None]
+        keep = u <= np.array([min(w, M2 - o) for _, _, o in chunk])[:, None]
         if dyadic:
-            yield residue_sum(t[keep], _WRAP)
+            yield r, t, _WRAP, keep
             continue
         acc = tail[:, :1].repeat(w, axis=1)
         for j in range(1, d + 1):
             acc = acc * uf + tail[:, j:j + 1]
         # (t >> 11) * 2**-53 and (t & 2047) * 2**-64 are exact floats; the sum
         # lies below 1 + 2**-10 and needs no reduction mod 1 before cos and sin
-        phase = ((t >> 11).astype(np.float64) * 2.0**-53
-                 + ((t & 2047).astype(np.float64) * 2.0**-64 + acc))
-        angle = math.tau * phase[keep]
-        yield _sum_e(angle, 1.0, angle.size)
+        yield r, ((t >> 11).astype(np.float64) * 2.0**-53
+                  + ((t & 2047).astype(np.float64) * 2.0**-64 + acc)), None, keep
 
 
 def _result(value: complex, exact: bool, count: int) -> ExpSumValue:
@@ -281,15 +355,21 @@ def _transpose(Q: RealPoly2) -> RealPoly2:
 
 
 def double_sum_abs(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, outer_axis: int = 1) -> float:
-    """Outer sum of absolute inner sums: axis 1 keeps m1 outside, axis 2 transposes."""
+    """Outer sum of absolute inner sums: axis 1 keeps m1 outside, axis 2 transposes.
+
+    The inner sums are the row sums of one pass over the box
+    (_lattice_row_sums), each within 50u per term of the exact one (u =
+    2**-53).  The modulus is 1-Lipschitz and rounds by at most 2u per term of
+    its row, and the math.fsum of the moduli by u per term, so the result is
+    within term count * FLOAT_TERM_BUDGET of the exact outer sum.
+    """
     _check_ranges(K1, M1, K2, M2)
     if outer_axis == 2:
         return double_sum_abs(_transpose(Q), K2, M2, K1, M1, outer_axis=1)
     if outer_axis != 1:
         raise ValueError("outer_axis must be 1 or 2")
-    form = _integer_form(Q.terms)
-    return math.fsum(abs(_lattice_phase_sum(form, m1 - 1, m1, K2, M2))
-                     for m1 in range(K1 + 1, M1 + 1))
+    rows = _lattice_row_sums(_integer_form(Q.terms), K1, M1, K2, M2)
+    return math.fsum(np.abs(rows).tolist())
 
 
 # ---------------------------------------------------------------------------

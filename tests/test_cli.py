@@ -54,6 +54,20 @@ def test_expsum_double_sum(tmp_path):
     assert row["re"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("axis", [1, 2])
+def test_expsum_abs_axis(tmp_path, axis):
+    from fractions import Fraction
+
+    from newton_circle.expsum import double_sum_abs
+    from newton_circle.poly import parse_poly, scale
+    code, doc = run(tmp_path, "expsum", "--poly", "m1^2*m2^3 + m1*m2", "--xi", "3/7",
+                    "--k1", "2", "--m1", "12", "--k2", "1", "--m2", "9", "--abs-axis", str(axis))
+    assert code == 0
+    want = double_sum_abs(scale(parse_poly("m1^2*m2^3 + m1*m2"), Fraction(3, 7)), 2, 12, 1, 9, axis)
+    assert doc["results"] == [{"kind": "absolute_double_sum", "value": want}]
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [("nonnegative", True)]
+
+
 def test_expsum_weyl(tmp_path):
     code, doc = run(tmp_path, "expsum", "--weyl", "1/2", "--n", "4")
     assert code == 0

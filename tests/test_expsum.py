@@ -200,6 +200,84 @@ def test_double_sum_abs_examples():
     assert double_sum_abs(half, 0, 2, 0, 2, outer_axis=1) == pytest.approx(2)
 
 
+def _per_row_oracle(Q, K1, M1, K2, M2, axis):
+    """The outer sum of |inner sums|, one double_sum (histogram reduction) a row."""
+    if axis == 1:
+        rows = (double_sum(Q, m1 - 1, m1, K2, M2) for m1 in range(K1 + 1, M1 + 1))
+    else:
+        rows = (double_sum(Q, K1, M1, m2 - 1, m2) for m2 in range(K2 + 1, M2 + 1))
+    return math.fsum(abs(v.value) for v in rows)
+
+
+_ABS_P = parse_poly("m1^2*m2^3 + 3*m1*m2 - m1^3")
+_EDGE = 2**23        # (M2 + 1) * 2**40 reaches 2**63 at M2 = _EDGE - 1
+_ABS_CASES = {
+    # name: (Q, box of the inner axis-1 sums, phase path)
+    "int64": (scale(_ABS_P, Fraction(5, 4093)), (3, 17, 2, 23), "int64"),
+    "int64_q_2_16": (scale(_ABS_P, Fraction(12345, 2**16)), (0, 11, 0, 70), "int64"),
+    "dyadic": (scale(_ABS_P, 0.1234567), (2, 12, 5, 30), "dyadic"),
+    "tail": (scale(_ABS_P, Fraction(123456789123, 2**61 - 1)), (2, 14, 1, 40), "tail"),
+    # m2-degree 8: a tail segment holds at most 91 cells, so rows of 150 wrap
+    "tail_segments": (scale(parse_poly("m1*m2^8 + m1^2*m2"), Fraction(987654321, 2**61 - 1)),
+                      (0, 5, 0, 150), "tail"),
+    "guard_below": (scale(_ABS_P, Fraction(987654321, 2**40)), (0, 6, _EDGE - 12, _EDGE - 2),
+                    "int64"),
+    "guard_at": (scale(_ABS_P, Fraction(987654321, 2**40)), (0, 6, _EDGE - 11, _EDGE - 1),
+                 "dyadic"),
+    # L = 3 * 2**40: (M2 + 1) * L passes 2**63 first at M2 = _EDGE // 3
+    "guard_past_tail": (scale(_ABS_P, Fraction(987654323, 3 * 2**40)),
+                        (0, 6, _EDGE // 3 - 9, _EDGE // 3), "tail"),
+    "guard_short_of_tail": (scale(_ABS_P, Fraction(987654323, 3 * 2**40)),
+                            (0, 6, _EDGE // 3 - 10, _EDGE // 3 - 1), "int64"),
+    "one_column": (scale(_ABS_P, Fraction(5, 4093)), (0, 9, 6, 7), "int64"),
+    "one_column_wrapped": (scale(_ABS_P, 0.1234567), (0, 9, 6, 7), "dyadic"),
+    "no_rows": (scale(_ABS_P, Fraction(5, 4093)), (3, 3, 0, 5), None),
+    "no_columns": (scale(_ABS_P, 0.1234567), (0, 5, 4, 4), None),
+}
+
+
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])
+@pytest.mark.parametrize("case", list(_ABS_CASES))
+def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
+    # direct trig per cell against one histogram-reduced double_sum per row;
+    # small blocks spread a row over several column blocks or segments and
+    # put several rows in one block
+    monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
+    Q, (K1, M1, K2, M2), path = _ABS_CASES[case]
+    paths = []
+
+    def spy(name, blocks):
+        def run(L, *args):
+            paths.append(name if name == "int64" else "dyadic" if (1 << 64) % L == 0 else "tail")
+            return blocks(L, *args)
+        return run
+
+    with monkeypatch.context() as m:
+        m.setattr(expsum, "_int64_blocks", spy("int64", expsum._int64_blocks))
+        m.setattr(expsum, "_wrapped_blocks", spy("wrapped", expsum._wrapped_blocks))
+        got = [double_sum_abs(Q, K1, M1, K2, M2, 1),
+               double_sum_abs(expsum._transpose(Q), K2, M2, K1, M1, 2)]
+    assert paths == ([path] * 2 if path else [])
+    terms = (M1 - K1) * (M2 - K2)
+    want = [_per_row_oracle(Q, K1, M1, K2, M2, 1),
+            _per_row_oracle(expsum._transpose(Q), K2, M2, K1, M1, 2)]
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 2 * terms * FLOAT_TERM_BUDGET
+    if not terms:
+        assert got == [0.0, 0.0]
+
+
+def test_double_sum_abs_runs_no_per_row_kernel(monkeypatch):
+    calls = []
+    kernel = expsum._lattice_phase_sum
+    monkeypatch.setattr(expsum, "_lattice_phase_sum", lambda *a: calls.append(a) or kernel(*a))
+    for Q in (scale(_ABS_P, Fraction(5, 4093)), scale(_ABS_P, 0.1234567),
+              scale(_ABS_P, Fraction(123456789123, 2**61 - 1))):
+        for axis in (1, 2):
+            assert double_sum_abs(Q, 0, 12, 0, 15, axis) > 0
+    assert calls == []
+
+
 def test_triangle_domination(rng):
     for _ in range(20):
         P = parse_poly("m1^2*m2 + m1*m2^2")
@@ -265,7 +343,7 @@ def test_split_sum_subnormal_and_zero_rows():
     r = np.random.default_rng(7)
     sub = r.integers(-2**40, 2**40, 1000) * 5e-324          # every term subnormal
     _assert_rows_match_fsum(np.stack([sub, np.abs(sub)]), 1000)
-    assert expsum._split_sum(np.zeros((2, 1000)), 1000) == [0.0, 0.0]
+    assert expsum._split_sum(np.zeros((2, 1000)), 1000).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 95, 96, 97])
