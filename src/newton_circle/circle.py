@@ -24,10 +24,10 @@ from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_repr
 from .complete import (_check_work, _histogram_peak, _residue_histogram, gauss_sum,
                        partial_gauss)
 from .ergodic import EmptyRegionError
-from .expsum import double_sum, dyadic_refine
+from .expsum import double_sum
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
-from .poly import Poly2, RealPoly2, evaluate, pin, scale
+from .poly import Poly2, evaluate, pin, scale
 
 
 DEFAULT_BETA = 4.0
@@ -109,22 +109,14 @@ def discrete_multiplier_direct(P: Poly2, numerators: Sequence[int], n: int, M1: 
     return np.array(sums, dtype=complex) / cells
 
 
-def _phase_factors(Q: RealPoly2, M1: float, M2: float):
-    """nodes -> (U, V): Q(M1 x_i, M2 y_j) = sum over t of U[t, i] * V[t, j] at x, y in
-    nodes, with U[t] = c_t (M1 x)**g1_t and V[t] = (M2 y)**g2_t for each term
-    c_t m1**g1_t m2**g2_t of Q."""
-    terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
+class QuadratureConvergenceError(RuntimeError):
+    """Panel refinement exceeded the depth cap without meeting tolerance."""
 
-    def factors(nodes):
-        U = np.empty((len(terms), len(nodes)))
-        V = np.empty_like(U)
-        for t, (g1, g2, c) in enumerate(terms):
-            # a zero exponent would multiply by exactly 1.0
-            U[t] = c * (M1 * nodes) ** g1 if g1 else c
-            V[t] = (M2 * nodes) ** g2 if g2 else 1.0
-        return U, V
 
-    return factors
+# The 32-point Gauss-Legendre rule on [-1, 1], and the deepest refinement level
+# (2**20 panels) before continuous_multiplier gives up.
+_LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
+_MAX_DEPTH = 20
 
 
 def _e_dot(phase: np.ndarray, wts: np.ndarray):
@@ -134,30 +126,27 @@ def _e_dot(phase: np.ndarray, wts: np.ndarray):
     return np.cos(phase) @ wts, np.sin(phase, out=phase) @ wts
 
 
-def _tensor_level(factors):
-    """Tensor-product rule for e(Q) on one refinement level, in blocks of 2**21 cells;
-    each block's phase is the rank-T product V.T @ U of the term factors."""
+def _level(terms, M1: float, M2: float, nodes: np.ndarray, wts: np.ndarray,
+           diagonal: bool) -> complex:
+    """One refinement level of the rule for e(Q) at (M1 x, M2 y), x and y in nodes.
 
-    def level(nodes, wts):
-        U, V = factors(nodes)
-        block = max(1, (1 << 21) // len(nodes))
-        total = 0j
-        for i in range(0, len(nodes), block):
-            re, im = _e_dot(V[:, i : i + block].T @ U, wts)
-            total += complex(wts[i : i + block] @ re, wts[i : i + block] @ im)
-        return total
-
-    return level
-
-
-def _diagonal_level(factors):
-    """The rule for e(Q) along the diagonal x = y on one refinement level."""
-
-    def level(nodes, wts):
-        U, V = factors(nodes)
+    Q(M1 x_i, M2 y_j) = sum over the terms (g1, g2, c) of U[t, i] * V[t, j], with
+    U[t] = c (M1 x)**g1 and V[t] = (M2 y)**g2.  The diagonal rule (x = y) takes the
+    phase (U * V).sum(0); the 2-D rule the rank-T product V.T @ U per 2**21 cells."""
+    U = np.empty((len(terms), len(nodes)))
+    V = np.empty_like(U)
+    for t, (g1, g2, c) in enumerate(terms):
+        # a zero exponent would multiply by exactly 1.0
+        U[t] = c * (M1 * nodes) ** g1 if g1 else c
+        V[t] = (M2 * nodes) ** g2 if g2 else 1.0
+    if diagonal:
         return complex(*_e_dot((U * V).sum(axis=0), wts))
-
-    return level
+    block = max(1, (1 << 21) // len(nodes))
+    total = 0j
+    for i in range(0, len(nodes), block):
+        re, im = _e_dot(V[:, i : i + block].T @ U, wts)
+        total += complex(wts[i : i + block] @ re, wts[i : i + block] @ im)
+    return total
 
 
 def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
@@ -165,21 +154,32 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
                           axis_partial: Optional[Tuple[int, int]] = None) -> complex:
     """Normalized oscillatory integral of e(xi*P(M1 y1, M2 y2)) over [1/tau, 1]^2.
 
-    Gauss-Legendre panels refine dyadically until two successive levels agree
-    within 1e-10.  axis_partial=(axis, frozen) pins m_axis to the integer frozen
-    and integrates the pinned polynomial along the diagonal y1 = y2 only.
+    Gauss-Legendre panels halve until two successive levels agree within 1e-10, else
+    QuadratureConvergenceError past _MAX_DEPTH.  axis_partial=(axis, frozen) pins m_axis
+    to the integer frozen and integrates the pinned polynomial along y1 = y2 only.
     """
     t = float(tau)
     if t <= 1:
         raise ValueError("tau must exceed 1")
     lo = 1.0 / t
     Q = scale(P, xi)
-    norm = 1.0 / (1.0 - lo)
-    if axis_partial is None:
-        factors = _phase_factors(Q, float(M1), float(M2))
-        return norm * norm * dyadic_refine(_tensor_level(factors), lo, 1.0, 1e-10)
-    factors = _phase_factors(pin(Q, *axis_partial), float(M1), float(M2))
-    return norm * dyadic_refine(_diagonal_level(factors), lo, 1.0, 1e-10)
+    diagonal = axis_partial is not None
+    if diagonal:
+        Q = pin(Q, *axis_partial)
+    terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
+    prev = None
+    for depth in range(_MAX_DEPTH + 1):
+        edges = np.linspace(lo, 1.0, (1 << depth) + 1)
+        half = (edges[1:] - edges[:-1]) / 2.0
+        mid = (edges[1:] + edges[:-1]) / 2.0
+        nodes = (mid[:, None] + half[:, None] * _LEG_X[None, :]).ravel()
+        wts = (_LEG_W[None, :] * half[:, None]).ravel()
+        cur = _level(terms, float(M1), float(M2), nodes, wts, diagonal)
+        if prev is not None and abs(cur - prev) < 1e-10:
+            norm = 1.0 / (1.0 - lo)
+            return norm * cur if diagonal else norm * norm * cur
+        prev = cur
+    raise QuadratureConvergenceError(f"no convergence to 1e-10 within depth {_MAX_DEPTH}")
 
 
 def cutoff_eta(n: int, xi: float) -> float:

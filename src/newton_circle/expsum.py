@@ -68,10 +68,6 @@ _WRAP = 1 << 64
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """Panel refinement exceeded the depth cap without meeting tolerance."""
-
-
 @dataclass(frozen=True)
 class ExpSumValue:
     value: complex
@@ -370,37 +366,3 @@ def double_sum_abs(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, outer_axis:
         raise ValueError("outer_axis must be 1 or 2")
     rows = _lattice_row_sums(_integer_form(Q.terms), K1, M1, K2, M2)
     return math.fsum(np.abs(rows).tolist())
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Legendre quadrature
-# ---------------------------------------------------------------------------
-
-
-# The 32-point Gauss-Legendre rule on [-1, 1], and the deepest refinement level
-# (2**20 panels) before dyadic_refine gives up.
-_LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
-_MAX_DEPTH = 20
-
-
-def dyadic_refine(level, a: float, b: float, tol: float) -> complex:
-    """Gauss-Legendre panels on [a, b], halved until two successive levels agree within tol.
-
-    level(nodes, weights) turns one level's nodes and weights into a value, so
-    the same refinement serves line integrals and tensor-product rules.
-    """
-    if b <= a:
-        raise ValueError("empty integration interval")
-    prev = None
-    for depth in range(_MAX_DEPTH + 1):
-        panels = 1 << depth
-        edges = np.linspace(a, b, panels + 1)
-        half = (edges[1:] - edges[:-1]) / 2.0
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * _LEG_X[None, :]).ravel()
-        wts = (_LEG_W[None, :] * half[:, None]).ravel()
-        cur = level(nodes, wts)
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise QuadratureConvergenceError(f"no convergence to {tol} within depth {_MAX_DEPTH}")

@@ -129,14 +129,12 @@ def is_degenerate(P: Poly2) -> bool:
     return all(g1 == 0 or g2 == 0 for g1, g2 in P.terms)
 
 
-def evaluate(P: Union[Poly2, RealPoly2], m: Tuple[int, int]):
-    """Value at an integer point: exact big integer for Poly2, float otherwise."""
+def evaluate(P: Poly2, m: Tuple[int, int]) -> int:
+    """Value at an integer point, as an exact big integer."""
     m1, m2 = m
     total = 0
     for (g1, g2), c in P.terms.items():
         total += c * m1**g1 * m2**g2
-    if isinstance(P, RealPoly2):
-        return float(total)
     return total
 
 

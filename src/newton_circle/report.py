@@ -39,11 +39,11 @@ class Check:
 @dataclass
 class VerificationReport:
     command: str
+    version: str
     params: Dict[str, Any] = field(default_factory=dict)
     results: List[Dict[str, Any]] = field(default_factory=list)
     checks: List[Check] = field(default_factory=list)
     runtime_ms: int = 0
-    version: str = "0.1.0"
 
     def add_check(self, name: str, passed: bool, lhs: float, rhs: float,
                   tolerance: float = 0.0) -> None:

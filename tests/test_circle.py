@@ -340,17 +340,15 @@ def _levels_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
         Q = pin(Q, *axis_partial)
     oracle = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)), axis_partial)
     gaps, sizes = [], []
-    real = circle.dyadic_refine
+    real = circle._level
 
-    def refine(level, a, b, tol):
-        def both(nodes, wts):
-            got = level(nodes, wts)
-            gaps.append(abs(got - oracle(nodes, wts)))
-            sizes.append(len(nodes))
-            return got
-        return real(both, a, b, tol)
+    def both(terms, M1, M2, nodes, wts, diagonal):
+        got = real(terms, M1, M2, nodes, wts, diagonal)
+        gaps.append(abs(got - oracle(nodes, wts)))
+        sizes.append(len(nodes))
+        return got
 
-    monkeypatch.setattr(circle, "dyadic_refine", refine)
+    monkeypatch.setattr(circle, "_level", both)
     continuous_multiplier(P, xi, M1, M2, 2, axis_partial=axis_partial)
     return max(gaps), sizes
 
@@ -371,6 +369,16 @@ def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2
     assert gap <= 1e-13
     if last_level is not None:
         assert sizes[-1] == last_level
+
+
+@pytest.mark.parametrize("poly, xi, M1, M2, axis_partial", [
+    ("m1^2*m2^3", 0.01, 8, 8, None),            # converges at 2048 nodes, depth 6
+    ("m1*m2^2", 0.0025, 1, 400, (1, 1)),        # a diagonal phase range of 300
+])
+def test_depth_cap_raises(monkeypatch, poly, xi, M1, M2, axis_partial):
+    monkeypatch.setattr(circle, "_MAX_DEPTH", 2)
+    with pytest.raises(circle.QuadratureConvergenceError):
+        continuous_multiplier(parse_poly(poly), xi, M1, M2, 2, axis_partial=axis_partial)
 
 
 def test_cutoff_eta_shape():
