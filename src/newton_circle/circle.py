@@ -149,6 +149,29 @@ def _level(terms, M1: float, M2: float, nodes: np.ndarray, wts: np.ndarray,
     return total
 
 
+def _least_depth(terms, M1: float, M2: float, lo: float, diagonal: bool) -> int:
+    """A lower bound on the depth at which continuous_multiplier's refinement stops.
+
+    The phase's slope at (1, 1) in turns per unit of an axis of the rule (the
+    diagonal, for the diagonal rule), c * g * M1**g1 * M2**g2 summed over
+    the terms with g = g1 along x, g2 along y and g1 + g2 on the diagonal, is
+    at most its largest slope (equal to it when the terms share a sign).  A
+    level with fewer nodes on [lo, 1] than (1 - lo) times that slope puts a
+    32-point panel near (1, 1) across more than 32 turns, past what its
+    degree-63 rule resolves.  The refinement stops when a level agrees with
+    the one before, so not before the level after the first with enough nodes.
+    """
+    axes = ((1, 1),) if diagonal else ((1, 0), (0, 1))
+    try:
+        turns = (1.0 - lo) * max(abs(sum(c * (a1 * g1 + a2 * g2) * M1**g1 * M2**g2
+                                         for g1, g2, c in terms)) for a1, a2 in axes)
+    except OverflowError:           # a power M**g past the float range
+        turns = math.inf
+    if not turns < 2.0**64:         # inf or nan: past the float range and every cap
+        turns = 2.0**64
+    return max(math.ceil(turns / len(_LEG_X)) - 1, 0).bit_length() + 1
+
+
 def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
                           tau: RealLike,
                           axis_partial: Optional[Tuple[int, int]] = None) -> complex:
@@ -157,6 +180,9 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     Gauss-Legendre panels halve until two successive levels agree within 1e-10, else
     QuadratureConvergenceError past _MAX_DEPTH.  axis_partial=(axis, frozen) pins m_axis
     to the integer frozen and integrates the pinned polynomial along y1 = y2 only.
+    Before any level, the least depth the phase needs (_least_depth) must fit
+    WORK_CAP_CELLS, in cells of the 2-D rule or nodes of the diagonal one, else
+    WorkCapExceeded, and _MAX_DEPTH, else QuadratureConvergenceError.
     """
     t = float(tau)
     if t <= 1:
@@ -167,6 +193,12 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     if diagonal:
         Q = pin(Q, *axis_partial)
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
+    least = _least_depth(terms, float(M1), float(M2), lo, diagonal)
+    n = len(_LEG_X) << least
+    _check_work(n if diagonal else n * n, 0,
+                f"quadrature needs at least {n} nodes per axis to resolve the phase")
+    if least > _MAX_DEPTH:
+        raise QuadratureConvergenceError(f"the phase needs at least depth {least} > {_MAX_DEPTH}")
     prev = None
     for depth in range(_MAX_DEPTH + 1):
         edges = np.linspace(lo, 1.0, (1 << depth) + 1)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .arith import RealLike
 from .expsum import BLOCK_CELLS, _sum_e, weyl_sum
-from .poly import MAX_EXPONENT, Poly2
+from .poly import MAX_EXPONENT, Poly2, transpose
 
 WORK_CAP_CELLS = 10**8
 INT64_LIMIT = 2**63
@@ -71,8 +71,8 @@ def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> compl
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     a, q = a_over_q.numerator, a_over_q.denominator
-    terms = P.terms if axis == 1 else {(g2, g1): c for (g1, g2), c in P.terms.items()}
     _check_work(q, _histogram_peak(q), f"partial complete sum needs {q} residues")
+    terms = (P if axis == 1 else transpose(P)).terms
     return _complete_sum(_residue_histogram(terms, a, q, [frozen], range(1, q + 1)), q)
 
 

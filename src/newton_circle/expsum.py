@@ -2,20 +2,23 @@
 
 Every coefficient is read as an exact rational: a Fraction or int as itself,
 a binary float as the dyadic rational it denotes.  With L the common
-denominator, the residues L*Q(m) mod L are formed by Horner's rule on int64
-numpy blocks of the lattice when no intermediate can reach 2**63, so no
-phase error accumulates however large the polynomial values get; the
-residues are histogrammed and each distinct phase t/L is one correctly
-rounded division.  For a wider L (binary floats, big rationals) each
-coefficient is scaled to 2**64 * c / L: its integer part runs the same
-Horner in uint64, whose wraparound reduces the phase mod 1 exactly, and its
-fractional part adds a float tail below 2**-11 of a turn.  That phase is
-off by less than 2**-52 of a turn.  Each block's terms are added by an
-exact split into integer and fractional parts (``_split_sum``), within 1 ulp
-of ``math.fsum``, and the block partials with ``math.fsum``.
+denominator, the residues L*Q(m) mod L are formed by Horner's rule on numpy
+blocks of the lattice, in one of two exact arithmetics: uint64 when L
+divides 2**64 (every binary float), whose wraparound mod 2**64 keeps them
+exact mod L, and int64 reduced mod L at each step when no intermediate can
+reach 2**63.  So no phase error accumulates however large the polynomial
+values get; the residues are histogrammed and each distinct phase t/L is
+one correctly rounded division.  For any other wide L (big non-dyadic
+rationals) each coefficient is scaled to 2**64 * c / L: its integer part
+runs the same uint64 Horner, and its fractional part adds a float tail
+below 2**-11 of a turn.  That phase is off by less than 2**-52 of a turn.
+Each block's terms are added by an exact split into integer and fractional
+parts (``_split_sum``), within 1 ulp of ``math.fsum``, and the block
+partials with ``math.fsum``.
 
-One producer (``_phase_blocks``) yields each block's residues, or its float
-phases on the tail path, and two reductions read them.  The sum over the
+Two producers yield the blocks (``_phase_blocks`` picks one): exact
+residues (``_residue_blocks``) or float tail phases
+(``_tail_phase_blocks``), and two reductions read them.  The sum over the
 whole box (``double_sum``, ``weyl_sum``) histograms each block's residues,
 so each distinct phase takes one cos and one sin.  The row sums of
 ``double_sum_abs`` take cos and sin of every cell and add all rows of a
@@ -40,7 +43,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike, as_fraction, is_exact
-from .poly import RealPoly2
+from .poly import RealPoly2, transpose
 
 # Lattice cells per numpy block of the phase kernel; bounds its working memory.
 BLOCK_CELLS = 1 << 14
@@ -48,12 +51,13 @@ BLOCK_CELLS = 1 << 14
 # Integers up to 2**53 convert to float64 exactly, so t / L rounds only once.
 _FLOAT_EXACT = 1 << 53
 
-# Modulus of uint64 arithmetic: the wide kernel holds 2**64 * phase mod 2**64.
+# Modulus of uint64 arithmetic, a multiple of every dyadic L: uint64 residues
+# that wrap mod 2**64 are exact mod L.
 _WRAP = 1 << 64
 
 # Per-term rounding error of a sum, u = 2**-53.  The phase (in turns) is off
 # by less than 2u.  On the histogram paths it is t/L rounded once: below u.
-# On the float-tail path of _wrapped_blocks the tail, below 2**-11, takes
+# On the float-tail path (_tail_phase_blocks) the tail, below 2**-11, takes
 # the rounding of its d+1 coefficients and 2d Horner steps, (2d+1)u * 2**-11;
 # lo + tail rounds by at most u * 2**-10 and hi + (lo + tail) by u, so the
 # phase is off by u * (1 + (2d+3) * 2**-11) < 2u for any m2-degree d < 1000.
@@ -82,9 +86,9 @@ class ExpSumValue:
 def residue_sum(residues, L: int) -> complex:
     """Sum of e(t/L) over residues t in [0, L), taken from their histogram.
 
-    Residues are int64 with L <= 2**53, so each phase t/L rounds once.  A
-    uint64 array is taken as it is, with L = 2**64: float(t) rounds once and
-    the division by 2**64 is exact, so each phase is fl(t/L) as for int64.
+    Residues are int64 with L <= 2**53, so each phase t/L rounds once, or
+    uint64 with L dividing 2**64: float(t) rounds once and the division by
+    the power of two L is exact, so each phase is fl(t/L) as for int64.
     """
     if getattr(residues, "dtype", None) != np.uint64:
         residues = np.asarray(residues, dtype=np.int64)
@@ -196,7 +200,7 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
     """Sums of e(Q(m1, m2)) over m2 in (K2, M2], one per row m1 in (K1, M1],
     with Q in integer form, as a complex array.
 
-    A row spread over several column blocks or wrapped segments, which come
+    A row spread over several column blocks or tail segments, which come
     in row order, adds its partials with math.fsum.  Each row sum is within
     (M2 - K2) * FLOAT_TERM_BUDGET of the exact one.
     """
@@ -234,54 +238,60 @@ def _block_row_sums(r, x, L, keep):
 def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
     """Blocks of the box (K1, M1] x (K2, M2] for Q in integer form (L, rows),
     each as (r, x, L, keep): r lists the row offset m1 - K1 - 1 of each block
-    row, and x the phases of the block's cells, as residues t mod L (int64
-    for L <= 2**53, uint64 for L = 2**64) or, with L None, as float turns;
-    keep, when not None, marks the cells inside the box.  The block rows
-    come in row order: r never decreases from one block row to the next."""
+    row, and x the phases of the block's cells, as residues t mod L (uint64
+    when L divides 2**64, else int64 with L <= 2**53) or, with L None, as
+    float turns; keep, when not None, marks the cells inside the box.  The
+    block rows come in row order: r never decreases from one block row to
+    the next."""
     if M1 <= K1 or M2 <= K2:
         return iter(())
     L, rows = form
     # every int64 Horner step over m2 stays below (M2 + 1) * L
-    blocks = _int64_blocks if L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63 else _wrapped_blocks
-    return blocks(L, rows, K1, M1, K2, M2)
+    exact = _WRAP % L == 0 or (L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63)
+    return (_residue_blocks if exact else _tail_phase_blocks)(L, rows, K1, M1, K2, M2)
 
 
-def _int64_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
-    """Blocks of int64 residues mod L, by Horner's rule over m2."""
+def _residue_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
+    """Blocks of exact residues mod L, by Horner's rule over m2: uint64 left
+    to wrap mod 2**64 and masked to L - 1 at the end when L divides 2**64,
+    else int64 reduced mod L at every step."""
+    wrap = _WRAP % L == 0
+    dtype = np.uint64 if wrap else np.int64
     cols = min(M2 - K2, BLOCK_CELLS)
     height = max(1, BLOCK_CELLS // cols)
     for r0 in range(K1 + 1, M1 + 1, height):
         # per row m1, the m2-coefficients of Q mod L, top degree first
         coeffs = np.array([[_horner(row, m1, L) for row in rows]
-                           for m1 in range(r0, min(r0 + height, M1 + 1))], dtype=np.int64)
+                           for m1 in range(r0, min(r0 + height, M1 + 1))], dtype=dtype)
         r = range(r0 - K1 - 1, r0 - K1 - 1 + len(coeffs))
         for c0 in range(K2 + 1, M2 + 1, cols):
-            m2 = np.arange(c0, min(c0 + cols, M2 + 1), dtype=np.int64)
+            m2 = np.arange(c0, min(c0 + cols, M2 + 1), dtype=dtype)
             t = coeffs[:, :1].repeat(len(m2), axis=1)
             for j in range(1, len(rows)):
-                t = (t * m2 + coeffs[:, j:j + 1]) % L
+                t = t * m2 + coeffs[:, j:j + 1]
+                if not wrap:
+                    t %= L
+            if wrap:
+                t &= L - 1
             yield r, t, L, None
 
 
-def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
-    """Blocks of phases for an L or M2 too large for int64 residues mod L.
+def _tail_phase_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
+    """Blocks of float phases, in turns, for an L that does not divide 2**64
+    and is too wide for int64 residues mod L.
 
     The box is cut into row segments m2 = o + u, u in [1, w], and each block
-    holds up to BLOCK_CELLS // w of them.  A coefficient c splits as 2**64 *
-    c / L = H + rho / L with H = (c << 64) // L < 2**64.  Horner in uint64
-    wraps mod 2**64, so it gives exactly 2**64 times the fractional phase of
-    the H part, however large the polynomial gets.  When L divides 2**64
-    every rho is 0 and that is the whole phase: Horner runs at m2 = o + u on
-    each row's own coefficients, and the block is uint64 residues mod 2**64.
-    Otherwise each row's m2-coefficients are Taylor-shifted mod L to the
-    origin o, and the tail sum of rho_j/(L*2**64) * u**(d-j) is a float
-    Horner over u added to the head; w keeps it below 2**-11 (see
-    FLOAT_TERM_BUDGET), and the block is float phases in turns.
+    holds up to BLOCK_CELLS // w of them.  Each row's m2-coefficients are
+    Taylor-shifted mod L to the origin o, and a coefficient c splits as
+    2**64 * c / L = H + rho / L with H = (c << 64) // L < 2**64.  Horner in
+    uint64 wraps mod 2**64, so it gives exactly 2**64 times the fractional
+    phase of the H part, however large the polynomial gets; the tail sum of
+    rho_j/(L*2**64) * u**(d-j) is a float Horner over u added to it, and w
+    keeps it below 2**-11 (see FLOAT_TERM_BUDGET).
     """
     d = len(rows) - 1
-    dyadic = _WRAP % L == 0
     n = M2 - K2
-    w = min(n, BLOCK_CELLS if dyadic else _tail_width(d))
+    w = min(n, _tail_width(d))
     segs = -(-n // w)
     w = -(-n // segs)                    # balanced widths, the same segment count
     u = np.arange(1, w + 1, dtype=np.uint64)
@@ -291,25 +301,16 @@ def _wrapped_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
     segments = ((i, b, o) for i, b in enumerate(row_coeffs) for o in range(K2, M2, w))
     while chunk := list(islice(segments, BLOCK_CELLS // w)):
         r = [i for i, _, _ in chunk]
-        if dyadic:
-            head = np.array([[(c << 64) // L for c in b] for _, b, _ in chunk], dtype=np.uint64)
-            m2 = np.array([o for _, _, o in chunk], dtype=np.uint64)[:, None] + u
-        else:
-            split = [[divmod(c << 64, L) for c in (_taylor_shift(b, o, L) if o else b)]
-                     for _, b, o in chunk]
-            head = np.array([[h for h, _ in row] for row in split], dtype=np.uint64)
-            tail = np.array([[rho / (L << 64) for _, rho in row] for row in split])
-            m2 = u
+        split = [[divmod(c << 64, L) for c in (_taylor_shift(b, o, L) if o else b)]
+                 for _, b, o in chunk]
+        head = np.array([[h for h, _ in row] for row in split], dtype=np.uint64)
+        tail = np.array([[rho / (L << 64) for _, rho in row] for row in split])
         t = head[:, :1].repeat(w, axis=1)
-        for j in range(1, d + 1):
-            t = t * m2 + head[:, j:j + 1]
-        keep = u <= np.array([min(w, M2 - o) for _, _, o in chunk])[:, None]
-        if dyadic:
-            yield r, t, _WRAP, keep
-            continue
         acc = tail[:, :1].repeat(w, axis=1)
         for j in range(1, d + 1):
+            t = t * u + head[:, j:j + 1]
             acc = acc * uf + tail[:, j:j + 1]
+        keep = u <= np.array([min(w, M2 - o) for _, _, o in chunk])[:, None]
         # (t >> 11) * 2**-53 and (t & 2047) * 2**-64 are exact floats; the sum
         # lies below 1 + 2**-10 and needs no reduction mod 1 before cos and sin
         yield r, ((t >> 11).astype(np.float64) * 2.0**-53
@@ -346,10 +347,6 @@ def double_sum(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int) -> ExpSumValue:
     return _result(value, Q.exact, (M1 - K1) * (M2 - K2))
 
 
-def _transpose(Q: RealPoly2) -> RealPoly2:
-    return RealPoly2({(g2, g1): c for (g1, g2), c in Q.terms.items()})
-
-
 def double_sum_abs(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, outer_axis: int = 1) -> float:
     """Outer sum of absolute inner sums: axis 1 keeps m1 outside, axis 2 transposes.
 
@@ -361,7 +358,7 @@ def double_sum_abs(Q: RealPoly2, K1: int, M1: int, K2: int, M2: int, outer_axis:
     """
     _check_ranges(K1, M1, K2, M2)
     if outer_axis == 2:
-        return double_sum_abs(_transpose(Q), K2, M2, K1, M1, outer_axis=1)
+        return double_sum_abs(transpose(Q), K2, M2, K1, M1, outer_axis=1)
     if outer_axis != 1:
         raise ValueError("outer_axis must be 1 or 2")
     rows = _lattice_row_sums(_integer_form(Q.terms), K1, M1, K2, M2)

@@ -161,6 +161,11 @@ def scale(P: Poly2, xi: RealLike) -> RealPoly2:
     return RealPoly2({g: float(xi) * c for g, c in P.terms.items()})
 
 
+def transpose(P: Union[Poly2, RealPoly2]) -> Union[Poly2, RealPoly2]:
+    """P with m1 and m2 swapped, of the same class."""
+    return type(P)({(g2, g1): c for (g1, g2), c in P.terms.items()})
+
+
 def pin(P: Union[Poly2, RealPoly2], axis: int, value: int) -> Union[Poly2, RealPoly2]:
     """P with m_axis = value substituted exactly (a float coefficient is read as
     the dyadic rational it denotes): the same class, in the other variable only."""

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -371,14 +372,66 @@ def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2
         assert sizes[-1] == last_level
 
 
+def _count_levels(monkeypatch):
+    """Make every refinement level append its node count to the returned list."""
+    sizes = []
+    real = circle._level
+    monkeypatch.setattr(circle, "_level", lambda *args: sizes.append(len(args[3])) or real(*args))
+    return sizes
+
+
 @pytest.mark.parametrize("poly, xi, M1, M2, axis_partial", [
     ("m1^2*m2^3", 0.01, 8, 8, None),            # converges at 2048 nodes, depth 6
     ("m1*m2^2", 0.0025, 1, 400, (1, 1)),        # a diagonal phase range of 300
 ])
 def test_depth_cap_raises(monkeypatch, poly, xi, M1, M2, axis_partial):
-    monkeypatch.setattr(circle, "_MAX_DEPTH", 2)
-    with pytest.raises(circle.QuadratureConvergenceError):
-        continuous_multiplier(parse_poly(poly), xi, M1, M2, 2, axis_partial=axis_partial)
+    # both need at least depth 5 (_least_depth): below that the cap raises
+    # before any level, at 5 after the levels of depth 0 to 5
+    sizes = _count_levels(monkeypatch)
+    for cap, levels in ((2, 0), (5, 6)):
+        monkeypatch.setattr(circle, "_MAX_DEPTH", cap)
+        sizes.clear()
+        with pytest.raises(circle.QuadratureConvergenceError):
+            continuous_multiplier(parse_poly(poly), xi, M1, M2, 2, axis_partial=axis_partial)
+        assert len(sizes) == levels
+
+
+@pytest.mark.parametrize("xi, M1, M2, axis_partial", [
+    (2**-24, 240, 240, None),       # ROADMAP item 7: 71,000 turns along m2, 2**36 cells
+    (0.7, 12, 60, (1, 60)),         # 8.2e8 turns on the diagonal, 2**31 nodes
+    (1.0, 1e200, 12, None),         # M1**2 * M2**3 past the float range
+])
+def test_unresolvable_phase_fails_before_any_level(monkeypatch, xi, M1, M2, axis_partial):
+    def no_level(*args):
+        raise AssertionError("a quadrature level ran before the work cap was checked")
+
+    monkeypatch.setattr(circle, "_level", no_level)
+    start = time.perf_counter()
+    with pytest.raises(WorkCapExceeded, match="nodes per axis"):
+        continuous_multiplier(parse_poly("m1^2*m2^3"), xi, M1, M2, 2, axis_partial=axis_partial)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_least_depth_bounds_the_stopping_depth(monkeypatch):
+    # the guard may refuse no input the refinement resolves: on random calls
+    # _least_depth never passes the depth of the last level run
+    rng = random.Random(7)
+    sizes = _count_levels(monkeypatch)
+    polys = [parse_poly(p) for p in ("m1^2*m2^3", "m1*m2", "m1^2*m2 - 3*m1*m2^2 + m2")]
+    for _ in range(24):
+        P = rng.choice(polys)
+        M1, M2, tau = rng.randint(2, 16), rng.randint(2, 16), rng.choice((2, 1.5, 3))
+        axis_partial = rng.choice((None, (1, rng.randint(1, 9)), (2, rng.randint(1, 9))))
+        Q = scale(P, 1) if axis_partial is None else pin(scale(P, 1), *axis_partial)
+        # up to about 10**e turns on [1/tau, 1]: least depths 1 to 7
+        top = sum(abs(c) * (g1 + g2) * M1**g1 * M2**g2 for (g1, g2), c in Q.terms.items())
+        xi = 10 ** rng.uniform(1, 2.6 if axis_partial is None else 4) / top
+        sizes.clear()
+        continuous_multiplier(P, xi, M1, M2, tau, axis_partial=axis_partial)
+        Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
+        terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
+        least = circle._least_depth(terms, M1, M2, 1 / tau, axis_partial is not None)
+        assert least <= len(sizes) - 1
 
 
 def test_cutoff_eta_shape():

@@ -400,17 +400,20 @@ Tables = namedtuple("Tables", "keys weights want got fell_back")
 @functools.lru_cache(maxsize=1)
 def _tables(s, k, N):
     """The s-fold sums (keys, weights) and difference table (want) by the
-    reference, and the difference table _pair_reduce gives (got), with whether
-    it called _sort_reduce.  The last call is cached, so the reference for the
-    lexsort corner (1, 3, 1100) is built once for the packed-sort check and
-    test_table_lexsort_branch, which runs next."""
+    reference, and the cached table complete._difference_table gives (got),
+    built here from an empty cache with whether _pair_reduce called
+    _sort_reduce.  The last call is cached, so the lexsort corner (1, 3, 1100)
+    is built once by the reference and once by the library for the
+    packed-sort check and test_table_lexsort_branch, which runs next."""
     keys, weights = _counts_by_fallback(s, k, N)
     want = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
+    moment_curve_counts(s, k, N)  # built outside the spy
+    complete._difference_table.cache_clear()
     calls = []
     real = complete._sort_reduce
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complete, "_sort_reduce", lambda *args: calls.append(1) or real(*args))
-        got = complete._pair_reduce(np.subtract, keys, weights, keys, weights, s, N)
+        got = complete._difference_table(s, k, N)
     return Tables(keys, weights, want, got, bool(calls))
 
 
@@ -453,7 +456,8 @@ def test_table_lexsort_branch():
     # the rows are distinct and in lexicographic order, which negation
     # reverses, so the table is symmetric exactly when -lam reversed is lam;
     # runs right after the corner of test_packed_sort_equals_fallback, whose
-    # reference table _tables still holds
+    # reference table _tables still holds, and reads the library table that
+    # _tables built into the cache
     N = 1100
     lam, J = complete._difference_table(1, 3, N)
     assert len(lam) == N * (N - 1) + 1

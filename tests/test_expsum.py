@@ -15,7 +15,7 @@ from newton_circle.expsum import (
     double_sum_abs,
     weyl_sum,
 )
-from newton_circle.poly import RealPoly2, parse_poly, scale
+from newton_circle.poly import RealPoly2, parse_poly, scale, transpose
 
 
 def brute_weyl(xs, N):
@@ -169,6 +169,42 @@ def test_wide_denominator_matches_int64_path():
     assert abs(got.value - want) <= 1e-12 * got.term_count
 
 
+_DYADIC_EDGES = {
+    # name: (Q, box); each L divides 2**64, so the exact producer runs in uint64
+    # L = 2**64 itself: the mask 2**64 - 1 keeps every wrapped residue
+    "L_2_64": (RealPoly2({(2, 3): Fraction(123456789123456789, 2**64), (1, 1): 0.1234567}),
+               (0, 12, 3, 40)),
+    # integer coefficients: L = 1 and every residue is 0
+    "L_1": (scale(parse_poly("m1^2*m2^3 + 3*m1*m2 - m1^3"), 7), (0, 12, 3, 40)),
+    # L = 2**50 <= 2**53 with (M2 + 1) * L >= 2**63, past the int64 guard
+    "past_int64_guard": (RealPoly2({(2, 3): Fraction(987654321987, 2**50),
+                                    (1, 1): Fraction(5, 8)}), (0, 3, 8180, 8200)),
+}
+
+
+@pytest.mark.parametrize("case", list(_DYADIC_EDGES))
+def test_exact_producer_at_the_dyadic_edges(case):
+    Q, (K1, M1, K2, M2) = _DYADIC_EDGES[case]
+    form = expsum._integer_form(Q.terms)
+    L = form[0]
+    blocks = list(expsum._phase_blocks(form, K1, M1, K2, M2))
+    assert all(b[1].dtype == np.uint64 and b[2] == L and b[3] is None for b in blocks)
+    # the residues are L*Q(m) mod L, each in [0, L)
+    got = sorted(int(t) for _, x, _, _ in blocks for t in x.ravel())
+    fracs = [(g, Fraction(c)) for g, c in Q.terms.items()]
+    want = sorted(int(L * sum(f * m1**g1 * m2**g2 for (g1, g2), f in fracs)) % L
+                  for m1 in range(K1 + 1, M1 + 1) for m2 in range(K2 + 1, M2 + 1))
+    assert got == want
+    value = double_sum(Q, K1, M1, K2, M2)
+    terms = (M1 - K1) * (M2 - K2)
+    if L == 1:
+        assert value.value == terms
+    else:
+        brute = brute_dyadic(Q.terms, [(m1, m2) for m1 in range(K1 + 1, M1 + 1)
+                                       for m2 in range(K2 + 1, M2 + 1)])
+        assert abs(value.value - brute) <= value.error_budget
+
+
 GOLDEN = golden_ratio_conjugate(192)
 
 
@@ -212,25 +248,26 @@ def _per_row_oracle(Q, K1, M1, K2, M2, axis):
 _ABS_P = parse_poly("m1^2*m2^3 + 3*m1*m2 - m1^3")
 _EDGE = 2**23        # (M2 + 1) * 2**40 reaches 2**63 at M2 = _EDGE - 1
 _ABS_CASES = {
-    # name: (Q, box of the inner axis-1 sums, phase path)
-    "int64": (scale(_ABS_P, Fraction(5, 4093)), (3, 17, 2, 23), "int64"),
-    "int64_q_2_16": (scale(_ABS_P, Fraction(12345, 2**16)), (0, 11, 0, 70), "int64"),
-    "dyadic": (scale(_ABS_P, 0.1234567), (2, 12, 5, 30), "dyadic"),
+    # name: (Q, box of the inner axis-1 sums, phase producer); a dyadic L takes
+    # the exact producer (uint64) on both sides of the int64 guard
+    "int64": (scale(_ABS_P, Fraction(5, 4093)), (3, 17, 2, 23), "exact"),
+    "int64_q_2_16": (scale(_ABS_P, Fraction(12345, 2**16)), (0, 11, 0, 70), "exact"),
+    "dyadic": (scale(_ABS_P, 0.1234567), (2, 12, 5, 30), "exact"),
     "tail": (scale(_ABS_P, Fraction(123456789123, 2**61 - 1)), (2, 14, 1, 40), "tail"),
     # m2-degree 8: a tail segment holds at most 91 cells, so rows of 150 wrap
     "tail_segments": (scale(parse_poly("m1*m2^8 + m1^2*m2"), Fraction(987654321, 2**61 - 1)),
                       (0, 5, 0, 150), "tail"),
     "guard_below": (scale(_ABS_P, Fraction(987654321, 2**40)), (0, 6, _EDGE - 12, _EDGE - 2),
-                    "int64"),
+                    "exact"),
     "guard_at": (scale(_ABS_P, Fraction(987654321, 2**40)), (0, 6, _EDGE - 11, _EDGE - 1),
-                 "dyadic"),
+                 "exact"),
     # L = 3 * 2**40: (M2 + 1) * L passes 2**63 first at M2 = _EDGE // 3
     "guard_past_tail": (scale(_ABS_P, Fraction(987654323, 3 * 2**40)),
                         (0, 6, _EDGE // 3 - 9, _EDGE // 3), "tail"),
     "guard_short_of_tail": (scale(_ABS_P, Fraction(987654323, 3 * 2**40)),
-                            (0, 6, _EDGE // 3 - 10, _EDGE // 3 - 1), "int64"),
-    "one_column": (scale(_ABS_P, Fraction(5, 4093)), (0, 9, 6, 7), "int64"),
-    "one_column_wrapped": (scale(_ABS_P, 0.1234567), (0, 9, 6, 7), "dyadic"),
+                            (0, 6, _EDGE // 3 - 10, _EDGE // 3 - 1), "exact"),
+    "one_column": (scale(_ABS_P, Fraction(5, 4093)), (0, 9, 6, 7), "exact"),
+    "one_column_wrapped": (scale(_ABS_P, 0.1234567), (0, 9, 6, 7), "exact"),
     "no_rows": (scale(_ABS_P, Fraction(5, 4093)), (3, 3, 0, 5), None),
     "no_columns": (scale(_ABS_P, 0.1234567), (0, 5, 4, 4), None),
 }
@@ -247,20 +284,20 @@ def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
     paths = []
 
     def spy(name, blocks):
-        def run(L, *args):
-            paths.append(name if name == "int64" else "dyadic" if (1 << 64) % L == 0 else "tail")
-            return blocks(L, *args)
+        def run(*args):
+            paths.append(name)
+            return blocks(*args)
         return run
 
     with monkeypatch.context() as m:
-        m.setattr(expsum, "_int64_blocks", spy("int64", expsum._int64_blocks))
-        m.setattr(expsum, "_wrapped_blocks", spy("wrapped", expsum._wrapped_blocks))
+        m.setattr(expsum, "_residue_blocks", spy("exact", expsum._residue_blocks))
+        m.setattr(expsum, "_tail_phase_blocks", spy("tail", expsum._tail_phase_blocks))
         got = [double_sum_abs(Q, K1, M1, K2, M2, 1),
-               double_sum_abs(expsum._transpose(Q), K2, M2, K1, M1, 2)]
+               double_sum_abs(transpose(Q), K2, M2, K1, M1, 2)]
     assert paths == ([path] * 2 if path else [])
     terms = (M1 - K1) * (M2 - K2)
     want = [_per_row_oracle(Q, K1, M1, K2, M2, 1),
-            _per_row_oracle(expsum._transpose(Q), K2, M2, K1, M1, 2)]
+            _per_row_oracle(transpose(Q), K2, M2, K1, M1, 2)]
     for g, w in zip(got, want):
         assert abs(g - w) <= 2 * terms * FLOAT_TERM_BUDGET
     if not terms:
