@@ -109,67 +109,211 @@ def discrete_multiplier_direct(P: Poly2, numerators: Sequence[int], n: int, M1: 
     return np.array(sums, dtype=complex) / cells
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """Panel refinement exceeded the depth cap without meeting tolerance."""
-
-
-# The 32-point Gauss-Legendre rule on [-1, 1], and the deepest refinement level
-# (2**20 panels) before continuous_multiplier gives up.
+# The 32-point Gauss-Legendre rule on [-1, 1].
 _LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
-_MAX_DEPTH = 20
+
+# Each panel's error bound per unit half-width is at most _TOL, so each axis
+# adds at most _TOL / 2 to the normalised error.
+_TOL = 1e-11
+_LOG_TOL = math.log(_TOL)
+
+# Bernstein ellipses rho = e**eta tried on each panel, and the log of the eta
+# part of the 32-point bound, (64/15) rho**-64 / (rho**2 - 1).  Built with
+# math, not numpy ufuncs, so that importing touches no further numpy code.
+_ETA = [0.25 + 0.125 * i for i in range(31)]
+_KAPPA = [math.log(64 / 15) - 64 * eta - math.log(math.expm1(2 * eta)) for eta in _ETA]
+
+# A passing panel rises the bounding polynomial by at most 2 * _TURNS turns.
+_TURNS = max((_LOG_TOL - k) / (math.tau * math.sinh(eta)) for eta, k in zip(_ETA, _KAPPA))
+_ETA, _KAPPA = np.array(_ETA), np.array(_KAPPA)
+
+# _panels' first guess rises each panel by _FILL * 2 * _TURNS, on _GRID.
+_FILL = 0.93
+_GRID = np.array([i / 256 for i in range(257)])
+
+# Panels per block of the bound's (panels x eta) arrays.
+_BOUND_BLOCK = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _bound_tables(G: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables for bounding polynomials of degree G: sigma[j - 1] = 2**-j sum
+    over i of C(j, i) sinh(|j - 2i| eta), which is sum over k >= 1 of m_jk
+    sinh(k eta) where s**j = sum of m_jk T_k(s), for j = 1..G; and binom[q,
+    j] = C(q + j, j) (zero past q + j = G) and index[q, j] = min(q + j, G),
+    so that c**q @ (binom * a[index]) is the row of F^(j)(c) / j!."""
+    sigma = [sum(math.comb(j, i) * np.sinh(abs(j - 2 * i) * _ETA) for i in range(j + 1)) / 2.0**j
+             for j in range(1, G + 1)]
+    q, j = np.indices((G + 1, G + 1))
+    binom = np.array([[math.comb(n + k, k) * (n + k <= G) for k in range(G + 1)]
+                      for n in range(G + 1)], dtype=float)
+    return np.array(sigma).reshape(G, len(_ETA)), binom, np.minimum(q + j, G)
+
+
+def _log_bounds(a: np.ndarray, c, h):
+    """log of the 32-point rule's error bound per unit half-width on the
+    panels [c - h, c + h] (floats, or arrays), for every phase whose
+    Chebyshev coefficients the bounding polynomial F = sum of a[g] x**g
+    (a >= 0, a[0] = 0) majorises.
+
+    F(c + h s) = sum of tau_j s**j, tau_j = h**j F^(j)(c) / j! >= 0, has
+    nonnegative Chebyshev coefficients b_k.  On the Bernstein ellipse of
+    rho = e**eta |Im T_k| <= sinh(k eta), so |e(p)| <= exp(2 pi S) with S =
+    sum of b_k sinh(k eta) = sum of tau_j sigma_j(eta), and the error is at
+    most h (64/15) exp(2 pi S) rho**-64 / (rho**2 - 1) (Trefethen, ATAP,
+    Thm 19.3), minimised over _ETA.
+    """
+    if np.ndim(c) and len(c) > _BOUND_BLOCK:
+        return np.concatenate([_log_bounds(a, c[i : i + _BOUND_BLOCK], h[i : i + _BOUND_BLOCK])
+                               for i in range(0, len(c), _BOUND_BLOCK)])
+    sigma, binom, index = _bound_tables(len(a) - 1)
+    powers = np.arange(len(a))
+    tau = np.power.outer(c, powers) @ (binom * a[index]) * np.power.outer(h, powers)
+    return (math.tau * (tau[..., 1:] @ sigma) + _KAPPA).min(axis=-1)
+
+
+def _panels(a: np.ndarray, lo: float, count: int) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Centres and half-widths of panels on [lo, 1] whose bounds per unit
+    half-width (_log_bounds) are at most _TOL, and the sum of half-width
+    times bound over them.
+
+    The first guess is `count` panels of equal rise of F, the closed form of
+    the greedy widths where F is nearly linear on a panel (F inverted on
+    _GRID).  Panels that fail are halved until all pass, else ValueError
+    once one is as narrow as the float spacing.
+    """
+    if count == 1:
+        c, h = (1.0 + lo) / 2.0, (1.0 - lo) / 2.0
+        logs = _log_bounds(a, c, h)
+        if logs <= _LOG_TOL:
+            return np.array([c]), np.array([h]), h * math.exp(logs)
+        edges = np.array([lo, c, 1.0])
+    else:
+        grid = lo + (1.0 - lo) * _GRID
+        rise = a[-1]
+        for v in a[-2::-1]:
+            rise = rise * grid + v
+        edges = np.interp(rise[0] + (rise[-1] - rise[0]) / count * np.arange(count + 1),
+                          rise, grid)
+        edges[0], edges[-1] = lo, 1.0
+    while True:
+        c, h = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+        logs = _log_bounds(a, c, h)
+        bad = logs > _LOG_TOL
+        if not bad.any():
+            return c, h, float(h @ np.exp(logs))
+        if np.any(h[bad] <= np.spacing(c[bad])):
+            raise ValueError("the phase turns too fast to be resolved by float nodes on "
+                             f"[{lo!r}, 1]")
+        edges = np.sort(np.concatenate((edges, c[bad])))
+
+
+def _nodes(c: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point rule on the panels [c - h, c + h]."""
+    h = h[:, None]
+    return (c[:, None] + h * _LEG_X).ravel(), (h * _LEG_W).ravel()
 
 
 def _e_dot(phase: np.ndarray, wts: np.ndarray):
     """Real and imaginary parts of e(phase) @ wts, from real cos and sin of
-    2*pi*phase; phase is overwritten."""
+    2*pi times the phase reduced mod 1 (exactly) into [-1/2, 1/2]; phase is
+    overwritten."""
+    phase -= np.rint(phase)
     phase *= math.tau
     return np.cos(phase) @ wts, np.sin(phase, out=phase) @ wts
 
 
-def _level(terms, M1: float, M2: float, nodes: np.ndarray, wts: np.ndarray,
-           diagonal: bool) -> complex:
-    """One refinement level of the rule for e(Q) at (M1 x, M2 y), x and y in nodes.
+def _level(terms: np.ndarray, M1: float, M2: float, xs: Tuple[np.ndarray, np.ndarray],
+           ys: Optional[Tuple[np.ndarray, np.ndarray]]) -> complex:
+    """The rule for e(Q(M1 x, M2 y)) on the panels xs and ys (centres and
+    half-widths), or on the diagonal y = x when ys is None; terms holds the
+    rows g1, g2 and c of Q's terms.
 
-    Q(M1 x_i, M2 y_j) = sum over the terms (g1, g2, c) of U[t, i] * V[t, j], with
-    U[t] = c (M1 x)**g1 and V[t] = (M2 y)**g2.  The diagonal rule (x = y) takes the
-    phase (U * V).sum(0); the 2-D rule the rank-T product V.T @ U per 2**21 cells."""
-    U = np.empty((len(terms), len(nodes)))
-    V = np.empty_like(U)
-    for t, (g1, g2, c) in enumerate(terms):
-        # a zero exponent would multiply by exactly 1.0
-        U[t] = c * (M1 * nodes) ** g1 if g1 else c
-        V[t] = (M2 * nodes) ** g2 if g2 else 1.0
-    if diagonal:
-        return complex(*_e_dot((U * V).sum(axis=0), wts))
-    block = max(1, (1 << 21) // len(nodes))
+    The 2-D rule takes the phase V.T @ U per 2**21 cells, U = c (M1 x)**g1
+    and V = (M2 y)**g2, one broadcast power per axis.  The diagonal rule
+    takes c M1**g1 M2**g2 @ x**(g1 + g2) per block of panels of at most
+    2**21 cells, and builds each block's nodes from its panels."""
+    g1, g2, c = terms
+    if ys is None:
+        coef, g = c * M1**g1 * M2**g2, (g1 + g2)[:, None]
+        block = max(1, (1 << 21) // (32 * max(len(c), 1)))
+        total = 0j
+        for i in range(0, len(xs[0]), block):
+            x, wx = _nodes(xs[0][i : i + block], xs[1][i : i + block])
+            total += complex(*_e_dot(coef @ x**g, wx))
+        return total
+    (x, wx), (y, wy) = _nodes(*xs), _nodes(*ys)
+    U = c[:, None] * (M1 * x) ** g1[:, None]
+    V = (M2 * y) ** g2[:, None]
+    block = max(1, (1 << 21) // len(x))
     total = 0j
-    for i in range(0, len(nodes), block):
-        re, im = _e_dot(V[:, i : i + block].T @ U, wts)
-        total += complex(wts[i : i + block] @ re, wts[i : i + block] @ im)
+    for i in range(0, len(y), block):
+        re, im = _e_dot(V[:, i : i + block].T @ U, wx)
+        total += complex(wy[i : i + block] @ re, wy[i : i + block] @ im)
     return total
 
 
-def _least_depth(terms, M1: float, M2: float, lo: float, diagonal: bool) -> int:
-    """A lower bound on the depth at which continuous_multiplier's refinement stops.
+def _rule(terms: Sequence[Tuple[int, int, float]], M1: float, M2: float, lo: float,
+          diagonal: bool) -> Tuple[complex, float]:
+    """(value, bound) of continuous_multiplier: the normalised integral of
+    e(Q(M1 y1, M2 y2)) over [lo, 1]^2, or along y1 = y2, for the terms
+    (g1, g2, c) of Q, and a bound on its error.
 
-    The phase's slope at (1, 1) in turns per unit of an axis of the rule (the
-    diagonal, for the diagonal rule), c * g * M1**g1 * M2**g2 summed over
-    the terms with g = g1 along x, g2 along y and g1 + g2 on the diagonal, is
-    at most its largest slope (equal to it when the terms share a sign).  A
-    level with fewer nodes on [lo, 1] than (1 - lo) times that slope puts a
-    32-point panel near (1, 1) across more than 32 turns, past what its
-    degree-63 rule resolves.  The refinement stops when a level agrees with
-    the one before, so not before the level after the first with enough nodes.
+    Each axis gets certified panels (_panels) for a bounding polynomial F:
+    on the diagonal F has the coefficients |a_g|, a_g the sum of c M1**g1
+    M2**g2 over g1 + g2 = g; along x of the 2-D rule, for each g1, the sum
+    of |c| M1**g1 M2**g2, the other variable's monomial at its maximum over
+    [lo, 1]; along y likewise.  The tensor rule's error is at most |P_y| sup
+    E_x + |P_x| sup E_y, the weights being positive, so the normalised
+    shares of the axes add up, each at most _TOL / 2.  The least panel
+    count any certified rule needs, and then the count chosen, must fit
+    WORK_CAP_CELLS (cells of the 2-D rule, nodes of the diagonal one) before
+    any node is evaluated, else WorkCapExceeded.
+
+    The bound adds the float rounding, derived as FLOAT_TERM_BUDGET is
+    (notes/decisions.md, "Certified quadrature"), with u = 2**-53, Phi the
+    sum of |c| M1**g1 M2**g2, G the largest g1 + g2, T the number of terms
+    and n the nodes of an axis: nodes off by 6u move the phase by 6u G Phi
+    turns, the terms and their sum by (G + T + 3)u Phi; the exact reduction
+    mod 1 and the angle add u turns, cos and sin 6u in modulus; the weights
+    22u per axis, the sums (n + 1) sqrt(2) u per axis and the normalisation
+    4u.  In all: 2 pi (7G + T + 4) u Phi + 2u (n + 1) per axis + 64u.
     """
-    axes = ((1, 1),) if diagonal else ((1, 0), (0, 1))
-    try:
-        turns = (1.0 - lo) * max(abs(sum(c * (a1 * g1 + a2 * g2) * M1**g1 * M2**g2
-                                         for g1, g2, c in terms)) for a1, a2 in axes)
-    except OverflowError:           # a power M**g past the float range
-        turns = math.inf
-    if not turns < 2.0**64:         # inf or nan: past the float range and every cap
-        turns = 2.0**64
-    return max(math.ceil(turns / len(_LEG_X)) - 1, 0).bit_length() + 1
+    sizes, degree = 0.0, 0
+    axes = [[0.0]] if diagonal else [[0.0], [0.0]]
+    for g1, g2, c in terms:
+        try:
+            signed = c * M1**g1 * M2**g2
+        except OverflowError:       # a power M**g past the float range
+            signed = math.inf
+        sizes += abs(signed)
+        degree = max(degree, g1 + g2)
+        for a, g in zip(axes, (g1 + g2,) if diagonal else (g1, g2)):
+            a.extend([0.0] * (g + 1 - len(a)))
+            a[g] += signed if diagonal else abs(signed)
+    bounding = []
+    for a in axes:
+        a = [0.0] + [abs(v) for v in a[1:]]
+        rise = sum(v * (1.0 - lo**g) for g, v in enumerate(a))
+        # inf or nan: past the float range and every cap
+        bounding.append((np.array(a), rise if rise < 2.0**64 else 2.0**64))
+    least = [max(1, math.ceil(rise / (2.0 * _TURNS))) for _, rise in bounding]
+    _check_work(32 ** len(least) * math.prod(least), 0, "quadrature needs at least "
+                f"{' x '.join(str(32 * n) for n in least)} nodes per axis to resolve the phase")
+    panels = [_panels(a, lo, max(1, math.ceil(rise / (2.0 * _TURNS * _FILL))))
+              for a, rise in bounding]
+    chosen = [len(c) for c, _, _ in panels]
+    if chosen != least:
+        _check_work(32 ** len(chosen) * math.prod(chosen), 0, "the certified rule needs "
+                    f"{' x '.join(str(32 * n) for n in chosen)} nodes per axis")
+    xs, *ys = [(c, h) for c, h, _ in panels]
+    value = _level(np.array(terms, dtype=float).reshape(-1, 3).T, M1, M2, xs,
+                   ys[0] if ys else None)
+    norm = 1.0 / (1.0 - lo) ** len(panels)
+    rounding = 2.0**-53 * (math.tau * sizes * (7 * degree + len(terms) + 4)
+                           + 2 * sum(32 * n + 1 for n in chosen) + 64)
+    truncation = sum(err for _, _, err in panels) / (1.0 - lo)
+    return norm * value, truncation + rounding
 
 
 def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
@@ -177,41 +321,24 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
                           axis_partial: Optional[Tuple[int, int]] = None) -> complex:
     """Normalized oscillatory integral of e(xi*P(M1 y1, M2 y2)) over [1/tau, 1]^2.
 
-    Gauss-Legendre panels halve until two successive levels agree within 1e-10, else
-    QuadratureConvergenceError past _MAX_DEPTH.  axis_partial=(axis, frozen) pins m_axis
-    to the integer frozen and integrates the pinned polynomial along y1 = y2 only.
-    Before any level, the least depth the phase needs (_least_depth) must fit
-    WORK_CAP_CELLS, in cells of the 2-D rule or nodes of the diagonal one, else
-    WorkCapExceeded, and _MAX_DEPTH, else QuadratureConvergenceError.
+    One certified Gauss-Legendre rule (_rule): each axis gets graded 32-point
+    panels whose Bernstein-ellipse error bounds keep the truncation error at
+    most 1e-11; _rule also reports that bound plus the float rounding.
+    axis_partial=(axis, frozen) pins m_axis to the integer frozen and
+    integrates the pinned polynomial along y1 = y2 only.  The panel count
+    must fit WORK_CAP_CELLS, in cells of the 2-D rule or nodes of the
+    diagonal one, before any node is evaluated, else WorkCapExceeded; a
+    phase that needs panels narrower than the float spacing raises
+    ValueError.
     """
     t = float(tau)
     if t <= 1:
         raise ValueError("tau must exceed 1")
-    lo = 1.0 / t
     Q = scale(P, xi)
-    diagonal = axis_partial is not None
-    if diagonal:
+    if axis_partial is not None:
         Q = pin(Q, *axis_partial)
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
-    least = _least_depth(terms, float(M1), float(M2), lo, diagonal)
-    n = len(_LEG_X) << least
-    _check_work(n if diagonal else n * n, 0,
-                f"quadrature needs at least {n} nodes per axis to resolve the phase")
-    if least > _MAX_DEPTH:
-        raise QuadratureConvergenceError(f"the phase needs at least depth {least} > {_MAX_DEPTH}")
-    prev = None
-    for depth in range(_MAX_DEPTH + 1):
-        edges = np.linspace(lo, 1.0, (1 << depth) + 1)
-        half = (edges[1:] - edges[:-1]) / 2.0
-        mid = (edges[1:] + edges[:-1]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * _LEG_X[None, :]).ravel()
-        wts = (_LEG_W[None, :] * half[:, None]).ravel()
-        cur = _level(terms, float(M1), float(M2), nodes, wts, diagonal)
-        if prev is not None and abs(cur - prev) < 1e-10:
-            norm = 1.0 / (1.0 - lo)
-            return norm * cur if diagonal else norm * norm * cur
-        prev = cur
-    raise QuadratureConvergenceError(f"no convergence to 1e-10 within depth {_MAX_DEPTH}")
+    return _rule(terms, float(M1), float(M2), 1.0 / t, axis_partial is not None)[0]
 
 
 def cutoff_eta(n: int, xi: float) -> float:

@@ -317,46 +317,49 @@ def _complex_exp_phase(Q, M1, M2):
 
 
 def _complex_exp_level(f2, axis_partial):
-    """The former refinement level: complex matvecs over 2**21-cell blocks, or
-    the complex line rule along the diagonal."""
+    """The former rule evaluation: complex matvecs over 2**21-cell blocks, or
+    the complex line rule along the diagonal, on explicit nodes and weights."""
     if axis_partial is not None:
-        return lambda nodes, wts: complex(wts @ f2(nodes, nodes))
+        return lambda x, wx, y, wy: complex(wx @ f2(x, x))
 
-    def level(nodes, wts):
-        block = max(1, (1 << 21) // len(nodes))
+    def level(x, wx, y, wy):
+        block = max(1, (1 << 21) // len(x))
         total = 0j
-        for i in range(0, len(nodes), block):
-            ys = nodes[i : i + block]
-            total += wts[i : i + block] @ (f2(nodes[None, :], ys[:, None]) @ wts)
+        for i in range(0, len(y), block):
+            ys = y[i : i + block]
+            total += wy[i : i + block] @ (f2(x[None, :], ys[:, None]) @ wx)
         return total
 
     return level
 
 
-def _levels_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
-    """Run continuous_multiplier, evaluating every refinement level also by the
-    complex-exp oracle; return (largest level gap, node count of each level)."""
+def _rule_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
+    """Run continuous_multiplier, evaluating its rule also by the complex-exp
+    oracle on the same nodes; return (gap, panel count of each axis)."""
     Q = scale(P, xi)
     if axis_partial is not None:
         Q = pin(Q, *axis_partial)
     oracle = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)), axis_partial)
-    gaps, sizes = [], []
+    gaps, counts = [], []
     real = circle._level
 
-    def both(terms, M1, M2, nodes, wts, diagonal):
-        got = real(terms, M1, M2, nodes, wts, diagonal)
-        gaps.append(abs(got - oracle(nodes, wts)))
-        sizes.append(len(nodes))
+    def both(terms, M1, M2, xs, ys):
+        got = real(terms, M1, M2, xs, ys)
+        x, wx = circle._nodes(*xs)
+        y, wy = (x, wx) if ys is None else circle._nodes(*ys)
+        gaps.append(abs(got - oracle(x, wx, y, wy)))
+        counts.extend(len(c) for c, _ in ([xs] if ys is None else [xs, ys]))
         return got
 
     monkeypatch.setattr(circle, "_level", both)
     continuous_multiplier(P, xi, M1, M2, 2, axis_partial=axis_partial)
-    return max(gaps), sizes
+    assert len(gaps) == 1  # one rule, no ladder
+    return gaps[0], counts
 
 
 @pytest.mark.parametrize("poly, xi, M1, M2, axis_partial, last_level", [
-    # the wide-phase benchmark anchors stop where the complex-exp rule stopped;
-    # at 2048 nodes a level is two 2**21-cell blocks
+    # the wide-phase benchmark anchors; the refinement ladder stopped at 256
+    # and 2048 nodes per axis, and the certified rule takes fewer on each axis
     ("m1^2*m2^3", 0.001, 8, 8, None, 256),
     ("m1^2*m2^3", 0.01, 8, 8, None, 2048),
     ("3*m1^2*m2 - m1*m2^3 + 2*m1 + m2^2 + 5", 0.3, 5, 4, None, None),
@@ -366,34 +369,12 @@ def _levels_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
 ])
 def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2, axis_partial,
                                                    last_level):
-    gap, sizes = _levels_against_oracle(monkeypatch, parse_poly(poly), xi, M1, M2, axis_partial)
+    gap, counts = _rule_against_oracle(monkeypatch, parse_poly(poly), xi, M1, M2, axis_partial)
     assert gap <= 1e-13
     if last_level is not None:
-        assert sizes[-1] == last_level
-
-
-def _count_levels(monkeypatch):
-    """Make every refinement level append its node count to the returned list."""
-    sizes = []
-    real = circle._level
-    monkeypatch.setattr(circle, "_level", lambda *args: sizes.append(len(args[3])) or real(*args))
-    return sizes
-
-
-@pytest.mark.parametrize("poly, xi, M1, M2, axis_partial", [
-    ("m1^2*m2^3", 0.01, 8, 8, None),            # converges at 2048 nodes, depth 6
-    ("m1*m2^2", 0.0025, 1, 400, (1, 1)),        # a diagonal phase range of 300
-])
-def test_depth_cap_raises(monkeypatch, poly, xi, M1, M2, axis_partial):
-    # both need at least depth 5 (_least_depth): below that the cap raises
-    # before any level, at 5 after the levels of depth 0 to 5
-    sizes = _count_levels(monkeypatch)
-    for cap, levels in ((2, 0), (5, 6)):
-        monkeypatch.setattr(circle, "_MAX_DEPTH", cap)
-        sizes.clear()
-        with pytest.raises(circle.QuadratureConvergenceError):
-            continuous_multiplier(parse_poly(poly), xi, M1, M2, 2, axis_partial=axis_partial)
-        assert len(sizes) == levels
+        assert all(32 * n < last_level for n in counts)
+    if xi == 0:
+        assert counts == [1, 1]
 
 
 @pytest.mark.parametrize("xi, M1, M2, axis_partial", [
@@ -403,7 +384,7 @@ def test_depth_cap_raises(monkeypatch, poly, xi, M1, M2, axis_partial):
 ])
 def test_unresolvable_phase_fails_before_any_level(monkeypatch, xi, M1, M2, axis_partial):
     def no_level(*args):
-        raise AssertionError("a quadrature level ran before the work cap was checked")
+        raise AssertionError("the rule ran before the work cap was checked")
 
     monkeypatch.setattr(circle, "_level", no_level)
     start = time.perf_counter()
@@ -412,26 +393,131 @@ def test_unresolvable_phase_fails_before_any_level(monkeypatch, xi, M1, M2, axis
     assert time.perf_counter() - start < 1.0
 
 
-def test_least_depth_bounds_the_stopping_depth(monkeypatch):
-    # the guard may refuse no input the refinement resolves: on random calls
-    # _least_depth never passes the depth of the last level run
+def test_phase_finer_than_the_float_grid_is_refused():
+    # [1/tau, 1] holds eight floats, but the phase needs about 87,000 panels
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="float nodes"):
+        continuous_multiplier(parse_poly("m1^2*m2^3"), 1e5, 1e4, 1e4, 1 + 2**-50,
+                              axis_partial=(1, 60))
+    assert time.perf_counter() - start < 1.0
+
+
+def _rule_of(P, xi, M1, M2, tau, axis_partial=None):
+    """circle._rule for the call continuous_multiplier(P, xi, M1, M2, tau,
+    axis_partial): (value, bound, panel count of each axis, terms)."""
+    Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
+    terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
+    counts = []
+    real = circle._level
+
+    def spy(terms, M1, M2, xs, ys):
+        counts.extend(len(c) for c, _ in ([xs] if ys is None else [xs, ys]))
+        return real(terms, M1, M2, xs, ys)
+
+    circle._level = spy
+    try:
+        value, bound = circle._rule(terms, float(M1), float(M2), 1 / float(tau),
+                                    axis_partial is not None)
+    finally:
+        circle._level = real
+    return value, bound, counts, terms
+
+
+def _rounding(terms, M1, M2, counts):
+    """The float rounding term documented in circle._rule."""
+    phi = sum(abs(c) * M1**g1 * M2**g2 for g1, g2, c in terms)
+    degree = max((g1 + g2 for g1, g2, _ in terms), default=0)
+    return 2.0**-53 * (math.tau * phi * (7 * degree + len(terms) + 4)
+                       + 2 * sum(32 * n + 1 for n in counts) + 64)
+
+
+def _ladder(P, xi, M1, M2, tau, axis_partial=None):
+    """The refinement ladder the certified rule replaced: 2**depth uniform
+    32-point panels per axis, from depth 0 until two levels agree within
+    1e-10, each level evaluated by the complex-exp oracle."""
+    Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
+    level = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)), axis_partial)
+    x32, w32 = np.polynomial.legendre.leggauss(32)
+    lo, prev = 1 / float(tau), None
+    for depth in range(21):
+        edges = np.linspace(lo, 1.0, (1 << depth) + 1)
+        half, mid = (edges[1:] - edges[:-1]) / 2, (edges[1:] + edges[:-1]) / 2
+        nodes = (mid[:, None] + half[:, None] * x32).ravel()
+        wts = (half[:, None] * w32).ravel()
+        cur = level(nodes, wts, nodes, wts)
+        if prev is not None and abs(cur - prev) < 1e-10:
+            return cur / (1 - lo) ** (1 if axis_partial is not None else 2)
+        prev = cur
+    raise AssertionError("the ladder did not converge")
+
+
+def test_certified_rule_bounds_its_error_against_the_ladder():
+    # on seeded random calls the bound's truncation part stays within the
+    # tolerance, and the value lies within its bound of the former ladder
     rng = random.Random(7)
-    sizes = _count_levels(monkeypatch)
     polys = [parse_poly(p) for p in ("m1^2*m2^3", "m1*m2", "m1^2*m2 - 3*m1*m2^2 + m2")]
     for _ in range(24):
         P = rng.choice(polys)
         M1, M2, tau = rng.randint(2, 16), rng.randint(2, 16), rng.choice((2, 1.5, 3))
         axis_partial = rng.choice((None, (1, rng.randint(1, 9)), (2, rng.randint(1, 9))))
         Q = scale(P, 1) if axis_partial is None else pin(scale(P, 1), *axis_partial)
-        # up to about 10**e turns on [1/tau, 1]: least depths 1 to 7
+        # up to about 10**e turns on [1/tau, 1]
         top = sum(abs(c) * (g1 + g2) * M1**g1 * M2**g2 for (g1, g2), c in Q.terms.items())
-        xi = 10 ** rng.uniform(1, 2.6 if axis_partial is None else 4) / top
-        sizes.clear()
-        continuous_multiplier(P, xi, M1, M2, tau, axis_partial=axis_partial)
-        Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
-        terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
-        least = circle._least_depth(terms, M1, M2, 1 / tau, axis_partial is not None)
-        assert least <= len(sizes) - 1
+        xi = 10 ** rng.uniform(0, 2 if axis_partial is None else 3.5) / top
+        value, bound, counts, terms = _rule_of(P, xi, M1, M2, tau, axis_partial)
+        assert value == continuous_multiplier(P, xi, M1, M2, tau, axis_partial=axis_partial)
+        assert bound <= circle._TOL + _rounding(terms, M1, M2, counts)
+        assert abs(value - _ladder(P, xi, M1, M2, tau, axis_partial)) <= bound
+
+
+def _monomial_oracle(c, g, lo):
+    """The normalised integral of e(c y**g) over [lo, 1], in closed form:
+    with a = -2 pi i c, a**(-1/g) / g * gamma(1/g, a lo**g, a) / (1 - lo)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a = -2j * mp.pi * mp.mpf(c)
+        z = mp.mpf(1) / g
+        v = a**-z / g * mp.gammainc(z, a * mp.mpf(lo) ** g, a) / (1 - mp.mpf(lo))
+        return complex(v)
+
+
+@pytest.mark.parametrize("turns", [1e2, 1e3, 1e4, 1e5])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_diagonal_monomial_matches_incomplete_gamma(turns, axis):
+    # m1^2*m2^3 pinned on one axis is the single monomial c * y**g along the
+    # diagonal, g = 3 (axis 1 pinned) or 2; xi gives slope times length `turns`
+    # (the next test takes the range to 8.4 M turns)
+    P, M, frozen = parse_poly("m1^2*m2^3"), 12, 5
+    g, pinned = (3, frozen**2) if axis == 1 else (2, frozen**3)
+    xi = turns / (0.5 * g * pinned * M**g)
+    value, bound, counts, _ = _rule_of(P, xi, M, M, 2, (axis, frozen))
+    assert abs(value - _monomial_oracle(xi * pinned * M**g, g, 0.5)) <= bound
+
+
+def test_eight_million_turn_diagonal_is_certified_quickly():
+    # m1^2*m2^3 at xi = 0.9, M = 12, frozen m1 = 60: 8.4 M turns of slope
+    # times length; the refinement ladder raised after 8.0 s
+    P = parse_poly("m1^2*m2^3")
+    start = time.perf_counter()
+    value, bound, counts, _ = _rule_of(P, 0.9, 12, 12, 2, (1, 60))
+    assert time.perf_counter() - start < 3.0
+    assert abs(value - _monomial_oracle(0.9 * 60**2 * 12**3, 3, 0.5)) <= bound
+    assert 32 * counts[0] <= complete.WORK_CAP_CELLS
+
+
+def test_two_dimensional_rule_matches_mpmath_quad():
+    mp = pytest.importorskip("mpmath")
+    P, xi, M1, M2 = parse_poly("m1^2*m2 - 3*m1*m2^2 + m2"), 0.05, 3, 2
+    value, bound, _, _ = _rule_of(P, xi, M1, M2, 2)
+    with mp.workdps(20):
+        def f(y1, y2):
+            m1, m2 = M1 * y1, M2 * y2
+            return mp.expjpi(2 * mp.mpf(xi) * (m1**2 * m2 - 3 * m1 * m2**2 + m2))
+        got, err = mp.quad(f, [0.5, 1], [0.5, 1], method="gauss-legendre", error=True)
+        assert err < 1e-16
+        oracle = complex(got * 4)
+    assert abs(value - oracle) <= bound
+    assert abs(oracle - 1) > 0.1  # the phase turns: far from the xi = 0 value
 
 
 def test_cutoff_eta_shape():
