@@ -1,8 +1,8 @@
 """Discrete and continuous multipliers, smooth cutoffs, rational-bump
 projections, arc classification, and the periodized major-arc approximant.
 
-Axis-partial objects pin one variable once (poly.pin, after scaling by xi)
-and run the full-path kernel or quadrature on the pinned polynomial.
+Axis-partial objects pin one variable once (_pinned: poly.pin after scaling
+by xi) and run the full-path kernel or quadrature on the pinned polynomial.
 
 Conventions fixed here: the smooth cutoff is the quintic smoothstep (any even
 C^2 bump between the two indicator envelopes would do; reports should treat
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .ergodic import EmptyRegionError
 from .expsum import double_sum
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
-from .poly import Poly2, evaluate, pin, scale
+from .poly import Poly2, RealPoly2, evaluate, pin, scale
 
 
 DEFAULT_BETA = 4.0
@@ -44,20 +44,29 @@ def _axis_count(M: RealLike, tau: RealLike) -> Tuple[int, int]:
     return lo, hi
 
 
-def discrete_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
-                        tau: RealLike, axis_partial: Optional[Tuple[int, int]] = None) -> complex:
-    """Normalized truncated lattice sum of e(xi*P) over (M/tau, M] blocks.
-
-    With axis_partial=(axis, frozen) m_axis is pinned to the integer frozen >= 1
-    and the pinned polynomial is averaged over a box whose pinned axis is (0, 1].
-    """
+def _pinned(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
+            axis_partial: Optional[Tuple[int, int]]) -> Tuple[RealPoly2, List[RealLike]]:
+    """xi*P and [M1, M2]; axis_partial=(axis, frozen) pins m_axis to the
+    integer frozen >= 1 and sets that axis's scale to 1."""
     Q, Ms = scale(P, xi), [M1, M2]
     if axis_partial is not None:
         axis, frozen = axis_partial
         if frozen < 1:
             raise ValueError(f"frozen value must be a positive integer, got {frozen}")
         Q = pin(Q, axis, frozen)
-        Ms[axis - 1] = 1  # (1/tau, 1] holds the one lattice point 1 for every tau > 1
+        Ms[axis - 1] = 1
+    return Q, Ms
+
+
+def discrete_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
+                        tau: RealLike, axis_partial: Optional[Tuple[int, int]] = None) -> complex:
+    """Normalized truncated lattice sum of e(xi*P) over (M/tau, M] blocks.
+
+    With axis_partial=(axis, frozen) m_axis is pinned to the integer frozen >= 1
+    and the pinned polynomial is averaged over a box whose pinned axis is (0, 1]:
+    (1/tau, 1] holds the one lattice point 1 for every tau > 1.
+    """
+    Q, Ms = _pinned(P, xi, M1, M2, axis_partial)
     (k1, m1), (k2, m2) = (_axis_count(M, tau) for M in Ms)
     return double_sum(Q, k1, m1, k2, m2).value / ((m1 - k1) * (m2 - k2))
 
@@ -109,8 +118,10 @@ def discrete_multiplier_direct(P: Poly2, numerators: Sequence[int], n: int, M1: 
     return np.array(sums, dtype=complex) / cells
 
 
-# The 32-point Gauss-Legendre rule on [-1, 1].
-_LEG_X, _LEG_W = np.polynomial.legendre.leggauss(32)
+# The 32-point Gauss-Legendre rule on [-1, 1], and the one-node midpoint
+# rule, which is exact on an axis along which the phase does not move.
+_GAUSS = np.polynomial.legendre.leggauss(32)
+_MIDPOINT = (np.array([0.0]), np.array([2.0]))
 
 # Each panel's error bound per unit half-width is at most _TOL, so each axis
 # adds at most _TOL / 2 to the normalised error.
@@ -136,25 +147,25 @@ _BOUND_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=None)
-def _bound_tables(G: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tables for bounding polynomials of degree G: sigma[j - 1] = 2**-j sum
-    over i of C(j, i) sinh(|j - 2i| eta), which is sum over k >= 1 of m_jk
-    sinh(k eta) where s**j = sum of m_jk T_k(s), for j = 1..G; and binom[q,
-    j] = C(q + j, j) (zero past q + j = G) and index[q, j] = min(q + j, G),
-    so that c**q @ (binom * a[index]) is the row of F^(j)(c) / j!."""
-    sigma = [sum(math.comb(j, i) * np.sinh(abs(j - 2 * i) * _ETA) for i in range(j + 1)) / 2.0**j
-             for j in range(1, G + 1)]
+def _bound_tables(G: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables for bounding polynomials of degree G: sigma[j - 1] = 2 pi 2**-j
+    sum over i of C(j, i) sinh(|j - 2i| eta), 2 pi times the sum over k >= 1
+    of m_jk sinh(k eta) where s**j = sum of m_jk T_k(s); and for q = 0..G
+    (the powers), binom[q, j] = C(q + j, j) (zero past q + j = G) and index[q,
+    j] = min(q + j, G), so that c**q @ (binom * a[index]) is F^(j)(c) / j!."""
+    sigma = [sum(math.comb(j, i) * np.sinh(abs(j - 2 * i) * _ETA) for i in range(j + 1))
+             * (math.tau / 2.0**j) for j in range(1, G + 1)]
     q, j = np.indices((G + 1, G + 1))
     binom = np.array([[math.comb(n + k, k) * (n + k <= G) for k in range(G + 1)]
                       for n in range(G + 1)], dtype=float)
-    return np.array(sigma).reshape(G, len(_ETA)), binom, np.minimum(q + j, G)
+    return np.array(sigma).reshape(G, len(_ETA)), binom, np.minimum(q + j, G), q[:, 0]
 
 
 def _log_bounds(a: np.ndarray, c, h):
     """log of the 32-point rule's error bound per unit half-width on the
-    panels [c - h, c + h] (floats, or arrays), for every phase whose
-    Chebyshev coefficients the bounding polynomial F = sum of a[g] x**g
-    (a >= 0, a[0] = 0) majorises.
+    panels [c - h, c + h] (arrays), for every phase whose Chebyshev
+    coefficients the bounding polynomial F = sum of a[g] x**g (a >= 0,
+    a[0] = 0) majorises.
 
     F(c + h s) = sum of tau_j s**j, tau_j = h**j F^(j)(c) / j! >= 0, has
     nonnegative Chebyshev coefficients b_k.  On the Bernstein ellipse of
@@ -163,31 +174,33 @@ def _log_bounds(a: np.ndarray, c, h):
     most h (64/15) exp(2 pi S) rho**-64 / (rho**2 - 1) (Trefethen, ATAP,
     Thm 19.3), minimised over _ETA.
     """
-    if np.ndim(c) and len(c) > _BOUND_BLOCK:
+    if len(c) > _BOUND_BLOCK:
         return np.concatenate([_log_bounds(a, c[i : i + _BOUND_BLOCK], h[i : i + _BOUND_BLOCK])
                                for i in range(0, len(c), _BOUND_BLOCK)])
-    sigma, binom, index = _bound_tables(len(a) - 1)
-    powers = np.arange(len(a))
-    tau = np.power.outer(c, powers) @ (binom * a[index]) * np.power.outer(h, powers)
-    return (math.tau * (tau[..., 1:] @ sigma) + _KAPPA).min(axis=-1)
+    sigma, binom, index, powers = _bound_tables(len(a) - 1)
+    tau = (c[:, None] ** powers).dot(binom * a[index]) * h[:, None] ** powers
+    return (tau[:, 1:].dot(sigma) + _KAPPA).min(axis=-1)
 
 
-def _panels(a: np.ndarray, lo: float, count: int) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Centres and half-widths of panels on [lo, 1] whose bounds per unit
-    half-width (_log_bounds) are at most _TOL, and the sum of half-width
-    times bound over them.
+def _panels(a: np.ndarray, lo: float, count: int) -> Tuple[np.ndarray, np.ndarray, tuple, float]:
+    """Centres and half-widths of panels on [lo, 1], the rule on [-1, 1]
+    they take, and the sum of half-width times bound over them.
 
-    The first guess is `count` panels of equal rise of F, the closed form of
-    the greedy widths where F is nearly linear on a panel (F inverted on
-    _GRID).  Panels that fail are halved until all pass, else ValueError
-    once one is as narrow as the float spacing.
+    A count of 0 (F does not rise) gives one midpoint panel.  Otherwise the
+    32-point panels' bounds per unit half-width (_log_bounds) are at most
+    _TOL.  The first guess is `count` panels of equal rise of F, the closed
+    form of the greedy widths where F is nearly linear on a panel (F
+    inverted on _GRID).  Panels that fail are halved until all pass, else
+    ValueError once one is as narrow as the float spacing.
     """
+    c, h = np.array([(1.0 + lo) / 2.0]), np.array([(1.0 - lo) / 2.0])
+    if count == 0:
+        return c, h, _MIDPOINT, 0.0
     if count == 1:
-        c, h = (1.0 + lo) / 2.0, (1.0 - lo) / 2.0
         logs = _log_bounds(a, c, h)
-        if logs <= _LOG_TOL:
-            return np.array([c]), np.array([h]), h * math.exp(logs)
-        edges = np.array([lo, c, 1.0])
+        if logs[0] <= _LOG_TOL:
+            return c, h, _GAUSS, float(h[0] * math.exp(logs[0]))
+        edges = np.array([lo, c[0], 1.0])
     else:
         grid = lo + (1.0 - lo) * _GRID
         rise = a[-1]
@@ -200,74 +213,59 @@ def _panels(a: np.ndarray, lo: float, count: int) -> Tuple[np.ndarray, np.ndarra
         c, h = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
         logs = _log_bounds(a, c, h)
         bad = logs > _LOG_TOL
-        if not bad.any():
-            return c, h, float(h @ np.exp(logs))
+        if not np.count_nonzero(bad):
+            return c, h, _GAUSS, float(h.dot(np.exp(logs)))
         if np.any(h[bad] <= np.spacing(c[bad])):
             raise ValueError("the phase turns too fast to be resolved by float nodes on "
                              f"[{lo!r}, 1]")
         edges = np.sort(np.concatenate((edges, c[bad])))
 
 
-def _nodes(c: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 32-point rule on the panels [c - h, c + h]."""
+def _nodes(c: np.ndarray, h: np.ndarray, rule: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule (its nodes and weights on [-1, 1]) on
+    the panels [c - h, c + h]."""
     h = h[:, None]
-    return (c[:, None] + h * _LEG_X).ravel(), (h * _LEG_W).ravel()
+    return (c[:, None] + h * rule[0]).ravel(), (h * rule[1]).ravel()
 
 
-def _e_dot(phase: np.ndarray, wts: np.ndarray):
-    """Real and imaginary parts of e(phase) @ wts, from real cos and sin of
-    2*pi times the phase reduced mod 1 (exactly) into [-1/2, 1/2]; phase is
-    overwritten."""
-    phase -= np.rint(phase)
-    phase *= math.tau
-    return np.cos(phase) @ wts, np.sin(phase, out=phase) @ wts
-
-
-def _level(terms: np.ndarray, M1: float, M2: float, xs: Tuple[np.ndarray, np.ndarray],
-           ys: Optional[Tuple[np.ndarray, np.ndarray]]) -> complex:
-    """The rule for e(Q(M1 x, M2 y)) on the panels xs and ys (centres and
-    half-widths), or on the diagonal y = x when ys is None; terms holds the
-    rows g1, g2 and c of Q's terms.
-
-    The 2-D rule takes the phase V.T @ U per 2**21 cells, U = c (M1 x)**g1
-    and V = (M2 y)**g2, one broadcast power per axis.  The diagonal rule
-    takes c M1**g1 M2**g2 @ x**(g1 + g2) per block of panels of at most
-    2**21 cells, and builds each block's nodes from its panels."""
-    g1, g2, c = terms
-    if ys is None:
-        coef, g = c * M1**g1 * M2**g2, (g1 + g2)[:, None]
-        block = max(1, (1 << 21) // (32 * max(len(c), 1)))
-        total = 0j
-        for i in range(0, len(xs[0]), block):
-            x, wx = _nodes(xs[0][i : i + block], xs[1][i : i + block])
-            total += complex(*_e_dot(coef @ x**g, wx))
-        return total
-    (x, wx), (y, wy) = _nodes(*xs), _nodes(*ys)
-    U = c[:, None] * (M1 * x) ** g1[:, None]
-    V = (M2 * y) ** g2[:, None]
-    block = max(1, (1 << 21) // len(x))
+def _level(terms: np.ndarray, Ms: Tuple[float, float], axes) -> complex:
+    """The tensor rule for e(Q(M1 x1, M2 x2)) on the panels (centres,
+    half-widths, rule) of each axis; terms holds the rows g1, g2 and c of Q's
+    terms.  The axis with fewer nodes is held in full as U.T = c (M x)**g;
+    the other is built per block of panels of at most 2**21 cells and 2**21
+    / T nodes as V = (M y)**g, and each block takes its phase as U.T @ V,
+    reduced mod 1 (exactly) into [-1/2, 1/2] before real cos and sin of 2 pi
+    times it.  ndarray.dot has a lower fixed cost per call than @."""
+    g, c = terms[:2], terms[2]
+    small = int(len(axes[1][0]) * len(axes[1][2][0]) < len(axes[0][0]) * len(axes[0][2][0]))
+    x, wx = _nodes(*axes[small])
+    UT = c * (Ms[small] * x[:, None]) ** g[small]
+    M, gb, (centres, halves, rule) = Ms[1 - small], g[1 - small][:, None], axes[1 - small]
+    block = max(1, (1 << 21) // (len(rule[0]) * max(len(x), len(c))))
     total = 0j
-    for i in range(0, len(y), block):
-        re, im = _e_dot(V[:, i : i + block].T @ U, wx)
-        total += complex(wy[i : i + block] @ re, wy[i : i + block] @ im)
+    for i in range(0, len(centres), block):
+        y, wy = _nodes(centres[i : i + block], halves[i : i + block], rule)
+        phase = UT.dot((M * y) ** gb)
+        phase -= np.rint(phase)
+        phase *= math.tau
+        total += complex(wx.dot(np.cos(phase).dot(wy)), wx.dot(np.sin(phase, out=phase).dot(wy)))
     return total
 
 
-def _rule(terms: Sequence[Tuple[int, int, float]], M1: float, M2: float, lo: float,
-          diagonal: bool) -> Tuple[complex, float]:
+def _rule(terms: Sequence[Tuple[int, int, float]], M1: float, M2: float,
+          lo: float) -> Tuple[complex, float]:
     """(value, bound) of continuous_multiplier: the normalised integral of
-    e(Q(M1 y1, M2 y2)) over [lo, 1]^2, or along y1 = y2, for the terms
-    (g1, g2, c) of Q, and a bound on its error.
+    e(Q(M1 y1, M2 y2)) over [lo, 1]^2, for the terms (g1, g2, c) of Q, and a
+    bound on its error.
 
-    Each axis gets certified panels (_panels) for a bounding polynomial F:
-    on the diagonal F has the coefficients |a_g|, a_g the sum of c M1**g1
-    M2**g2 over g1 + g2 = g; along x of the 2-D rule, for each g1, the sum
-    of |c| M1**g1 M2**g2, the other variable's monomial at its maximum over
-    [lo, 1]; along y likewise.  The tensor rule's error is at most |P_y| sup
-    E_x + |P_x| sup E_y, the weights being positive, so the normalised
-    shares of the axes add up, each at most _TOL / 2.  The least panel
-    count any certified rule needs, and then the count chosen, must fit
-    WORK_CAP_CELLS (cells of the 2-D rule, nodes of the diagonal one) before
+    Each axis gets panels (_panels) for a bounding polynomial F: along y1,
+    for each g1, the sum of |c| M1**g1 M2**g2, the other variable's monomial
+    at its maximum over [lo, 1]; along y2 likewise.  Where F = 0 (the pinned
+    axis of a partial call, or zero phase) the midpoint node is exact.  The
+    tensor rule's error is at most |P_2| sup E_1 + |P_1| sup E_2, the
+    weights being positive, so the normalised shares of the axes add up,
+    each at most _TOL / 2.  The least nodes per axis any certified rule
+    needs, then the nodes chosen, must fit WORK_CAP_CELLS as cells before
     any node is evaluated, else WorkCapExceeded.
 
     The bound adds the float rounding, derived as FLOAT_TERM_BUDGET is
@@ -279,41 +277,38 @@ def _rule(terms: Sequence[Tuple[int, int, float]], M1: float, M2: float, lo: flo
     22u per axis, the sums (n + 1) sqrt(2) u per axis and the normalisation
     4u.  In all: 2 pi (7G + T + 4) u Phi + 2u (n + 1) per axis + 64u.
     """
-    sizes, degree = 0.0, 0
-    axes = [[0.0]] if diagonal else [[0.0], [0.0]]
+    sizes, degree, axes = 0.0, 0, ([0.0], [0.0])
     for g1, g2, c in terms:
         try:
-            signed = c * M1**g1 * M2**g2
+            size = abs(c * M1**g1 * M2**g2)
         except OverflowError:       # a power M**g past the float range
-            signed = math.inf
-        sizes += abs(signed)
+            size = math.inf
+        sizes += size
         degree = max(degree, g1 + g2)
-        for a, g in zip(axes, (g1 + g2,) if diagonal else (g1, g2)):
+        for a, g in zip(axes, (g1, g2)):
             a.extend([0.0] * (g + 1 - len(a)))
-            a[g] += signed if diagonal else abs(signed)
-    bounding = []
+            a[g] += size
+    rises = []
     for a in axes:
-        a = [0.0] + [abs(v) for v in a[1:]]
+        a[0] = 0.0
         rise = sum(v * (1.0 - lo**g) for g, v in enumerate(a))
-        # inf or nan: past the float range and every cap
-        bounding.append((np.array(a), rise if rise < 2.0**64 else 2.0**64))
-    least = [max(1, math.ceil(rise / (2.0 * _TURNS))) for _, rise in bounding]
-    _check_work(32 ** len(least) * math.prod(least), 0, "quadrature needs at least "
-                f"{' x '.join(str(32 * n) for n in least)} nodes per axis to resolve the phase")
-    panels = [_panels(a, lo, max(1, math.ceil(rise / (2.0 * _TURNS * _FILL))))
-              for a, rise in bounding]
-    chosen = [len(c) for c, _, _ in panels]
-    if chosen != least:
-        _check_work(32 ** len(chosen) * math.prod(chosen), 0, "the certified rule needs "
-                    f"{' x '.join(str(32 * n) for n in chosen)} nodes per axis")
-    xs, *ys = [(c, h) for c, h, _ in panels]
-    value = _level(np.array(terms, dtype=float).reshape(-1, 3).T, M1, M2, xs,
-                   ys[0] if ys else None)
-    norm = 1.0 / (1.0 - lo) ** len(panels)
+        rises.append(rise if rise < 2.0**64 else 2.0**64)  # inf or nan: past every cap
+    least = [max(1, 32 * math.ceil(rise / (2.0 * _TURNS))) for rise in rises]
+    _check_work(least[0] * least[1], 0, f"quadrature needs at least {least[0]} x {least[1]} "
+                "nodes per axis to resolve the phase")
+    panels = [_panels(np.array(a), lo, math.ceil(rise / (2.0 * _TURNS * _FILL)))
+              for a, rise in zip(axes, rises)]
+    nodes = [len(c) * len(rule[0]) for c, _, rule, _ in panels]
+    if nodes != least:
+        _check_work(nodes[0] * nodes[1], 0, "the certified rule needs "
+                    f"{nodes[0]} x {nodes[1]} nodes per axis")
+    value = _level(np.array(terms, dtype=float).reshape(-1, 3).T, (M1, M2),
+                   [(c, h, rule) for c, h, rule, _ in panels])
+    span = 1.0 - lo
     rounding = 2.0**-53 * (math.tau * sizes * (7 * degree + len(terms) + 4)
-                           + 2 * sum(32 * n + 1 for n in chosen) + 64)
-    truncation = sum(err for _, _, err in panels) / (1.0 - lo)
-    return norm * value, truncation + rounding
+                           + 2 * sum(n + 1 for n in nodes) + 64)
+    truncation = sum(err for *_, err in panels) / span
+    return value / (span * span), truncation + rounding
 
 
 def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
@@ -321,24 +316,21 @@ def continuous_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
                           axis_partial: Optional[Tuple[int, int]] = None) -> complex:
     """Normalized oscillatory integral of e(xi*P(M1 y1, M2 y2)) over [1/tau, 1]^2.
 
-    One certified Gauss-Legendre rule (_rule): each axis gets graded 32-point
-    panels whose Bernstein-ellipse error bounds keep the truncation error at
-    most 1e-11; _rule also reports that bound plus the float rounding.
-    axis_partial=(axis, frozen) pins m_axis to the integer frozen and
-    integrates the pinned polynomial along y1 = y2 only.  The panel count
-    must fit WORK_CAP_CELLS, in cells of the 2-D rule or nodes of the
-    diagonal one, before any node is evaluated, else WorkCapExceeded; a
-    phase that needs panels narrower than the float spacing raises
-    ValueError.
+    One certified tensor Gauss-Legendre rule (_rule): graded 32-point panels
+    whose Bernstein-ellipse bounds keep the truncation error at most 1e-11,
+    and one node on an axis along which the phase does not move.
+    axis_partial=(axis, frozen) pins as discrete_multiplier does and runs
+    the same rule on the pinned polynomial.  The nodes per axis must fit
+    WORK_CAP_CELLS as cells, else WorkCapExceeded before any node is
+    evaluated; a phase that needs panels narrower than the float spacing
+    raises ValueError.
     """
     t = float(tau)
     if t <= 1:
         raise ValueError("tau must exceed 1")
-    Q = scale(P, xi)
-    if axis_partial is not None:
-        Q = pin(Q, *axis_partial)
+    Q, (M1, M2) = _pinned(P, xi, M1, M2, axis_partial)
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
-    return _rule(terms, float(M1), float(M2), 1.0 / t, axis_partial is not None)[0]
+    return _rule(terms, float(M1), float(M2), 1.0 / t)[0]
 
 
 def cutoff_eta(n: int, xi: float) -> float:
@@ -433,9 +425,9 @@ def arc_classify(P: Poly2, diagram: NewtonDiagram, j: int, xi: RealLike,
     q_threshold = L**beta
     v = diagram.vertices[j - 1]
     resolution = float(M1) ** v[0] * float(M2) ** v[1] / q_threshold
-    if resolution < 1:
+    if not 1 <= resolution < math.inf:
         raise ValueError(
-            f"degenerate thresholds: rational resolution {resolution:.3g} is below 1"
+            f"degenerate thresholds: rational resolution {resolution:.3g} is not in [1, inf)"
         )
     Q = math.ceil(resolution)
     frac = dirichlet_approx(as_fraction(xi), Q)

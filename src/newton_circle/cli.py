@@ -375,7 +375,8 @@ def run_command(argv: Optional[List[str]] = None) -> int:
             print(exc.code, file=sys.stderr)
             return USAGE_ERROR
         raise
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+        # ArithmeticError: a float past its range, such as osc's |increment| ** rho
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _finish(report, args, t0)

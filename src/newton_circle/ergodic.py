@@ -49,7 +49,13 @@ class FiniteFunction:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteFunction":
+        """The inverse of to_json; JSON of any other shape than {point: [re,
+        im]} with real numbers re and im raises ValueError."""
         raw = json.loads(text)
+        if not isinstance(raw, dict) or not all(
+                isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v)
+                for v in raw.values()):
+            raise ValueError("a finite function must be a JSON object {point: [re, im]}")
         return cls({int(k): complex(re, im) for k, (re, im) in raw.items()})
 
 
@@ -148,14 +154,13 @@ def sector_grid(diagram: NewtonDiagram, j: int, tau: Fraction,
     t = as_fraction(tau)
     if t <= 1:
         raise ValueError("tau must exceed 1")
+    _check_j(diagram, j)
     b = as_fraction(bound)
     powers = []
     p = Fraction(1)
     while p <= b:
         powers.append(p)
         p *= t
-    if powers:
-        _check_j(diagram, j)
     # one kernel call per row keeps the arrays to O(len(powers)) beside the output
     out = []
     row = np.column_stack((np.zeros(len(powers), dtype=np.int64), np.arange(len(powers))))

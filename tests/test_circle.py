@@ -243,6 +243,16 @@ def test_discrete_partial_rejects_frozen_below_one(mixed):
                 discrete_multiplier(mixed, Fraction(1, 3), 8, 8, 2, axis_partial=(axis, frozen))
 
 
+def test_continuous_partial_rejects_frozen_below_one():
+    # the same pinning step as discrete_multiplier: a frozen value of 0 would
+    # pin the polynomial to a constant and return 1, not raise
+    P = parse_poly("m1^2*m2^3 + m1*m2")
+    for axis in (1, 2):
+        for frozen in (0, -3):
+            with pytest.raises(ValueError, match="frozen value must be a positive integer"):
+                continuous_multiplier(P, 0.01, 8, 8, 2, axis_partial=(axis, frozen))
+
+
 def test_discrete_multiplier_bounds_and_conjugation(mixed):
     for i in range(25):
         xi = Fraction(i, 25)
@@ -316,11 +326,15 @@ def _complex_exp_phase(Q, M1, M2):
     return f
 
 
-def _complex_exp_level(f2, axis_partial):
-    """The former rule evaluation: complex matvecs over 2**21-cell blocks, or
-    the complex line rule along the diagonal, on explicit nodes and weights."""
-    if axis_partial is not None:
-        return lambda x, wx, y, wy: complex(wx @ f2(x, x))
+def _complex_exp_level(f2, pinned):
+    """The former rule evaluation on explicit nodes and weights: complex
+    matvecs over 2**21-cell blocks, or, with axis 1 or 2 pinned, the complex
+    line rule along the live axis times the pinned axis's weights (the
+    pinned exponents are 0, so the pinned argument of f2 is immaterial)."""
+    if pinned == 1:
+        return lambda x, wx, y, wy: wx.sum() * complex(wy @ f2(y, y))
+    if pinned == 2:
+        return lambda x, wx, y, wy: wy.sum() * complex(wx @ f2(x, x))
 
     def level(x, wx, y, wy):
         block = max(1, (1 << 21) // len(x))
@@ -339,22 +353,22 @@ def _rule_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
     Q = scale(P, xi)
     if axis_partial is not None:
         Q = pin(Q, *axis_partial)
-    oracle = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)), axis_partial)
-    gaps, counts = [], []
+    oracle = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)),
+                                axis_partial and axis_partial[0])
+    gaps, nodes = [], []
     real = circle._level
 
-    def both(terms, M1, M2, xs, ys):
-        got = real(terms, M1, M2, xs, ys)
-        x, wx = circle._nodes(*xs)
-        y, wy = (x, wx) if ys is None else circle._nodes(*ys)
+    def both(terms, Ms, axes):
+        got = real(terms, Ms, axes)
+        (x, wx), (y, wy) = (circle._nodes(*axis) for axis in axes)
         gaps.append(abs(got - oracle(x, wx, y, wy)))
-        counts.extend(len(c) for c, _ in ([xs] if ys is None else [xs, ys]))
+        nodes.extend((len(x), len(y)))
         return got
 
     monkeypatch.setattr(circle, "_level", both)
     continuous_multiplier(P, xi, M1, M2, 2, axis_partial=axis_partial)
     assert len(gaps) == 1  # one rule, no ladder
-    return gaps[0], counts
+    return gaps[0], nodes
 
 
 @pytest.mark.parametrize("poly, xi, M1, M2, axis_partial, last_level", [
@@ -369,17 +383,19 @@ def _rule_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
 ])
 def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2, axis_partial,
                                                    last_level):
-    gap, counts = _rule_against_oracle(monkeypatch, parse_poly(poly), xi, M1, M2, axis_partial)
+    gap, nodes = _rule_against_oracle(monkeypatch, parse_poly(poly), xi, M1, M2, axis_partial)
     assert gap <= 1e-13
     if last_level is not None:
-        assert all(32 * n < last_level for n in counts)
+        assert all(n < last_level for n in nodes)
     if xi == 0:
-        assert counts == [1, 1]
+        assert nodes == [1, 1]
+    if axis_partial is not None:
+        assert nodes[axis_partial[0] - 1] == 1
 
 
 @pytest.mark.parametrize("xi, M1, M2, axis_partial", [
     (2**-24, 240, 240, None),       # ROADMAP item 7: 71,000 turns along m2, 2**36 cells
-    (0.7, 12, 60, (1, 60)),         # 8.2e8 turns on the diagonal, 2**31 nodes
+    (0.7, 12, 60, (1, 60)),         # 8.2e8 turns along m2, 1 x 2**31 nodes
     (1.0, 1e200, 12, None),         # M1**2 * M2**3 past the float range
 ])
 def test_unresolvable_phase_fails_before_any_level(monkeypatch, xi, M1, M2, axis_partial):
@@ -404,39 +420,41 @@ def test_phase_finer_than_the_float_grid_is_refused():
 
 def _rule_of(P, xi, M1, M2, tau, axis_partial=None):
     """circle._rule for the call continuous_multiplier(P, xi, M1, M2, tau,
-    axis_partial): (value, bound, panel count of each axis, terms)."""
+    axis_partial): (value, bound, nodes of each axis, terms).  The pinned
+    axis keeps its scale: its exponents are 0, so the rule does not read it."""
     Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
-    counts = []
+    nodes = []
     real = circle._level
 
-    def spy(terms, M1, M2, xs, ys):
-        counts.extend(len(c) for c, _ in ([xs] if ys is None else [xs, ys]))
-        return real(terms, M1, M2, xs, ys)
+    def spy(terms, Ms, axes):
+        nodes.extend(len(c) * len(rule[0]) for c, _, rule in axes)
+        return real(terms, Ms, axes)
 
     circle._level = spy
     try:
-        value, bound = circle._rule(terms, float(M1), float(M2), 1 / float(tau),
-                                    axis_partial is not None)
+        value, bound = circle._rule(terms, float(M1), float(M2), 1 / float(tau))
     finally:
         circle._level = real
-    return value, bound, counts, terms
+    return value, bound, nodes, terms
 
 
-def _rounding(terms, M1, M2, counts):
+def _rounding(terms, M1, M2, nodes):
     """The float rounding term documented in circle._rule."""
     phi = sum(abs(c) * M1**g1 * M2**g2 for g1, g2, c in terms)
     degree = max((g1 + g2 for g1, g2, _ in terms), default=0)
     return 2.0**-53 * (math.tau * phi * (7 * degree + len(terms) + 4)
-                       + 2 * sum(32 * n + 1 for n in counts) + 64)
+                       + 2 * sum(n + 1 for n in nodes) + 64)
 
 
 def _ladder(P, xi, M1, M2, tau, axis_partial=None):
     """The refinement ladder the certified rule replaced: 2**depth uniform
-    32-point panels per axis, from depth 0 until two levels agree within
-    1e-10, each level evaluated by the complex-exp oracle."""
+    32-point panels per axis (the live axis of a partial call), from depth 0
+    until two levels agree within 1e-10, each level evaluated by the
+    complex-exp oracle."""
     Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
-    level = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)), axis_partial)
+    level = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)),
+                               axis_partial and axis_partial[0])
     x32, w32 = np.polynomial.legendre.leggauss(32)
     lo, prev = 1 / float(tau), None
     for depth in range(21):
@@ -446,7 +464,7 @@ def _ladder(P, xi, M1, M2, tau, axis_partial=None):
         wts = (half[:, None] * w32).ravel()
         cur = level(nodes, wts, nodes, wts)
         if prev is not None and abs(cur - prev) < 1e-10:
-            return cur / (1 - lo) ** (1 if axis_partial is not None else 2)
+            return cur / (1 - lo) ** 2
         prev = cur
     raise AssertionError("the ladder did not converge")
 
@@ -464,9 +482,9 @@ def test_certified_rule_bounds_its_error_against_the_ladder():
         # up to about 10**e turns on [1/tau, 1]
         top = sum(abs(c) * (g1 + g2) * M1**g1 * M2**g2 for (g1, g2), c in Q.terms.items())
         xi = 10 ** rng.uniform(0, 2 if axis_partial is None else 3.5) / top
-        value, bound, counts, terms = _rule_of(P, xi, M1, M2, tau, axis_partial)
+        value, bound, nodes, terms = _rule_of(P, xi, M1, M2, tau, axis_partial)
         assert value == continuous_multiplier(P, xi, M1, M2, tau, axis_partial=axis_partial)
-        assert bound <= circle._TOL + _rounding(terms, M1, M2, counts)
+        assert bound <= circle._TOL + _rounding(terms, M1, M2, nodes)
         assert abs(value - _ladder(P, xi, M1, M2, tau, axis_partial)) <= bound
 
 
@@ -485,13 +503,14 @@ def _monomial_oracle(c, g, lo):
 @pytest.mark.parametrize("axis", [1, 2])
 def test_diagonal_monomial_matches_incomplete_gamma(turns, axis):
     # m1^2*m2^3 pinned on one axis is the single monomial c * y**g along the
-    # diagonal, g = 3 (axis 1 pinned) or 2; xi gives slope times length `turns`
-    # (the next test takes the range to 8.4 M turns)
+    # live axis, g = 3 (axis 1 pinned) or 2; xi gives slope times length
+    # `turns` (the next test takes the range to 8.4 M turns)
     P, M, frozen = parse_poly("m1^2*m2^3"), 12, 5
     g, pinned = (3, frozen**2) if axis == 1 else (2, frozen**3)
     xi = turns / (0.5 * g * pinned * M**g)
-    value, bound, counts, _ = _rule_of(P, xi, M, M, 2, (axis, frozen))
+    value, bound, nodes, _ = _rule_of(P, xi, M, M, 2, (axis, frozen))
     assert abs(value - _monomial_oracle(xi * pinned * M**g, g, 0.5)) <= bound
+    assert nodes[axis - 1] == 1
 
 
 def test_eight_million_turn_diagonal_is_certified_quickly():
@@ -499,10 +518,10 @@ def test_eight_million_turn_diagonal_is_certified_quickly():
     # times length; the refinement ladder raised after 8.0 s
     P = parse_poly("m1^2*m2^3")
     start = time.perf_counter()
-    value, bound, counts, _ = _rule_of(P, 0.9, 12, 12, 2, (1, 60))
+    value, bound, nodes, _ = _rule_of(P, 0.9, 12, 12, 2, (1, 60))
     assert time.perf_counter() - start < 3.0
     assert abs(value - _monomial_oracle(0.9 * 60**2 * 12**3, 3, 0.5)) <= bound
-    assert 32 * counts[0] <= complete.WORK_CAP_CELLS
+    assert nodes[0] == 1 and nodes[1] <= complete.WORK_CAP_CELLS
 
 
 def test_two_dimensional_rule_matches_mpmath_quad():
@@ -516,6 +535,35 @@ def test_two_dimensional_rule_matches_mpmath_quad():
         got, err = mp.quad(f, [0.5, 1], [0.5, 1], method="gauss-legendre", error=True)
         assert err < 1e-16
         oracle = complex(got * 4)
+    assert abs(value - oracle) <= bound
+    assert abs(oracle - 1) > 0.1  # the phase turns: far from the xi = 0 value
+
+
+def test_zero_phase_takes_one_node_per_axis_and_returns_one():
+    # the midpoint rule is exact on an axis along which the phase does not
+    # move: no truncation term, and the value is 1 to the last bit for any tau
+    P = parse_poly("3*m1^2*m2 - m1*m2^3 + 2*m1 + m2^2 + 5")
+    for tau in (2, 3, 1.5):
+        for axis_partial in (None, (1, 3), (2, 5)):
+            value, bound, nodes, terms = _rule_of(P, 0, 16, 12, tau, axis_partial)
+            assert nodes == [1, 1]
+            assert value == 1 + 0j
+            assert bound == _rounding(terms, 16, 12, nodes)
+            assert continuous_multiplier(P, 0, 16, 12, tau, axis_partial=axis_partial) == 1
+
+
+def test_one_variable_polynomial_takes_one_node_on_the_other_axis():
+    mp = pytest.importorskip("mpmath")
+    P, xi, M1, M2 = parse_poly("m2^3 - 2*m2"), 0.05, 5, 3
+    value, bound, nodes, _ = _rule_of(P, xi, M1, M2, 2)
+    assert nodes[0] == 1 and nodes[1] >= 32
+    with mp.workdps(20):
+        def f(y):
+            m2 = M2 * y
+            return mp.expjpi(2 * mp.mpf(xi) * (m2**3 - 2 * m2))
+        got, err = mp.quad(f, [0.5, 1], method="gauss-legendre", error=True)
+        assert err < 1e-16
+        oracle = complex(got * 2)
     assert abs(value - oracle) <= bound
     assert abs(oracle - 1) > 0.1  # the phase turns: far from the xi = 0 value
 

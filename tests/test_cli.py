@@ -164,6 +164,22 @@ def test_arcs_command(tmp_path):
     assert doc["results"][0]["kind"] == "major"
 
 
+@pytest.mark.parametrize("argv, f_json", [
+    (["average", "--poly", "m1*m2", "--m1", "4", "--m2", "4", "--x", "0"], '{"0": 5}'),
+    (["average", "--poly", "m1*m2", "--m1", "4", "--m2", "4", "--x", "0"], "[1, 2]"),
+    (["arcs", "--poly", "m1*m2", "--xi", "0.3", "--m1", "1e300", "--m2", "1e300"], None),
+    (["osc", "--values", "1,2,3", "--rho", "1e308"], None),
+    (["sectors", "--poly", "m1*m2", "--j", "99", "--bound", "0.5"], None),
+])
+def test_bad_input_exits_1_with_a_message(tmp_path, capsys, argv, f_json):
+    # run_command returns, so nothing escaped it as a traceback
+    if f_json is not None:
+        (tmp_path / "f.json").write_text(f_json)
+        argv = argv + ["--f", str(tmp_path / "f.json")]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_exit_codes(tmp_path):
     code, doc = run(tmp_path, "verify", "--suite", "iw")
     assert code == 0

@@ -92,12 +92,15 @@ def _partial_per_cell(P, a_over_q, frozen, axis):
 
 @pytest.mark.parametrize("block", [7, 64])
 def test_complete_sums_exact_across_block_edges(monkeypatch, block):
-    # 7-cell blocks cut every row with q > 7 into column ranges; 64-cell
-    # blocks hold several whole rows for q <= 32 and cut the rows of q > 64
+    # 7-cell blocks cut every row with q > 7 into column ranges and hold
+    # several rows for q <= 3; 64-cell blocks hold several whole rows for
+    # q <= 32 and cut the rows of q > 64.  The q x q sums of q >= 256 run at
+    # 64-cell blocks only, since at 7 cells each takes 9,000-23,000 blocks
     monkeypatch.setattr(complete, "BLOCK_CELLS", block)
     rng = random.Random(block)
     for P, frac, want in _per_cell_cases():
-        assert gauss_sum(P, frac) == want, (P.terms, frac)
+        if block == 64 or frac.denominator < 256:
+            assert gauss_sum(P, frac) == want, (P.terms, frac)
         frozen = rng.randint(-70, 70)
         for axis in (1, 2):
             assert partial_gauss(P, frac, frozen, axis) == _partial_per_cell(P, frac, frozen, axis)

@@ -149,6 +149,8 @@ def test_sector_grid_matches_cone_coordinates(rng):
             assert sector_grid(d, j, tau, powers[-1]) == expected
     with pytest.raises(ValueError, match="sector index"):
         sector_grid(d, d.r + 1, tau, 8)
+    with pytest.raises(ValueError, match="sector index"):
+        sector_grid(d, d.r + 1, tau, Fraction(1, 2))  # no power fits the bound
 
 
 def test_factorization_gap_examples(rng):
