@@ -13,6 +13,7 @@ threshold uses log base tau, the lacunarity factor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,10 +22,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
-from .complete import (_check_work, _histogram_peak, _residue_histogram, gauss_sum,
-                       partial_gauss)
+from .complete import _check_work, _residue_histogram, gauss_sum, partial_gauss
 from .ergodic import EmptyRegionError
-from .expsum import double_sum
+from .expsum import _histogram_peak, double_sum
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
 from .poly import Poly2, RealPoly2, evaluate, pin, scale
@@ -402,6 +402,18 @@ def log_scale(M: RealLike, tau: RealLike) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _scale_monomial(M1: RealLike, M2: RealLike, v: Tuple[int, int]) -> float:
+    """M1**v[0] * M2**v[1]; a ValueError naming the scales past the largest float."""
+    try:
+        value = float(M1) ** v[0] * float(M2) ** v[1]
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"M1**{v[0]} * M2**{v[1]} at M1 = {M1}, M2 = {M2} exceeds the "
+                         f"largest float, {sys.float_info.max:.4g}")
+    return value
+
+
 @dataclass(frozen=True)
 class ArcClassification:
     kind: str                      # "major" or "minor"
@@ -423,8 +435,7 @@ def arc_classify(P: Poly2, diagram: NewtonDiagram, j: int, xi: RealLike,
         raise ValueError("dominant scale must exceed tau so log thresholds are positive")
     L = log_scale(mstar, tau)
     q_threshold = L**beta
-    v = diagram.vertices[j - 1]
-    resolution = float(M1) ** v[0] * float(M2) ** v[1] / q_threshold
+    resolution = _scale_monomial(M1, M2, diagram.vertices[j - 1]) / q_threshold
     if not 1 <= resolution < math.inf:
         raise ValueError(
             f"degenerate thresholds: rational resolution {resolution:.3g} is not in [1, inf)"
@@ -478,8 +489,7 @@ def partial_approx_error(P: Poly2, diagram: NewtonDiagram, j: int, m1: int,
     q = center.denominator
     if q > M2prime:
         raise ValueError(f"need q <= M2prime, got q={q}, M2prime={M2prime}")
-    v = diagram.vertices[j - 1]
-    window = log_scale(M2, tau) ** beta / (float(M1) ** v[0] * float(M2) ** v[1])
+    window = log_scale(M2, tau) ** beta / _scale_monomial(M1, M2, diagram.vertices[j - 1])
     offset = as_fraction(xi) - center
     if abs(float(offset)) > window * (1 + 1e-12):
         raise ValueError(

@@ -376,7 +376,7 @@ def run_command(argv: Optional[List[str]] = None) -> int:
             return USAGE_ERROR
         raise
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        # ArithmeticError: a float past its range, such as osc's |increment| ** rho
+        # ArithmeticError: a float past its range that no named check caught
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _finish(report, args, t0)

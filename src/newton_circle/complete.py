@@ -1,11 +1,11 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
 Every complete sum is read from one object, the int64 q-bin histogram h of
-a*P(r1, r2) mod q over a box, built by one kernel (_residue_histogram) from
-products of per-axis power tables on blocks of at most BLOCK_CELLS
-cells; a work cap bounds the box and every int64 intermediate before
-anything is allocated.  gauss_sum and partial_gauss sum e(t/q) over the
-bins of one histogram, one frequency at a time.  The all-frequency sweep
+a*P(r1, r2) mod q over a box (_residue_histogram), counted from the blocks
+of expsum's exact residue producer; a work cap bounds the box, and
+_histogram_peak every int64 intermediate, before anything is allocated.
+gauss_sum and partial_gauss sum e(t/q) over the bins of one histogram, one
+frequency at a time.  The all-frequency sweep
 takes one DFT of the histogram of P mod p**k:
 p**2k * G(a/p**k) = sum_t h[t] * e(a*t/p**k) for every a at once.  It does so
 only for prime powers: by the Chinese remainder theorem G(a/q) factors over
@@ -38,8 +38,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike
-from .expsum import BLOCK_CELLS, _sum_e, weyl_sum
-from .poly import MAX_EXPONENT, Poly2, transpose
+from .expsum import _histogram_peak, _residue_blocks, _sum_e, weyl_sum
+from .poly import Poly2, transpose
 
 WORK_CAP_CELLS = 10**8
 INT64_LIMIT = 2**63
@@ -77,59 +77,15 @@ def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> compl
 
 
 def _residue_histogram(terms: Dict[Tuple[int, int], int], a: int, q: int,
-                       rows: Sequence[int], cols: range) -> np.ndarray:
+                       rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
     """int64 q-bin histogram of a*P(r1, r2) mod q over r1 in rows and r2 in
-    cols, for the polynomial P with these terms.
-
-    Rows, columns and each a*c are reduced mod q in Python integers, so
-    values of any size never reach numpy.  The terms are grouped by their m1
-    exponent g1: on each column block of at most BLOCK_CELLS columns the
-    group vectors C_g1(r2) mod q are one product of the coefficient matrix
-    with the block's power table, and each block of at most BLOCK_CELLS cells
-    is the product of the rows' power table r1**g1 with them.  Every term of
-    either product is below q**2 and no sum has more than MAX_EXPONENT + 1 =
-    65 of them, so every intermediate stays below _histogram_peak(q).  Each
-    block is reduced in place as t - q*(t // q), because numpy divides an
-    int64 array by a scalar with a multiply-shift but takes its remainder by
-    hardware division, about four times slower, and np.add.at counts it in
-    time linear in the block, however many bins q has.
-    """
-    top = max((g2 for _, g2 in terms), default=0)
-    groups: Dict[int, List[int]] = {}
-    for (g1, g2), c in terms.items():
-        groups.setdefault(g1, [0] * (top + 1))[g2] = a * c % q
-    groups = groups or {0: [0]}  # the zero polynomial: one group, the zero vector
-    exps = list(groups)
-    coeffs = np.array(list(groups.values()), dtype=np.int64)
-
-    def powers(r: Sequence[int], k: int) -> np.ndarray:
-        """(k + 1) x len(r) table of r**j mod q."""
-        x = np.array([v % q for v in r], dtype=np.int64)
-        table = np.empty((k + 1, x.size), dtype=np.int64)
-        table[0] = 1 % q
-        for j in range(k):
-            np.multiply(table[j], x, out=table[j + 1])
-            table[j + 1] %= q
-        return table
-
-    width = min(len(cols), BLOCK_CELLS)
-    height = BLOCK_CELLS // width
+    cols, for the polynomial P with these terms, counted by np.add.at (in
+    time linear in each block of expsum._residue_blocks, however many bins q
+    has); q must divide 2**64 or have _histogram_peak(q) < 2**63."""
     hist = np.zeros(q, dtype=np.int64)
-    for c0 in range(0, len(cols), width):
-        vectors = coeffs @ powers(cols[c0:c0 + width], top)
-        vectors %= q
-        for r0 in range(0, len(rows), height):
-            t = powers(rows[r0:r0 + height], max(exps))[exps].T @ vectors
-            quot = t // q
-            quot *= q
-            t -= quot
-            np.add.at(hist, t.ravel(), 1)
+    for _, t, _, _ in _residue_blocks({g: a * c for g, c in terms.items()}, q, rows, cols):
+        np.add.at(hist, t.ravel(), 1)
     return hist
-
-
-def _histogram_peak(q: int) -> int:
-    """Bound on every int64 intermediate of _residue_histogram mod q."""
-    return (MAX_EXPONENT + 1) * q * q
 
 
 def _complete_sum(hist: np.ndarray, W: int) -> complex:

@@ -2,35 +2,28 @@
 
 Every coefficient is read as an exact rational: a Fraction or int as itself,
 a binary float as the dyadic rational it denotes.  With L the common
-denominator, the residues L*Q(m) mod L are formed by Horner's rule on numpy
-blocks of the lattice, in one of two exact arithmetics: uint64 when L
-divides 2**64 (every binary float), whose wraparound mod 2**64 keeps them
-exact mod L, and int64 reduced mod L at each step when no intermediate can
-reach 2**63.  So no phase error accumulates however large the polynomial
-values get; the residues are histogrammed and each distinct phase t/L is
-one correctly rounded division.  For any other wide L (big non-dyadic
-rationals) each coefficient is scaled to 2**64 * c / L: its integer part
-runs the same uint64 Horner, and its fractional part adds a float tail
-below 2**-11 of a turn.  That phase is off by less than 2**-52 of a turn.
+denominator, one exact producer (``_residue_blocks``, which the complete
+sums of ``complete`` read too) forms the residues L*Q(m) mod L on numpy
+blocks of the lattice from per-axis power tables: in uint64 when L divides
+2**64 (every binary float), whose wraparound keeps them exact mod L, else in
+int64 under the one bound ``_histogram_peak(L)`` = 65*L**2 < 2**63 (L up to
+about 3.7e8).  So no phase error accumulates however large the polynomial
+values get, and each distinct phase t/L is one correctly rounded division.
+For any other L the tail producer (``_tail_phase_blocks``) scales each
+coefficient to 2**64 * c / L: its integer part runs a uint64 Horner over
+row segments and its fractional part adds a float tail below 2**-11 of a
+turn, so the phase is off by less than 2**-52 of a turn.
+
+Two reductions read the blocks.  The sum over the whole box (``double_sum``,
+``weyl_sum``) histograms each block's residues, so each distinct phase takes
+one cos and one sin.  The row sums of ``double_sum_abs`` take cos and sin of
+every cell, as their rows are short and their residues mostly distinct.
 Each block's terms are added by an exact split into integer and fractional
 parts (``_split_sum``), within 1 ulp of ``math.fsum``, and the block
-partials with ``math.fsum``.
-
-Two producers yield the blocks (``_phase_blocks`` picks one): exact
-residues (``_residue_blocks``) or float tail phases
-(``_tail_phase_blocks``), and two reductions read them.  The sum over the
-whole box (``double_sum``, ``weyl_sum``) histograms each block's residues,
-so each distinct phase takes one cos and one sin.  The row sums of
-``double_sum_abs`` take cos and sin of every cell and add all rows of a
-block in one ``_split_sum``: its rows are short and their residues mostly
-distinct, so a histogram per row does not pay.  Each row sum is within
-(row length) * ``FLOAT_TERM_BUDGET`` of the exact one, by the derivation
-above ``FLOAT_TERM_BUDGET`` with count weights of 1.
-
-``mode`` names the kind of input, exact (rational) or float.  Either way the
-value carries the rounding of the phases, the trigonometry and the
-summation, and every result reports an ``error_budget`` of
-``FLOAT_TERM_BUDGET`` per term that bounds it.
+partials with ``math.fsum``.  ``mode`` names the kind of input, exact
+(rational) or float; either way every result reports an ``error_budget`` of
+``FLOAT_TERM_BUDGET`` per term (per term of its row for a row sum) that
+bounds the rounding of the phases, the trigonometry and the summation.
 """
 
 from __future__ import annotations
@@ -43,13 +36,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike, as_fraction, is_exact
-from .poly import RealPoly2, transpose
+from .poly import MAX_EXPONENT, RealPoly2, transpose
 
 # Lattice cells per numpy block of the phase kernel; bounds its working memory.
 BLOCK_CELLS = 1 << 14
-
-# Integers up to 2**53 convert to float64 exactly, so t / L rounds only once.
-_FLOAT_EXACT = 1 << 53
 
 # Modulus of uint64 arithmetic, a multiple of every dyadic L: uint64 residues
 # that wrap mod 2**64 are exact mod L.
@@ -86,9 +76,9 @@ class ExpSumValue:
 def residue_sum(residues, L: int) -> complex:
     """Sum of e(t/L) over residues t in [0, L), taken from their histogram.
 
-    Residues are int64 with L <= 2**53, so each phase t/L rounds once, or
-    uint64 with L dividing 2**64: float(t) rounds once and the division by
-    the power of two L is exact, so each phase is fl(t/L) as for int64.
+    Residues are int64 with L <= 2**53 (from the exact producer, 65*L**2 <
+    2**63), so each phase t/L rounds once; or uint64 with L dividing 2**64:
+    float(t) rounds once and the division by the power of two L is exact.
     """
     if getattr(residues, "dtype", None) != np.uint64:
         residues = np.asarray(residues, dtype=np.int64)
@@ -141,26 +131,16 @@ def _split_sum(x: np.ndarray, W: int) -> np.ndarray:
     return s
 
 
-def _integer_form(terms: Dict[Tuple[int, int], RealLike]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """(L, rows): L*Q has integer coefficients, and rows lists, from the top m2
-    degree down to 0, the m1-coefficients mod L of each m2 power, top first."""
+def _integer_form(terms: Dict[Tuple[int, int], RealLike]) -> Tuple[int, Dict[Tuple[int, int], int]]:
+    """(L, ints): L*Q has the integer coefficients ints, reduced mod L."""
     fracs = {g: as_fraction(c) for g, c in terms.items()}
     L = math.lcm(*(f.denominator for f in fracs.values()))
-    by_g2: Dict[int, Dict[int, int]] = {}
-    for (g1, g2), f in fracs.items():
-        by_g2.setdefault(g2, {})[g1] = f.numerator * (L // f.denominator) % L
-    rows = []
-    for g2 in range(max(by_g2, default=0), -1, -1):
-        row = by_g2.get(g2, {})
-        rows.append(tuple(row.get(g1, 0) for g1 in range(max(row, default=-1), -1, -1)))
-    return L, rows
+    return L, {g: f.numerator * (L // f.denominator) % L for g, f in fracs.items()}
 
 
-def _horner(coeffs: Tuple[int, ...], x: int, L: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = (acc * x + c) % L
-    return acc
+def _histogram_peak(L: int) -> int:
+    """65*L**2; below 2**63, so is every int64 intermediate of _residue_blocks mod L."""
+    return (MAX_EXPONENT + 1) * L * L
 
 
 def _taylor_shift(coeffs: List[int], o: int, L: int) -> List[int]:
@@ -200,9 +180,9 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
     """Sums of e(Q(m1, m2)) over m2 in (K2, M2], one per row m1 in (K1, M1],
     with Q in integer form, as a complex array.
 
-    A row spread over several column blocks or tail segments, which come
-    in row order, adds its partials with math.fsum.  Each row sum is within
-    (M2 - K2) * FLOAT_TERM_BUDGET of the exact one.
+    A row spread over several column blocks or tail segments adds its
+    partials with math.fsum, after a stable sort of the partials by row.
+    Each row sum is within (M2 - K2) * FLOAT_TERM_BUDGET of the exact one.
     """
     out = np.zeros(max(M1 - K1, 0), dtype=complex)
     blocks = list(starmap(_block_row_sums, _phase_blocks(form, K1, M1, K2, M2)))
@@ -213,8 +193,9 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
     if r.size == out.size:          # one partial per row
         out.real[r], out.imag[r] = s
         return out
-    bounds = np.searchsorted(r, np.arange(out.size + 1)).tolist()
-    re, im = s.tolist()
+    order = np.argsort(r, kind="stable")
+    bounds = np.searchsorted(r[order], np.arange(out.size + 1)).tolist()
+    re, im = s[:, order].tolist()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         out[i] = complex(math.fsum(re[a:b]), math.fsum(im[a:b]))
     return out
@@ -236,47 +217,91 @@ def _block_row_sums(r, x, L, keep):
 
 
 def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
-    """Blocks of the box (K1, M1] x (K2, M2] for Q in integer form (L, rows),
+    """Blocks of the box (K1, M1] x (K2, M2] for Q in integer form (L, ints),
     each as (r, x, L, keep): r lists the row offset m1 - K1 - 1 of each block
-    row, and x the phases of the block's cells, as residues t mod L (uint64
-    when L divides 2**64, else int64 with L <= 2**53) or, with L None, as
-    float turns; keep, when not None, marks the cells inside the box.  The
-    block rows come in row order: r never decreases from one block row to
-    the next."""
+    row, and x the phases of its cells, as residues mod L (_residue_blocks)
+    or, with L None, as float turns (_tail_phase_blocks, for an L past both
+    exact arithmetics); keep, when not None, marks the cells inside the box."""
     if M1 <= K1 or M2 <= K2:
         return iter(())
-    L, rows = form
-    # every int64 Horner step over m2 stays below (M2 + 1) * L
-    exact = _WRAP % L == 0 or (L <= _FLOAT_EXACT and (M2 + 1) * L < 1 << 63)
-    return (_residue_blocks if exact else _tail_phase_blocks)(L, rows, K1, M1, K2, M2)
+    L, ints = form
+    if _WRAP % L and _histogram_peak(L) >= 1 << 63:
+        return _tail_phase_blocks(L, ints, K1, M1, K2, M2)
+    return _residue_blocks(ints, L, range(K1 + 1, M1 + 1), range(K2 + 1, M2 + 1))
 
 
-def _residue_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
-    """Blocks of exact residues mod L, by Horner's rule over m2: uint64 left
-    to wrap mod 2**64 and masked to L - 1 at the end when L divides 2**64,
-    else int64 reduced mod L at every step."""
+def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int],
+                    cols: Sequence[int]):
+    """Blocks (r, t, L, None), in the form of _phase_blocks, of the residues
+    t = P(m1, m2) mod L over m1 in rows and m2 in cols for the integer terms
+    of P; r is the range of the block's positions in rows, restarting with
+    each column block.  L divides 2**64 (uint64, masked to L - 1) or has
+    _histogram_peak(L) < 2**63 (int64).  Rows, columns and coefficients are
+    reduced mod L first, so values of any size never reach numpy.  Per column
+    block the vectors C_g1(m2) of the terms with m1-exponent g1 are the
+    coefficients times the power table m2**g2, and a block is its rows' table
+    m1**g1 times them.  In int64 a table entry stays below cap = 2**63 //
+    (65*L) >= L, so each sum of at most 65 terms stays below 2**63, and a
+    reduction t - L*(t // L) (numpy divides by a scalar with a multiply-shift
+    but takes a remainder by hardware division) runs only when needed."""
     wrap = _WRAP % L == 0
-    dtype = np.uint64 if wrap else np.int64
-    cols = min(M2 - K2, BLOCK_CELLS)
-    height = max(1, BLOCK_CELLS // cols)
-    for r0 in range(K1 + 1, M1 + 1, height):
-        # per row m1, the m2-coefficients of Q mod L, top degree first
-        coeffs = np.array([[_horner(row, m1, L) for row in rows]
-                           for m1 in range(r0, min(r0 + height, M1 + 1))], dtype=dtype)
-        r = range(r0 - K1 - 1, r0 - K1 - 1 + len(coeffs))
-        for c0 in range(K2 + 1, M2 + 1, cols):
-            m2 = np.arange(c0, min(c0 + cols, M2 + 1), dtype=dtype)
-            t = coeffs[:, :1].repeat(len(m2), axis=1)
-            for j in range(1, len(rows)):
-                t = t * m2 + coeffs[:, j:j + 1]
-                if not wrap:
-                    t %= L
-            if wrap:
-                t &= L - 1
-            yield r, t, L, None
+    dtype, cap = (np.uint64, math.inf) if wrap else (np.int64, (L << 63) // _histogram_peak(L))
+
+    def reduce(t: np.ndarray) -> np.ndarray:
+        if wrap:
+            t &= L - 1
+        elif t.size < 1024:             # one call beats three on short arrays
+            np.remainder(t, L, out=t)
+        else:
+            quot = t // L
+            quot *= L
+            t -= quot
+        return t
+
+    def powers(r: Sequence[int], k: int) -> np.ndarray:
+        """(k + 1) x len(r) table of r**j, congruent mod L (int64: below cap)."""
+        table = np.empty((k + 1, len(r)), dtype=dtype)
+        table[0] = 1
+        if k and isinstance(r, range) and r.step == 1:
+            np.add(np.arange(len(r), dtype=dtype), r.start % L, out=table[1])
+            if r.start % L + len(r) > L:
+                reduce(table[1])
+        elif k:
+            table[1] = [v % L for v in r]
+        bound = L                       # every entry of table[j] is below it
+        for j in range(1, k):
+            np.multiply(table[j], table[1], out=table[j + 1])
+            bound *= L
+            if bound > cap:
+                reduce(table[j + 1])
+                bound = L
+        return table
+
+    top = max((g2 for _, g2 in terms), default=0)
+    groups: Dict[int, List[int]] = {}
+    for (g1, g2), c in terms.items():
+        groups.setdefault(g1, [0] * (top + 1))[g2] = c % L
+    groups = groups or {0: [0]}     # the zero polynomial: one group, the zero vector
+    coeffs = np.array(list(groups.values()), dtype=dtype)
+    sel, g1_top = np.array(list(groups)), max(groups)
+    width = min(len(cols), BLOCK_CELLS)
+    height = BLOCK_CELLS // width
+    step = max(1, BLOCK_CELLS // (top + 1))     # no column table passes BLOCK_CELLS
+    for c0 in range(0, len(cols), width):
+        part = cols[c0:c0 + width]
+        vectors = [coeffs @ powers(part[a:a + step], top) for a in range(0, len(part), step)]
+        vectors = reduce(vectors[0] if len(vectors) == 1 else np.concatenate(vectors, axis=1))
+        for r0 in range(0, len(rows), height):
+            block = rows[r0:r0 + height]
+            if not g1_top:
+                t = vectors if len(block) == 1 else vectors.repeat(len(block), axis=0)
+            else:
+                t = reduce(powers(block, g1_top).take(sel, axis=0).T @ vectors)
+            yield range(r0, r0 + len(block)), t, L, None
 
 
-def _tail_phase_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
+def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: int,
+                       K2: int, M2: int):
     """Blocks of float phases, in turns, for an L that does not divide 2**64
     and is too wide for int64 residues mod L.
 
@@ -289,7 +314,7 @@ def _tail_phase_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
     rho_j/(L*2**64) * u**(d-j) is a float Horner over u added to it, and w
     keeps it below 2**-11 (see FLOAT_TERM_BUDGET).
     """
-    d = len(rows) - 1
+    d = max(g2 for _, g2 in ints)
     n = M2 - K2
     w = min(n, _tail_width(d))
     segs = -(-n // w)
@@ -297,7 +322,8 @@ def _tail_phase_blocks(L: int, rows, K1: int, M1: int, K2: int, M2: int):
     u = np.arange(1, w + 1, dtype=np.uint64)
     uf = u.astype(np.float64)
     # per row m1, the m2-coefficients of Q mod L, top degree first
-    row_coeffs = ([_horner(row, m1, L) for row in rows] for m1 in range(K1 + 1, M1 + 1))
+    row_coeffs = ([sum(c * pow(m1, g1, L) for (g1, g2), c in ints.items() if g2 == e) % L
+                   for e in range(d, -1, -1)] for m1 in range(K1 + 1, M1 + 1))
     segments = ((i, b, o) for i, b in enumerate(row_coeffs) for o in range(K2, M2, w))
     while chunk := list(islice(segments, BLOCK_CELLS // w)):
         r = [i for i, _, _ in chunk]

@@ -11,6 +11,7 @@ chosen index, exact for every rho >= 1, with no cap on the number of points.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -123,10 +124,14 @@ def variation(family: IndexedFamily, rho: float = 2.0) -> float:
     if n < 2:
         return 0.0
     best = [0.0] * n
-    for i in range(1, n):
-        best[i] = max(
-            best[j] + abs(vals[i] - vals[j]) ** rho for j in range(i)
-        )
+    try:
+        for i in range(1, n):
+            best[i] = max(best[j] + abs(vals[i] - vals[j]) ** rho for j in range(i))
+    except OverflowError:
+        best[-1] = math.inf
+    if max(best) == math.inf:
+        raise ValueError(f"the rho-sum of increments at rho = {rho} exceeds the largest "
+                         f"float, {sys.float_info.max:.4g}")
     return max(best) ** (1.0 / rho)
 
 

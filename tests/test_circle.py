@@ -668,3 +668,7 @@ def test_partial_approx_error_probe(mixed):
     with pytest.raises(ValueError):
         partial_approx_error(mixed, diagram, 1, 2, 729, 0.4, Fraction(1, 3),
                              2, 1.0, 4, 4096)  # far outside the beta=1 window
+    with pytest.raises(ValueError, match=r"M1\*\*1 \* M2\*\*1 at M1 = 1e\+300, M2 = 1e\+300 "
+                                         r"exceeds the largest float"):
+        partial_approx_error(mixed, diagram, 1, 2, 729, Fraction(1, 3), Fraction(1, 3),
+                             2, 4.0, 1e300, 1e300)

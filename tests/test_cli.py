@@ -164,10 +164,22 @@ def test_arcs_command(tmp_path):
     assert doc["results"][0]["kind"] == "major"
 
 
+# the message of each command's bad input below: it names the input, and for
+# a float past its range the limit
+_BAD_INPUT_MESSAGES = {
+    "average": "error: a finite function must be a JSON object",
+    "arcs": "error: M1**2 * M2**3 at M1 = 1e+300, M2 = 1e+300 exceeds the largest float, "
+            "1.798e+308",
+    "osc": "error: the rho-sum of increments at rho = 1e+308 exceeds the largest float, "
+           "1.798e+308",
+    "sectors": "error: sector index must lie in [1, 1], got 99",
+}
+
+
 @pytest.mark.parametrize("argv, f_json", [
     (["average", "--poly", "m1*m2", "--m1", "4", "--m2", "4", "--x", "0"], '{"0": 5}'),
     (["average", "--poly", "m1*m2", "--m1", "4", "--m2", "4", "--x", "0"], "[1, 2]"),
-    (["arcs", "--poly", "m1*m2", "--xi", "0.3", "--m1", "1e300", "--m2", "1e300"], None),
+    (["arcs", "--poly", "m1^2*m2^3", "--xi", "0.3", "--m1", "1e300", "--m2", "1e300"], None),
     (["osc", "--values", "1,2,3", "--rho", "1e308"], None),
     (["sectors", "--poly", "m1*m2", "--j", "99", "--bound", "0.5"], None),
 ])
@@ -177,7 +189,7 @@ def test_bad_input_exits_1_with_a_message(tmp_path, capsys, argv, f_json):
         (tmp_path / "f.json").write_text(f_json)
         argv = argv + ["--f", str(tmp_path / "f.json")]
     assert run_command(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(_BAD_INPUT_MESSAGES[argv[0]])
 
 
 def test_verify_exit_codes(tmp_path):

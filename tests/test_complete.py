@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from newton_circle import complete
+from newton_circle import complete, expsum
 from newton_circle.complete import (
     WorkCapExceeded,
     dyadic_envelope,
@@ -96,7 +96,7 @@ def test_complete_sums_exact_across_block_edges(monkeypatch, block):
     # several rows for q <= 3; 64-cell blocks hold several whole rows for
     # q <= 32 and cut the rows of q > 64.  The q x q sums of q >= 256 run at
     # 64-cell blocks only, since at 7 cells each takes 9,000-23,000 blocks
-    monkeypatch.setattr(complete, "BLOCK_CELLS", block)
+    monkeypatch.setattr(expsum, "BLOCK_CELLS", block)
     rng = random.Random(block)
     for P, frac, want in _per_cell_cases():
         if block == 64 or frac.denominator < 256:
@@ -208,8 +208,8 @@ def test_residue_histogram_matches_direct_evaluation(monkeypatch, rng):
              for P, a, q, rows, cols in cases]
     # 7-cell blocks cut every row into column blocks; 64-cell blocks cut rows
     # longer than 64 and hold several shorter rows
-    for block in (complete.BLOCK_CELLS, 7, 64):
-        monkeypatch.setattr(complete, "BLOCK_CELLS", block)
+    for block in (expsum.BLOCK_CELLS, 7, 64):
+        monkeypatch.setattr(expsum, "BLOCK_CELLS", block)
         for (P, a, q, rows, cols), want in zip(cases, wants):
             got = complete._residue_histogram(P.terms, a, q, rows, cols)
             assert got.dtype == np.int64

@@ -156,9 +156,10 @@ def test_float_error_budget_bounds_the_error():
 
 
 def test_wide_denominator_matches_int64_path():
-    # L = 7 * 2**61 exceeds 2**53, so the shifted sum takes the uint64
-    # wraparound kernel (with a float tail, as L does not divide 2**64) while
-    # the unshifted one stays on int64 residues mod L: two algorithms
+    # L = 7 * 2**61 does not divide 2**64 and is past the int64 bound, so the
+    # shifted sum takes the tail producer (uint64 wraparound with a float
+    # tail) while the unshifted one stays on int64 residues mod L: two
+    # algorithms
     Q = scale(parse_poly("m1^2*m2^3 + m1*m2"), Fraction(3, 7))
     k = 3**38
     shifted = RealPoly2({**Q.terms, (0, 0): Fraction(k, 2**61)})
@@ -176,9 +177,6 @@ _DYADIC_EDGES = {
                (0, 12, 3, 40)),
     # integer coefficients: L = 1 and every residue is 0
     "L_1": (scale(parse_poly("m1^2*m2^3 + 3*m1*m2 - m1^3"), 7), (0, 12, 3, 40)),
-    # L = 2**50 <= 2**53 with (M2 + 1) * L >= 2**63, past the int64 guard
-    "past_int64_guard": (RealPoly2({(2, 3): Fraction(987654321987, 2**50),
-                                    (1, 1): Fraction(5, 8)}), (0, 3, 8180, 8200)),
 }
 
 
@@ -246,10 +244,13 @@ def _per_row_oracle(Q, K1, M1, K2, M2, axis):
 
 
 _ABS_P = parse_poly("m1^2*m2^3 + 3*m1*m2 - m1^3")
-_EDGE = 2**23        # (M2 + 1) * 2**40 reaches 2**63 at M2 = _EDGE - 1
+# The largest L with 65 * L**2 < 2**63 (_histogram_peak, the one int64 bound
+# on residues); it and L + 1 are not powers of two
+_INT64_TOP = 376_693_550
 _ABS_CASES = {
     # name: (Q, box of the inner axis-1 sums, phase producer); a dyadic L takes
-    # the exact producer (uint64) on both sides of the int64 guard
+    # the exact producer (uint64), any other L the exact producer (int64)
+    # up to _INT64_TOP and the tail producer past it
     "int64": (scale(_ABS_P, Fraction(5, 4093)), (3, 17, 2, 23), "exact"),
     "int64_q_2_16": (scale(_ABS_P, Fraction(12345, 2**16)), (0, 11, 0, 70), "exact"),
     "dyadic": (scale(_ABS_P, 0.1234567), (2, 12, 5, 30), "exact"),
@@ -257,20 +258,41 @@ _ABS_CASES = {
     # m2-degree 8: a tail segment holds at most 91 cells, so rows of 150 wrap
     "tail_segments": (scale(parse_poly("m1*m2^8 + m1^2*m2"), Fraction(987654321, 2**61 - 1)),
                       (0, 5, 0, 150), "tail"),
-    "guard_below": (scale(_ABS_P, Fraction(987654321, 2**40)), (0, 6, _EDGE - 12, _EDGE - 2),
-                    "exact"),
-    "guard_at": (scale(_ABS_P, Fraction(987654321, 2**40)), (0, 6, _EDGE - 11, _EDGE - 1),
-                 "exact"),
-    # L = 3 * 2**40: (M2 + 1) * L passes 2**63 first at M2 = _EDGE // 3
-    "guard_past_tail": (scale(_ABS_P, Fraction(987654323, 3 * 2**40)),
-                        (0, 6, _EDGE // 3 - 9, _EDGE // 3), "tail"),
-    "guard_short_of_tail": (scale(_ABS_P, Fraction(987654323, 3 * 2**40)),
-                            (0, 6, _EDGE // 3 - 10, _EDGE // 3 - 1), "exact"),
+    # columns near 10**18, far past 2**63 / L: the int64 producer reduces them first
+    "guard_below": (scale(_ABS_P, Fraction(5, 4093)), (0, 6, 10**18, 10**18 + 20), "exact"),
+    "guard_at": (scale(_ABS_P, Fraction(123456789, _INT64_TOP)), (0, 6, 30, 50), "exact"),
+    "guard_past_tail": (scale(_ABS_P, Fraction(987654323, _INT64_TOP + 1)), (0, 6, 30, 50),
+                        "tail"),
     "one_column": (scale(_ABS_P, Fraction(5, 4093)), (0, 9, 6, 7), "exact"),
     "one_column_wrapped": (scale(_ABS_P, 0.1234567), (0, 9, 6, 7), "exact"),
     "no_rows": (scale(_ABS_P, Fraction(5, 4093)), (3, 3, 0, 5), None),
     "no_columns": (scale(_ABS_P, 0.1234567), (0, 5, 4, 4), None),
 }
+
+
+@pytest.mark.parametrize("case", ["guard_below", "guard_at", "guard_past_tail"])
+def test_producers_at_the_int64_bound(case):
+    # int64 below the bound 65 * L**2 < 2**63 (columns near 10**18) and at
+    # it, the tail just past it, against a per-cell sum in big integers; on
+    # the int64 side every block holds the exact residues
+    Q, (K1, M1, K2, M2), path = _ABS_CASES[case]
+    form = expsum._integer_form(Q.terms)
+    L = form[0]
+    assert L & (L - 1)                  # not dyadic, so L alone picks the path
+    assert (expsum._histogram_peak(L) < 2**63) == (path == "exact")
+    assert expsum._histogram_peak(_INT64_TOP) < 2**63 <= expsum._histogram_peak(_INT64_TOP + 1)
+    cells = [(m1, m2) for m1 in range(K1 + 1, M1 + 1) for m2 in range(K2 + 1, M2 + 1)]
+    blocks = list(expsum._phase_blocks(form, K1, M1, K2, M2))
+    if path == "exact":
+        assert all(b[1].dtype == np.int64 and b[2] == L and b[3] is None for b in blocks)
+        fracs = [(g, Fraction(c)) for g, c in Q.terms.items()]
+        want = sorted(int(L * sum(f * m1**g1 * m2**g2 for (g1, g2), f in fracs)) % L
+                      for m1, m2 in cells)
+        assert sorted(int(t) for _, x, _, _ in blocks for t in x.ravel()) == want
+    else:
+        assert all(b[2] is None for b in blocks)
+    value = double_sum(Q, K1, M1, K2, M2)
+    assert abs(value.value - brute_dyadic(Q.terms, cells)) <= value.error_budget
 
 
 @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])

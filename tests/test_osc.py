@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +94,14 @@ def test_variation_examples():
     assert variation(IndexedFamily.of({i: i for i in range(5)}), 1.0) == pytest.approx(4)
     assert variation(IndexedFamily.of({0: 0, 1: 1, 2: 0}), 2.0) == pytest.approx(math.sqrt(2))
     assert variation(IndexedFamily.of({0: 7, 1: 7}), 2.0) == 0.0
+
+
+@pytest.mark.parametrize("values, rho", [((1, 2, 3), 1e308), ((1e200, -1e200, 3), 2.0),
+                                         ((0, 1e155, 0, 1e155, 0), 2.0)])
+def test_variation_past_the_float_range_is_a_named_error(values, rho):
+    # an increment ** rho that overflows, and a sum of finite terms that does
+    with pytest.raises(ValueError, match=re.escape(f"rho = {rho} exceeds the largest float")):
+        variation(IndexedFamily.of(dict(enumerate(values))), rho)
 
 
 def test_variation_dp_matches_enumeration(rng):
