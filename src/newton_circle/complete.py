@@ -1,9 +1,10 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
 Every complete sum is read from one object, the int64 q-bin histogram h of
-a*P(r1, r2) mod q over a box (_residue_histogram), counted from the blocks
-of expsum's exact residue producer; a work cap bounds the box, and
-_histogram_peak every int64 intermediate, before anything is allocated.
+a*P(r1, r2) mod q over a box (_residue_histogram), counted by the routine
+that reads the dense box sums of expsum too (expsum._box_histogram); a work
+cap bounds the box, and _histogram_peak every int64 intermediate, before
+anything is allocated.
 gauss_sum and partial_gauss sum e(t/q) over the bins of one histogram, one
 frequency at a time.  The all-frequency sweep
 takes one DFT of the histogram of P mod p**k:
@@ -38,7 +39,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike
-from .expsum import _histogram_peak, _residue_blocks, _sum_e, weyl_sum
+from .expsum import _box_histogram, _histogram_peak, _sum_e, weyl_sum
 from .poly import Poly2, transpose
 
 WORK_CAP_CELLS = 10**8
@@ -73,25 +74,24 @@ def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> compl
     a, q = a_over_q.numerator, a_over_q.denominator
     _check_work(q, _histogram_peak(q), f"partial complete sum needs {q} residues")
     terms = (P if axis == 1 else transpose(P)).terms
-    return _complete_sum(_residue_histogram(terms, a, q, [frozen], range(1, q + 1)), q)
+    return _complete_sum(_residue_histogram(terms, a, q, range(frozen, frozen + 1),
+                                            range(1, q + 1)), q)
 
 
 def _residue_histogram(terms: Dict[Tuple[int, int], int], a: int, q: int,
                        rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
     """int64 q-bin histogram of a*P(r1, r2) mod q over r1 in rows and r2 in
-    cols, for the polynomial P with these terms, counted by np.add.at (in
-    time linear in each block of expsum._residue_blocks, however many bins q
-    has); q must divide 2**64 or have _histogram_peak(q) < 2**63."""
-    hist = np.zeros(q, dtype=np.int64)
-    for _, t, _, _ in _residue_blocks({g: a * c for g, c in terms.items()}, q, rows, cols):
-        np.add.at(hist, t.ravel(), 1)
-    return hist
+    cols, for the polynomial P with these terms (expsum._box_histogram); q
+    must divide 2**64 or have _histogram_peak(q) < 2**63."""
+    return _box_histogram({g: a * c for g, c in terms.items()}, q, rows, cols)
 
 
 def _complete_sum(hist: np.ndarray, W: int) -> complex:
     """W^-1 * sum of h[t] * e(t/q) over the bins of a q-bin histogram h of W
-    cells.  _sum_e gets the sorted residues, counts and W that residue_sum
-    would give it for the same cells, so the value is the same to the bit."""
+    cells, in one _sum_e over every nonzero bin: it gets the sorted
+    residues, counts and W that residue_sum would give it for the same
+    cells, so the value is the same to the bit as the per-cell oracles'.
+    (expsum._histogram_sum, for box sums, slices the bins by BLOCK_CELLS.)"""
     t = np.flatnonzero(hist)
     return _sum_e(math.tau * (t / hist.size), hist[t], W) / W
 

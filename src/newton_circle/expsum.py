@@ -14,14 +14,22 @@ coefficient to 2**64 * c / L: its integer part runs a uint64 Horner over
 row segments and its fractional part adds a float tail below 2**-11 of a
 turn, so the phase is off by less than 2**-52 of a turn.
 
-Two reductions read the blocks.  The sum over the whole box (``double_sum``,
-``weyl_sum``) histograms each block's residues, so each distinct phase takes
-one cos and one sin.  The row sums of ``double_sum_abs`` take cos and sin of
-every cell, as their rows are short and their residues mostly distinct.
-Each block's terms are added by an exact split into integer and fractional
-parts (``_split_sum``), within 1 ulp of ``math.fsum``, and the block
-partials with ``math.fsum``.  ``mode`` names the kind of input, exact
-(rational) or float; either way every result reports an ``error_budget`` of
+Two reductions read the residues of a box sum (``double_sum``,
+``weyl_sum``), chosen by the input.  A dense box, with L at most its cell
+count (and at most ``HISTOGRAM_BINS``), is read from its L-bin histogram
+(``_box_histogram``, which the complete sums of ``complete`` read too): P
+mod L depends on each coordinate only mod L, so only the first L rows and
+columns are counted, each weighted by the periods it stands for, and each
+distinct phase takes one cos and one sin.  A sparse box, with more bins
+than cells, sorts the residues of each block (``residue_sum``); an L past
+both exact arithmetics sums its tail phases term by term.  The row sums of
+``double_sum_abs`` take cos and sin of every cell, as their rows are short
+and their residues mostly distinct.  Up to ``_SHORT_SUM`` terms are added
+with ``math.fsum``; longer runs by an exact split into integer and
+fractional parts (``_split_sum``), within 1 ulp of ``math.fsum``, a block
+or a slice of BLOCK_CELLS histogram bins at a time, and the partials with
+``math.fsum``.  ``mode`` names the kind of input, exact (rational) or
+float; either way every result reports an ``error_budget`` of
 ``FLOAT_TERM_BUDGET`` per term (per term of its row for a row sum) that
 bounds the rounding of the phases, the trigonometry and the summation.
 """
@@ -31,7 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, starmap
-from typing import Dict, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +49,16 @@ from .poly import MAX_EXPONENT, RealPoly2, transpose
 
 # Lattice cells per numpy block of the phase kernel; bounds its working memory.
 BLOCK_CELLS = 1 << 14
+
+# Bins of the largest residue histogram a box sum builds: 2**20 int64 bins,
+# 8 MB.  Without it an int64 L near 3.7e8 on a box of as many cells would
+# allocate gigabytes at once; a larger L sorts block by block, in bounded
+# memory, as a sparse box does.
+HISTOGRAM_BINS = 1 << 20
+
+# Terms up to which _sum_e adds term by term with math.fsum: below the fixed
+# cost of its numpy path (about 4 against 18 us at 7 terms, even near 60).
+_SHORT_SUM = 48
 
 # Modulus of uint64 arithmetic, a multiple of every dyadic L: uint64 residues
 # that wrap mod 2**64 are exact mod L.
@@ -54,11 +73,12 @@ _WRAP = 1 << 64
 # The angle 2*pi*phase, with the phase below 1 + 2**-10, adds the rounding of
 # the float 2*pi and of the product: below 2*pi*4u < 26u.  cos and sin are
 # 1-Lipschitz and add at most 4 ulp of a value below 1: 30u.  Multiplying by
-# the residue count adds u per term.  Within a block _split_sum lands within
-# 1 ulp of the correctly rounded sum S, so off by at most 1.5 ulp(S) <= 3u|S|,
-# and |S| is at most the block's term count: 3u per term.  The fsum over the
-# block partials adds u: 35u per component, below sqrt(2)*35u < 50u for the
-# complex term.  The budget rounds that up to 64u.
+# the residue count adds u per term.  Within a block (or a slice of histogram
+# bins) _split_sum lands within 1 ulp of the correctly rounded sum S, so off
+# by at most 1.5 ulp(S) <= 3u|S|, and |S| is at most the block's term count:
+# 3u per term; a short sum's math.fsum is correctly rounded, u|S|.  The fsum
+# over the partials adds u: 35u per component, below sqrt(2)*35u < 50u for
+# the complex term.  The budget rounds that up to 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
@@ -74,7 +94,9 @@ class ExpSumValue:
 
 
 def residue_sum(residues, L: int) -> complex:
-    """Sum of e(t/L) over residues t in [0, L), taken from their histogram.
+    """Sum of e(t/L) over residues t in [0, L), from a sort into runs of equal
+    residues: the reduction of a sparse box's blocks (more bins than cells),
+    and of the per-cell oracles that check the histogram (criterion 04a).
 
     Residues are int64 with L <= 2**53 (from the exact producer, 65*L**2 <
     2**63), so each phase t/L rounds once; or uint64 with L dividing 2**64:
@@ -94,7 +116,13 @@ def residue_sum(residues, L: int) -> complex:
 
 
 def _sum_e(angle: np.ndarray, weights, W: int) -> complex:
-    """Sum of weights * e^(i*angle), with sum |weights| <= W, by _split_sum."""
+    """Sum of weights * e^(i*angle), with sum |weights| <= W: term by term
+    with math.fsum up to _SHORT_SUM terms, by _split_sum past them."""
+    if angle.size <= _SHORT_SUM:
+        a = angle.tolist()
+        w = weights.tolist() if isinstance(weights, np.ndarray) else [weights] * len(a)
+        return complex(math.fsum(map(mul, w, map(math.cos, a))),
+                       math.fsum(map(mul, w, map(math.sin, a))))
     z = np.empty((2, angle.size))
     np.cos(angle, out=z[0])
     np.sin(angle, out=z[1])
@@ -161,15 +189,83 @@ def _tail_width(d: int) -> int:
 
 
 def _lattice_phase_sum(form, K1: int, M1: int, K2: int, M2: int) -> complex:
-    """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form;
-    the block partials are added with math.fsum."""
+    """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form
+    (L, ints).  A dense box (L <= its cells, L <= HISTOGRAM_BINS, and fewer
+    than 2**52 cells, the bound of _split_sum's W) is read from its L-bin
+    histogram; any other box block by block (_block_sum)."""
+    L, ints = form
+    cells = max(M1 - K1, 0) * max(M2 - K2, 0)
+    if L <= min(cells, HISTOGRAM_BINS) and cells < 1 << 52:
+        hist = _box_histogram(ints, L, range(K1 + 1, M1 + 1), range(K2 + 1, M2 + 1))
+        return _histogram_sum(hist, cells)
     # starmap lets go of each block before the producer builds the next
-    parts = list(starmap(_block_sum, _phase_blocks(form, K1, M1, K2, M2)))
+    return _fsum_complex(starmap(_block_sum, _phase_blocks(form, K1, M1, K2, M2)))
+
+
+def _fsum_complex(parts) -> complex:
+    """The complex sum of parts, each component by math.fsum."""
+    parts = list(parts)
     return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
 
+def _box_histogram(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int],
+                   cols: Sequence[int]) -> np.ndarray:
+    """int64 L-bin histogram of P(m1, m2) mod L over m1 in rows and m2 in
+    cols, for the integer terms of P; L must divide 2**64 or have
+    _histogram_peak(L) < 2**63, and the bins fit in memory.
+
+    P mod L depends on each coordinate only mod L, so an axis of more than L
+    consecutive integers is cut to its first L, each weighted by the number
+    of times its class occurs (_period_fold): min(n1, L) * min(n2, L) cells
+    in one pass of _residue_blocks, each weighted by the product of its row
+    and column counts, exact in int64 as the total n1 * n2 is.  np.add.at
+    counts in time linear in each block however many bins there are, and
+    uint64 blocks (residues below L) through an int64 view, which it counts
+    faster."""
+    (rows, w1), (cols, w2) = _period_fold(rows, L), _period_fold(cols, L)
+    folded = w1 is not None or w2 is not None
+    if folded:
+        w1 = np.ones(len(rows), dtype=np.int64) if w1 is None else w1
+        w2 = np.ones(len(cols), dtype=np.int64) if w2 is None else w2
+    hist = np.zeros(L, dtype=np.int64)
+    end = 0
+    for r, t, _, _ in _residue_blocks(terms, L, rows, cols):
+        weight = 1
+        if folded:
+            if not r.start:             # r restarts with each column block, in order
+                start, end = end, end + t.shape[1]
+            weight = np.multiply.outer(w1[r.start:r.stop], w2[start:end]).reshape(-1)
+        np.add.at(hist, t.reshape(-1).view(np.int64), weight)
+    return hist
+
+
+def _period_fold(axis: Sequence[int], L: int) -> Tuple[Sequence[int], Optional[np.ndarray]]:
+    """(run, counts): of a range of n > L consecutive integers its first L,
+    with the number of times each one's class mod L occurs in the range (n
+    // L, one more for the first n % L) as an int64 array; any other axis as
+    it is, with counts None (once each)."""
+    if len(axis) <= L or not (isinstance(axis, range) and axis.step == 1):
+        return axis, None
+    c, s = divmod(len(axis), L)
+    counts = np.full(L, c, dtype=np.int64)
+    counts[:s] += 1
+    return axis[:L], counts
+
+
+def _histogram_sum(hist: np.ndarray, W: int) -> complex:
+    """Sum of h[t] * e(t/L) over the bins of an L-bin histogram h of W
+    cells, one _sum_e per slice of BLOCK_CELLS bins, so no array but h
+    passes a block's size; the slice partials are added with math.fsum."""
+    L = hist.size
+    parts = []
+    for a in range(0, L, BLOCK_CELLS):
+        t = np.flatnonzero(hist[a:a + BLOCK_CELLS]) + a
+        parts.append(_sum_e(math.tau * (t / L), hist[t], W))
+    return parts[0] if len(parts) == 1 else _fsum_complex(parts)
+
+
 def _block_sum(r, x, L, keep) -> complex:
-    """A block's part of the box sum: its residues through their histogram
+    """A sparse block's part of the box sum: its residues through their sort
     (residue_sum), or its tail phases term by term."""
     if keep is not None:
         x = x[keep]

@@ -49,14 +49,19 @@ def test_discrete_multiplier_examples(mixed):
 
 @pytest.mark.parametrize("n", [12, 1000])
 def test_multiplier_grid_matches_scalar(n):
-    # DFT of the residue histogram against the lattice kernel, at every i/n
+    # DFT of the residue histogram against the lattice kernel, at every i/n;
+    # where i/n reduces to at most the box's cells both read the same
+    # histogram, so the scalar kernel is held to the direct sum as well
     cases = [(parse_poly("m1^2*m2^3"), 8, 8, 2),
              (random_nondegenerate_poly(random.Random(n)), 10, 7, Fraction(3, 2))]
     for P, M1, M2, tau in cases:
         grid = discrete_multiplier_grid(P, n, M1, M2, tau)
+        direct = discrete_multiplier_direct(P, range(n), n, M1, M2, tau)
         assert grid.shape == (n,)
-        for i, v in enumerate(grid.tolist()):
-            assert abs(v - discrete_multiplier(P, Fraction(i, n), M1, M2, tau)) <= 1e-12
+        for i, (v, d) in enumerate(zip(grid.tolist(), direct.tolist())):
+            scalar = discrete_multiplier(P, Fraction(i, n), M1, M2, tau)
+            assert abs(v - scalar) <= 1e-12
+            assert abs(d - scalar) <= 1e-14
 
 
 def test_multiplier_grid_guards(mixed, monkeypatch):
@@ -67,8 +72,14 @@ def test_multiplier_grid_guards(mixed, monkeypatch):
     # a large n is only as much work as its n bins and DFT: 2**21 bins run
     n = 2**21
     grid = discrete_multiplier_grid(mixed, n, 8, 8, 2)
-    for i in (0, 1, 12345, n // 2, n - 1):
-        assert abs(grid[i] - discrete_multiplier(mixed, Fraction(i, n), 8, 8, 2)) <= 1e-12
+    numerators = (0, 1, 12345, n // 2, n - 1)
+    # 0 and n/2 reduce to 1 and 2 bins, read from the same histogram as the
+    # grid's, so the direct sum checks the scalar kernel too
+    direct = discrete_multiplier_direct(mixed, numerators, n, 8, 8, 2)
+    for i, d in zip(numerators, direct.tolist()):
+        scalar = discrete_multiplier(mixed, Fraction(i, n), 8, 8, 2)
+        assert abs(grid[i] - scalar) <= 1e-12
+        assert abs(d - scalar) <= 1e-14
 
     def refuse(*args):
         raise AssertionError("histogram built before the work cap")

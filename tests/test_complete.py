@@ -147,12 +147,15 @@ def test_gauss_modulus_and_periodicity(rng):
 
 
 def test_gauss_equals_double_sum(rng):
+    # both read the q x q box's histogram (expsum._box_histogram), so the
+    # double sum is held to the per-cell poly.evaluate oracle as well
     P = parse_poly("m1^2*m2^3")
     for q in (1, 2, 3, 5, 8, 12, 24):
         a = 1 if q > 1 else 0
         lhs = gauss_sum(P, Fraction(a, q)) * q * q
-        rhs = double_sum(scale(P, Fraction(a, q)), 0, q, 0, q).value
-        assert lhs == pytest.approx(rhs, abs=1e-10 * q * q)
+        rhs = double_sum(scale(P, Fraction(a, q)), 0, q, 0, q)
+        assert lhs == pytest.approx(rhs.value, abs=1e-10 * q * q)
+        assert abs(rhs.value - _gauss_per_cell(P, Fraction(a, q)) * q * q) <= rhs.error_budget
 
 
 def test_sweep_agrees_with_direct(rng):

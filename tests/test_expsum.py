@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,11 +13,13 @@ from newton_circle.arith import golden_ratio_conjugate, torus_distance
 from newton_circle.expsum import (
     BLOCK_CELLS,
     FLOAT_TERM_BUDGET,
+    HISTOGRAM_BINS,
     double_sum,
     double_sum_abs,
+    residue_sum,
     weyl_sum,
 )
-from newton_circle.poly import RealPoly2, parse_poly, scale, transpose
+from newton_circle.poly import Poly2, RealPoly2, evaluate, parse_poly, scale, transpose
 
 
 def brute_weyl(xs, N):
@@ -361,6 +365,110 @@ def test_double_sum_modulus_bound(m1, m2, xi):
 
 
 # ---------------------------------------------------------------------------
+# Box sums: the histogram of a dense box, the sort of a sparse one
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _per_cell_oracle(terms, K1, M1, K2, M2):
+    """The box sum of e(Q) for Q with these (exponent, Fraction) terms, with
+    one poly.evaluate per cell in big integers and the residues summed by
+    residue_sum (a sort): no power table, no histogram, no period."""
+    fracs = dict(terms)
+    L = math.lcm(*(f.denominator for f in fracs.values()))
+    P = Poly2({g: int(f * L) for g, f in fracs.items()})
+    return residue_sum([evaluate(P, (m1, m2)) % L for m1 in range(K1 + 1, M1 + 1)
+                        for m2 in range(K2 + 1, M2 + 1)], L)
+
+
+def _check_box(Q, K1, M1, K2, M2):
+    got = double_sum(Q, K1, M1, K2, M2)
+    terms = tuple(sorted((g, Fraction(c)) for g, c in Q.terms.items()))
+    assert abs(got.value - _per_cell_oracle(terms, K1, M1, K2, M2)) <= got.error_budget
+
+
+def _check_weyl(xs, N):
+    got = weyl_sum(xs, N)
+    terms = tuple((g, Fraction(x)) for g, x in (((0, i + 1), x) for i, x in enumerate(xs)))
+    assert abs(got.value - _per_cell_oracle(terms, 0, 1, 0, N)) <= got.error_budget
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Spies on the box sums: "histogram" per dense box, "sort" per sparse
+    block; cells and dtypes of every block the producer yields."""
+    seen = {"route": [], "cells": [], "dtypes": set()}
+    hist, block, blocks = expsum._box_histogram, expsum._block_sum, expsum._residue_blocks
+
+    def produce(*args):
+        for b in blocks(*args):
+            seen["cells"].append(b[1].size)
+            seen["dtypes"].add(b[1].dtype)
+            yield b
+
+    monkeypatch.setattr(expsum, "_box_histogram", lambda *a: seen["route"].append("histogram")
+                        or hist(*a))
+    monkeypatch.setattr(expsum, "_block_sum", lambda *a: seen["route"].append("sort") or block(*a))
+    monkeypatch.setattr(expsum, "_residue_blocks", produce)
+    return seen
+
+
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])
+def test_box_route_follows_the_cell_count(monkeypatch, routes, block_cells):
+    # 4 x 5 boxes and 20-term Weyl sums: L = cells - 1 and cells take the
+    # histogram, L = cells + 1 the sort
+    monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
+    for L, route in ((19, "histogram"), (20, "histogram"), (21, "sort")):
+        routes["route"].clear()
+        _check_box(scale(_ABS_P, Fraction(11, L)), 2, 6, 3, 8)
+        _check_weyl((Fraction(11, L), Fraction(3, L)), 20)
+        assert set(routes["route"]) == {route}, L
+
+
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])
+@pytest.mark.parametrize("L", [7, 64])
+def test_box_histogram_counts_each_period_once(monkeypatch, routes, block_cells, L):
+    # sides L - 1, L, L + 1 and 2L + 1 on each axis, away from the origin:
+    # only the first L rows and columns are produced, weighted by the
+    # periods they stand for; L = 7 runs int64 residues, L = 64 uint64 ones
+    # counted through an int64 view
+    monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
+    Q = scale(_ABS_P, Fraction(3, L))
+    sides = (L - 1, L, L + 1, 2 * L + 1)
+    for n1, n2 in itertools.product(sides, sides):
+        routes["cells"].clear()
+        _check_box(Q, 5, 5 + n1, 11, 11 + n2)
+        assert sum(routes["cells"]) == min(n1, L) * min(n2, L)
+    assert set(routes["route"]) == {"histogram"}
+    for N in sides:                     # N = L - 1 < L is a sparse box
+        routes["route"].clear()
+        _check_weyl((Fraction(5, L), Fraction(3, L)), N)
+        assert set(routes["route"]) == {"histogram" if N >= L else "sort"}
+    assert routes["dtypes"] == {np.dtype(np.int64 if L == 7 else np.uint64)}
+
+
+def test_box_route_at_the_bin_cap(monkeypatch, routes):
+    # a 7 x 9 box with the cap at 40 bins: L = cap is read from its
+    # histogram, L = cap + 1 sorted
+    monkeypatch.setattr(expsum, "HISTOGRAM_BINS", 40)
+    for L, route in ((40, "histogram"), (41, "sort")):
+        routes["route"].clear()
+        _check_box(scale(_ABS_P, Fraction(11, L)), 1, 8, 2, 11)
+        assert set(routes["route"]) == {route}
+
+
+def test_weyl_sum_at_the_real_bin_cap(routes):
+    # sum over n <= L of e(a*n/L) is exactly 0 for a coprime to L: at L =
+    # HISTOGRAM_BINS = N the box is read from its histogram, one bin more
+    # and it is sorted block by block
+    for L, route in ((HISTOGRAM_BINS, "histogram"), (HISTOGRAM_BINS + 1, "sort")):
+        routes["route"].clear()
+        v = weyl_sum((Fraction(12345, L),), L)
+        assert abs(v.value) <= v.error_budget
+        assert set(routes["route"]) == {route}
+
+
+# ---------------------------------------------------------------------------
 # The exact-split sum against math.fsum
 # ---------------------------------------------------------------------------
 
@@ -426,3 +534,24 @@ def test_split_sum_of_a_full_residue_block():
     got = expsum._sum_e(angle, counts, W)
     assert abs(got.real - want.real) <= math.ulp(want.real)
     assert abs(got.imag - want.imag) <= math.ulp(want.imag)
+
+
+@pytest.mark.parametrize("n", [1, expsum._SHORT_SUM, expsum._SHORT_SUM + 1, 500])
+def test_sum_e_paths_within_their_rounding(monkeypatch, n):
+    # up to _SHORT_SUM terms math.fsum in Python, past it _split_sum; each
+    # against the exact sum of count * cos and count * sin of the given
+    # angles: at most 4 ulp from cos or sin (below 1), u from the product
+    # and 3u from the sum, per unit of count
+    split = []
+    kernel = expsum._split_sum
+    monkeypatch.setattr(expsum, "_split_sum", lambda *a: split.append(a) or kernel(*a))
+    r = np.random.default_rng(n)
+    angle = r.uniform(0.0, 2 * math.pi, n)
+    counts = r.integers(1, 100, n)
+    W = int(counts.sum())
+    got = expsum._sum_e(angle, counts, W)
+    want = [float(sum(Fraction(int(c)) * Fraction(f(a)) for c, a in zip(counts, angle.tolist())))
+            for f in (math.cos, math.sin)]
+    assert bool(split) == (n > expsum._SHORT_SUM)
+    assert abs(got.real - want[0]) <= 8 * W * 2.0**-53
+    assert abs(got.imag - want[1]) <= 8 * W * 2.0**-53
