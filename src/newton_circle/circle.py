@@ -1,8 +1,9 @@
 """Discrete and continuous multipliers, smooth cutoffs, rational-bump
 projections, arc classification, and the periodized major-arc approximant.
 
-Axis-partial objects pin one variable once (_pinned: poly.pin after scaling
-by xi) and run the full-path kernel or quadrature on the pinned polynomial.
+Axis-partial objects pin one variable once (_pinned: poly.pin of the integer
+polynomial, then scaling by xi) and run the full-path kernel or quadrature
+on the pinned polynomial.
 
 Conventions fixed here: the smooth cutoff is the quintic smoothstep (any even
 C^2 bump between the two indicator envelopes would do; reports should treat
@@ -47,15 +48,20 @@ def _axis_count(M: RealLike, tau: RealLike) -> Tuple[int, int]:
 def _pinned(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
             axis_partial: Optional[Tuple[int, int]]) -> Tuple[RealPoly2, List[RealLike]]:
     """xi*P and [M1, M2]; axis_partial=(axis, frozen) pins m_axis to the
-    integer frozen >= 1 and sets that axis's scale to 1."""
-    Q, Ms = scale(P, xi), [M1, M2]
+    integer frozen >= 1 and sets that axis's scale to 1.
+
+    The integer polynomial is pinned first, in integers, and then scaled: an
+    exact xi gives the same coefficients as pinning xi*P, and a float xi
+    rounds each pinned coefficient xi*N once, to the float nearest it,
+    where scaling first rounded each xi*c before the exact sum."""
+    Ms = [M1, M2]
     if axis_partial is not None:
         axis, frozen = axis_partial
         if frozen < 1:
             raise ValueError(f"frozen value must be a positive integer, got {frozen}")
-        Q = pin(Q, axis, frozen)
+        P = pin(P, axis, frozen)
         Ms[axis - 1] = 1
-    return Q, Ms
+    return scale(P, xi), Ms
 
 
 def discrete_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,

@@ -93,7 +93,7 @@ def _complete_sum(hist: np.ndarray, W: int) -> complex:
     cells, so the value is the same to the bit as the per-cell oracles'.
     (expsum._histogram_sum, for box sums, slices the bins by BLOCK_CELLS.)"""
     t = np.flatnonzero(hist)
-    return _sum_e(math.tau * (t / hist.size), hist[t], W) / W
+    return _sum_e(t / hist.size, hist[t], W) / W
 
 
 def _check_work(cells: int, peak: int, what: str) -> None:

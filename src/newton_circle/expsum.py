@@ -9,10 +9,13 @@ blocks of the lattice from per-axis power tables: in uint64 when L divides
 int64 under the one bound ``_histogram_peak(L)`` = 65*L**2 < 2**63 (L up to
 about 3.7e8).  So no phase error accumulates however large the polynomial
 values get, and each distinct phase t/L is one correctly rounded division.
-For any other L the tail producer (``_tail_phase_blocks``) scales each
-coefficient to 2**64 * c / L: its integer part runs a uint64 Horner over
-row segments and its fractional part adds a float tail below 2**-11 of a
-turn, so the phase is off by less than 2**-52 of a turn.
+For any other L the tail producer (``_tail_phase_blocks``) cuts the box into
+tiles of bounded growth (``_tile_shape``; a long one-row sum is folded into a
+box first), Taylor-shifts Q to each tile's middle cell and splits each
+coefficient once as 2**64 * c / L: the integer heads run through the same
+exact producer with L = 2**64, and the fractional parts give a float tail
+below 2**-12 of a turn from per-axis power tables, so the phase is off by
+less than 2**-52 of a turn.
 
 Two reductions read the residues of a box sum (``double_sum``,
 ``weyl_sum``), chosen by the input.  A dense box, with L at most its cell
@@ -24,7 +27,10 @@ distinct phase takes one cos and one sin.  A sparse box, with more bins
 than cells, sorts the residues of each block (``residue_sum``); an L past
 both exact arithmetics sums its tail phases term by term.  The row sums of
 ``double_sum_abs`` take cos and sin of every cell, as their rows are short
-and their residues mostly distinct.  Up to ``_SHORT_SUM`` terms are added
+and their residues mostly distinct.  Phases travel in turns, and one rule
+multiplies them by 2*pi (``_sum_e``, ``_cis``); the tail producer reads its
+uint64 head as signed, so its phases come centred in [-1/2, 1/2], where cos
+and sin run faster.  Up to ``_SHORT_SUM`` terms are added
 with ``math.fsum``; longer runs by an exact split into integer and
 fractional parts (``_split_sum``), within 1 ulp of ``math.fsum``, a block
 or a slice of BLOCK_CELLS histogram bins at a time, and the partials with
@@ -37,8 +43,9 @@ bounds the rounding of the phases, the trigonometry and the summation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, starmap
+from itertools import starmap
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,21 +71,40 @@ _SHORT_SUM = 48
 # that wrap mod 2**64 are exact mod L.
 _WRAP = 1 << 64
 
-# Per-term rounding error of a sum, u = 2**-53.  The phase (in turns) is off
-# by less than 2u.  On the histogram paths it is t/L rounded once: below u.
-# On the float-tail path (_tail_phase_blocks) the tail, below 2**-11, takes
-# the rounding of its d+1 coefficients and 2d Horner steps, (2d+1)u * 2**-11;
-# lo + tail rounds by at most u * 2**-10 and hi + (lo + tail) by u, so the
-# phase is off by u * (1 + (2d+3) * 2**-11) < 2u for any m2-degree d < 1000.
-# The angle 2*pi*phase, with the phase below 1 + 2**-10, adds the rounding of
-# the float 2*pi and of the product: below 2*pi*4u < 26u.  cos and sin are
-# 1-Lipschitz and add at most 4 ulp of a value below 1: 30u.  Multiplying by
-# the residue count adds u per term.  Within a block (or a slice of histogram
-# bins) _split_sum lands within 1 ulp of the correctly rounded sum S, so off
-# by at most 1.5 ulp(S) <= 3u|S|, and |S| is at most the block's term count:
-# 3u per term; a short sum's math.fsum is correctly rounded, u|S|.  The fsum
-# over the partials adds u: 35u per component, below sqrt(2)*35u < 50u for
-# the complex term.  The budget rounds that up to 64u.
+# Bound on a tail tile's growth (_tile_shape): it keeps the float tail below
+# 2**-12 of a turn.
+_TAIL_GROWTH = 1 << 52
+
+# Fixed cost of a tail tile (its numpy calls, about 25-35 us), in units of
+# the Python cost of one coefficient its Taylor shift and split compute
+# (about 0.5-1 us): _tile_shape's cost rule.
+_TILE_COST = 50
+
+# Per-term rounding error of a sum, u = 2**-53.  On the residue paths the
+# phase (in turns) is t/L rounded once, in [0, 1): off by at most u/2.  On
+# the tail path (_tail_phase_blocks) the tail is U1 @ (R @ U2): exact power
+# tables and R = rho/(L*2**64), each entry rounded once, in two inner
+# products of D2 + 1 and D1 + 1 terms (D1, D2 the m1- and m2-degrees).  The
+# tile growth cap of 2**52 keeps every table entry exact and the terms'
+# absolute sum below 2**-12, so the tail rounds by at most (D1 + D2 + 3)u *
+# 2**-12 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# sec. 3.1; the 3 counts R's own rounding): below 131u * 2**-12 < 0.04u for
+# every m1- and m2-degree up to MAX_EXPONENT = 64.  The head t, read as a
+# signed integer, splits as hi + lo, (t >> 11) * 2**-53 in [-1/2, 1/2) and
+# (t & 2047) * 2**-64, both exact; lo + tail, below 2**-11 in size, rounds by
+# at most u * 2**-12 and hi + (lo + tail), below 1/2 + 2**-11 in size, by
+# u/2: the phase is off by less than 0.55u, and centred.  The angle
+# 2*pi*phase adds the rounding of the float 2*pi (off by 4u, times |phase|)
+# and of the product (half an ulp): 4u + 4u on the residue paths, 2u + 2u on
+# the centred tail phases, so with 2*pi times the phase's error the angle is
+# off by less than 12u.  cos and sin are 1-Lipschitz and add at most 4 ulp
+# of a value below 1: 16u.  Multiplying by the residue count adds u per
+# term.  Within a block (or a slice of histogram bins) _split_sum lands
+# within 1 ulp of the correctly rounded sum S, so off by at most 1.5 ulp(S)
+# <= 3u|S|, and |S| is at most the block's term count: 3u per term; a short
+# sum's math.fsum is correctly rounded, u|S|.  The fsum over the partials
+# adds u: 21u per component, below sqrt(2)*21u < 30u for the complex term.
+# The budget stays at 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
@@ -111,22 +137,30 @@ def residue_sum(residues, L: int) -> complex:
     np.not_equal(t[1:], t[:-1], out=edge[1:-1])
     idx = edge.nonzero()[0]
     counts = idx[1:] - idx[:-1]
-    angle = math.tau * np.asarray(t[idx[:-1]] / L, dtype=np.float64)
-    return _sum_e(angle, counts, t.size)
+    return _sum_e(np.asarray(t[idx[:-1]] / L, dtype=np.float64), counts, t.size)
 
 
-def _sum_e(angle: np.ndarray, weights, W: int) -> complex:
-    """Sum of weights * e^(i*angle), with sum |weights| <= W: term by term
-    with math.fsum up to _SHORT_SUM terms, by _split_sum past them."""
-    if angle.size <= _SHORT_SUM:
-        a = angle.tolist()
-        w = weights.tolist() if isinstance(weights, np.ndarray) else [weights] * len(a)
-        return complex(math.fsum(map(mul, w, map(math.cos, a))),
-                       math.fsum(map(mul, w, map(math.sin, a))))
-    z = np.empty((2, angle.size))
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """cos and sin of 2*pi*phase, phases in turns, stacked on a new first axis."""
+    angle = math.tau * phase
+    z = np.empty((2,) + angle.shape)
     np.cos(angle, out=z[0])
     np.sin(angle, out=z[1])
-    z *= weights
+    return z
+
+
+def _sum_e(phase: np.ndarray, weights, W: int) -> complex:
+    """Sum of weights * e(phase) over a 1-D array of phases in turns, with sum
+    |weights| <= W (weights None: each 1): term by term with math.fsum up to
+    _SHORT_SUM terms, by _split_sum past them."""
+    if phase.size <= _SHORT_SUM:
+        a = (math.tau * phase).tolist()
+        w = [1.0] * len(a) if weights is None else weights.tolist()
+        return complex(math.fsum(map(mul, w, map(math.cos, a))),
+                       math.fsum(map(mul, w, map(math.sin, a))))
+    z = _cis(phase)
+    if weights is not None:
+        z *= weights
     return complex(*_split_sum(z, W).tolist())
 
 
@@ -171,23 +205,6 @@ def _histogram_peak(L: int) -> int:
     return (MAX_EXPONENT + 1) * L * L
 
 
-def _taylor_shift(coeffs: List[int], o: int, L: int) -> List[int]:
-    """Coefficients of p(o + u) mod L, top degree first, from those of p."""
-    c = list(coeffs)
-    for i in range(len(c) - 1, 0, -1):
-        for j in range(1, i + 1):
-            c[j] = (c[j] + c[j - 1] * o) % L
-    return c
-
-
-def _tail_width(d: int) -> int:
-    """Widest w <= BLOCK_CELLS with w**d <= 2**52, so 1 + w + ... + w**d <= 2**53."""
-    w = min(BLOCK_CELLS, int(2.0 ** (52 / max(d, 1))) + 1)
-    while w > 1 and w**d > 1 << 52:
-        w -= 1
-    return w
-
-
 def _lattice_phase_sum(form, K1: int, M1: int, K2: int, M2: int) -> complex:
     """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form
     (L, ints).  A dense box (L <= its cells, L <= HISTOGRAM_BINS, and fewer
@@ -229,7 +246,7 @@ def _box_histogram(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int
         w2 = np.ones(len(cols), dtype=np.int64) if w2 is None else w2
     hist = np.zeros(L, dtype=np.int64)
     end = 0
-    for r, t, _, _ in _residue_blocks(terms, L, rows, cols):
+    for r, t, _ in _residue_blocks(terms, L, rows, cols):
         weight = 1
         if folded:
             if not r.start:             # r restarts with each column block, in order
@@ -260,23 +277,21 @@ def _histogram_sum(hist: np.ndarray, W: int) -> complex:
     parts = []
     for a in range(0, L, BLOCK_CELLS):
         t = np.flatnonzero(hist[a:a + BLOCK_CELLS]) + a
-        parts.append(_sum_e(math.tau * (t / L), hist[t], W))
+        parts.append(_sum_e(t / L, hist[t], W))
     return parts[0] if len(parts) == 1 else _fsum_complex(parts)
 
 
-def _block_sum(r, x, L, keep) -> complex:
+def _block_sum(r, x, L) -> complex:
     """A sparse block's part of the box sum: its residues through their sort
     (residue_sum), or its tail phases term by term."""
-    if keep is not None:
-        x = x[keep]
-    return residue_sum(x, L) if L else _sum_e(math.tau * x, 1.0, x.size)
+    return residue_sum(x, L) if L else _sum_e(x.reshape(-1), None, x.size)
 
 
 def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
     """Sums of e(Q(m1, m2)) over m2 in (K2, M2], one per row m1 in (K1, M1],
     with Q in integer form, as a complex array.
 
-    A row spread over several column blocks or tail segments adds its
+    A row spread over several column blocks or tail tiles adds its
     partials with math.fsum, after a stable sort of the partials by row.
     Each row sum is within (M2 - K2) * FLOAT_TERM_BUDGET of the exact one.
     """
@@ -297,27 +312,22 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
     return out
 
 
-def _block_row_sums(r, x, L, keep):
+def _block_row_sums(r, x, L):
     """(r, sums): a block's part of each of its rows' sums, sums[0] real and
-    sums[1] imaginary.  Every cell's phase goes through cos and sin directly,
-    a cell outside keep weighs 0, and one _split_sum adds the 2*h rows of
-    the h-row block, with W = its width."""
-    angle = math.tau * (x / L if L else x)
-    h, w = angle.shape
-    z = np.empty((2, h, w))
-    np.cos(angle, out=z[0])
-    np.sin(angle, out=z[1])
-    if keep is not None:
-        z *= keep
+    sums[1] imaginary.  Every cell's phase goes through cos and sin directly
+    (_cis), and one _split_sum adds the 2*h rows of the h-row block, with W =
+    its width."""
+    h, w = x.shape
+    z = _cis(x / L if L else x)
     return r, _split_sum(z.reshape(2 * h, w), w).reshape(2, h)
 
 
 def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
     """Blocks of the box (K1, M1] x (K2, M2] for Q in integer form (L, ints),
-    each as (r, x, L, keep): r lists the row offset m1 - K1 - 1 of each block
-    row, and x the phases of its cells, as residues mod L (_residue_blocks)
-    or, with L None, as float turns (_tail_phase_blocks, for an L past both
-    exact arithmetics); keep, when not None, marks the cells inside the box."""
+    each as (r, x, L): r is the range of the row offsets m1 - K1 - 1 of the
+    block's rows, and x the phases of its cells, as residues mod L
+    (_residue_blocks) or, with L None, as float turns (_tail_phase_blocks,
+    for an L past both exact arithmetics)."""
     if M1 <= K1 or M2 <= K2:
         return iter(())
     L, ints = form
@@ -328,7 +338,7 @@ def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
 
 def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int],
                     cols: Sequence[int]):
-    """Blocks (r, t, L, None), in the form of _phase_blocks, of the residues
+    """Blocks (r, t, L), in the form of _phase_blocks, of the residues
     t = P(m1, m2) mod L over m1 in rows and m2 in cols for the integer terms
     of P; r is the range of the block's positions in rows, restarting with
     each column block.  L divides 2**64 (uint64, masked to L - 1) or has
@@ -345,7 +355,8 @@ def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[in
 
     def reduce(t: np.ndarray) -> np.ndarray:
         if wrap:
-            t &= L - 1
+            if L < _WRAP:               # uint64 arithmetic wraps mod 2**64 by itself
+                t &= L - 1
         elif t.size < 1024:             # one call beats three on short arrays
             np.remainder(t, L, out=t)
         else:
@@ -393,7 +404,7 @@ def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[in
                 t = vectors if len(block) == 1 else vectors.repeat(len(block), axis=0)
             else:
                 t = reduce(powers(block, g1_top).take(sel, axis=0).T @ vectors)
-            yield range(r0, r0 + len(block)), t, L, None
+            yield range(r0, r0 + len(block)), t, L
 
 
 def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: int,
@@ -401,42 +412,171 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
     """Blocks of float phases, in turns, for an L that does not divide 2**64
     and is too wide for int64 residues mod L.
 
-    The box is cut into row segments m2 = o + u, u in [1, w], and each block
-    holds up to BLOCK_CELLS // w of them.  Each row's m2-coefficients are
-    Taylor-shifted mod L to the origin o, and a coefficient c splits as
-    2**64 * c / L = H + rho / L with H = (c << 64) // L < 2**64.  Horner in
-    uint64 wraps mod 2**64, so it gives exactly 2**64 times the fractional
-    phase of the H part, however large the polynomial gets; the tail sum of
-    rho_j/(L*2**64) * u**(d-j) is a float Horner over u added to it, and w
-    keeps it below 2**-11 (see FLOAT_TERM_BUDGET).
+    The box is cut into tiles (_tile_shape).  Per tile, Q is Taylor-shifted
+    exactly mod L to the tile's middle cell o (_shift), so a cell is o + u
+    with u the offsets of _centred (a box whose cells, measured from 0, meet
+    the growth bound is one tile with o = 0), and each coefficient c splits
+    once as 2**64 * c / L = H + rho / L, H = (c << 64) // L < 2**64.  A tile one row
+    high has u1 = 0 only, so it keeps only the m1-exponent 0 (and a tile one
+    column wide the m2-exponent 0).  The head, sum of H * u**g mod 2**64, is
+    the exact producer's with L = 2**64 (_residue_blocks), whose uint64
+    wraparound keeps it exact however large the polynomial gets: 2**64 times
+    the fractional phase of the H part.  The tail, sum of rho / (L * 2**64) *
+    u**g, is the float product U1 @ (R @ U2) of per-axis power tables, U1
+    built per block of rows and U2 per slice of at most BLOCK_CELLS entries.
+    Its terms are below 2**-64 * |u**g| in size, so the tile growth bound of
+    2**52 keeps it below 2**-12 of a turn in size and every table entry an
+    exact float; R's rounding and the two inner products of D2 + 1 and D1 +
+    1 terms round it by at most (D1 + D2 + 3)u * 2**-12 < 0.04u (u = 2**-53,
+    Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1) for
+    every degree up to MAX_EXPONENT.  The head, read as a signed integer,
+    splits as hi + lo, (t >> 11) * 2**-53 in [-1/2, 1/2) and (t & 2047) *
+    2**-64, both exact floats; lo + tail, below 2**-11 in size, rounds by at
+    most u * 2**-12, and the phase hi + (lo + tail), centred within 1/2 +
+    2**-11 of 0, by u/2: it is off by less than 0.55u (FLOAT_TERM_BUDGET).
     """
-    d = max(g2 for _, g2 in ints)
+    d1 = max(g1 for g1, _ in ints)
+    # top[i]: the m2-degree of the down-closure of the support at m1-exponent i
+    top = [max(g2 for g1, g2 in ints if g1 >= i) for i in range(d1 + 1)]
     n = M2 - K2
-    w = min(n, _tail_width(d))
-    segs = -(-n // w)
-    w = -(-n // segs)                    # balanced widths, the same segment count
-    u = np.arange(1, w + 1, dtype=np.uint64)
-    uf = u.astype(np.float64)
-    # per row m1, the m2-coefficients of Q mod L, top degree first
-    row_coeffs = ([sum(c * pow(m1, g1, L) for (g1, g2), c in ints.items() if g2 == e) % L
-                   for e in range(d, -1, -1)] for m1 in range(K1 + 1, M1 + 1))
-    segments = ((i, b, o) for i, b in enumerate(row_coeffs) for o in range(K2, M2, w))
-    while chunk := list(islice(segments, BLOCK_CELLS // w)):
-        r = [i for i, _, _ in chunk]
-        split = [[divmod(c << 64, L) for c in (_taylor_shift(b, o, L) if o else b)]
-                 for _, b, o in chunk]
-        head = np.array([[h for h, _ in row] for row in split], dtype=np.uint64)
-        tail = np.array([[rho / (L << 64) for _, rho in row] for row in split])
-        t = head[:, :1].repeat(w, axis=1)
-        acc = tail[:, :1].repeat(w, axis=1)
-        for j in range(1, d + 1):
-            t = t * u + head[:, j:j + 1]
-            acc = acc * uf + tail[:, j:j + 1]
-        keep = u <= np.array([min(w, M2 - o) for _, _, o in chunk])[:, None]
-        # (t >> 11) * 2**-53 and (t & 2047) * 2**-64 are exact floats; the sum
-        # lies below 1 + 2**-10 and needs no reduction mod 1 before cos and sin
-        yield r, ((t >> 11).astype(np.float64) * 2.0**-53
-                  + ((t & 2047).astype(np.float64) * 2.0**-64 + acc)), None, keep
+    # a box whose cells, measured from 0, already meet the growth bound is
+    # one tile needing no shift
+    anchored = n <= BLOCK_CELLS // (d1 + 1) and _growth(top, M1, M2) <= _TAIL_GROWTH
+    h, w = (M1 - K1, n) if anchored else _tile_shape(top, M1 - K1, n)
+    if not d1 and M1 - K1 == 1 and n > 2 * w:
+        # one row needing three tiles or more: fold its first A*W cells, W = isqrt(n),
+        # into an A x W box, m2 = o + W*a + b with (a, b) the offsets of
+        # _centred, whose tiles cover far more cells (a box of one tile is
+        # centred already), and the rest into one more row; every cell is in
+        # row 0
+        W = math.isqrt(n)
+        A = n // W
+        a, b = _centred(A), _centred(W)
+        folded: Dict[Tuple[int, int], int] = {}
+        o = K2 + 1 - W * a.start - b.start
+        for j, c in enumerate(_shift(ints, 0, o, L, 0, top[0])[0]):
+            for i in range(j + 1):      # (W*a + b)**j
+                folded[i, j - i] = (folded.get((i, j - i), 0) + c * math.comb(j, i) * W**i) % L
+        for _, x, _ in _tail_phase_blocks(L, folded, a.start - 1, a.stop - 1, b.start - 1,
+                                          b.stop - 1):
+            yield [0] * len(x), x, None
+        if A * W < n:
+            yield from _tail_phase_blocks(L, ints, K1, M1, K2 + A * W, M2)
+        return
+    # tiles as (middle cell, offsets) per axis
+    if anchored:
+        bands, parts = [(0, range(K1 + 1, M1 + 1))], [(0, range(K2 + 1, M2 + 1))]
+    else:
+        bands, parts = ([(o + 1 - u.start, u) for o in range(K, M, side)
+                         for u in [_centred(min(side, M - o))]]
+                        for K, M, side in ((K1, M1, h), (K2, M2, w)))
+    scale = L << 64
+    for o1, u1 in bands:
+        e1 = d1 if u1 != range(1) else 0    # one row at u1 = 0 keeps only exponent 0
+        for o2, u2 in parts:
+            e2 = top[0] if u2 != range(1) else 0
+            split = [[divmod(c << 64, L) for c in row] for row in _shift(ints, o1, o2, L, e1, e2)]
+            head = {(i, j): H for i, row in enumerate(split) for j, (H, _) in enumerate(row)}
+            R = np.array([[rho / scale for _, rho in row] for row in split])
+            cols = np.arange(u2.start, u2.stop, dtype=np.float64)
+            step = max(1, BLOCK_CELLS // (e2 + 1))   # no column table passes BLOCK_CELLS
+            V = np.hstack([R @ _float_powers(cols[a:a + step], e2)
+                           for a in range(0, cols.size, step)])
+            for r, t, _ in _residue_blocks(head, _WRAP, u1, u2):
+                x = (t & 2047) * 2.0**-64
+                rows = np.arange(u1.start + r.start, u1.start + r.stop, dtype=np.float64)
+                x += _float_powers(rows, e1).T @ V if e1 else V
+                x += (t.view(np.int64) >> 11) * 2.0**-53
+                r0 = o1 + u1.start - K1 - 1     # the tile's first row offset
+                yield range(r0 + r.start, r0 + r.stop), x, None
+
+
+def _centred(n: int) -> range:
+    """The offsets u of n consecutive cells from their middle cell: |u| <= n // 2."""
+    return range(-((n - 1) // 2), n - (n - 1) // 2)
+
+
+def _float_powers(u: np.ndarray, d: int) -> np.ndarray:
+    """(d + 1) x len(u) table of u**j, exact floats while |u|**d <= 2**53."""
+    table = np.empty((d + 1, u.size))
+    table[0] = 1.0
+    for j in range(d):
+        np.multiply(table[j], u, out=table[j + 1])
+    return table
+
+
+def _shift(terms: Dict[Tuple[int, int], int], o1: int, o2: int, L: int, e1: int,
+           e2: int) -> List[List[int]]:
+    """Coefficients c[i][j] of P(o1 + u1, o2 + u2) in (u1, u2) for i <= e1 and
+    j <= e2, reduced mod L: the binomial expansion of each term."""
+    if not (o1 or o2):
+        return [[terms.get((i, j), 0) % L for j in range(e2 + 1)] for i in range(e1 + 1)]
+    # o**k mod L: every k up to the degree, or with e = 0 the exponents used
+    p1, p2 = ({k: pow(o, k, L) for k in (range(max(g[a] for g in terms) + 1) if e
+                                          else {g[a] for g in terms})}
+              for a, o, e in ((0, o1, e1), (1, o2, e2)))
+    c = [[0] * (e2 + 1) for _ in range(e1 + 1)]
+    for (g1, g2), a in terms.items():
+        b = [a * math.comb(g2, j) * p2[g2 - j] for j in range(min(g2, e2) + 1)]
+        for i in range(min(g1, e1) + 1):
+            f, row = math.comb(g1, i) * p1[g1 - i], c[i]
+            for j, y in enumerate(b):
+                row[j] += f * y
+    return [[v % L for v in row] for row in c]
+
+
+def _growth(top: List[int], a1: int, a2: int) -> int:
+    """Sum of a1**i * a2**j over the exponents (i, j) with j <= top[i]."""
+    row = {t: sum(a2**j for j in range(t + 1)) for t in set(top)}
+    total = 0
+    for t in reversed(top):             # Horner in a1
+        total = total * a1 + row[t]
+    return total
+
+
+def _tile_shape(top: List[int], n1: int, n2: int) -> Tuple[int, int]:
+    """(h, w): tile sides for the tail producer on an n1 x n2 box, for a
+    support whose down-closure holds the exponents (i, j) with j <= top[i].
+
+    A tile is centred on its middle cell, so its offsets u have |u1| <= h //
+    2 and |u2| <= w // 2 (_centred).  Its growth, the sum of (h // 2)**i *
+    (w // 2)**j over the down-closure (the exponents a Taylor shift can
+    reach), is at most _TAIL_GROWTH = 2**52, so a tail of terms below 2**-64
+    * |u**g| stays below 2**-12 of a turn and every power table entry is an
+    exact float.  w is at most BLOCK_CELLS // (m1-degree + 1), so a tile is
+    one column block of _residue_blocks and its vectors fit a block.  A box
+    that meets both bounds whole is one tile.  Otherwise the candidates are
+    the widest such w, its halvings while they cut the tile count, and w =
+    1, each with its tallest h and with h = 1; the cheapest wins: tiles
+    times _TILE_COST plus the coefficients _shift computes for each (a tile
+    one row high or one column wide keeps exponent 0 on that axis only).
+    """
+    def largest(n: int, growth) -> int:
+        """Largest x in [1, n] whose growth(x) meets the bound (growth rises with x)."""
+        return bisect_left(range(1, n + 1), True, key=lambda x: growth(x) > _TAIL_GROWTH)
+
+    def cost(h: int, w: int) -> int:
+        """Tiles times (_TILE_COST + the coefficients _shift computes per tile)."""
+        e2 = top[0] if w > 1 else 0
+        return -(-n1 // h) * -(-n2 // w) * (_TILE_COST + sum(
+            min(t, e2) + 1 for t in (top if h > 1 else top[:1])))
+
+    cap = max(1, BLOCK_CELLS // len(top))
+    if n2 <= cap and _growth(top, n1 // 2, n2 // 2) <= _TAIL_GROWTH:
+        return n1, n2
+    w = largest(min(n2, cap), lambda x: _growth(top, 0, x // 2))
+    best, tiles = None, math.inf
+    while True:
+        h = largest(n1, lambda x: _growth(top, x // 2, w // 2))
+        for c in ((cost(h, w), h, w), (cost(1, w), 1, w)):
+            if best is None or c[0] < best[0]:
+                best = c
+        if w == 1:
+            return best[1:]
+        count = -(-n1 // h) * -(-n2 // w)
+        # once halving stops cutting the tiles, only one column can cost less
+        w = (w + 1) // 2 if h < n1 and count < tiles else 1
+        tiles = count
 
 
 def _result(value: complex, exact: bool, count: int) -> ExpSumValue:

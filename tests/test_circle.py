@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import time
@@ -24,7 +25,7 @@ from newton_circle.complete import WorkCapExceeded, gauss_sum
 from newton_circle.expsum import double_sum
 from newton_circle.iw import IWParams
 from newton_circle.newton import build_diagram
-from newton_circle.poly import evaluate, parse_poly, pin, scale
+from newton_circle.poly import Poly2, evaluate, parse_poly, pin, scale
 from newton_circle.suites import random_nondegenerate_poly
 
 
@@ -235,16 +236,31 @@ def test_discrete_partial_axis2_matches_fraction_brute_force():
 
 
 def test_discrete_partial_float_xi_is_the_frozen_row():
-    # pinning happens after scaling, exactly, so a float xi gives bit for bit
-    # the lattice sum of scale(P, xi) over the frozen row or column
+    # the integer polynomial is pinned before scaling: an exact xi gives the
+    # coefficients of pinning xi*P, and a float xi rounds each pinned xi*N
+    # once, so the sum is that of scale(pin(P), xi) bit for bit.  The frozen
+    # row or column of scale(P, xi), whose coefficients round each xi*c
+    # instead, differs by at most 2u|xi| * |P|(m) turns a cell (|P| with the
+    # absolute coefficients, u = 2**-53), 2*pi times that in e(), plus the
+    # error budgets of both sums
     P = parse_poly("m1^3*m2^2 + 5*m1*m2^2 + 3*m1^2*m2 + m2^4 + 7*m1^4")
+    absP = Poly2({g: abs(c) for g, c in P.terms.items()})
+    for xi in (Fraction(3, 7), Fraction(-5, 2**70 + 1)):
+        for axis, frozen in itertools.product((1, 2), (3, 7, 11)):
+            assert circle._pinned(P, xi, 16, 24, (axis, frozen))[0].terms == \
+                pin(scale(P, xi), axis, frozen).terms
     for xi in (0.1234567, -0.987654321, 2.0**-20 * 3):
         Q = scale(P, xi)
         for frozen in (3, 7, 11):
-            got = discrete_multiplier(P, xi, 16, 24, 2, axis_partial=(1, frozen))
-            assert got == double_sum(Q, frozen - 1, frozen, 12, 24).value / 12
-            got = discrete_multiplier(P, xi, 16, 24, 2, axis_partial=(2, frozen))
-            assert got == double_sum(Q, 8, 16, frozen - 1, frozen).value / 8
+            for axis, n, box in ((1, 12, (frozen - 1, frozen, 12, 24)),
+                                 (2, 8, (8, 16, frozen - 1, frozen))):
+                got = discrete_multiplier(P, xi, 16, 24, 2, axis_partial=(axis, frozen))
+                pinned_box = (0, 1, 12, 24) if axis == 1 else (8, 16, 0, 1)
+                assert got == double_sum(scale(pin(P, axis, frozen), xi), *pinned_box).value / n
+                row = double_sum(Q, *box)
+                cells = itertools.product(range(box[0] + 1, box[1] + 1), range(box[2] + 1, box[3] + 1))
+                gap = math.tau * 2 * 2.0**-53 * abs(xi) * max(evaluate(absP, m) for m in cells)
+                assert abs(got - row.value / n) <= gap + 2 * row.error_budget / n
 
 
 def test_discrete_partial_rejects_frozen_below_one(mixed):
@@ -361,9 +377,7 @@ def _complex_exp_level(f2, pinned):
 def _rule_against_oracle(monkeypatch, P, xi, M1, M2, axis_partial=None):
     """Run continuous_multiplier, evaluating its rule also by the complex-exp
     oracle on the same nodes; return (gap, panel count of each axis)."""
-    Q = scale(P, xi)
-    if axis_partial is not None:
-        Q = pin(Q, *axis_partial)
+    Q = scale(P if axis_partial is None else pin(P, *axis_partial), xi)
     oracle = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)),
                                 axis_partial and axis_partial[0])
     gaps, nodes = [], []
@@ -433,7 +447,7 @@ def _rule_of(P, xi, M1, M2, tau, axis_partial=None):
     """circle._rule for the call continuous_multiplier(P, xi, M1, M2, tau,
     axis_partial): (value, bound, nodes of each axis, terms).  The pinned
     axis keeps its scale: its exponents are 0, so the rule does not read it."""
-    Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
+    Q = scale(P if axis_partial is None else pin(P, *axis_partial), xi)
     terms = [(g1, g2, float(c)) for (g1, g2), c in Q.terms.items()]
     nodes = []
     real = circle._level
@@ -463,7 +477,7 @@ def _ladder(P, xi, M1, M2, tau, axis_partial=None):
     32-point panels per axis (the live axis of a partial call), from depth 0
     until two levels agree within 1e-10, each level evaluated by the
     complex-exp oracle."""
-    Q = scale(P, xi) if axis_partial is None else pin(scale(P, xi), *axis_partial)
+    Q = scale(P if axis_partial is None else pin(P, *axis_partial), xi)
     level = _complex_exp_level(_complex_exp_phase(Q, float(M1), float(M2)),
                                axis_partial and axis_partial[0])
     x32, w32 = np.polynomial.legendre.leggauss(32)

@@ -190,9 +190,9 @@ def test_exact_producer_at_the_dyadic_edges(case):
     form = expsum._integer_form(Q.terms)
     L = form[0]
     blocks = list(expsum._phase_blocks(form, K1, M1, K2, M2))
-    assert all(b[1].dtype == np.uint64 and b[2] == L and b[3] is None for b in blocks)
+    assert all(b[1].dtype == np.uint64 and b[2] == L for b in blocks)
     # the residues are L*Q(m) mod L, each in [0, L)
-    got = sorted(int(t) for _, x, _, _ in blocks for t in x.ravel())
+    got = sorted(int(t) for _, x, _ in blocks for t in x.ravel())
     fracs = [(g, Fraction(c)) for g, c in Q.terms.items()]
     want = sorted(int(L * sum(f * m1**g1 * m2**g2 for (g1, g2), f in fracs)) % L
                   for m1 in range(K1 + 1, M1 + 1) for m2 in range(K2 + 1, M2 + 1))
@@ -210,10 +210,13 @@ def test_exact_producer_at_the_dyadic_edges(case):
 GOLDEN = golden_ratio_conjugate(192)
 
 
-@pytest.mark.parametrize("k, N", [(8, 3000), (6, 20000)])
+@pytest.mark.parametrize("k, N", [(8, 3000), (6, 20000), (4, 20000)])
 def test_golden_weyl_matches_brute_force(k, N):
-    # L is a 98-bit Fibonacci number; the float tail stays below 2**-11 of a
-    # turn only because each segment of a few hundred n is re-centred
+    # L is a 98-bit Fibonacci number; the float tail stays below 2**-12 of a
+    # turn only because the row is cut into tiles, each Taylor-shifted to its
+    # middle cell (16383 and 3617 cells at k = 4), or, needing three tiles or
+    # more, folded into a box of far larger tiles (k = 6 and 8)
+    assert expsum._tile_shape([k], 1, N)[1] < N
     xs = (GOLDEN,) * k
     got = weyl_sum(xs, N)
     want = brute_dyadic({(0, i + 1): x for i, x in enumerate(xs)},
@@ -223,12 +226,103 @@ def test_golden_weyl_matches_brute_force(k, N):
 
 
 def test_golden_double_sum_matches_brute_force():
-    # K2 > 0, so every row is Taylor-shifted to its origin
+    # K1, K2 > 0: the one tile is Taylor-shifted to its middle cell
     Q = scale(parse_poly("m1^2*m2^3 + m1*m2"), GOLDEN)
     got = double_sum(Q, 20, 60, 30, 110)
     want = brute_dyadic(Q.terms, [(m1, m2) for m1 in range(21, 61) for m2 in range(31, 111)])
     assert got.mode == "exact"
     assert abs(got.value - want) <= got.term_count * FLOAT_TERM_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# The tail producer: tiles of bounded growth
+# ---------------------------------------------------------------------------
+
+
+def _down_closure(terms):
+    return {(i, j) for g1, g2 in terms for i in range(g1 + 1) for j in range(g2 + 1)}
+
+
+def _growth(terms, h, w):
+    """The growth of an h x w tile centred on its middle cell: its offsets
+    reach h // 2 and w // 2."""
+    return sum((h // 2)**i * (w // 2)**j for i, j in _down_closure(terms))
+
+
+def _top(terms):
+    """The down-closure by m1-exponent: its largest m2-exponent at each i."""
+    d1 = max(g1 for g1, _ in terms)
+    return [max(j for i2, j in _down_closure(terms) if i2 == i) for i in range(d1 + 1)]
+
+
+_TILE_CASES = {
+    # name: (Q, box, tiles along m1 and along m2 at BLOCK_CELLS = 16384)
+    "tiles_2d": (scale(parse_poly("m1^8*m2^8 + 2*m1^3*m2 - m2^5"), GOLDEN), (7, 17, 11, 161),
+                 (2, 2)),
+    "m2_degree_8": (scale(parse_poly("m1*m2^8 + m1^2*m2 + 3*m1"), GOLDEN), (5, 13, 9, 209),
+                    (1, 3)),
+    "m1_degree_8": (scale(parse_poly("m1^8*m2 + m1*m2^2 + 3*m2"), GOLDEN), (9, 209, 5, 13),
+                    (2, 1)),
+    "wide_q": (scale(parse_poly("m1^8*m2^8 + m1*m2"), Fraction(987654321, 2**61 - 1)),
+               (0, 10, 3, 153), (2, 2)),
+    # degree 64: tiles one row high (one column wide), which keep only the
+    # m1-exponent (m2-exponent) 0 of the shifted polynomial
+    "m1_degree_64": (scale(parse_poly("m1^64*m2 + m1*m2^2"), GOLDEN), (3, 13, 5, 45), (10, 1)),
+    "m2_degree_64": (scale(parse_poly("m1*m2^64 + m1^2*m2"), GOLDEN), (2, 42, 3, 13), (1, 10)),
+    # one row without m1 that needs several tiles: folded into a 32 x 31 box
+    # plus a row of 8, and into a 30 x 30 box with no rest
+    "folded_row": (scale(parse_poly("m2^8 + 3*m2^3 - m2"), GOLDEN), (4, 5, 7, 1007), (1, 6)),
+    "folded_square": (scale(parse_poly("m2^8 + 3*m2^3 - m2"), GOLDEN), (4, 5, 7, 907), (1, 5)),
+    # far from the origin: the shift reduces coordinates near 10**18 mod L
+    "far_box": (scale(parse_poly("m1^2*m2^3 + m1*m2"), GOLDEN),
+                (10**15, 10**15 + 30, 10**18, 10**18 + 40), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])
+@pytest.mark.parametrize("case", list(_TILE_CASES))
+def test_tail_tiles_match_per_cell_oracle(monkeypatch, case, block_cells):
+    # boxes that need several tiles, against one Fraction phase per cell;
+    # small blocks also narrow the tiles to BLOCK_CELLS // (m1-degree + 1)
+    monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
+    Q, (K1, M1, K2, M2), tiles = _TILE_CASES[case]
+    n1, n2 = M1 - K1, M2 - K2
+    h, w = expsum._tile_shape(_top(Q.terms), n1, n2)
+    assert _growth(Q.terms, h, w) <= 2**52
+    assert w <= max(1, block_cells // (max(g1 for g1, _ in Q.terms) + 1))
+    if block_cells == BLOCK_CELLS:
+        assert (-(-n1 // h), -(-n2 // w)) == tiles
+    # every cell once, in blocks of at most BLOCK_CELLS
+    sizes = [x.size for _, x, _ in expsum._phase_blocks(expsum._integer_form(Q.terms), K1, M1, K2, M2)]
+    assert sum(sizes) == n1 * n2 and max(sizes) <= block_cells
+    got = double_sum(Q, K1, M1, K2, M2)
+    want = brute_dyadic(Q.terms, [(m1, m2) for m1 in range(K1 + 1, M1 + 1)
+                                  for m2 in range(K2 + 1, M2 + 1)])
+    assert got.mode == "exact"
+    assert abs(got.value - want) <= got.error_budget
+
+
+@pytest.mark.parametrize("K1, K2", [(0, 0), (5, 9)])
+def test_tail_tile_at_its_growth_bound(K1, K2):
+    # m1^51 + m2 on a 4 x 2 box (offsets up to 2 and 1): growth (1 + 2 + 4 +
+    # ... + 2**51) + 1 = 2**52 exactly, one tile; m1^51 + m2^2 adds 1 to it,
+    # so the box takes smaller tiles, each within the bound.  Both sums
+    # against one Fraction phase per cell
+    for text, growth in (("m1^51 + m2", 2**52), ("m1^51 + m2^2", 2**52 + 1)):
+        Q = scale(parse_poly(text), GOLDEN)
+        assert _growth(Q.terms, 4, 2) == growth
+        tile = expsum._tile_shape(_top(Q.terms), 4, 2)
+        assert (tile == (4, 2)) == (growth <= 2**52)
+        assert _growth(Q.terms, *tile) <= 2**52
+        got = double_sum(Q, K1, K1 + 4, K2, K2 + 2)
+        want = brute_dyadic(Q.terms, itertools.product(range(K1 + 1, K1 + 5), range(K2 + 1, K2 + 3)))
+        assert abs(got.value - want) <= got.error_budget
+    # m1 + m2 has growth 1 + h // 2 + w // 2: a box of growth 2**52 is one
+    # tile, one of 2**52 + 1 is not, and its tiles stay within the bound
+    n1 = 2**53 - 102
+    assert expsum._tile_shape([1, 0], n1, 100) == (n1, 100)
+    h, w = expsum._tile_shape([1, 0], n1 + 2, 100)
+    assert h < n1 + 2 and 1 + h // 2 + w // 2 <= 2**52
 
 
 def test_double_sum_abs_examples():
@@ -259,14 +353,22 @@ _ABS_CASES = {
     "int64_q_2_16": (scale(_ABS_P, Fraction(12345, 2**16)), (0, 11, 0, 70), "exact"),
     "dyadic": (scale(_ABS_P, 0.1234567), (2, 12, 5, 30), "exact"),
     "tail": (scale(_ABS_P, Fraction(123456789123, 2**61 - 1)), (2, 14, 1, 40), "tail"),
-    # m2-degree 8: a tail segment holds at most 91 cells, so rows of 150 wrap
+    # m2-degree 8: a tail tile is 91 columns wide, so each row of 400
+    # spreads over five tiles
     "tail_segments": (scale(parse_poly("m1*m2^8 + m1^2*m2"), Fraction(987654321, 2**61 - 1)),
-                      (0, 5, 0, 150), "tail"),
+                      (0, 5, 0, 400), "tail"),
     # columns near 10**18, far past 2**63 / L: the int64 producer reduces them first
     "guard_below": (scale(_ABS_P, Fraction(5, 4093)), (0, 6, 10**18, 10**18 + 20), "exact"),
     "guard_at": (scale(_ABS_P, Fraction(123456789, _INT64_TOP)), (0, 6, 30, 50), "exact"),
     "guard_past_tail": (scale(_ABS_P, Fraction(987654323, _INT64_TOP + 1)), (0, 6, 30, 50),
                         "tail"),
+    # one row folded into a box of 31 rows: its partials all go to row 0
+    "tail_folded_row": (scale(parse_poly("m2^8 + 3*m2^3"), Fraction(987654321, 2**61 - 1)),
+                        (4, 5, 7, 1007), "tail"),
+    # 2 x 2 tiles away from the origin: rows spread over column tiles, and
+    # the row tiles' offsets place each row's partials
+    "tail_tiles_2d": (scale(parse_poly("m1^8*m2^8 + m1*m2^2"), Fraction(987654321, 2**61 - 1)),
+                      (3, 13, 2, 152), "tail"),
     "one_column": (scale(_ABS_P, Fraction(5, 4093)), (0, 9, 6, 7), "exact"),
     "one_column_wrapped": (scale(_ABS_P, 0.1234567), (0, 9, 6, 7), "exact"),
     "no_rows": (scale(_ABS_P, Fraction(5, 4093)), (3, 3, 0, 5), None),
@@ -288,11 +390,11 @@ def test_producers_at_the_int64_bound(case):
     cells = [(m1, m2) for m1 in range(K1 + 1, M1 + 1) for m2 in range(K2 + 1, M2 + 1)]
     blocks = list(expsum._phase_blocks(form, K1, M1, K2, M2))
     if path == "exact":
-        assert all(b[1].dtype == np.int64 and b[2] == L and b[3] is None for b in blocks)
+        assert all(b[1].dtype == np.int64 and b[2] == L for b in blocks)
         fracs = [(g, Fraction(c)) for g, c in Q.terms.items()]
         want = sorted(int(L * sum(f * m1**g1 * m2**g2 for (g1, g2), f in fracs)) % L
                       for m1, m2 in cells)
-        assert sorted(int(t) for _, x, _, _ in blocks for t in x.ravel()) == want
+        assert sorted(int(t) for _, x, _ in blocks for t in x.ravel()) == want
     else:
         assert all(b[2] is None for b in blocks)
     value = double_sum(Q, K1, M1, K2, M2)
@@ -303,7 +405,7 @@ def test_producers_at_the_int64_bound(case):
 @pytest.mark.parametrize("case", list(_ABS_CASES))
 def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
     # direct trig per cell against one histogram-reduced double_sum per row;
-    # small blocks spread a row over several column blocks or segments and
+    # small blocks spread a row over several column blocks or tiles and
     # put several rows in one block
     monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
     Q, (K1, M1, K2, M2), path = _ABS_CASES[case]
@@ -311,7 +413,8 @@ def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
 
     def spy(name, blocks):
         def run(*args):
-            paths.append(name)
+            # the tail producer's head is the exact producer at L = 2**64, once a tile
+            paths.append("head" if name == "exact" and args[1] == 1 << 64 else name)
             return blocks(*args)
         return run
 
@@ -320,7 +423,8 @@ def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
         m.setattr(expsum, "_tail_phase_blocks", spy("tail", expsum._tail_phase_blocks))
         got = [double_sum_abs(Q, K1, M1, K2, M2, 1),
                double_sum_abs(transpose(Q), K2, M2, K1, M1, 2)]
-    assert paths == ([path] * 2 if path else [])
+    assert {p for p in paths if p != "head"} == ({path} if path else set())
+    assert ("head" in paths) == (path == "tail")
     terms = (M1 - K1) * (M2 - K2)
     want = [_per_row_oracle(Q, K1, M1, K2, M2, 1),
             _per_row_oracle(transpose(Q), K2, M2, K1, M1, 2)]
@@ -527,11 +631,12 @@ def test_split_sum_of_a_full_residue_block():
     counts = np.bincount(r.integers(0, 3000, W), minlength=3000)
     counts = counts[counts > 0]
     assert counts.sum() == W
-    angle = r.uniform(0.0, 2 * math.pi, counts.size)
+    phase = r.uniform(0.0, 1.0, counts.size)
+    angle = math.tau * phase
     x = np.stack([counts * np.cos(angle), counts * np.sin(angle)])
     _assert_rows_match_fsum(x, W)
     want = complex(math.fsum(x[0].tolist()), math.fsum(x[1].tolist()))
-    got = expsum._sum_e(angle, counts, W)
+    got = expsum._sum_e(phase, counts, W)
     assert abs(got.real - want.real) <= math.ulp(want.real)
     assert abs(got.imag - want.imag) <= math.ulp(want.imag)
 
@@ -539,19 +644,22 @@ def test_split_sum_of_a_full_residue_block():
 @pytest.mark.parametrize("n", [1, expsum._SHORT_SUM, expsum._SHORT_SUM + 1, 500])
 def test_sum_e_paths_within_their_rounding(monkeypatch, n):
     # up to _SHORT_SUM terms math.fsum in Python, past it _split_sum; each
-    # against the exact sum of count * cos and count * sin of the given
-    # angles: at most 4 ulp from cos or sin (below 1), u from the product
-    # and 3u from the sum, per unit of count
+    # against count * cos and count * sin of 2*pi*phase in 40 digits: the
+    # angle rounds by at most 8u, cos or sin adds 4 ulp (below 1), the
+    # product u and the sum 3u, per unit of count (u = 2**-53)
+    mpmath = pytest.importorskip("mpmath")
     split = []
     kernel = expsum._split_sum
     monkeypatch.setattr(expsum, "_split_sum", lambda *a: split.append(a) or kernel(*a))
     r = np.random.default_rng(n)
-    angle = r.uniform(0.0, 2 * math.pi, n)
+    phase = r.uniform(0.0, 1.0, n)
     counts = r.integers(1, 100, n)
     W = int(counts.sum())
-    got = expsum._sum_e(angle, counts, W)
-    want = [float(sum(Fraction(int(c)) * Fraction(f(a)) for c, a in zip(counts, angle.tolist())))
-            for f in (math.cos, math.sin)]
+    got = expsum._sum_e(phase, counts, W)
+    with mpmath.workdps(40):
+        want = [float(mpmath.fsum(int(c) * f(2 * mpmath.pi * mpmath.mpf(p))
+                                  for c, p in zip(counts, phase.tolist())))
+                for f in (mpmath.cos, mpmath.sin)]
     assert bool(split) == (n > expsum._SHORT_SUM)
-    assert abs(got.real - want[0]) <= 8 * W * 2.0**-53
-    assert abs(got.imag - want[1]) <= 8 * W * 2.0**-53
+    assert abs(got.real - want[0]) <= 16 * W * 2.0**-53
+    assert abs(got.imag - want[1]) <= 16 * W * 2.0**-53
