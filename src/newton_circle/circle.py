@@ -51,9 +51,10 @@ def _pinned(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     integer frozen >= 1 and sets that axis's scale to 1.
 
     The integer polynomial is pinned first, in integers, and then scaled: an
-    exact xi gives the same coefficients as pinning xi*P, and a float xi
-    rounds each pinned coefficient xi*N once, to the float nearest it,
-    where scaling first rounded each xi*c before the exact sum."""
+    exact xi gives the same coefficients as pinning xi*P.  A float xi rounds
+    each pinned coefficient xi*N once, to the float nearest it, while |N| <=
+    2**53 is itself a float; past that float(xi) * N would round N first (and
+    overflow past about 1.8e308), so xi*N stays the exact dyadic rational."""
     Ms = [M1, M2]
     if axis_partial is not None:
         axis, frozen = axis_partial
@@ -61,7 +62,10 @@ def _pinned(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
             raise ValueError(f"frozen value must be a positive integer, got {frozen}")
         P = pin(P, axis, frozen)
         Ms[axis - 1] = 1
-    return scale(P, xi), Ms
+    if is_exact(xi):
+        return scale(P, xi), Ms
+    return RealPoly2({g: float(xi) * c if abs(c) <= 1 << 53 else as_fraction(xi) * c
+                      for g, c in P.terms.items()}), Ms
 
 
 def discrete_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,

@@ -10,12 +10,13 @@ int64 under the one bound ``_histogram_peak(L)`` = 65*L**2 < 2**63 (L up to
 about 3.7e8).  So no phase error accumulates however large the polynomial
 values get, and each distinct phase t/L is one correctly rounded division.
 For any other L the tail producer (``_tail_phase_blocks``) cuts the box into
-tiles of bounded growth (``_tile_shape``; a long one-row sum is folded into a
-box first), Taylor-shifts Q to each tile's middle cell and splits each
-coefficient once as 2**64 * c / L: the integer heads run through the same
-exact producer with L = 2**64, and the fractional parts give a float tail
-below 2**-12 of a turn from per-axis power tables, so the phase is off by
-less than 2**-52 of a turn.
+tiles of bounded growth (``_tile_shape``), Taylor-shifts Q to each tile's
+origin and splits each coefficient once as 2**64 * c / L: the integer heads
+run through the same exact producer with L = 2**64, and the fractional parts
+give a float tail below 2**-12 of a turn from per-axis power tables, so the
+phase is off by less than 2**-52 of a turn.  Tiles too short to pay for
+their shift are cut into one-row segments, each shifted alone, whose heads
+are stacked into one uint64 product with the column power table.
 
 Two reductions read the residues of a box sum (``double_sum``,
 ``weyl_sum``), chosen by the input.  A dense box, with L at most its cell
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import accumulate, islice, starmap
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,19 +76,14 @@ _WRAP = 1 << 64
 # 2**-12 of a turn.
 _TAIL_GROWTH = 1 << 52
 
-# Fixed cost of a tail tile (its numpy calls, about 25-35 us), in units of
-# the Python cost of one coefficient its Taylor shift and split compute
-# (about 0.5-1 us): _tile_shape's cost rule.
-_TILE_COST = 50
-
 # Per-term rounding error of a sum, u = 2**-53.  On the residue paths the
 # phase (in turns) is t/L rounded once, in [0, 1): off by at most u/2.  On
-# the tail path (_tail_phase_blocks) the tail is U1 @ (R @ U2): exact power
-# tables and R = rho/(L*2**64), each entry rounded once, in two inner
-# products of D2 + 1 and D1 + 1 terms (D1, D2 the m1- and m2-degrees).  The
-# tile growth cap of 2**52 keeps every table entry exact and the terms'
-# absolute sum below 2**-12, so the tail rounds by at most (D1 + D2 + 3)u *
-# 2**-12 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# the tail path (_tail_phase_blocks) the tail is U1 @ (R @ U2), R @ U2 on a
+# segment: exact power tables and R = rho/(L*2**64), each entry rounded once,
+# in inner products of D2 + 1 and D1 + 1 terms (D1, D2 the m1- and
+# m2-degrees).  The tile growth cap of 2**52 keeps every table entry exact
+# and the terms' absolute sum below 2**-12, so the tail rounds by at most (D1
+# + D2 + 3)u * 2**-12 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 # sec. 3.1; the 3 counts R's own rounding): below 131u * 2**-12 < 0.04u for
 # every m1- and m2-degree up to MAX_EXPONENT = 64.  The head t, read as a
 # signed integer, splits as hi + lo, (t >> 11) * 2**-53 in [-1/2, 1/2) and
@@ -324,10 +320,10 @@ def _block_row_sums(r, x, L):
 
 def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
     """Blocks of the box (K1, M1] x (K2, M2] for Q in integer form (L, ints),
-    each as (r, x, L): r is the range of the row offsets m1 - K1 - 1 of the
-    block's rows, and x the phases of its cells, as residues mod L
-    (_residue_blocks) or, with L None, as float turns (_tail_phase_blocks,
-    for an L past both exact arithmetics)."""
+    each as (r, x, L): r holds the row offsets m1 - K1 - 1 of the block's
+    rows (a range, or a list for the tail's segments), and x the phases of
+    its cells, as residues mod L (_residue_blocks) or, with L None, as float
+    turns (_tail_phase_blocks, for an L past both exact arithmetics)."""
     if M1 <= K1 or M2 <= K2:
         return iter(())
     L, ints = form
@@ -412,20 +408,26 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
     """Blocks of float phases, in turns, for an L that does not divide 2**64
     and is too wide for int64 residues mod L.
 
-    The box is cut into tiles (_tile_shape).  Per tile, Q is Taylor-shifted
-    exactly mod L to the tile's middle cell o (_shift), so a cell is o + u
-    with u the offsets of _centred (a box whose cells, measured from 0, meet
-    the growth bound is one tile with o = 0), and each coefficient c splits
-    once as 2**64 * c / L = H + rho / L, H = (c << 64) // L < 2**64.  A tile one row
-    high has u1 = 0 only, so it keeps only the m1-exponent 0 (and a tile one
-    column wide the m2-exponent 0).  The head, sum of H * u**g mod 2**64, is
-    the exact producer's with L = 2**64 (_residue_blocks), whose uint64
-    wraparound keeps it exact however large the polynomial gets: 2**64 times
-    the fractional phase of the H part.  The tail, sum of rho / (L * 2**64) *
-    u**g, is the float product U1 @ (R @ U2) of per-axis power tables, U1
-    built per block of rows and U2 per slice of at most BLOCK_CELLS entries.
-    Its terms are below 2**-64 * |u**g| in size, so the tile growth bound of
-    2**52 keeps it below 2**-12 of a turn in size and every table entry an
+    The box is cut into tiles of h x w cells (_tile_shape), the cells o + u,
+    u in [1, h] x [1, w], of their origin o.  Per tile, Q is Taylor-shifted
+    exactly mod L to o (_expand_m1, then _shift_m2 on each row; a tile at
+    the origin of a box at the origin needs no shift), and each coefficient
+    c splits once as 2**64 * c / L = H + rho / L, H = (c << 64) // L < 2**64
+    (_split).  The head, sum of H * u**g mod 2**64, is the exact producer's
+    with L = 2**64 (_residue_blocks), whose uint64 wraparound keeps it exact
+    however large the polynomial gets: 2**64 times the fractional phase of
+    the H part.  The tail, sum of rho / (L * 2**64) * u**g, is the float
+    product U1 @ (R @ U2) of per-axis power tables, U1 built per block of
+    rows and U2 per slice of at most BLOCK_CELLS entries.
+
+    Where tiles would be at most d1 + 1 rows high (d1 the m1-degree; h = 0),
+    each row m1 of a column tile is a segment instead: Q at m1 (u1 = 0 keeps
+    the m1-exponent 0 only) shifted to o2, its heads and tails a row of H and
+    of R, and the segments are stacked into the one uint64 product H @ U2
+    and the float R @ U2, BLOCK_CELLS // max(w, e2 + 1) segments a block.
+
+    The tail's terms are below 2**-64 * |u**g| in size, so the growth bound
+    of 2**52 keeps it below 2**-12 of a turn in size and every table entry an
     exact float; R's rounding and the two inner products of D2 + 1 and D1 +
     1 terms round it by at most (D1 + D2 + 3)u * 2**-12 < 0.04u (u = 2**-53,
     Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1) for
@@ -435,99 +437,111 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
     most u * 2**-12, and the phase hi + (lo + tail), centred within 1/2 +
     2**-11 of 0, by u/2: it is off by less than 0.55u (FLOAT_TERM_BUDGET).
     """
-    d1 = max(g1 for g1, _ in ints)
     # top[i]: the m2-degree of the down-closure of the support at m1-exponent i
-    top = [max(g2 for g1, g2 in ints if g1 >= i) for i in range(d1 + 1)]
-    n = M2 - K2
-    # a box whose cells, measured from 0, already meet the growth bound is
-    # one tile needing no shift
-    anchored = n <= BLOCK_CELLS // (d1 + 1) and _growth(top, M1, M2) <= _TAIL_GROWTH
-    h, w = (M1 - K1, n) if anchored else _tile_shape(top, M1 - K1, n)
-    if not d1 and M1 - K1 == 1 and n > 2 * w:
-        # one row needing three tiles or more: fold its first A*W cells, W = isqrt(n),
-        # into an A x W box, m2 = o + W*a + b with (a, b) the offsets of
-        # _centred, whose tiles cover far more cells (a box of one tile is
-        # centred already), and the rest into one more row; every cell is in
-        # row 0
-        W = math.isqrt(n)
-        A = n // W
-        a, b = _centred(A), _centred(W)
-        folded: Dict[Tuple[int, int], int] = {}
-        o = K2 + 1 - W * a.start - b.start
-        for j, c in enumerate(_shift(ints, 0, o, L, 0, top[0])[0]):
-            for i in range(j + 1):      # (W*a + b)**j
-                folded[i, j - i] = (folded.get((i, j - i), 0) + c * math.comb(j, i) * W**i) % L
-        for _, x, _ in _tail_phase_blocks(L, folded, a.start - 1, a.stop - 1, b.start - 1,
-                                          b.stop - 1):
-            yield [0] * len(x), x, None
-        if A * W < n:
-            yield from _tail_phase_blocks(L, ints, K1, M1, K2 + A * W, M2)
-        return
-    # tiles as (middle cell, offsets) per axis
-    if anchored:
-        bands, parts = [(0, range(K1 + 1, M1 + 1))], [(0, range(K2 + 1, M2 + 1))]
-    else:
-        bands, parts = ([(o + 1 - u.start, u) for o in range(K, M, side)
-                         for u in [_centred(min(side, M - o))]]
-                        for K, M, side in ((K1, M1, h), (K2, M2, w)))
+    top = [0] * (max(g1 for g1, _ in ints) + 1)
+    for g1, g2 in ints:
+        top[g1] = max(top[g1], g2)
+    top = list(accumulate(reversed(top), max))[::-1]
+    d1 = len(top) - 1
+    h, w = _tile_shape(top, M1 - K1, M2 - K2)
+    e2 = top[0]
+    step = max(1, BLOCK_CELLS // (e2 + 1))      # no column table passes BLOCK_CELLS
+    # the column tiles' origins by their offsets: all alike but a narrower last one
+    origins: Dict[range, List[int]] = {}
+    for o2 in range(K2, M2, w):
+        origins.setdefault(range(1, min(w, M2 - o2) + 1), []).append(o2)
+    # power tables of the offsets [1, w], at most BLOCK_CELLS entries each;
+    # a narrower tile's offsets are a prefix of them
+    full = [(a, _powers(range(a + 1, min(a + step, w) + 1), e2)) for a in range(0, w, step)]
+    for u2, o2s in origins.items():
+        tables = [U2[:, :len(u2) - a] for a, U2 in full if a < len(u2)]
+        if h:
+            for o1 in range(K1, M1, h):
+                u1 = range(1, min(h, M1 - o1) + 1)
+                c = _expand_m1(ints, o1, L, d1, e2)
+                for o2 in o2s:
+                    H, R = _split([_shift_m2(row, o2, L) for row in c], L)
+                    head = {(i, j): v for i, row in enumerate(H) for j, v in enumerate(row)}
+                    V = _joined([R @ U2 for U2 in tables])
+                    for r, t, _ in _residue_blocks(head, _WRAP, u1, u2):
+                        U1 = _powers(u1[r.start:r.stop], d1)
+                        yield range(o1 - K1 + r.start, o1 - K1 + r.stop), _phase(t, U1.T @ V), None
+            continue
+        # segments as (row offset, Q at m1, o2); no table of a block passes BLOCK_CELLS
+        segments = ((m1 - K1 - 1, row, o2) for m1 in range(K1 + 1, M1 + 1)
+                    for row in _expand_m1(ints, m1, L, 0, e2) for o2 in o2s)
+        while chunk := list(islice(segments, max(1, BLOCK_CELLS // max(len(u2), e2 + 1)))):
+            H, R = _split([_shift_m2(row, o2, L) for _, row, o2 in chunk], L)
+            H = np.array(H, dtype=np.uint64)
+            t = _joined([H @ U2.view(np.uint64) for U2 in tables])
+            yield [r for r, _, _ in chunk], _phase(t, _joined([R @ U2 for U2 in tables])), None
+
+
+def _joined(blocks: List[np.ndarray]) -> np.ndarray:
+    """The blocks side by side."""
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+
+
+def _split(coeffs: List[List[int]], L: int) -> Tuple[List[List[int]], np.ndarray]:
+    """(H, R) for rows of coefficients c mod L, each split once as 2**64 * c
+    / L = H + rho / L, H = (c << 64) // L < 2**64; R holds rho / (L * 2**64),
+    each rounded once."""
+    split = [[divmod(c << 64, L) for c in row] for row in coeffs]
     scale = L << 64
-    for o1, u1 in bands:
-        e1 = d1 if u1 != range(1) else 0    # one row at u1 = 0 keeps only exponent 0
-        for o2, u2 in parts:
-            e2 = top[0] if u2 != range(1) else 0
-            split = [[divmod(c << 64, L) for c in row] for row in _shift(ints, o1, o2, L, e1, e2)]
-            head = {(i, j): H for i, row in enumerate(split) for j, (H, _) in enumerate(row)}
-            R = np.array([[rho / scale for _, rho in row] for row in split])
-            cols = np.arange(u2.start, u2.stop, dtype=np.float64)
-            step = max(1, BLOCK_CELLS // (e2 + 1))   # no column table passes BLOCK_CELLS
-            V = np.hstack([R @ _float_powers(cols[a:a + step], e2)
-                           for a in range(0, cols.size, step)])
-            for r, t, _ in _residue_blocks(head, _WRAP, u1, u2):
-                x = (t & 2047) * 2.0**-64
-                rows = np.arange(u1.start + r.start, u1.start + r.stop, dtype=np.float64)
-                x += _float_powers(rows, e1).T @ V if e1 else V
-                x += (t.view(np.int64) >> 11) * 2.0**-53
-                r0 = o1 + u1.start - K1 - 1     # the tile's first row offset
-                yield range(r0 + r.start, r0 + r.stop), x, None
+    return ([[H for H, _ in row] for row in split],
+            np.array([[rho / scale for _, rho in row] for row in split]))
 
 
-def _centred(n: int) -> range:
-    """The offsets u of n consecutive cells from their middle cell: |u| <= n // 2."""
-    return range(-((n - 1) // 2), n - (n - 1) // 2)
+def _phase(t: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Phases in turns, centred: the uint64 head t read as signed, in units of
+    2**-64, plus the float tail, as (t >> 11) * 2**-53 + ((t & 2047) * 2**-64
+    + tail)."""
+    x = (t & 2047) * 2.0**-64
+    x += tail
+    x += (t.view(np.int64) >> 11) * 2.0**-53
+    return x
 
 
-def _float_powers(u: np.ndarray, d: int) -> np.ndarray:
-    """(d + 1) x len(u) table of u**j, exact floats while |u|**d <= 2**53."""
-    table = np.empty((d + 1, u.size))
-    table[0] = 1.0
-    for j in range(d):
-        np.multiply(table[j], u, out=table[j + 1])
+def _powers(u: range, d: int) -> np.ndarray:
+    """(d + 1) x len(u) int64 table of u**j, exact while |u|**d < 2**63 (the
+    tail's growth bound keeps it below 2**52, so it is an exact float too)."""
+    table = np.empty((d + 1, len(u)), dtype=np.int64)
+    table[0] = 1
+    if d:
+        table[1] = np.arange(u.start, u.stop)
+    for j in range(1, d):
+        np.multiply(table[j], table[1], out=table[j + 1])
     return table
 
 
-def _shift(terms: Dict[Tuple[int, int], int], o1: int, o2: int, L: int, e1: int,
-           e2: int) -> List[List[int]]:
-    """Coefficients c[i][j] of P(o1 + u1, o2 + u2) in (u1, u2) for i <= e1 and
-    j <= e2, reduced mod L: the binomial expansion of each term."""
-    if not (o1 or o2):
-        return [[terms.get((i, j), 0) % L for j in range(e2 + 1)] for i in range(e1 + 1)]
-    # o**k mod L: every k up to the degree, or with e = 0 the exponents used
-    p1, p2 = ({k: pow(o, k, L) for k in (range(max(g[a] for g in terms) + 1) if e
-                                          else {g[a] for g in terms})}
-              for a, o, e in ((0, o1, e1), (1, o2, e2)))
+def _expand_m1(terms: Dict[Tuple[int, int], int], o1: int, L: int, e1: int,
+               e2: int) -> List[List[int]]:
+    """Coefficients c[i][j] of P(o1 + u1, m2) in u1**i * m2**j for i <= e1
+    (with e1 = 0, those of P(o1, m2)), e2 the m2-degree of P: the binomial
+    expansion of each term, congruent mod L."""
     c = [[0] * (e2 + 1) for _ in range(e1 + 1)]
     for (g1, g2), a in terms.items():
-        b = [a * math.comb(g2, j) * p2[g2 - j] for j in range(min(g2, e2) + 1)]
         for i in range(min(g1, e1) + 1):
-            f, row = math.comb(g1, i) * p1[g1 - i], c[i]
-            for j, y in enumerate(b):
-                row[j] += f * y
-    return [[v % L for v in row] for row in c]
+            c[i][g2] += a * math.comb(g1, i) * pow(o1, g1 - i, L)
+    return c
+
+
+def _shift_m2(row: List[int], o2: int, L: int) -> List[int]:
+    """Coefficients of p(o2 + u2) mod L from those of p, lowest degree first:
+    synthetic division, whose pass k fixes the coefficient of u2**k."""
+    row = [v % L for v in row]
+    o2 %= L
+    n = len(row) - 1
+    for k in range(n if o2 else 0):
+        for j in range(n - 1, k - 1, -1):
+            row[j] = (row[j] + o2 * row[j + 1]) % L
+    return row
 
 
 def _growth(top: List[int], a1: int, a2: int) -> int:
     """Sum of a1**i * a2**j over the exponents (i, j) with j <= top[i]."""
-    row = {t: sum(a2**j for j in range(t + 1)) for t in set(top)}
+    # the sum of a2**j over j <= t, once per distinct t
+    row = {t: t + 1 if a2 == 1 else (a2**(t + 1) - 1) // (a2 - 1) for t in set(top)}
     total = 0
     for t in reversed(top):             # Horner in a1
         total = total * a1 + row[t]
@@ -538,45 +552,27 @@ def _tile_shape(top: List[int], n1: int, n2: int) -> Tuple[int, int]:
     """(h, w): tile sides for the tail producer on an n1 x n2 box, for a
     support whose down-closure holds the exponents (i, j) with j <= top[i].
 
-    A tile is centred on its middle cell, so its offsets u have |u1| <= h //
-    2 and |u2| <= w // 2 (_centred).  Its growth, the sum of (h // 2)**i *
-    (w // 2)**j over the down-closure (the exponents a Taylor shift can
-    reach), is at most _TAIL_GROWTH = 2**52, so a tail of terms below 2**-64
-    * |u**g| stays below 2**-12 of a turn and every power table entry is an
-    exact float.  w is at most BLOCK_CELLS // (m1-degree + 1), so a tile is
-    one column block of _residue_blocks and its vectors fit a block.  A box
-    that meets both bounds whole is one tile.  Otherwise the candidates are
-    the widest such w, its halvings while they cut the tile count, and w =
-    1, each with its tallest h and with h = 1; the cheapest wins: tiles
-    times _TILE_COST plus the coefficients _shift computes for each (a tile
-    one row high or one column wide keeps exponent 0 on that axis only).
+    A tile's growth, the sum of h**i * w**j over the down-closure (the
+    exponents a Taylor shift can reach), is at most _TAIL_GROWTH = 2**52, so
+    a tail of terms below 2**-64 * |u**g| stays below 2**-12 of a turn and
+    every power table entry is an exact float.  w is the widest whose row at
+    u1 = 0, the sum of w**j over j <= top[0], meets the bound, and at most
+    BLOCK_CELLS // (m1-degree + 1), so a tile is one column block of
+    _residue_blocks and its vectors fit a block; h is then the tallest
+    within the bound.  A tile of h <= d1 + 1 rows (d1 the m1-degree) would
+    shift (d1 + 1)(e2 + 1) coefficients, at least as many as its h rows one
+    by one: then h is 0, and the box is cut into one-row segments of width w.
     """
     def largest(n: int, growth) -> int:
         """Largest x in [1, n] whose growth(x) meets the bound (growth rises with x)."""
+        if growth(n) <= _TAIL_GROWTH:
+            return n
         return bisect_left(range(1, n + 1), True, key=lambda x: growth(x) > _TAIL_GROWTH)
 
-    def cost(h: int, w: int) -> int:
-        """Tiles times (_TILE_COST + the coefficients _shift computes per tile)."""
-        e2 = top[0] if w > 1 else 0
-        return -(-n1 // h) * -(-n2 // w) * (_TILE_COST + sum(
-            min(t, e2) + 1 for t in (top if h > 1 else top[:1])))
-
-    cap = max(1, BLOCK_CELLS // len(top))
-    if n2 <= cap and _growth(top, n1 // 2, n2 // 2) <= _TAIL_GROWTH:
-        return n1, n2
-    w = largest(min(n2, cap), lambda x: _growth(top, 0, x // 2))
-    best, tiles = None, math.inf
-    while True:
-        h = largest(n1, lambda x: _growth(top, x // 2, w // 2))
-        for c in ((cost(h, w), h, w), (cost(1, w), 1, w)):
-            if best is None or c[0] < best[0]:
-                best = c
-        if w == 1:
-            return best[1:]
-        count = -(-n1 // h) * -(-n2 // w)
-        # once halving stops cutting the tiles, only one column can cost less
-        w = (w + 1) // 2 if h < n1 and count < tiles else 1
-        tiles = count
+    w = largest(min(n2, max(1, BLOCK_CELLS // len(top))), lambda x: _growth(top, 0, x))
+    if n1 <= len(top) or _growth(top, len(top) + 1, w) > _TAIL_GROWTH:
+        return 0, w
+    return largest(n1, lambda x: _growth(top, x, w)), w
 
 
 def _result(value: complex, exact: bool, count: int) -> ExpSumValue:

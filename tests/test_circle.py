@@ -25,7 +25,7 @@ from newton_circle.complete import WorkCapExceeded, gauss_sum
 from newton_circle.expsum import double_sum
 from newton_circle.iw import IWParams
 from newton_circle.newton import build_diagram
-from newton_circle.poly import Poly2, evaluate, parse_poly, pin, scale
+from newton_circle.poly import Poly2, evaluate, parse_poly, pin, scale, transpose
 from newton_circle.suites import random_nondegenerate_poly
 
 
@@ -261,6 +261,26 @@ def test_discrete_partial_float_xi_is_the_frozen_row():
                 cells = itertools.product(range(box[0] + 1, box[1] + 1), range(box[2] + 1, box[3] + 1))
                 gap = math.tau * 2 * 2.0**-53 * abs(xi) * max(evaluate(absP, m) for m in cells)
                 assert abs(got - row.value / n) <= gap + 2 * row.error_budget / n
+
+
+def test_discrete_partial_float_xi_keeps_large_pinned_coefficients_exact():
+    # m1^64*m2 pinned at m1 = 10**6 gives N = 10**384, past 2**53 and past
+    # the largest float: xi*N stays the exact dyadic rational, the coefficient
+    # of pinning xi*P; m1*m2^2 pins to 10**6 * m2^2, rounded once.  With
+    # frozen 3**4, N = 3**256 is past 2**53 but a float would hold it rounded
+    P = parse_poly("m1^64*m2 + m1*m2^2")
+    xi = 0.1234567
+    for frozen in (10**6, 3**4):
+        for axis, Pa in ((1, P), (2, transpose(P))):
+            Q, Ms = circle._pinned(Pa, xi, 16, 24, (axis, frozen))
+            key = (0, 1) if axis == 1 else (1, 0)
+            exact = pin(scale(Pa, xi), axis, frozen).terms[key]
+            assert Q.terms[key] == Fraction(xi) * frozen**64 == exact
+            assert Q.terms[(0, 2) if axis == 1 else (2, 0)] == xi * frozen
+            got = discrete_multiplier(Pa, xi, 16, 24, 2, axis_partial=(axis, frozen))
+            box = (0, 1, 12, 24) if axis == 1 else (8, 16, 0, 1)
+            assert got == double_sum(Q, *box).value / (12 if axis == 1 else 8)
+            assert abs(got) <= 1
 
 
 def test_discrete_partial_rejects_frozen_below_one(mixed):

@@ -213,9 +213,8 @@ GOLDEN = golden_ratio_conjugate(192)
 @pytest.mark.parametrize("k, N", [(8, 3000), (6, 20000), (4, 20000)])
 def test_golden_weyl_matches_brute_force(k, N):
     # L is a 98-bit Fibonacci number; the float tail stays below 2**-12 of a
-    # turn only because the row is cut into tiles, each Taylor-shifted to its
-    # middle cell (16383 and 3617 cells at k = 4), or, needing three tiles or
-    # more, folded into a box of far larger tiles (k = 6 and 8)
+    # turn only because the row is cut into segments, each Taylor-shifted to
+    # its origin (90 cells wide at k = 8, 8192 at k = 4)
     assert expsum._tile_shape([k], 1, N)[1] < N
     xs = (GOLDEN,) * k
     got = weyl_sum(xs, N)
@@ -226,7 +225,7 @@ def test_golden_weyl_matches_brute_force(k, N):
 
 
 def test_golden_double_sum_matches_brute_force():
-    # K1, K2 > 0: the one tile is Taylor-shifted to its middle cell
+    # K1, K2 > 0: the one tile is Taylor-shifted to its origin (20, 30)
     Q = scale(parse_poly("m1^2*m2^3 + m1*m2"), GOLDEN)
     got = double_sum(Q, 20, 60, 30, 110)
     want = brute_dyadic(Q.terms, [(m1, m2) for m1 in range(21, 61) for m2 in range(31, 111)])
@@ -244,9 +243,9 @@ def _down_closure(terms):
 
 
 def _growth(terms, h, w):
-    """The growth of an h x w tile centred on its middle cell: its offsets
-    reach h // 2 and w // 2."""
-    return sum((h // 2)**i * (w // 2)**j for i, j in _down_closure(terms))
+    """The growth of an h x w tile: its offsets reach h and w (w alone for a
+    segment, whose offset u1 is 0)."""
+    return sum(h**i * w**j for i, j in _down_closure(terms))
 
 
 def _top(terms):
@@ -256,42 +255,50 @@ def _top(terms):
 
 
 _TILE_CASES = {
-    # name: (Q, box, tiles along m1 and along m2 at BLOCK_CELLS = 16384)
-    "tiles_2d": (scale(parse_poly("m1^8*m2^8 + 2*m1^3*m2 - m2^5"), GOLDEN), (7, 17, 11, 161),
-                 (2, 2)),
+    # name: (Q, box, {BLOCK_CELLS: (path, bands or rows, column tiles)}); a
+    # band of h <= m1-degree + 1 rows is cut into one-row segments
+    "tiles_2d": (scale(parse_poly("m1^7*m2^8 + 2*m1^3*m2 - m2^5"), GOLDEN), (5, 45, 7, 37),
+                 {BLOCK_CELLS: ("segments", 40, 1), 64: ("tiles", 3, 4)}),
+    "tiles_band": (scale(parse_poly("m1^6*m2^6 + m1*m2 - 3*m2^2"), GOLDEN), (9, 109, 4, 14),
+                   {BLOCK_CELLS: ("tiles", 3, 1), 64: ("tiles", 3, 2)}),
     "m2_degree_8": (scale(parse_poly("m1*m2^8 + m1^2*m2 + 3*m1"), GOLDEN), (5, 13, 9, 209),
-                    (1, 3)),
+                    {BLOCK_CELLS: ("segments", 8, 3), 64: ("tiles", 1, 10)}),
     "m1_degree_8": (scale(parse_poly("m1^8*m2 + m1*m2^2 + 3*m2"), GOLDEN), (9, 209, 5, 13),
-                    (2, 1)),
+                    {BLOCK_CELLS: ("tiles", 3, 1), 64: ("tiles", 3, 2)}),
     "wide_q": (scale(parse_poly("m1^8*m2^8 + m1*m2"), Fraction(987654321, 2**61 - 1)),
-               (0, 10, 3, 153), (2, 2)),
-    # degree 64: tiles one row high (one column wide), which keep only the
-    # m1-exponent (m2-exponent) 0 of the shifted polynomial
-    "m1_degree_64": (scale(parse_poly("m1^64*m2 + m1*m2^2"), GOLDEN), (3, 13, 5, 45), (10, 1)),
-    "m2_degree_64": (scale(parse_poly("m1*m2^64 + m1^2*m2"), GOLDEN), (2, 42, 3, 13), (1, 10)),
-    # one row without m1 that needs several tiles: folded into a 32 x 31 box
-    # plus a row of 8, and into a 30 x 30 box with no rest
-    "folded_row": (scale(parse_poly("m2^8 + 3*m2^3 - m2"), GOLDEN), (4, 5, 7, 1007), (1, 6)),
-    "folded_square": (scale(parse_poly("m2^8 + 3*m2^3 - m2"), GOLDEN), (4, 5, 7, 907), (1, 5)),
+               (0, 10, 3, 153), {BLOCK_CELLS: ("segments", 10, 2), 64: ("tiles", 1, 22)}),
+    # degree 64: segments one row each, which keep only the m1-exponent 0,
+    # and tiles one column wide
+    "m1_degree_64": (scale(parse_poly("m1^64*m2 + m1*m2^2"), GOLDEN), (3, 13, 5, 45),
+                     {BLOCK_CELLS: ("segments", 10, 1), 64: ("segments", 10, 40)}),
+    "m2_degree_64": (scale(parse_poly("m1*m2^64 + m1^2*m2"), GOLDEN), (2, 42, 3, 13),
+                     {BLOCK_CELLS: ("tiles", 1, 10), 64: ("tiles", 1, 10)}),
+    # one row without m1 over several segments
+    "long_row": (scale(parse_poly("m2^8 + 3*m2^3 - m2"), GOLDEN), (4, 5, 7, 1007),
+                 {BLOCK_CELLS: ("segments", 1, 12), 64: ("segments", 1, 16)}),
     # far from the origin: the shift reduces coordinates near 10**18 mod L
     "far_box": (scale(parse_poly("m1^2*m2^3 + m1*m2"), GOLDEN),
-                (10**15, 10**15 + 30, 10**18, 10**18 + 40), (1, 1)),
+                (10**15, 10**15 + 30, 10**18, 10**18 + 40),
+                {BLOCK_CELLS: ("tiles", 1, 1), 64: ("tiles", 1, 2)}),
 }
 
 
 @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])
 @pytest.mark.parametrize("case", list(_TILE_CASES))
 def test_tail_tiles_match_per_cell_oracle(monkeypatch, case, block_cells):
-    # boxes that need several tiles, against one Fraction phase per cell;
-    # small blocks also narrow the tiles to BLOCK_CELLS // (m1-degree + 1)
+    # boxes that need several tiles or segments, against one Fraction phase
+    # per cell; small blocks also narrow the tiles to BLOCK_CELLS //
+    # (m1-degree + 1)
     monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
     Q, (K1, M1, K2, M2), tiles = _TILE_CASES[case]
     n1, n2 = M1 - K1, M2 - K2
+    d1 = max(g1 for g1, _ in Q.terms)
     h, w = expsum._tile_shape(_top(Q.terms), n1, n2)
-    assert _growth(Q.terms, h, w) <= 2**52
-    assert w <= max(1, block_cells // (max(g1 for g1, _ in Q.terms) + 1))
-    if block_cells == BLOCK_CELLS:
-        assert (-(-n1 // h), -(-n2 // w)) == tiles
+    path = "tiles" if h > d1 + 1 else "segments"
+    assert _growth(Q.terms, h if path == "tiles" else 0, w) <= 2**52
+    assert w <= max(1, block_cells // (d1 + 1))
+    if block_cells in tiles:
+        assert (path, -(-n1 // h) if path == "tiles" else n1, -(-n2 // w)) == tiles[block_cells]
     # every cell once, in blocks of at most BLOCK_CELLS
     sizes = [x.size for _, x, _ in expsum._phase_blocks(expsum._integer_form(Q.terms), K1, M1, K2, M2)]
     assert sum(sizes) == n1 * n2 and max(sizes) <= block_cells
@@ -302,27 +309,38 @@ def test_tail_tiles_match_per_cell_oracle(monkeypatch, case, block_cells):
     assert abs(got.value - want) <= got.error_budget
 
 
-@pytest.mark.parametrize("K1, K2", [(0, 0), (5, 9)])
-def test_tail_tile_at_its_growth_bound(K1, K2):
-    # m1^51 + m2 on a 4 x 2 box (offsets up to 2 and 1): growth (1 + 2 + 4 +
-    # ... + 2**51) + 1 = 2**52 exactly, one tile; m1^51 + m2^2 adds 1 to it,
-    # so the box takes smaller tiles, each within the bound.  Both sums
-    # against one Fraction phase per cell
-    for text, growth in (("m1^51 + m2", 2**52), ("m1^51 + m2^2", 2**52 + 1)):
-        Q = scale(parse_poly(text), GOLDEN)
-        assert _growth(Q.terms, 4, 2) == growth
-        tile = expsum._tile_shape(_top(Q.terms), 4, 2)
-        assert (tile == (4, 2)) == (growth <= 2**52)
-        assert _growth(Q.terms, *tile) <= 2**52
-        got = double_sum(Q, K1, K1 + 4, K2, K2 + 2)
-        want = brute_dyadic(Q.terms, itertools.product(range(K1 + 1, K1 + 5), range(K2 + 1, K2 + 3)))
-        assert abs(got.value - want) <= got.error_budget
-    # m1 + m2 has growth 1 + h // 2 + w // 2: a box of growth 2**52 is one
-    # tile, one of 2**52 + 1 is not, and its tiles stay within the bound
-    n1 = 2**53 - 102
+def test_tail_tile_at_its_growth_bound(monkeypatch):
+    # m1*m2 has growth (1 + h)(1 + w): on one column (w = 1) a tile of
+    # 2**51 - 1 rows has growth 2**52 exactly and one of 2**51 rows 2**52 +
+    # 2, so a box of 2**51 rows takes the shorter tiles
+    assert expsum._tile_shape([1, 1], 2**51 - 1, 1) == (2**51 - 1, 1)
+    assert expsum._tile_shape([1, 1], 2**51, 1) == (2**51 - 1, 1)
+    # m1 + m2 has growth 1 + h + w: a box of growth 2**52 is one tile, one
+    # of 2**52 + 1 is not, and its tiles stay within the bound
+    n1 = 2**52 - 101
     assert expsum._tile_shape([1, 0], n1, 100) == (n1, 100)
-    h, w = expsum._tile_shape([1, 0], n1 + 2, 100)
-    assert h < n1 + 2 and 1 + h // 2 + w // 2 <= 2**52
+    h, w = expsum._tile_shape([1, 0], n1 + 1, 100)
+    assert h < n1 + 1 and 1 + h + w <= 2**52
+    # a segment's row at u1 = 0: 1 + w for m2 + m1^2, 2**52 exactly at w =
+    # 2**52 - 1 (with no cap from BLOCK_CELLS), one less than a box of 2**52
+    # columns; at m1-degree 2 a box of 3 rows or fewer takes segments (h = 0)
+    monkeypatch.setattr(expsum, "BLOCK_CELLS", 2**62)
+    assert expsum._tile_shape([1, 0, 0], 3, 2**52 - 1) == (0, 2**52 - 1)
+    assert expsum._tile_shape([1, 0, 0], 3, 2**52) == (0, 2**52 - 1)
+
+
+@pytest.mark.parametrize("K1, K2", [(0, 0), (5, 9)])
+def test_tail_segments_at_their_largest_tail(K1, K2):
+    # m2^51 + m1: segments 2 cells wide, whose row growth 1 + 2 + ... + 2**51
+    # = 2**52 - 1 is the largest any width reaches below the bound (3 cells
+    # pass it), so the float tail is near its 2**-12 of a turn; against one
+    # Fraction phase per cell
+    Q = scale(parse_poly("m2^51 + m1"), GOLDEN)
+    assert expsum._tile_shape(_top(Q.terms), 3, 7) == (0, 2)
+    assert _growth(Q.terms, 0, 2) == 2**52 - 1 < 2**52 < _growth(Q.terms, 0, 3)
+    got = double_sum(Q, K1, K1 + 3, K2, K2 + 7)
+    want = brute_dyadic(Q.terms, itertools.product(range(K1 + 1, K1 + 4), range(K2 + 1, K2 + 8)))
+    assert abs(got.value - want) <= got.error_budget
 
 
 def test_double_sum_abs_examples():
@@ -353,22 +371,22 @@ _ABS_CASES = {
     "int64_q_2_16": (scale(_ABS_P, Fraction(12345, 2**16)), (0, 11, 0, 70), "exact"),
     "dyadic": (scale(_ABS_P, 0.1234567), (2, 12, 5, 30), "exact"),
     "tail": (scale(_ABS_P, Fraction(123456789123, 2**61 - 1)), (2, 14, 1, 40), "tail"),
-    # m2-degree 8: a tail tile is 91 columns wide, so each row of 400
-    # spreads over five tiles
+    # m2-degree 8: a tail segment holds at most 90 cells, so rows of 150 wrap
     "tail_segments": (scale(parse_poly("m1*m2^8 + m1^2*m2"), Fraction(987654321, 2**61 - 1)),
-                      (0, 5, 0, 400), "tail"),
+                      (0, 5, 0, 150), "tail"),
     # columns near 10**18, far past 2**63 / L: the int64 producer reduces them first
     "guard_below": (scale(_ABS_P, Fraction(5, 4093)), (0, 6, 10**18, 10**18 + 20), "exact"),
     "guard_at": (scale(_ABS_P, Fraction(123456789, _INT64_TOP)), (0, 6, 30, 50), "exact"),
     "guard_past_tail": (scale(_ABS_P, Fraction(987654323, _INT64_TOP + 1)), (0, 6, 30, 50),
                         "tail"),
-    # one row folded into a box of 31 rows: its partials all go to row 0
-    "tail_folded_row": (scale(parse_poly("m2^8 + 3*m2^3"), Fraction(987654321, 2**61 - 1)),
-                        (4, 5, 7, 1007), "tail"),
-    # 2 x 2 tiles away from the origin: rows spread over column tiles, and
-    # the row tiles' offsets place each row's partials
-    "tail_tiles_2d": (scale(parse_poly("m1^8*m2^8 + m1*m2^2"), Fraction(987654321, 2**61 - 1)),
-                      (3, 13, 2, 152), "tail"),
+    # one row over 12 segments: its partials all go to row 0
+    "tail_long_row": (scale(parse_poly("m2^8 + 3*m2^3"), Fraction(987654321, 2**61 - 1)),
+                      (4, 5, 7, 1007), "tail"),
+    # 40 one-row segments, and at BLOCK_CELLS = 64 3 x 4 tiles away from
+    # the origin: rows spread over column tiles, and the bands' offsets
+    # place each row's partials
+    "tail_tiles_2d": (scale(parse_poly("m1^7*m2^8 + m1*m2^2"), Fraction(987654321, 2**61 - 1)),
+                      (3, 43, 2, 32), "tail"),
     "one_column": (scale(_ABS_P, Fraction(5, 4093)), (0, 9, 6, 7), "exact"),
     "one_column_wrapped": (scale(_ABS_P, 0.1234567), (0, 9, 6, 7), "exact"),
     "no_rows": (scale(_ABS_P, Fraction(5, 4093)), (3, 3, 0, 5), None),
@@ -413,7 +431,8 @@ def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
 
     def spy(name, blocks):
         def run(*args):
-            # the tail producer's head is the exact producer at L = 2**64, once a tile
+            # the tail producer's tiles run their heads through the exact
+            # producer at L = 2**64
             paths.append("head" if name == "exact" and args[1] == 1 << 64 else name)
             return blocks(*args)
         return run
@@ -423,8 +442,8 @@ def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
         m.setattr(expsum, "_tail_phase_blocks", spy("tail", expsum._tail_phase_blocks))
         got = [double_sum_abs(Q, K1, M1, K2, M2, 1),
                double_sum_abs(transpose(Q), K2, M2, K1, M1, 2)]
-    assert {p for p in paths if p != "head"} == ({path} if path else set())
-    assert ("head" in paths) == (path == "tail")
+    assert [p for p in paths if p != "head"] == ([path] * 2 if path else [])
+    assert "head" not in paths or path == "tail"
     terms = (M1 - K1) * (M2 - K2)
     want = [_per_row_oracle(Q, K1, M1, K2, M2, 1),
             _per_row_oracle(transpose(Q), K2, M2, K1, M1, 2)]
@@ -644,10 +663,9 @@ def test_split_sum_of_a_full_residue_block():
 @pytest.mark.parametrize("n", [1, expsum._SHORT_SUM, expsum._SHORT_SUM + 1, 500])
 def test_sum_e_paths_within_their_rounding(monkeypatch, n):
     # up to _SHORT_SUM terms math.fsum in Python, past it _split_sum; each
-    # against count * cos and count * sin of 2*pi*phase in 40 digits: the
-    # angle rounds by at most 8u, cos or sin adds 4 ulp (below 1), the
-    # product u and the sum 3u, per unit of count (u = 2**-53)
-    mpmath = pytest.importorskip("mpmath")
+    # against the exact sum of count * cos and count * sin of the angles
+    # 2*pi*phase that _sum_e forms: at most 4 ulp from cos or sin (below 1),
+    # u from the product and 3u from the sum, per unit of count
     split = []
     kernel = expsum._split_sum
     monkeypatch.setattr(expsum, "_split_sum", lambda *a: split.append(a) or kernel(*a))
@@ -656,10 +674,9 @@ def test_sum_e_paths_within_their_rounding(monkeypatch, n):
     counts = r.integers(1, 100, n)
     W = int(counts.sum())
     got = expsum._sum_e(phase, counts, W)
-    with mpmath.workdps(40):
-        want = [float(mpmath.fsum(int(c) * f(2 * mpmath.pi * mpmath.mpf(p))
-                                  for c, p in zip(counts, phase.tolist())))
-                for f in (mpmath.cos, mpmath.sin)]
+    angle = math.tau * phase
+    want = [float(sum(Fraction(int(c)) * Fraction(f(a)) for c, a in zip(counts, angle.tolist())))
+            for f in (math.cos, math.sin)]
     assert bool(split) == (n > expsum._SHORT_SUM)
-    assert abs(got.real - want[0]) <= 16 * W * 2.0**-53
-    assert abs(got.imag - want[1]) <= 16 * W * 2.0**-53
+    assert abs(got.real - want[0]) <= 8 * W * 2.0**-53
+    assert abs(got.imag - want[1]) <= 8 * W * 2.0**-53
