@@ -355,6 +355,33 @@ def vinogradov_diagonal(s: int, k: int, N: int) -> int:
     return sum(c * c for c in counts.values())
 
 
+def _e(turns: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*(turns mod 1)), exponentiated in place in one complex array."""
+    z = np.zeros(turns.shape, dtype=complex)
+    np.remainder(turns, 1.0, out=z.imag)
+    z.imag *= 2 * np.pi
+    return np.exp(z, out=z)
+
+
+def _table_sum(s: int, N: int, lam: np.ndarray, J: np.ndarray,
+               xi: Sequence[float]) -> complex:
+    """sum over the rows of J(lambda) e(xi.lambda), as J times the product of
+    e(xi_i * lambda_i) over the axes, lambda_i in [-s*N**i, s*N**i].  An axis
+    whose 2*s*N**i + 1 phases are at most the row count gathers them from a
+    table of e(xi_i * j), a longer one takes them on the column: besides the
+    product no step holds more than a complex column and a table no longer,
+    within the flat phase sum's float column and two complex ones."""
+    terms = J.astype(complex)
+    for i, (col, x) in enumerate(zip(lam.T, xi), start=1):
+        b = s * N**i
+        if 2 * b + 1 <= len(col):
+            # j = 0..b, then -b..-1: a negative coordinate indexes from the end
+            terms *= _e(np.r_[0:b + 1, -b:0] * x)[col]
+        else:
+            terms *= _e(col * x)
+    return complex(terms.sum())
+
+
 def moment_identity_gap(s: int, k: int, N: int, xi: Sequence[RealLike]) -> float:
     """|  |S_k(xi;N)|^(2s) - sum_lambda J(lambda) e(xi.lambda) |.
 
@@ -367,7 +394,5 @@ def moment_identity_gap(s: int, k: int, N: int, xi: Sequence[RealLike]) -> float
     ws = weyl_sum(xs, N)
     v = ws.value
     lhs = (v.real * v.real + v.imag * v.imag) ** s
-    lam, counts = _difference_table(s, k, N)
-    phases = (lam.astype(np.float64) @ np.array([float(x) for x in xs])) % 1.0
-    rhs = (counts.astype(np.float64) * np.exp(2j * np.pi * phases)).sum()
-    return abs(lhs - rhs)
+    lam, J = _difference_table(s, k, N)
+    return abs(lhs - _table_sum(s, N, lam, J, [float(x) for x in xs]))

@@ -337,62 +337,64 @@ def suite_iw(rhos: Sequence[Fraction] = (Fraction(1, 2), Fraction(1, 4)),
 # ---------------------------------------------------------------------------
 
 
-def _random_family(rng: random.Random, j0: int, top: int) -> osc.IndexedFamily:
-    return osc.IndexedFamily.of(
-        {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(j0, top)}
-    )
+# the index points 0..63 hold every interval [j0, 2**m) with m <= 6
+OSC_WIDTH = 64
 
 
-def _random_seq(rng: random.Random, j0: int, top: int) -> osc.IncreasingSequence:
-    size = rng.randint(2, min(8, top - j0))
-    pts = sorted(rng.sample(range(j0, top), size))
-    return osc.IncreasingSequence.of(pts)
+def _osc_trials(rng: random.Random, trials: int) -> tuple:
+    """The osc suite's draws as arrays over the index points 0..63, in the
+    order the trials make them: per trial an interval [j0, top) with
+    top = 2**m, two families f and g on it (zero outside), a chain of 2 to 8
+    of its points padded by repeating the last, a scalar c, and one half of
+    a random split of the interval."""
+    f = np.zeros((trials, OSC_WIDTH), dtype=complex)
+    g = np.zeros_like(f)
+    half = np.zeros(f.shape, dtype=bool)
+    j0, top = np.zeros((2, trials), dtype=np.int64)
+    chains = np.zeros((trials, 8), dtype=np.int64)
+    c = np.zeros(trials, dtype=complex)
+    for t in range(trials):
+        b = 1 << rng.randint(3, 6)
+        a = rng.randint(0, b // 2)
+        j0[t], top[t] = a, b
+        # each value is complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), and
+        # rng.uniform(-1, 1) is -1 + 2 * rng.random(): consecutive (real,
+        # imag) draws, viewed as one complex
+        for fam in (f, g):
+            draws = np.array([rng.random() for _ in range(2 * (b - a))])
+            fam[t, a:b] = (-1.0 + 2.0 * draws).view(complex)
+        pts = sorted(rng.sample(range(a, b), rng.randint(2, min(8, b - a))))
+        chains[t] = pts + pts[-1:] * (8 - len(pts))
+        c[t] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        dom = list(range(a, b))
+        rng.shuffle(dom)
+        half[t, dom[:len(dom) // 2]] = True
+    return f, g, j0, top, chains, c, half
 
 
 def suite_osc(trials: int = 500, seed: int = 13) -> List[dict]:
-    rng = random.Random(seed)
-    axiom_viol = split_viol = variation_viol = rm_viol = crude_viol = max_viol = 0
-    for _ in range(trials):
-        m = rng.randint(3, 6)
-        top = 1 << m
-        j0 = rng.randint(0, top // 2)
-        fam = _random_family(rng, j0, top)
-        gam = _random_family(rng, j0, top)
-        seq = _random_seq(rng, j0, top)
-        o_f = osc.oscillation(fam, seq)
-        o_g = osc.oscillation(gam, seq)
-        both = osc.IndexedFamily.of(
-            {t[0]: fam.values[t] + gam.values[t] for t in fam.values}
-        )
-        if osc.oscillation(both, seq) > o_f + o_g + 1e-10:
-            axiom_viol += 1
-        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        scaled = osc.IndexedFamily.of({t[0]: c * v for t, v in fam.values.items()})
-        if abs(osc.oscillation(scaled, seq) - abs(c) * o_f) > 1e-9 * (1 + abs(c)):
-            axiom_viol += 1
-        dom = list(fam.index_set)
-        rng.shuffle(dom)
-        half = len(dom) // 2
-        j1, j2 = dom[:half], dom[half:]
-        if o_f > (
-            osc.oscillation(fam, seq, subdomain=j1)
-            + osc.oscillation(fam, seq, subdomain=j2)
-            + 1e-10
-        ):
-            split_viol += 1
-        if o_f > osc.variation(fam, 2.0) + 1e-10:
-            variation_viol += 1
-        lhs, rhs = osc.rademacher_menshov_sides(fam, seq)
-        if lhs > rhs + 1e-10:
-            rm_viol += 1
-        l2 = math.sqrt(sum(abs(v) ** 2 for v in fam.values.values()))
-        if o_f > 2.0 * l2 + 1e-10:
-            crude_viol += 1
-        full_seq = osc.IncreasingSequence.of(sorted(t[0] for t in fam.index_set))
-        peak = max(abs(v) for v in fam.values.values())
-        anchor_peak = max(abs(fam.values[t]) for t in full_seq.points)
-        if peak > anchor_peak + osc.oscillation(fam, full_seq) + 1e-10:
-            max_viol += 1
+    f, g, j0, top, chains, c, half = _osc_trials(random.Random(seed), trials)
+    cols = np.arange(OSC_WIDTH)
+    dom = (j0[:, None] <= cols) & (cols < top[:, None])
+
+    def o(values, domain=dom, chain=chains):
+        return osc.oscillation_rows(values, cols[:, None], chain, domain)
+
+    count = np.count_nonzero
+    o_f = o(f)
+    axiom_viol = count(o(f + g) > o_f + o(g) + 1e-10)
+    axiom_viol += count(np.abs(o(c[:, None] * f) - np.abs(c) * o_f) > 1e-9 * (1 + np.abs(c)))
+    split_viol = count(o_f > o(f, dom & half) + o(f, dom & ~half) + 1e-10)
+    # a row's first and last values repeated out to the width leave its
+    # variation unchanged
+    edge = np.take_along_axis(f, np.clip(cols, j0[:, None], top[:, None] - 1), axis=1)
+    variation_viol = count(o_f > osc.variation_rows(edge, 2.0) + 1e-10)
+    rm_viol = count(o_f > osc.dyadic_block_rows(f, j0, top) + 1e-10)
+    crude_viol = count(o_f > 2.0 * np.sqrt((f.real**2 + f.imag**2).sum(axis=1)) + 1e-10)
+    full = np.minimum(j0[:, None] + cols, top[:, None] - 1)  # every point of the interval
+    peak = np.abs(f).max(axis=1)
+    anchor_peak = np.abs(np.take_along_axis(f, full, axis=1)).max(axis=1)
+    max_viol = count(peak > anchor_peak + o(f, chain=full) + 1e-10)
     return [
         _check("seminorm_axioms", axiom_viol, 0),
         _check("subdomain_splitting", split_viol, 0),

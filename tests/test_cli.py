@@ -1,5 +1,8 @@
 import inspect
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -265,3 +268,27 @@ def test_expsum_reports_reproducible(tmp_path):
     _, b = run(tmp_path, "expsum", "--poly", "m1^2*m2", "--xi", "3/7",
                "--m1", "30", "--m2", "11", name="b.json")
     assert a["results"] == b["results"]
+
+
+def _readme_commands():
+    """(argv, documented exit status) of each line of the README's "Command
+    line" block: 0 unless the line's comment says "exits N"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        status = re.search(r"exits (\d+)", comment)
+        out.append((shlex.split(command)[1:], int(status.group(1)) if status else 0))
+    return out
+
+
+def test_readme_commands_exit_as_documented(tmp_path, capsys):
+    # the block's average example reads f.json
+    (tmp_path / "f.json").write_text(FiniteFunction.delta(0).to_json())
+    commands = _readme_commands()
+    assert len(commands) >= 12
+    for argv, status in commands:
+        argv = [str(tmp_path / a) if a == "f.json" else a for a in argv]
+        assert run_command(argv) == status, (argv, capsys.readouterr().err)
+        capsys.readouterr()

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -593,6 +594,36 @@ def test_moment_identity_examples():
         assert gap <= 1e-9 * 16**2
     gap = moment_identity_gap(2, 2, 8, [0.511, 0.207])
     assert gap <= 1e-8 * 8**4
+
+
+@pytest.mark.parametrize("s, k, N, xi", [
+    (1, 1, 12, [0.37]),
+    (2, 2, 9, [0.511, 0.207]),
+    (3, 3, 7, [0.9, 0.13, 0.61]),
+    (1, 3, 30, [0.123, 0.456, 0.789]),  # axes 2 and 3 outgrow the 871 rows
+    (2, 3, 10, [Fraction(1, 3), 0.25, 0.777]),
+])
+def test_per_axis_phases_equal_the_flat_phase_sum(s, k, N, xi):
+    # the flat evaluation: one phase lambda . xi per row, reduced mod 1
+    lam, J = complete._difference_table(s, k, N)
+    x = np.array([float(v) for v in xi])
+    flat = (J * np.exp(2j * np.pi * ((lam.astype(np.float64) @ x) % 1.0))).sum()
+    per_axis = complete._table_sum(s, N, lam, J, x.tolist())
+    assert abs(per_axis - flat) <= 1e-12 * N ** (2 * s)  # N**(2s) = sum of J
+    assert moment_identity_gap(s, k, N, [Fraction(0)] * k) == 0.0
+
+
+def test_moment_identity_memory_stays_with_the_table():
+    # the third axis spans 2 * 300**3 + 1 = 5.4e7 phases against about 9e4
+    # rows: a table of it alone would be 864 MB
+    tracemalloc.start()
+    try:
+        gap = moment_identity_gap(1, 3, 300, [0.1234, 0.5678, 0.9012])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert gap <= 1e-9 * 300**2
 
 
 def test_envelope_row_shape():

@@ -1,16 +1,21 @@
 import math
 import random
 import re
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newton_circle import suites
 from newton_circle.osc import (
     IncreasingSequence,
     IndexedFamily,
     oscillation,
+    oscillation_rows,
     rademacher_menshov_sides,
     variation,
+    variation_rows,
 )
 
 complex_values = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
@@ -90,6 +95,41 @@ def test_oscillation_equals_box_scan(dim):
                 == _scan_oscillation(family, seq, subdomain))
 
 
+def _stacked(cases):
+    """The cases as one kernel batch: every case on the union of their index
+    points, chains padded by repeating their last index, and each case twice,
+    on its whole family and on its subdomain."""
+    points = sorted(set().union(*(family.values for family, _, _ in cases)))
+    where = {t: i for i, t in enumerate(points)}
+    width = max(len(seq.points) for _, seq, _ in cases)
+    values = np.zeros((2 * len(cases), len(points)), dtype=complex)
+    chains = np.zeros((2 * len(cases), width), dtype=np.int64)
+    domain = np.zeros(values.shape, dtype=bool)
+    for f, (family, seq, subdomain) in enumerate(cases):
+        cols = [where[t] for t in family.values]
+        chain = [where[p] for p in seq.points]
+        sub = {p if isinstance(p, tuple) else (p,) for p in subdomain} & set(family.values)
+        for row in (2 * f, 2 * f + 1):
+            values[row, cols] = list(family.values.values())
+            chains[row] = chain + chain[-1:] * (width - len(chain))
+        domain[2 * f, cols] = True
+        domain[2 * f + 1, [where[t] for t in sub]] = True
+    return values, np.array(points), chains, domain
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_oscillation_rows_equal_box_scan_in_one_batch(dim):
+    # the cases of test_oscillation_equals_box_scan, as one batch whose
+    # families share no index set: the domain masks keep them apart
+    rng = random.Random(dim)
+    cases = [_random_case(rng, dim) for _ in range(300)]
+    rows = oscillation_rows(*_stacked(cases)).tolist()
+    expected = []
+    for family, seq, subdomain in cases:
+        expected += [_scan_oscillation(family, seq), _scan_oscillation(family, seq, subdomain)]
+    assert rows == expected
+
+
 def test_variation_examples():
     assert variation(IndexedFamily.of({i: i for i in range(5)}), 1.0) == pytest.approx(4)
     assert variation(IndexedFamily.of({0: 0, 1: 1, 2: 0}), 2.0) == pytest.approx(math.sqrt(2))
@@ -104,23 +144,43 @@ def test_variation_past_the_float_range_is_a_named_error(values, rho):
         variation(IndexedFamily.of(dict(enumerate(values))), rho)
 
 
+def _enumerated_variation(vals, rho):
+    # the definition: the best rho-sum over every subsequence of 2 or more points
+    best = 0.0
+    for size in range(2, len(vals) + 1):
+        for sub in combinations(range(len(vals)), size):
+            s = sum(abs(vals[b] - vals[a]) ** rho for a, b in zip(sub, sub[1:]))
+            best = max(best, s ** (1 / rho))
+    return best
+
+
+def _random_values(rng, n):
+    return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+
+
 def test_variation_dp_matches_enumeration(rng):
     for _ in range(30):
         n = rng.randint(2, 9)
-        fam = IndexedFamily.of(
-            {i: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for i in range(n)}
-        )
+        vals = _random_values(rng, n)
+        fam = IndexedFamily.of(dict(enumerate(vals)))
         for rho in (1.0, 1.5, 2.0, 3.0):
-            dp = variation(fam, rho)
-            brute = 0.0
-            from itertools import combinations
+            assert variation(fam, rho) == pytest.approx(_enumerated_variation(vals, rho), abs=1e-9)
 
-            vals = [fam.values[(i,)] for i in range(n)]
-            for size in range(2, n + 1):
-                for sub in combinations(range(n), size):
-                    s = sum(abs(vals[b] - vals[a]) ** rho for a, b in zip(sub, sub[1:]))
-                    brute = max(brute, s ** (1 / rho))
-            assert dp == pytest.approx(brute, abs=1e-9)
+
+def test_variation_rows_match_enumeration(rng):
+    # rows of 2 to 9 points in one batch, each padded to 12 columns by
+    # repeating its first value before it and its last after it
+    families, rows = [], []
+    for _ in range(30):
+        vals = _random_values(rng, rng.randint(2, 9))
+        lead = rng.randint(0, 12 - len(vals))
+        families.append(vals)
+        rows.append([vals[0]] * lead + vals + [vals[-1]] * (12 - lead - len(vals)))
+    values = np.array(rows)
+    for rho in (1.0, 1.5, 2.0, 3.0):
+        got = variation_rows(values, rho)
+        for row, vals in zip(got, families):
+            assert row == pytest.approx(_enumerated_variation(vals, rho), abs=1e-9)
 
 
 def test_oscillation_below_variation(rng):
@@ -184,3 +244,36 @@ def test_seminorm_triangle_inequality(xs, ys):
     h = IndexedFamily.of({i: xs[i] + ys[i] for i in range(n)})
     seq = IncreasingSequence.of(list(range(n)))
     assert oscillation(h, seq) <= oscillation(f, seq) + oscillation(g, seq) + 1e-9
+
+
+def _scalar_osc_draws(rng, trials):
+    """The osc suite's draws made the scalar way, families as dicts: per
+    trial (j0, top, f, g, chain, c), then the shuffle of the index set."""
+    out = []
+    for _ in range(trials):
+        top = 1 << rng.randint(3, 6)
+        j0 = rng.randint(0, top // 2)
+        f, g = (IndexedFamily.of({k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                  for k in range(j0, top)}) for _ in range(2))
+        size = rng.randint(2, min(8, top - j0))
+        chain = IncreasingSequence.of(sorted(rng.sample(range(j0, top), size)))
+        c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        dom = list(f.values)  # the shuffle draws the same for any order
+        rng.shuffle(dom)
+        out.append((j0, top, f, g, chain, c))
+    return out
+
+
+@pytest.mark.parametrize("seed", [13, 7])
+def test_osc_suite_draws_the_scalar_inputs(seed):
+    arrays, scalar = random.Random(seed), random.Random(seed)
+    f, g, j0, top, chains, c, half = suites._osc_trials(arrays, 500)
+    for t, (a, b, fam, gam, chain, ct) in enumerate(_scalar_osc_draws(scalar, 500)):
+        assert (j0[t], top[t], c[t]) == (a, b, ct)
+        for row, family in ((f[t], fam), (g[t], gam)):
+            assert row[a:b].tolist() == [family.values[(k,)] for k in range(a, b)]
+            assert not row[:a].any() and not row[b:].any()
+        pts = [p[0] for p in chain.points]
+        assert chains[t].tolist() == pts + pts[-1:] * (8 - len(pts))
+        assert half[t].sum() == (b - a) // 2 and not half[t, :a].any() and not half[t, b:].any()
+    assert arrays.getstate() == scalar.getstate()

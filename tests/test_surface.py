@@ -99,6 +99,8 @@ KEEP_DEFAULTS = {
                                  "bench/worker.py passes them through *a",
     "character_average(tau)": "wide_phase_queries asks for truncated regions; "
                               "bench/worker.py passes them through *a",
+    "oscillation(subdomain)": "the public signature keeps it; the osc suite passes its "
+                              "subdomains to oscillation_rows as domain masks",
 }
 
 
