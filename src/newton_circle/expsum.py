@@ -10,13 +10,12 @@ int64 under the one bound ``_histogram_peak(L)`` = 65*L**2 < 2**63 (L up to
 about 3.7e8).  So no phase error accumulates however large the polynomial
 values get, and each distinct phase t/L is one correctly rounded division.
 For any other L the tail producer (``_tail_phase_blocks``) cuts the box into
-tiles of bounded growth (``_tile_shape``), Taylor-shifts Q to each tile's
-origin and splits each coefficient once as 2**64 * c / L: the integer heads
-run through the same exact producer with L = 2**64, and the fractional parts
-give a float tail below 2**-12 of a turn from per-axis power tables, so the
-phase is off by less than 2**-52 of a turn.  Tiles too short to pay for
-their shift are cut into one-row segments, each shifted alone, whose heads
-are stacked into one uint64 product with the column power table.
+tiles of bounded growth (``_tile_shape``), one row high where a taller tile
+would not pay for its shift, Taylor-shifts Q to each tile's origin and splits
+each coefficient once as 2**64 * c / L: stacked, the integer heads give exact
+uint64 phases by wraparound and the fractional parts a float tail below
+2**-12 of a turn, each in one product with the column power table, so the
+phase is off by less than 2**-52 of a turn.
 
 Two reductions read the residues of a box sum (``double_sum``,
 ``weyl_sum``), chosen by the input.  A dense box, with L at most its cell
@@ -78,8 +77,8 @@ _TAIL_GROWTH = 1 << 52
 
 # Per-term rounding error of a sum, u = 2**-53.  On the residue paths the
 # phase (in turns) is t/L rounded once, in [0, 1): off by at most u/2.  On
-# the tail path (_tail_phase_blocks) the tail is U1 @ (R @ U2), R @ U2 on a
-# segment: exact power tables and R = rho/(L*2**64), each entry rounded once,
+# the tail path (_tail_phase_blocks) the tail is U1 @ (R @ U2), R @ U2 for
+# h = 1: exact power tables and R = rho/(L*2**64), each entry rounded once,
 # in inner products of D2 + 1 and D1 + 1 terms (D1, D2 the m1- and
 # m2-degrees).  The tile growth cap of 2**52 keeps every table entry exact
 # and the terms' absolute sum below 2**-12, so the tail rounds by at most (D1
@@ -287,7 +286,7 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
     """Sums of e(Q(m1, m2)) over m2 in (K2, M2], one per row m1 in (K1, M1],
     with Q in integer form, as a complex array.
 
-    A row spread over several column blocks or tail tiles adds its
+    A row spread over several column blocks or tail column tiles adds its
     partials with math.fsum, after a stable sort of the partials by row.
     Each row sum is within (M2 - K2) * FLOAT_TERM_BUDGET of the exact one.
     """
@@ -321,9 +320,9 @@ def _block_row_sums(r, x, L):
 def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
     """Blocks of the box (K1, M1] x (K2, M2] for Q in integer form (L, ints),
     each as (r, x, L): r holds the row offsets m1 - K1 - 1 of the block's
-    rows (a range, or a list for the tail's segments), and x the phases of
-    its cells, as residues mod L (_residue_blocks) or, with L None, as float
-    turns (_tail_phase_blocks, for an L past both exact arithmetics)."""
+    rows (a range, or a list for the tail's one-row tiles), and x the phases
+    of its cells, as residues mod L (_residue_blocks) or, with L None, as
+    float turns (_tail_phase_blocks, for an L past both exact arithmetics)."""
     if M1 <= K1 or M2 <= K2:
         return iter(())
     L, ints = form
@@ -409,42 +408,32 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
     and is too wide for int64 residues mod L.
 
     The box is cut into tiles of h x w cells (_tile_shape), the cells o + u,
-    u in [1, h] x [1, w], of their origin o.  Per tile, Q is Taylor-shifted
-    exactly mod L to o (_expand_m1, then _shift_m2 on each row; a tile at
-    the origin of a box at the origin needs no shift), and each coefficient
-    c splits once as 2**64 * c / L = H + rho / L, H = (c << 64) // L < 2**64
-    (_split).  The head, sum of H * u**g mod 2**64, is the exact producer's
-    with L = 2**64 (_residue_blocks), whose uint64 wraparound keeps it exact
-    however large the polynomial gets: 2**64 times the fractional phase of
-    the H part.  The tail, sum of rho / (L * 2**64) * u**g, is the float
-    product U1 @ (R @ U2) of per-axis power tables, U1 built per block of
-    rows and U2 per slice of at most BLOCK_CELLS entries.
-
-    Where tiles would be at most d1 + 1 rows high (d1 the m1-degree; h = 0),
-    each row m1 of a column tile is a segment instead: Q at m1 (u1 = 0 keeps
-    the m1-exponent 0 only) shifted to o2, its heads and tails a row of H and
-    of R, and the segments are stacked into the one uint64 product H @ U2
-    and the float R @ U2, BLOCK_CELLS // max(w, e2 + 1) segments a block.
+    u in [0, h) x [1, w], of their origin o.  Per tile, Q is Taylor-shifted
+    exactly mod L to o (_expand_m1 up to the m1-exponent e1 = min(d1, h - 1),
+    d1 the m1-degree, then _shift_m2 on each row, none at column origin 0),
+    and each coefficient c splits once as 2**64 * c / L = H + rho / L, H =
+    (c << 64) // L < 2**64 (_split).  The split rows of the tiles of one
+    width are stacked, as many as fit BLOCK_CELLS, into two products with the
+    power table U2 of the column offsets (per slice of at most BLOCK_CELLS
+    entries): the uint64 H @ U2, whose wraparound keeps the head, sum of H *
+    u**g mod 2**64, exact however large Q gets, and the float tail R @ U2, R
+    = rho / (L * 2**64).  A one-row tile (h = 1: u1 = 0 keeps the m1-exponent
+    0 only) is its row of both; a taller tile's rows are U1.T @ (.) of both,
+    U1 the power table of its row offsets, per block of rows.
 
     The tail's terms are below 2**-64 * |u**g| in size, so the growth bound
-    of 2**52 keeps it below 2**-12 of a turn in size and every table entry an
-    exact float; R's rounding and the two inner products of D2 + 1 and D1 +
-    1 terms round it by at most (D1 + D2 + 3)u * 2**-12 < 0.04u (u = 2**-53,
-    Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1) for
-    every degree up to MAX_EXPONENT.  The head, read as a signed integer,
-    splits as hi + lo, (t >> 11) * 2**-53 in [-1/2, 1/2) and (t & 2047) *
-    2**-64, both exact floats; lo + tail, below 2**-11 in size, rounds by at
-    most u * 2**-12, and the phase hi + (lo + tail), centred within 1/2 +
-    2**-11 of 0, by u/2: it is off by less than 0.55u (FLOAT_TERM_BUDGET).
+    of 2**52 keeps it below 2**-12 of a turn and every table entry an exact
+    float; the phase, the head read as a signed integer plus the tail, is
+    centred and off by less than 0.55u (u = 2**-53; the derivation is in the
+    comment above FLOAT_TERM_BUDGET).
     """
     # top[i]: the m2-degree of the down-closure of the support at m1-exponent i
     top = [0] * (max(g1 for g1, _ in ints) + 1)
     for g1, g2 in ints:
         top[g1] = max(top[g1], g2)
     top = list(accumulate(reversed(top), max))[::-1]
-    d1 = len(top) - 1
     h, w = _tile_shape(top, M1 - K1, M2 - K2)
-    e2 = top[0]
+    e1, e2 = min(len(top) - 1, h - 1), top[0]
     step = max(1, BLOCK_CELLS // (e2 + 1))      # no column table passes BLOCK_CELLS
     # the column tiles' origins by their offsets: all alike but a narrower last one
     origins: Dict[range, List[int]] = {}
@@ -455,26 +444,25 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
     full = [(a, _powers(range(a + 1, min(a + step, w) + 1), e2)) for a in range(0, w, step)]
     for u2, o2s in origins.items():
         tables = [U2[:, :len(u2) - a] for a, U2 in full if a < len(u2)]
-        if h:
-            for o1 in range(K1, M1, h):
-                u1 = range(1, min(h, M1 - o1) + 1)
-                c = _expand_m1(ints, o1, L, d1, e2)
-                for o2 in o2s:
-                    H, R = _split([_shift_m2(row, o2, L) for row in c], L)
-                    head = {(i, j): v for i, row in enumerate(H) for j, v in enumerate(row)}
-                    V = _joined([R @ U2 for U2 in tables])
-                    for r, t, _ in _residue_blocks(head, _WRAP, u1, u2):
-                        U1 = _powers(u1[r.start:r.stop], d1)
-                        yield range(o1 - K1 + r.start, o1 - K1 + r.stop), _phase(t, U1.T @ V), None
-            continue
-        # segments as (row offset, Q at m1, o2); no table of a block passes BLOCK_CELLS
-        segments = ((m1 - K1 - 1, row, o2) for m1 in range(K1 + 1, M1 + 1)
-                    for row in _expand_m1(ints, m1, L, 0, e2) for o2 in o2s)
-        while chunk := list(islice(segments, max(1, BLOCK_CELLS // max(len(u2), e2 + 1)))):
-            H, R = _split([_shift_m2(row, o2, L) for _, row, o2 in chunk], L)
-            H = np.array(H, dtype=np.uint64)
-            t = _joined([H @ U2.view(np.uint64) for U2 in tables])
-            yield [r for r, _, _ in chunk], _phase(t, _joined([R @ U2 for U2 in tables])), None
+        height = BLOCK_CELLS // len(u2)
+        # tiles as (first row offset s, Q expanded at row K1 + 1 + s, o2); no
+        # table of a chunk passes BLOCK_CELLS
+        tiles = ((s, c, o2) for s in range(0, M1 - K1, h)
+                 for c in [_expand_m1(ints, K1 + 1 + s, L, e1, e2)] for o2 in o2s)
+        while chunk := list(islice(tiles, max(1, BLOCK_CELLS // ((e1 + 1) * max(len(u2), e2 + 1))))):
+            H, R = _split([_shift_m2(row, o2, L) for _, c, o2 in chunk for row in c], L)
+            T = _joined([H @ U2.view(np.uint64) for U2 in tables])
+            V = _joined([R @ U2 for U2 in tables])
+            if h == 1:
+                x = _phase(T, V)
+                del T, V                # let go of both before the consumer allocates
+                yield [s for s, _, _ in chunk], x, None
+            else:
+                for (s, _, _), Tk, Vk in zip(chunk, np.split(T, len(chunk)), np.split(V, len(chunk))):
+                    for a in range(s, min(s + h, M1 - K1), height):
+                        r = range(a, min(a + height, s + h, M1 - K1))
+                        U1 = _powers(range(a - s, r.stop - s), e1)
+                        yield r, _phase(U1.view(np.uint64).T @ Tk, U1.T @ Vk), None
 
 
 def _joined(blocks: List[np.ndarray]) -> np.ndarray:
@@ -482,13 +470,13 @@ def _joined(blocks: List[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
-def _split(coeffs: List[List[int]], L: int) -> Tuple[List[List[int]], np.ndarray]:
+def _split(coeffs: List[List[int]], L: int) -> Tuple[np.ndarray, np.ndarray]:
     """(H, R) for rows of coefficients c mod L, each split once as 2**64 * c
-    / L = H + rho / L, H = (c << 64) // L < 2**64; R holds rho / (L * 2**64),
-    each rounded once."""
+    / L = H + rho / L: H holds H = (c << 64) // L < 2**64 in uint64, R holds
+    rho / (L * 2**64), each rounded once."""
     split = [[divmod(c << 64, L) for c in row] for row in coeffs]
     scale = L << 64
-    return ([[H for H, _ in row] for row in split],
+    return (np.array([[H for H, _ in row] for row in split], dtype=np.uint64),
             np.array([[rho / scale for _, rho in row] for row in split]))
 
 
@@ -557,11 +545,11 @@ def _tile_shape(top: List[int], n1: int, n2: int) -> Tuple[int, int]:
     a tail of terms below 2**-64 * |u**g| stays below 2**-12 of a turn and
     every power table entry is an exact float.  w is the widest whose row at
     u1 = 0, the sum of w**j over j <= top[0], meets the bound, and at most
-    BLOCK_CELLS // (m1-degree + 1), so a tile is one column block of
-    _residue_blocks and its vectors fit a block; h is then the tallest
-    within the bound.  A tile of h <= d1 + 1 rows (d1 the m1-degree) would
+    BLOCK_CELLS // (m1-degree + 1), so the products of a tile's shifted rows
+    with its column power table fit a block; h is then the tallest within
+    the bound.  A tile of 1 < h <= d1 + 1 rows (d1 the m1-degree) would
     shift (d1 + 1)(e2 + 1) coefficients, at least as many as its h rows one
-    by one: then h is 0, and the box is cut into one-row segments of width w.
+    by one: then h is 1, and the box is cut into one-row tiles of width w.
     """
     def largest(n: int, growth) -> int:
         """Largest x in [1, n] whose growth(x) meets the bound (growth rises with x)."""
@@ -571,7 +559,7 @@ def _tile_shape(top: List[int], n1: int, n2: int) -> Tuple[int, int]:
 
     w = largest(min(n2, max(1, BLOCK_CELLS // len(top))), lambda x: _growth(top, 0, x))
     if n1 <= len(top) or _growth(top, len(top) + 1, w) > _TAIL_GROWTH:
-        return 0, w
+        return 1, w
     return largest(n1, lambda x: _growth(top, x, w)), w
 
 

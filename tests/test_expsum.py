@@ -213,8 +213,8 @@ GOLDEN = golden_ratio_conjugate(192)
 @pytest.mark.parametrize("k, N", [(8, 3000), (6, 20000), (4, 20000)])
 def test_golden_weyl_matches_brute_force(k, N):
     # L is a 98-bit Fibonacci number; the float tail stays below 2**-12 of a
-    # turn only because the row is cut into segments, each Taylor-shifted to
-    # its origin (90 cells wide at k = 8, 8192 at k = 4)
+    # turn only because the row is cut into one-row tiles, each Taylor-shifted
+    # to its origin (90 cells wide at k = 8, 8192 at k = 4)
     assert expsum._tile_shape([k], 1, N)[1] < N
     xs = (GOLDEN,) * k
     got = weyl_sum(xs, N)
@@ -244,7 +244,7 @@ def _down_closure(terms):
 
 def _growth(terms, h, w):
     """The growth of an h x w tile: its offsets reach h and w (w alone for a
-    segment, whose offset u1 is 0)."""
+    one-row tile, whose offset u1 is 0)."""
     return sum(h**i * w**j for i, j in _down_closure(terms))
 
 
@@ -256,26 +256,26 @@ def _top(terms):
 
 _TILE_CASES = {
     # name: (Q, box, {BLOCK_CELLS: (path, bands or rows, column tiles)}); a
-    # band of h <= m1-degree + 1 rows is cut into one-row segments
+    # band of h <= m1-degree + 1 rows is cut into one-row tiles (h = 1)
     "tiles_2d": (scale(parse_poly("m1^7*m2^8 + 2*m1^3*m2 - m2^5"), GOLDEN), (5, 45, 7, 37),
-                 {BLOCK_CELLS: ("segments", 40, 1), 64: ("tiles", 3, 4)}),
+                 {BLOCK_CELLS: ("rows", 40, 1), 64: ("tiles", 3, 4)}),
     "tiles_band": (scale(parse_poly("m1^6*m2^6 + m1*m2 - 3*m2^2"), GOLDEN), (9, 109, 4, 14),
                    {BLOCK_CELLS: ("tiles", 3, 1), 64: ("tiles", 3, 2)}),
     "m2_degree_8": (scale(parse_poly("m1*m2^8 + m1^2*m2 + 3*m1"), GOLDEN), (5, 13, 9, 209),
-                    {BLOCK_CELLS: ("segments", 8, 3), 64: ("tiles", 1, 10)}),
+                    {BLOCK_CELLS: ("rows", 8, 3), 64: ("tiles", 1, 10)}),
     "m1_degree_8": (scale(parse_poly("m1^8*m2 + m1*m2^2 + 3*m2"), GOLDEN), (9, 209, 5, 13),
                     {BLOCK_CELLS: ("tiles", 3, 1), 64: ("tiles", 3, 2)}),
     "wide_q": (scale(parse_poly("m1^8*m2^8 + m1*m2"), Fraction(987654321, 2**61 - 1)),
-               (0, 10, 3, 153), {BLOCK_CELLS: ("segments", 10, 2), 64: ("tiles", 1, 22)}),
-    # degree 64: segments one row each, which keep only the m1-exponent 0,
-    # and tiles one column wide
+               (0, 10, 3, 153), {BLOCK_CELLS: ("rows", 10, 2), 64: ("tiles", 1, 22)}),
+    # degree 64: one-row tiles, which keep only the m1-exponent 0, and tiles
+    # one column wide
     "m1_degree_64": (scale(parse_poly("m1^64*m2 + m1*m2^2"), GOLDEN), (3, 13, 5, 45),
-                     {BLOCK_CELLS: ("segments", 10, 1), 64: ("segments", 10, 40)}),
+                     {BLOCK_CELLS: ("rows", 10, 1), 64: ("rows", 10, 40)}),
     "m2_degree_64": (scale(parse_poly("m1*m2^64 + m1^2*m2"), GOLDEN), (2, 42, 3, 13),
                      {BLOCK_CELLS: ("tiles", 1, 10), 64: ("tiles", 1, 10)}),
-    # one row without m1 over several segments
+    # one row without m1 over several one-row tiles
     "long_row": (scale(parse_poly("m2^8 + 3*m2^3 - m2"), GOLDEN), (4, 5, 7, 1007),
-                 {BLOCK_CELLS: ("segments", 1, 12), 64: ("segments", 1, 16)}),
+                 {BLOCK_CELLS: ("rows", 1, 12), 64: ("rows", 1, 16)}),
     # far from the origin: the shift reduces coordinates near 10**18 mod L
     "far_box": (scale(parse_poly("m1^2*m2^3 + m1*m2"), GOLDEN),
                 (10**15, 10**15 + 30, 10**18, 10**18 + 40),
@@ -286,15 +286,14 @@ _TILE_CASES = {
 @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])
 @pytest.mark.parametrize("case", list(_TILE_CASES))
 def test_tail_tiles_match_per_cell_oracle(monkeypatch, case, block_cells):
-    # boxes that need several tiles or segments, against one Fraction phase
-    # per cell; small blocks also narrow the tiles to BLOCK_CELLS //
-    # (m1-degree + 1)
+    # boxes that need several tiles, against one Fraction phase per cell;
+    # small blocks also narrow the tiles to BLOCK_CELLS // (m1-degree + 1)
     monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
     Q, (K1, M1, K2, M2), tiles = _TILE_CASES[case]
     n1, n2 = M1 - K1, M2 - K2
     d1 = max(g1 for g1, _ in Q.terms)
     h, w = expsum._tile_shape(_top(Q.terms), n1, n2)
-    path = "tiles" if h > d1 + 1 else "segments"
+    path = "rows" if h == 1 else "tiles"
     assert _growth(Q.terms, h if path == "tiles" else 0, w) <= 2**52
     assert w <= max(1, block_cells // (d1 + 1))
     if block_cells in tiles:
@@ -321,22 +320,23 @@ def test_tail_tile_at_its_growth_bound(monkeypatch):
     assert expsum._tile_shape([1, 0], n1, 100) == (n1, 100)
     h, w = expsum._tile_shape([1, 0], n1 + 1, 100)
     assert h < n1 + 1 and 1 + h + w <= 2**52
-    # a segment's row at u1 = 0: 1 + w for m2 + m1^2, 2**52 exactly at w =
-    # 2**52 - 1 (with no cap from BLOCK_CELLS), one less than a box of 2**52
-    # columns; at m1-degree 2 a box of 3 rows or fewer takes segments (h = 0)
+    # a one-row tile's row at u1 = 0: 1 + w for m2 + m1^2, 2**52 exactly at
+    # w = 2**52 - 1 (with no cap from BLOCK_CELLS), one less than a box of
+    # 2**52 columns; at m1-degree 2 a box of 3 rows or fewer takes one-row
+    # tiles (h = 1)
     monkeypatch.setattr(expsum, "BLOCK_CELLS", 2**62)
-    assert expsum._tile_shape([1, 0, 0], 3, 2**52 - 1) == (0, 2**52 - 1)
-    assert expsum._tile_shape([1, 0, 0], 3, 2**52) == (0, 2**52 - 1)
+    assert expsum._tile_shape([1, 0, 0], 3, 2**52 - 1) == (1, 2**52 - 1)
+    assert expsum._tile_shape([1, 0, 0], 3, 2**52) == (1, 2**52 - 1)
 
 
 @pytest.mark.parametrize("K1, K2", [(0, 0), (5, 9)])
 def test_tail_segments_at_their_largest_tail(K1, K2):
-    # m2^51 + m1: segments 2 cells wide, whose row growth 1 + 2 + ... + 2**51
-    # = 2**52 - 1 is the largest any width reaches below the bound (3 cells
-    # pass it), so the float tail is near its 2**-12 of a turn; against one
-    # Fraction phase per cell
+    # m2^51 + m1: one-row tiles 2 cells wide, whose row growth 1 + 2 + ... +
+    # 2**51 = 2**52 - 1 is the largest any width reaches below the bound (3
+    # cells pass it), so the float tail is near its 2**-12 of a turn; against
+    # one Fraction phase per cell
     Q = scale(parse_poly("m2^51 + m1"), GOLDEN)
-    assert expsum._tile_shape(_top(Q.terms), 3, 7) == (0, 2)
+    assert expsum._tile_shape(_top(Q.terms), 3, 7) == (1, 2)
     assert _growth(Q.terms, 0, 2) == 2**52 - 1 < 2**52 < _growth(Q.terms, 0, 3)
     got = double_sum(Q, K1, K1 + 3, K2, K2 + 7)
     want = brute_dyadic(Q.terms, itertools.product(range(K1 + 1, K1 + 4), range(K2 + 1, K2 + 8)))
@@ -371,7 +371,7 @@ _ABS_CASES = {
     "int64_q_2_16": (scale(_ABS_P, Fraction(12345, 2**16)), (0, 11, 0, 70), "exact"),
     "dyadic": (scale(_ABS_P, 0.1234567), (2, 12, 5, 30), "exact"),
     "tail": (scale(_ABS_P, Fraction(123456789123, 2**61 - 1)), (2, 14, 1, 40), "tail"),
-    # m2-degree 8: a tail segment holds at most 90 cells, so rows of 150 wrap
+    # m2-degree 8: a one-row tail tile holds at most 90 cells, so rows of 150 wrap
     "tail_segments": (scale(parse_poly("m1*m2^8 + m1^2*m2"), Fraction(987654321, 2**61 - 1)),
                       (0, 5, 0, 150), "tail"),
     # columns near 10**18, far past 2**63 / L: the int64 producer reduces them first
@@ -379,14 +379,18 @@ _ABS_CASES = {
     "guard_at": (scale(_ABS_P, Fraction(123456789, _INT64_TOP)), (0, 6, 30, 50), "exact"),
     "guard_past_tail": (scale(_ABS_P, Fraction(987654323, _INT64_TOP + 1)), (0, 6, 30, 50),
                         "tail"),
-    # one row over 12 segments: its partials all go to row 0
+    # one row over 12 one-row tiles: its partials all go to row 0
     "tail_long_row": (scale(parse_poly("m2^8 + 3*m2^3"), Fraction(987654321, 2**61 - 1)),
                       (4, 5, 7, 1007), "tail"),
-    # 40 one-row segments, and at BLOCK_CELLS = 64 3 x 4 tiles away from
-    # the origin: rows spread over column tiles, and the bands' offsets
-    # place each row's partials
+    # 40 one-row tiles, and at BLOCK_CELLS = 64 3 x 4 tiles away from the
+    # origin: rows spread over column tiles, and the bands' offsets place
+    # each row's partials
     "tail_tiles_2d": (scale(parse_poly("m1^7*m2^8 + m1*m2^2"), Fraction(987654321, 2**61 - 1)),
                       (3, 43, 2, 32), "tail"),
+    # three tall tiles of 8 columns stacked into one chunk: each tile's rows
+    # go to their own offsets
+    "tail_stacked_tiles": (scale(parse_poly("m1^8*m2 + m1*m2^2"), Fraction(987654321, 2**61 - 1)),
+                           (9, 209, 5, 13), "tail"),
     "one_column": (scale(_ABS_P, Fraction(5, 4093)), (0, 9, 6, 7), "exact"),
     "one_column_wrapped": (scale(_ABS_P, 0.1234567), (0, 9, 6, 7), "exact"),
     "no_rows": (scale(_ABS_P, Fraction(5, 4093)), (3, 3, 0, 5), None),
@@ -431,9 +435,7 @@ def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
 
     def spy(name, blocks):
         def run(*args):
-            # the tail producer's tiles run their heads through the exact
-            # producer at L = 2**64
-            paths.append("head" if name == "exact" and args[1] == 1 << 64 else name)
+            paths.append(name)
             return blocks(*args)
         return run
 
@@ -442,8 +444,7 @@ def test_double_sum_abs_matches_per_row_oracle(monkeypatch, case, block_cells):
         m.setattr(expsum, "_tail_phase_blocks", spy("tail", expsum._tail_phase_blocks))
         got = [double_sum_abs(Q, K1, M1, K2, M2, 1),
                double_sum_abs(transpose(Q), K2, M2, K1, M1, 2)]
-    assert [p for p in paths if p != "head"] == ([path] * 2 if path else [])
-    assert "head" not in paths or path == "tail"
+    assert paths == ([path] * 2 if path else [])
     terms = (M1 - K1) * (M2 - K2)
     want = [_per_row_oracle(Q, K1, M1, K2, M2, 1),
             _per_row_oracle(transpose(Q), K2, M2, K1, M1, 2)]
