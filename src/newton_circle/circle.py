@@ -51,10 +51,8 @@ def _pinned(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
     integer frozen >= 1 and sets that axis's scale to 1.
 
     The integer polynomial is pinned first, in integers, and then scaled: an
-    exact xi gives the same coefficients as pinning xi*P.  A float xi rounds
-    each pinned coefficient xi*N once, to the float nearest it, while |N| <=
-    2**53 is itself a float; past that float(xi) * N would round N first (and
-    overflow past about 1.8e308), so xi*N stays the exact dyadic rational."""
+    exact xi gives the same coefficients as pinning xi*P, and a float xi
+    rounds each pinned coefficient once (poly.scale)."""
     Ms = [M1, M2]
     if axis_partial is not None:
         axis, frozen = axis_partial
@@ -62,10 +60,7 @@ def _pinned(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
             raise ValueError(f"frozen value must be a positive integer, got {frozen}")
         P = pin(P, axis, frozen)
         Ms[axis - 1] = 1
-    if is_exact(xi):
-        return scale(P, xi), Ms
-    return RealPoly2({g: float(xi) * c if abs(c) <= 1 << 53 else as_fraction(xi) * c
-                      for g, c in P.terms.items()}), Ms
+    return scale(P, xi), Ms
 
 
 def discrete_multiplier(P: Poly2, xi: RealLike, M1: RealLike, M2: RealLike,
@@ -203,14 +198,10 @@ def _panels(a: np.ndarray, lo: float, count: int) -> Tuple[np.ndarray, np.ndarra
     inverted on _GRID).  Panels that fail are halved until all pass, else
     ValueError once one is as narrow as the float spacing.
     """
-    c, h = np.array([(1.0 + lo) / 2.0]), np.array([(1.0 - lo) / 2.0])
     if count == 0:
-        return c, h, _MIDPOINT, 0.0
+        return np.array([(1.0 + lo) / 2.0]), np.array([(1.0 - lo) / 2.0]), _MIDPOINT, 0.0
     if count == 1:
-        logs = _log_bounds(a, c, h)
-        if logs[0] <= _LOG_TOL:
-            return c, h, _GAUSS, float(h[0] * math.exp(logs[0]))
-        edges = np.array([lo, c[0], 1.0])
+        edges = np.array([lo, 1.0])
     else:
         grid = lo + (1.0 - lo) * _GRID
         rise = a[-1]

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
 
-from .arith import RealLike, is_exact
+from .arith import RealLike, as_fraction, is_exact
 
 MAX_EXPONENT = 64
 
@@ -154,11 +155,16 @@ def separable(p1: UniPoly, p2: UniPoly) -> Poly2:
 
 
 def scale(P: Poly2, xi: RealLike) -> RealPoly2:
-    """The scaled polynomial xi * P; exact (rational coefficients) when xi is."""
+    """The scaled polynomial xi * P; exact (rational coefficients) when xi is.
+
+    A float xi rounds each xi*c once, to the float nearest it, while |c| <=
+    2**53 is itself a float; past that float(xi) * c would round c first (and
+    overflow past about 1.8e308), so xi*c stays the exact dyadic rational."""
     if is_exact(xi):
         x = xi if isinstance(xi, Fraction) else Fraction(xi)
         return RealPoly2({g: x * c for g, c in P.terms.items()})
-    return RealPoly2({g: float(xi) * c for g, c in P.terms.items()})
+    return RealPoly2({g: float(xi) * c if abs(c) <= 1 << 53 else as_fraction(xi) * c
+                      for g, c in P.terms.items()})
 
 
 def transpose(P: Union[Poly2, RealPoly2]) -> Union[Poly2, RealPoly2]:
@@ -188,77 +194,50 @@ def pin(P: Union[Poly2, RealPoly2], axis: int, value: int) -> Union[Poly2, RealP
 
 # ---------------------------------------------------------------------------
 # Text grammar, shared with the CLI:
-#   term  := [+|-] factor (* factor)*
+#   poly  := [+|-] term ((+|-) term)*
+#   term  := factor (* factor)*
 #   factor:= INT | m1[^INT] | m2[^INT]
-# e.g. "2*m1*m2 - m2^4".  Whitespace is insignificant; like terms merge.
+# e.g. "2*m1*m2 - m2^4".  Factors come in any order and may repeat ("2*3*m1",
+# "m1*m1*m2"), and a lone INT is a constant term.  Whitespace may stand
+# between tokens, not inside m1, m2 or an INT.  Like factors and like terms
+# merge; each exponent is capped at 64 after its factors merge.
 # ---------------------------------------------------------------------------
+
+# One factor with the whitespace around it and the '*' after it: (INT, axis,
+# exponent, star).  Where no factor stands, the first two groups are None; a
+# '^' without digits leaves the exponent "".
+_FACTOR = re.compile(r"\s*(?:(\d+)|m([12])(?:\s*\^\s*(\d*))?)?\s*(\*?)")
 
 
 def parse_poly(text: str) -> Poly2:
-    terms: Dict[ExpPair, int] = {}
-    i, n = 0, len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def parse_int(j: int) -> Tuple[int, int]:
-        start = j
-        while j < n and text[j].isdigit():
-            j += 1
-        if j == start:
-            raise PolynomialSyntaxError("expected an integer", start)
-        return int(text[start:j]), j
-
-    i = skip_ws(i)
-    if i == n:
+    if not text.strip():
         raise PolynomialSyntaxError("empty polynomial", 0)
-    first = True
-    while i < n:
-        sign = 1
-        i = skip_ws(i)
-        if i < n and text[i] in "+-":
-            sign = -1 if text[i] == "-" else 1
-            i = skip_ws(i + 1)
-        elif not first:
-            raise PolynomialSyntaxError("expected '+' or '-' between terms", i)
-        first = False
-        coeff, g1, g2 = 1, 0, 0
-        saw_factor = False
-        while True:
-            i = skip_ws(i)
-            if i < n and text[i].isdigit():
-                value, i = parse_int(i)
-                coeff *= value
-            elif text.startswith("m1", i) or text.startswith("m2", i):
-                which = text[i + 1]
-                i = skip_ws(i + 2)
-                exp = 1
-                if i < n and text[i] == "^":
-                    exp, i = parse_int(skip_ws(i + 1))
-                if which == "1":
-                    g1 += exp
-                else:
-                    g2 += exp
+    terms: Dict[ExpPair, int] = {}
+    i = len(text) - len(text.lstrip())
+    while i < len(text):
+        # text[i] is a sign, or else the first term's first factor
+        sign = -1 if text[i] == "-" else 1
+        i += text[i] in "+-"
+        coeff, g, star = 1, [0, 0], "*"
+        while star:
+            factor = _FACTOR.match(text, i)
+            digits, axis, exp, star = factor.groups()
+            if exp == "":
+                raise PolynomialSyntaxError("expected an integer", factor.start(3))
+            if digits:
+                coeff *= int(digits)
+            elif axis:
+                g[int(axis) - 1] += int(exp or 1)
             else:
-                raise PolynomialSyntaxError("expected a coefficient, m1 or m2", i)
-            saw_factor = True
-            i = skip_ws(i)
-            if i < n and text[i] == "*":
-                i += 1
-                continue
-            break
-        if not saw_factor:
-            raise PolynomialSyntaxError("empty term", i)
-        if g1 > MAX_EXPONENT or g2 > MAX_EXPONENT:
+                raise PolynomialSyntaxError("expected a coefficient, m1 or m2", factor.start(4))
+            i = factor.end()
+        if max(g) > MAX_EXPONENT:
             raise PolynomialSyntaxError(f"exponent exceeds {MAX_EXPONENT}", i)
-        key = (g1, g2)
+        key = tuple(g)
         terms[key] = terms.get(key, 0) + sign * coeff
-        i = skip_ws(i)
-        if i < n and text[i] not in "+-":
+        if i < len(text) and text[i] not in "+-":
             raise PolynomialSyntaxError("expected '+' or '-' between terms", i)
-    return Poly2({k: v for k, v in terms.items() if v != 0})
+    return Poly2(terms)
 
 
 def format_poly(P: Poly2) -> str:

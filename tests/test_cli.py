@@ -55,6 +55,11 @@ def test_expsum_double_sum(tmp_path):
     row = doc["results"][0]
     assert row["mode"] == "exact"
     assert row["re"] == pytest.approx(2.0)
+    # a coefficient past the largest float scales exactly under a float xi
+    code, doc = run(tmp_path, "expsum", "--poly", "1" + "0" * 400 + "*m1*m2", "--xi", "0.5",
+                    "--m1", "2", "--m2", "2")
+    assert code == 0
+    assert doc["results"][0]["re"] == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("axis", [1, 2])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from newton_circle.circle import discrete_multiplier
 from newton_circle.ergodic import (
     AverageSpec,
     EmptyRegionError,
@@ -107,11 +108,13 @@ def test_character_average_is_shift_average_of_character():
 
 
 def test_character_average_truncated_region():
-    P = parse_poly("m1*m2")
-    theta = Fraction(1, 4)
-    got = character_average(P, theta, 8, 8, region="truncated", tau=Fraction(2))
-    want = double_sum(scale(P, theta), 4, 8, 4, 8).value / 16
-    assert got == want
+    # a float theta scales a coefficient past 2**53 exactly, as the pinning
+    # of discrete_multiplier does, so the two agree bit for bit
+    for text, theta in (("m1*m2", Fraction(1, 4)), (f"{2**60 + 1}*m1*m2 + m2^2", 0.3)):
+        P = parse_poly(text)
+        got = character_average(P, theta, 8, 8, region="truncated", tau=Fraction(2))
+        assert got == double_sum(scale(P, theta), 4, 8, 4, 8).value / 16
+        assert got == discrete_multiplier(P, theta, 8, 8, 2)
 
 
 def test_sector_grid_non_dyadic_lacunarity():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newton_circle.poly import (
     Poly2,
@@ -60,6 +61,11 @@ def test_scale_examples():
     assert half.terms == {(1, 1): Fraction(1, 2)} and half.exact
     quarter = scale(parse_poly("m1^2*m2^3"), 0.25)
     assert quarter.terms == {(2, 3): 0.25} and not quarter.exact
+    # a float xi rounds xi*c once while |c| <= 2**53; past that, and past
+    # the largest float, xi*c stays the exact dyadic rational
+    wide = scale(Poly2({(1, 1): 2**60 + 1, (0, 2): 10**400, (0, 1): 3}), 0.3)
+    assert wide.terms == {(1, 1): Fraction(0.3) * (2**60 + 1), (0, 2): Fraction(0.3) * 10**400,
+                          (0, 1): 0.3 * 3}
 
 
 @pytest.mark.parametrize("axis", [1, 2])
@@ -109,14 +115,55 @@ def test_parse_examples():
 
 def test_parse_whitespace_and_signs():
     assert parse_poly("  - 3 * m1 ^ 2 + m2  ").terms == {(2, 0): -3, (0, 1): 1}
+    assert parse_poly("m1^ 2").terms == {(2, 0): 1}
+    # factors come in any order and may repeat; a constant is a term
     assert parse_poly("m1*m1*m2").terms == {(2, 1): 1}
+    assert parse_poly("2*3*m1").terms == {(1, 0): 6}
+    assert parse_poly("7").terms == {(0, 0): 7}
 
 
-@pytest.mark.parametrize("bad", ["", "bogus(", "m3", "m1^", "2**m1", "m1 + ", "^2"])
-def test_parse_errors_carry_position(bad):
+FACTOR = "expected a coefficient, m1 or m2"
+SIGN = "expected '+' or '-' between terms"
+PARSE_ERRORS = [
+    ("", "empty polynomial", 0),
+    ("bogus(", FACTOR, 0),
+    ("m3", FACTOR, 0),
+    ("m1^", "expected an integer", 3),
+    ("2**m1", FACTOR, 2),
+    ("m1 + ", FACTOR, 5),
+    ("^2", FACTOR, 0),
+    (" m 1", FACTOR, 1),
+    ("m1 m2", SIGN, 3),
+    ("3 4", SIGN, 2),
+    ("m1^65", "exponent exceeds 64", 5),
+    ("m1^64*m1", "exponent exceeds 64", 8),
+]
+
+
+@pytest.mark.parametrize("bad, message, position", PARSE_ERRORS,
+                         ids=[bad for bad, *_ in PARSE_ERRORS])
+def test_parse_errors_carry_position(bad, message, position):
     with pytest.raises(PolynomialSyntaxError) as err:
         parse_poly(bad)
-    assert err.value.position >= 0
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+GRAMMAR_TOKENS = ["m1", "m2", "m3", "m", "0", "7", "12", "64", "65", "^", "*", "+", "-", "x",
+                  " ", "  ", "\t"]
+PARSE_MESSAGES = {"empty polynomial", "expected an integer", FACTOR, SIGN, "exponent exceeds 64"}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=12).map("".join))
+def test_parse_accepts_or_names_the_position(text):
+    try:
+        P = parse_poly(text)
+    except PolynomialSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+        assert str(err) in {f"{m} (at position {err.position})" for m in PARSE_MESSAGES}
+    else:
+        assert parse_poly(format_poly(P)) == P
 
 
 def test_format_roundtrip(rng):
