@@ -11,7 +11,11 @@ takes one DFT of the histogram of P mod p**k:
 p**2k * G(a/p**k) = sum_t h[t] * e(a*t/p**k) for every a at once.  It does so
 only for prime powers: by the Chinese remainder theorem G(a/q) factors over
 the coprime prime-power factors of q, so max over units |G(a/q)| is the
-product of their maxima and a composite q needs no q x q table.
+product of their maxima and a composite q needs no q x q table.  A prime
+table of a monomial c*m1**a*m2**b (a, b >= 1) has a closed form in O(p)
+cells (_monomial_histogram): under a primitive root its unit cells take
+each value of c times the subgroup of e-th powers, e = gcd(a, b, p - 1),
+equally often.
 
 The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
@@ -96,6 +100,23 @@ def _complete_sum(hist: np.ndarray, W: int) -> complex:
     return _sum_e(t / hist.size, hist[t], W) / W
 
 
+def _monomial_histogram(c: int, a: int, b: int, p: int) -> np.ndarray:
+    """int64 p-bin histogram of c * m1**a * m2**b mod p over [0, p)**2, for a
+    prime p and a, b >= 1, from p - 1 cells: the 2p - 1 cells with p | m1*m2
+    go to bin 0, and the units take each value c*x**e, x = 1..p - 1, p - 1
+    times, e = gcd(a, b, p - 1) (Ireland-Rosen, ch. 8; notes/decisions.md
+    "Monomial prime tables in closed form").  p | c needs no branch: then
+    every c*x**e is 0 too, and bin 0 gets (p - 1)**2 + 2p - 1 = p**2.
+    """
+    x = np.arange(1, p, dtype=np.int64)
+    v = np.full(p - 1, c % p, dtype=np.int64)
+    for _ in range(math.gcd(a, b, p - 1)):
+        v = v * x % p
+    hist = (p - 1) * np.bincount(v, minlength=p)
+    hist[0] += 2 * p - 1
+    return hist
+
+
 def _check_work(cells: int, peak: int, what: str) -> None:
     """Raise WorkCapExceeded, before any work, unless a table of this many
     cells fits the cell cap and peak, a bound on its largest int64
@@ -135,8 +156,11 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     with (a1, a2) running over all pairs of units as a does, so a row's
     max_abs_G is the product of its prime-power maxima and its a_count is
     phi(q), the product of p**k - p**(k-1); q = 1 is the empty product.
-    Rows are cross-checkable against a per-cell evaluation of P, which
-    needs no histogram.
+    For a one-term P = c*m1**a*m2**b with a, b >= 1 a prime table is
+    _monomial_histogram's closed form, since (i, j) -> a*i + b*j covers the
+    index-gcd(a, b, p - 1) subgroup of Z/(p - 1) evenly; proper prime powers
+    and every other P take _residue_histogram.  Rows are cross-checkable
+    against a per-cell evaluation of P, which needs no histogram.
     """
     q_values = list(q_values)
     if any(q < 1 for q in q_values):
@@ -144,14 +168,21 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     q_top = max(q_values, default=1)
     _check_work(q_top * q_top, _histogram_peak(q_top),
                 f"gauss sweep needs a {q_top} x {q_top} residue table")
+    terms = list(P.terms.items())
+    monomial = len(terms) == 1 and min(terms[0][0]) >= 1
     maxima: Dict[int, float] = {}
     rows = []
     for q in q_values:
         max_abs, a_count = 1.0, 1
         for p, pk in _prime_powers(q):
             if pk not in maxima:
-                r = range(pk)
-                spectrum = np.abs(np.fft.fft(_residue_histogram(P.terms, 1, pk, r, r))) / pk**2
+                if monomial and pk == p:
+                    (a, b), c = terms[0]
+                    hist = _monomial_histogram(c, a, b, p)
+                else:
+                    r = range(pk)
+                    hist = _residue_histogram(P.terms, 1, pk, r, r)
+                spectrum = np.abs(np.fft.fft(hist)) / pk**2
                 maxima[pk] = float(spectrum[np.arange(pk) % p != 0].max())
             max_abs *= maxima[pk]
             a_count *= pk - pk // p

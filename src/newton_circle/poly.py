@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
@@ -209,6 +210,14 @@ def pin(P: Union[Poly2, RealPoly2], axis: int, value: int) -> Union[Poly2, RealP
 _FACTOR = re.compile(r"\s*(?:(\d+)|m([12])(?:\s*\^\s*(\d*))?)?\s*(\*?)")
 
 
+def _integer(factor: re.Match, group: int) -> int:
+    try:
+        return int(factor.group(group))
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise PolynomialSyntaxError(f"integer exceeds {sys.get_int_max_str_digits()} digits",
+                                    factor.start(group)) from None
+
+
 def parse_poly(text: str) -> Poly2:
     if not text.strip():
         raise PolynomialSyntaxError("empty polynomial", 0)
@@ -225,9 +234,9 @@ def parse_poly(text: str) -> Poly2:
             if exp == "":
                 raise PolynomialSyntaxError("expected an integer", factor.start(3))
             if digits:
-                coeff *= int(digits)
+                coeff *= _integer(factor, 1)
             elif axis:
-                g[int(axis) - 1] += int(exp or 1)
+                g[int(axis) - 1] += _integer(factor, 3) if exp else 1
             else:
                 raise PolynomialSyntaxError("expected a coefficient, m1 or m2", factor.start(4))
             i = factor.end()

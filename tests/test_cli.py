@@ -40,8 +40,11 @@ def test_sectors_command(tmp_path, capsys):
     assert "P(0,0)" in capsys.readouterr().err
 
 
-def test_syntax_error_exit_code():
+def test_syntax_error_exit_code(capsys):
     assert run_command(["expsum", "--poly", "bogus("]) == 2
+    # an exponent past Python's integer-string limit is a syntax error too
+    assert run_command(["expsum", "--poly", "m1^" + "1" * 4301 + "*m2"]) == 2
+    assert "integer exceeds 4300 digits (at position 3)" in capsys.readouterr().err
 
 
 def test_unknown_flag_exit_code():

@@ -284,6 +284,10 @@ def test_sweep_product_matches_direct_composite_table(index):
         assert row["a_count"] == sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
 
+def _is_prime(n):
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _is_prime_power(n):
     p = next(d for d in range(2, n + 1) if n % d == 0)
     while n % p == 0:
@@ -291,16 +295,47 @@ def _is_prime_power(n):
     return n == 1
 
 
+def _general_histogram(c, a, b, p):
+    r = range(p)
+    return complete._residue_histogram({(a, b): c}, 1, p, r, r)
+
+
+# (a, b, c, top): gcd(a, b, p - 1) > 1 for some p, a = b = 1, a negative c,
+# and c = 7 * 11 * 13, which three primes divide; p = 2 is in every range
+MONOMIALS = [(2, 3, 1, 1024), (2, 2, 7, 256), (6, 4, 3, 256), (1, 1, 1, 256),
+             (2, 3, -5, 256), (2, 3, 7 * 11 * 13, 256)]
+
+
+@pytest.mark.parametrize("a, b, c, top", MONOMIALS)
+def test_monomial_histogram_equals_general_route(monkeypatch, a, b, c, top):
+    for p in filter(_is_prime, range(2, top + 1)):
+        got = complete._monomial_histogram(c, a, b, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == _general_histogram(c, a, b, p).tolist(), p
+    P, qs = Poly2({(a, b): c}), range(1, 257)
+    rows = gauss_sum_sweep(P, qs)
+    monkeypatch.setattr(complete, "_monomial_histogram", _general_histogram)
+    assert gauss_sum_sweep(P, qs) == rows
+
+
 @pytest.fixture
 def histogram_moduli(monkeypatch):
-    """Record the modulus of every _residue_histogram call."""
-    moduli, build = [], complete._residue_histogram
+    """Record the modulus of every table built by either producer: a
+    monomial's prime tables come from _monomial_histogram, the rest from
+    _residue_histogram."""
+    moduli = []
+    residue, monomial = complete._residue_histogram, complete._monomial_histogram
 
-    def spy(terms, a, q, rows, cols):
+    def residue_spy(terms, a, q, rows, cols):
         moduli.append(q)
-        return build(terms, a, q, rows, cols)
+        return residue(terms, a, q, rows, cols)
 
-    monkeypatch.setattr(complete, "_residue_histogram", spy)
+    def monomial_spy(c, a, b, p):
+        moduli.append(p)
+        return monomial(c, a, b, p)
+
+    monkeypatch.setattr(complete, "_residue_histogram", residue_spy)
+    monkeypatch.setattr(complete, "_monomial_histogram", monomial_spy)
     return moduli
 
 

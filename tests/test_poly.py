@@ -137,11 +137,14 @@ PARSE_ERRORS = [
     ("3 4", SIGN, 2),
     ("m1^65", "exponent exceeds 64", 5),
     ("m1^64*m1", "exponent exceeds 64", 8),
+    # more digits than Python's integer-string limit (4,300 by default)
+    ("m1 - 3*" + "9" * 4301 + "*m2", "integer exceeds 4300 digits", 7),
 ]
 
 
 @pytest.mark.parametrize("bad, message, position", PARSE_ERRORS,
-                         ids=[bad for bad, *_ in PARSE_ERRORS])
+                         ids=[bad if len(bad) < 40 else f"{bad[:9]}...({len(bad)} chars)"
+                              for bad, *_ in PARSE_ERRORS])
 def test_parse_errors_carry_position(bad, message, position):
     with pytest.raises(PolynomialSyntaxError) as err:
         parse_poly(bad)
