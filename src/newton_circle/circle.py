@@ -25,7 +25,7 @@ import numpy as np
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
 from .complete import _check_work, _residue_histogram, gauss_sum, partial_gauss
 from .ergodic import EmptyRegionError
-from .expsum import _histogram_peak, double_sum
+from .expsum import BLOCK_CELLS, _e, _histogram_peak, double_sum
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
 from .poly import Poly2, RealPoly2, evaluate, pin, scale
@@ -235,8 +235,10 @@ def _level(terms: np.ndarray, Ms: Tuple[float, float], axes) -> complex:
     terms.  The axis with fewer nodes is held in full as U.T = c (M x)**g;
     the other is built per block of panels of at most 2**21 cells and 2**21
     / T nodes as V = (M y)**g, and each block takes its phase as U.T @ V,
-    reduced mod 1 (exactly) into [-1/2, 1/2] before real cos and sin of 2 pi
-    times it.  ndarray.dot has a lower fixed cost per call than @."""
+    reduced mod 1 (exactly) into [-1/2, 1/2].  Slices of the block of at most
+    BLOCK_CELLS cells, whole rows or a part of one, go through the table
+    kernel (expsum._e) and are contracted with the weights by real matvecs.
+    ndarray.dot has a lower fixed cost per call than @."""
     g, c = terms[:2], terms[2]
     small = int(len(axes[1][0]) * len(axes[1][2][0]) < len(axes[0][0]) * len(axes[0][2][0]))
     x, wx = _nodes(*axes[small])
@@ -248,8 +250,12 @@ def _level(terms: np.ndarray, Ms: Tuple[float, float], axes) -> complex:
         y, wy = _nodes(centres[i : i + block], halves[i : i + block], rule)
         phase = UT.dot((M * y) ** gb)
         phase -= np.rint(phase)
-        phase *= math.tau
-        total += complex(wx.dot(np.cos(phase).dot(wy)), wx.dot(np.sin(phase, out=phase).dot(wy)))
+        rows = max(1, BLOCK_CELLS // len(y))
+        for a in range(0, len(x), rows):
+            for b in range(0, len(y), BLOCK_CELLS):
+                z = _e(phase[a : a + rows, b : b + BLOCK_CELLS]).dot(wy[b : b + BLOCK_CELLS])
+                total += complex(*z.dot(wx[a : a + rows]))
+        del y, wy, phase                # before the next block's nodes are built
     return total
 
 
@@ -273,10 +279,13 @@ def _rule(terms: Sequence[Tuple[int, int, float]], M1: float, M2: float,
     (notes/decisions.md, "Certified quadrature"), with u = 2**-53, Phi the
     sum of |c| M1**g1 M2**g2, G the largest g1 + g2, T the number of terms
     and n the nodes of an axis: nodes off by 6u move the phase by 6u G Phi
-    turns, the terms and their sum by (G + T + 3)u Phi; the exact reduction
-    mod 1 and the angle add u turns, cos and sin 6u in modulus; the weights
-    22u per axis, the sums (n + 1) sqrt(2) u per axis and the normalisation
-    4u.  In all: 2 pi (7G + T + 4) u Phi + 2u (n + 1) per axis + 64u.
+    turns, the terms and their sum by (G + T + 3)u Phi; the reduction mod 1
+    is exact.  The table kernel (expsum._e) forms no angle and lands within
+    1.54u of e(phase) per component, 2.2u in modulus; on a slice below its
+    break-even libm's angle adds u turns and cos and sin 6u in modulus,
+    which bounds both.  The weights add 22u per axis, the sums (n + 1)
+    sqrt(2) u per axis and the normalisation 4u.  In all: 2 pi (7G + T + 4)
+    u Phi + 2u (n + 1) per axis + 64u.
     """
     sizes, degree, axes = 0.0, 0, ([0.0], [0.0])
     for g1, g2, c in terms:

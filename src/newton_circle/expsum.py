@@ -26,11 +26,18 @@ columns are counted, each weighted by the periods it stands for, and each
 distinct phase takes one cos and one sin.  A sparse box, with more bins
 than cells, sorts the residues of each block (``residue_sum``); an L past
 both exact arithmetics sums its tail phases term by term.  The row sums of
-``double_sum_abs`` take cos and sin of every cell, as their rows are short
-and their residues mostly distinct.  Phases travel in turns, and one rule
-multiplies them by 2*pi (``_sum_e``, ``_cis``); the tail producer reads its
-uint64 head as signed, so its phases come centred in [-1/2, 1/2], where cos
-and sin run faster.  Up to ``_SHORT_SUM`` terms are added
+``double_sum_abs`` take e of every cell, as their rows are short and their
+residues mostly distinct; residues with L at most a block's cells read an
+L-entry table instead, the values ``_cis`` gives them.  Phases travel in
+turns, and two routes take their cos and sin.  Sorted phases (the runs of
+``residue_sum``, the bins of a histogram) and arrays below ``_E_MIN``
+phases go through libm at 2*pi times the phase (``_cis``), whose branches
+predict well on sorted input.  Phases that come many and unsorted (tail
+phases, the cells of row sums, the nodes of ``circle``'s quadrature) go
+through the table kernel ``_e``: an exact reduction by multiples of 1/1024,
+one table entry and a short polynomial, in 0.34-0.41 of libm's time from
+8,192 phases on.  The tail producer reads its uint64 head as signed, so its
+phases come centred in [-1/2, 1/2].  Up to ``_SHORT_SUM`` terms are added
 with ``math.fsum``; longer runs by an exact split into integer and
 fractional parts (``_split_sum``), within 1 ulp of ``math.fsum``, a block
 or a slice of BLOCK_CELLS histogram bins at a time, and the partials with
@@ -88,16 +95,21 @@ _TAIL_GROWTH = 1 << 52
 # signed integer, splits as hi + lo, (t >> 11) * 2**-53 in [-1/2, 1/2) and
 # (t & 2047) * 2**-64, both exact; lo + tail, below 2**-11 in size, rounds by
 # at most u * 2**-12 and hi + (lo + tail), below 1/2 + 2**-11 in size, by
-# u/2: the phase is off by less than 0.55u, and centred.  The angle
+# u/2: the phase is off by less than 0.55u, and centred.  On libm's path
+# (_cis: sorted runs, histogram bins, arrays below _E_MIN) the angle
 # 2*pi*phase adds the rounding of the float 2*pi (off by 4u, times |phase|)
 # and of the product (half an ulp): 4u + 4u on the residue paths, 2u + 2u on
 # the centred tail phases, so with 2*pi times the phase's error the angle is
 # off by less than 12u.  cos and sin are 1-Lipschitz and add at most 4 ulp
-# of a value below 1: 16u.  Multiplying by the residue count adds u per
-# term.  Within a block (or a slice of histogram bins) _split_sum lands
-# within 1 ulp of the correctly rounded sum S, so off by at most 1.5 ulp(S)
-# <= 3u|S|, and |S| is at most the block's term count: 3u per term; a short
-# sum's math.fsum is correctly rounded, u|S|.  The fsum over the partials
+# of a value below 1: 16u.  The table kernel (_e: tail phases, row sums)
+# forms no angle: it reduces the phase exactly and lands within 1.54u of
+# e(phase) per component, and e is 2*pi-Lipschitz in turns, so with the
+# phase's error it is off by less than 2*pi * 0.55u + 1.54u < 5.1u; 16u
+# bounds both.  Multiplying by the residue count adds u per term.  Within a
+# block (or a slice of histogram bins) _split_sum lands within 1 ulp of the
+# correctly rounded sum S, so off by at most 1.5 ulp(S) <= 3u|S|, and |S| is
+# at most the block's term count: 3u per term; a short sum's math.fsum is
+# correctly rounded, u|S|.  The fsum over the partials
 # adds u: 21u per component, below sqrt(2)*21u < 30u for the complex term.
 # The budget stays at 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
@@ -144,16 +156,109 @@ def _cis(phase: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sum_e(phase: np.ndarray, weights, W: int) -> complex:
+# Entries of the table kernel _e: e(j / _E_STEPS) for j in [0, _E_STEPS).
+_E_STEPS = 1 << 10
+
+
+def _e_table() -> np.ndarray:
+    """(2, _E_STEPS) table of cos and sin of 2*pi*j/_E_STEPS: libm's on the
+    first octant, where the angle math.tau * j / _E_STEPS is off by less
+    than 0.8u (u = 2**-53), and exact symmetries elsewhere.  Every entry is
+    within u of the exact value (all of them checked against mpmath in
+    tests/test_expsum.py)."""
+    angles = [math.tau * j / _E_STEPS for j in range(_E_STEPS // 8 + 1)]
+    octant = np.array([(math.cos(a), math.sin(a)) for a in angles])
+    c, s = np.concatenate((octant, octant[-2:0:-1, ::-1])).T      # the first quarter
+    return np.array([np.concatenate((c, -s, -c, s)), np.concatenate((s, c, -s, -c))])
+
+
+_E_COS, _E_SIN = _e_table()
+
+# Taylor coefficients of cos(theta) - 1 and sin(theta) in r, theta = 2*pi*r /
+# _E_STEPS for |r| <= 1/2: the first omitted terms, theta**6/720 < 0.011u and
+# theta**7/5040 < 1e-5 u, are below the rounding (u = 2**-53).
+_E_C2 = -(math.tau / _E_STEPS) ** 2 / 2
+_E_C4 = (math.tau / _E_STEPS) ** 4 / 24
+_E_S1 = math.tau / _E_STEPS
+_E_S3 = -(math.tau / _E_STEPS) ** 3 / 6
+_E_S5 = (math.tau / _E_STEPS) ** 5 / 120
+
+# Phases below which _e takes libm (_cis), near the break-even: paired
+# kernel/libm times read 1.38 at 1,024 phases, 1.05 at 2,048, 0.79 at 3,072
+# and 0.34-0.41 from 8,192 on (numpy 2.4.6, 2-vCPU Xeon VM).
+_E_MIN = 2048
+
+# Values per slice of _e: its four scratch arrays of 64 KiB stay below
+# glibc's default mmap threshold of 128 KiB, which slices of BLOCK_CELLS pass,
+# paying for fresh pages on every call (1.5x the time at BLOCK_CELLS values).
+_E_SLICE = BLOCK_CELLS // 2
+
+
+def _e(x: np.ndarray) -> np.ndarray:
+    """cos and sin of 2*pi*x for an array x of phases in turns, |x| < 2**53,
+    stacked on a new first axis as _cis does: the kernel for phases that come
+    many and unsorted (tail phases, row sums, quadrature); below _E_MIN
+    phases, _cis.
+
+    Per slice of _E_SLICE phases: y = 1024 x and j = rint(y) are exact, so is
+    r = y - j in [-1/2, 1/2] (Sterbenz), and e(x) = e(j/1024) e(r/1024), the
+    first factor read from the table at j mod 1024 and the second cos(theta)
+    = 1 + (cos(theta) - 1) and sin(theta) from their Taylor polynomials in r
+    (|theta| <= pi/1024).  The outputs are C + (C c1 - S s) and S + (S c1 + C
+    s), with C and S the table entries, c1 = cos(theta) - 1 and s =
+    sin(theta).  With table entries within u, each component is within
+    1.0031u + 0.53u < 1.54u of e(x) (notes/decisions.md, "One table kernel
+    for unsorted phases").
+    """
+    if x.size < _E_MIN:
+        return _cis(x)
+    flat = x.reshape(-1)
+    out = np.empty((2, flat.size))
+    m = min(flat.size, _E_SLICE)
+    r, z, t, k = np.empty(m), np.empty(m), np.empty(m), np.empty(m, dtype=np.int64)
+    for a in range(0, flat.size, _E_SLICE):
+        c, s = out[0, a:a + _E_SLICE], out[1, a:a + _E_SLICE]
+        if c.size < m:
+            r, z, t, k = r[:c.size], z[:c.size], t[:c.size], k[:c.size]
+        np.multiply(flat[a:a + _E_SLICE], _E_STEPS, out=r)
+        np.rint(r, out=s)
+        r -= s
+        np.copyto(k, s, casting="unsafe")
+        k &= _E_STEPS - 1
+        np.multiply(r, r, out=z)
+        np.multiply(z, _E_S5, out=t)
+        t += _E_S3
+        t *= z
+        t += _E_S1
+        r *= t                          # sin(theta)
+        np.multiply(z, _E_C4, out=t)
+        t += _E_C2
+        z *= t                          # cos(theta) - 1
+        _E_COS.take(k, out=c, mode="clip")
+        _E_SIN.take(k, out=s, mode="clip")
+        kf = k.view(np.float64)         # the indices are read: scratch
+        np.multiply(s, r, out=t)
+        np.multiply(c, z, out=kf)
+        kf -= t
+        r *= c
+        z *= s
+        c += kf
+        z += r
+        s += z
+    return out.reshape((2,) + x.shape)
+
+
+def _sum_e(phase: np.ndarray, weights, W: int, cis=_cis) -> complex:
     """Sum of weights * e(phase) over a 1-D array of phases in turns, with sum
     |weights| <= W (weights None: each 1): term by term with math.fsum up to
-    _SHORT_SUM terms, by _split_sum past them."""
+    _SHORT_SUM terms, past them by _split_sum of cis(phase) (_cis, or _e for
+    unsorted phases)."""
     if phase.size <= _SHORT_SUM:
         a = (math.tau * phase).tolist()
         w = [1.0] * len(a) if weights is None else weights.tolist()
         return complex(math.fsum(map(mul, w, map(math.cos, a))),
                        math.fsum(map(mul, w, map(math.sin, a))))
-    z = _cis(phase)
+    z = cis(phase)
     if weights is not None:
         z *= weights
     return complex(*_split_sum(z, W).tolist())
@@ -278,8 +383,9 @@ def _histogram_sum(hist: np.ndarray, W: int) -> complex:
 
 def _block_sum(r, x, L) -> complex:
     """A sparse block's part of the box sum: its residues through their sort
-    (residue_sum), or its tail phases term by term."""
-    return residue_sum(x, L) if L else _sum_e(x.reshape(-1), None, x.size)
+    (residue_sum), or its tail phases term by term through the table kernel
+    (_e)."""
+    return residue_sum(x, L) if L else _sum_e(x.reshape(-1), None, x.size, _e)
 
 
 def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
@@ -309,11 +415,15 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
 
 def _block_row_sums(r, x, L):
     """(r, sums): a block's part of each of its rows' sums, sums[0] real and
-    sums[1] imaginary.  Every cell's phase goes through cos and sin directly
-    (_cis), and one _split_sum adds the 2*h rows of the h-row block, with W =
-    its width."""
+    sums[1] imaginary.  Residues with L at most the block's cells read e(t/L)
+    from an L-entry table, _cis(arange(L) / L), the values _cis(x / L) would
+    take; any other cell's phase goes through the table kernel (_e).  One
+    _split_sum adds the 2*h rows of the h-row block, with W = its width."""
     h, w = x.shape
-    z = _cis(x / L if L else x)
+    if L and L <= x.size:
+        z = _cis(np.arange(L) / L).take(x.view(np.int64), axis=1)
+    else:
+        z = _e(x / L if L else x)
     return r, _split_sum(z.reshape(2 * h, w), w).reshape(2, h)
 
 
@@ -483,10 +593,12 @@ def _split(coeffs: List[List[int]], L: int) -> Tuple[np.ndarray, np.ndarray]:
 def _phase(t: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Phases in turns, centred: the uint64 head t read as signed, in units of
     2**-64, plus the float tail, as (t >> 11) * 2**-53 + ((t & 2047) * 2**-64
-    + tail)."""
+    + tail).  t is shifted in place, which spares a temporary of its size."""
     x = (t & 2047) * 2.0**-64
     x += tail
-    x += (t.view(np.int64) >> 11) * 2.0**-53
+    hi = t.view(np.int64)
+    hi >>= 11
+    x += hi * 2.0**-53
     return x
 
 

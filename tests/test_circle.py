@@ -3,12 +3,14 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from newton_circle import circle, complete, ergodic, suites
+from newton_circle import circle, complete, ergodic, expsum, suites
+from newton_circle.arith import golden_ratio_conjugate
 
 from newton_circle.circle import (
     arc_classify,
@@ -438,6 +440,31 @@ def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2
         assert nodes[axis_partial[0] - 1] == 1
 
 
+def test_oracles_run_without_the_table_kernel(monkeypatch):
+    # grid-vs-direct and rule-vs-oracle checks compare two trig algorithms:
+    # the direct multiplier, residue_sum and the complex-exp oracle take libm
+    # or np.exp, never the table kernel that the checked paths take
+    def no_kernel(x):
+        raise AssertionError("the table kernel ran")
+
+    monkeypatch.setattr(expsum, "_e", no_kernel)
+    monkeypatch.setattr(circle, "_e", no_kernel)
+    P = parse_poly("m1^2*m2^3 + m1*m2")
+    direct = discrete_multiplier_direct(P, range(1, 40), 97, 64, 64, 2)
+    assert np.allclose(direct, discrete_multiplier_grid(P, 97, 64, 64, 2)[1:40], atol=1e-12)
+    residues = np.random.default_rng(3).integers(0, 10**6, 4 * expsum.BLOCK_CELLS)
+    assert abs(expsum.residue_sum(residues, 10**6)) < residues.size
+    x = np.linspace(0.5, 1.0, 200)
+    w = np.full(200, 0.5 / 200)
+    level = _complex_exp_level(_complex_exp_phase(scale(P, 0.01), 8.0, 8.0), None)
+    assert abs(level(x, w, x, w)) <= 0.25
+    # the kernel is live on the paths these oracles check
+    with pytest.raises(AssertionError, match="table kernel"):
+        continuous_multiplier(P, 0.01, 8, 8, 2)
+    with pytest.raises(AssertionError, match="table kernel"):
+        double_sum(scale(P, golden_ratio_conjugate(192)), 0, 64, 0, 64)
+
+
 @pytest.mark.parametrize("xi, M1, M2, axis_partial", [
     (2**-24, 240, 240, None),       # ROADMAP item 7: 71,000 turns along m2, 2**36 cells
     (0.7, 12, 60, (1, 60)),         # 8.2e8 turns along m2, 1 x 2**31 nodes
@@ -567,6 +594,28 @@ def test_eight_million_turn_diagonal_is_certified_quickly():
     assert time.perf_counter() - start < 3.0
     assert abs(value - _monomial_oracle(0.9 * 60**2 * 12**3, 3, 0.5)) <= bound
     assert nodes[0] == 1 and nodes[1] <= complete.WORK_CAP_CELLS
+
+
+# tracemalloc peaks of one cold call each (fresh interpreter, first call) on
+# the tree whose unsorted phases took libm's cos and sin (commit f2bc1de;
+# Python 3.11.7, numpy 2.4.6): the 8.4 M-turn partial rule and the golden
+# 1024 x 1024 character average.
+_LIBM_PEAK_BYTES = {"partial_8M_turns": 91_650_541, "golden_charavg_1024": 815_220}
+
+
+@pytest.mark.parametrize("case", list(_LIBM_PEAK_BYTES))
+def test_table_kernel_peak_memory_no_higher_than_libm(case):
+    P = parse_poly("m1^2*m2^3")
+    golden = golden_ratio_conjugate(192)
+    call = {"partial_8M_turns": lambda: continuous_multiplier(P, 0.9, 12, 12, 2, (1, 60)),
+            "golden_charavg_1024": lambda: ergodic.character_average(P, golden, 1024, 1024)}
+    tracemalloc.start()
+    try:
+        call[case]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _LIBM_PEAK_BYTES[case]
 
 
 def test_two_dimensional_rule_matches_mpmath_quad():

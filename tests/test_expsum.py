@@ -681,3 +681,107 @@ def test_sum_e_paths_within_their_rounding(monkeypatch, n):
     assert bool(split) == (n > expsum._SHORT_SUM)
     assert abs(got.real - want[0]) <= 8 * W * 2.0**-53
     assert abs(got.imag - want[1]) <= 8 * W * 2.0**-53
+
+
+U = 2.0**-53
+# Per-component bounds against e(x): the table kernel's (expsum._e) for any
+# phase, and the libm path's (expsum._cis) on phases in [-1/2, 1), where the
+# angle 2*pi*x is off by at most 8u and cos and sin add 4 ulp (the comment
+# above FLOAT_TERM_BUDGET).
+_E_BOUND = 1.54 * U
+_CIS_BOUND = 12 * U
+
+
+def _cos_sin_2pi(mp, x):
+    """cos and sin of 2*pi*x for the exact float x, each as a double-double
+    (hi, lo) array pair from mpmath."""
+    mp.mp.prec = 160
+    parts = []
+    for f in (mp.cospi, mp.sinpi):
+        v = [f(2 * mp.mpf(float(t))) for t in x.tolist()]
+        hi = [float(t) for t in v]
+        parts.append((np.array(hi), np.array([float(t - h) for t, h in zip(v, hi)])))
+    return parts
+
+
+@pytest.fixture(scope="module")
+def e_phases():
+    """(x, (cos, sin), moderate): 13,152 phases with their e(x) from mpmath,
+    and the mask of those in [-1/2, 1): random ones in [-1/2, 1), random
+    sizes up to 2**40 turns, the multiples of 1/1024 in [-1, 2) and the
+    ties halfway between them, +-0, subnormals, the least normal and +-1/2."""
+    mp = pytest.importorskip("mpmath")
+    r = np.random.default_rng(30)
+    steps = np.arange(-1024, 2048) / 1024
+    x = np.concatenate([r.uniform(-0.5, 1.0, 5000),
+                        r.uniform(-1.0, 1.0, 2000) * 2.0 ** r.integers(0, 41, 2000),
+                        steps, steps + 1 / 2048,
+                        [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.5, -0.5]])
+    return x, _cos_sin_2pi(mp, x), (x >= -0.5) & (x < 1.0)
+
+
+def _e_error(z, ref):
+    """Largest error of each component of z against double-double references."""
+    return [float(np.max(np.abs((c - hi) - lo))) for c, (hi, lo) in zip(z, ref)]
+
+
+def test_e_table_entries_within_u():
+    # the bound of _e assumes every table entry within u of the exact value
+    mp = pytest.importorskip("mpmath")
+    j = np.arange(expsum._E_STEPS) / expsum._E_STEPS
+    err = _e_error((expsum._E_COS, expsum._E_SIN), _cos_sin_2pi(mp, j))
+    assert max(err) <= U
+
+
+def test_e_within_its_bound_on_every_kind_of_phase(monkeypatch, e_phases):
+    x, ref, _ = e_phases
+    libm = []
+    cis = expsum._cis
+    monkeypatch.setattr(expsum, "_cis", lambda p: libm.append(p.size) or cis(p))
+    z = expsum._e(x)
+    assert libm == []
+    assert max(_e_error(z, ref)) <= _E_BOUND
+    # the zero phases give exactly e(0) = 1
+    assert (z[0, x == 0] == 1).all() and (z[1, x == 0] == 0).all()
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (expsum._E_MIN - 1,), (expsum._E_MIN,), (BLOCK_CELLS - 1,), (BLOCK_CELLS,),
+    (BLOCK_CELLS + 1,), (2, 1023), (3, 700), (129, 131),
+])
+def test_e_sizes_and_shapes(monkeypatch, e_phases, shape):
+    # below _E_MIN phases libm, from it the table; slices of _E_SLICE
+    x, (c, s), moderate = e_phases
+    pick = np.flatnonzero(moderate)[np.arange(math.prod(shape)) % np.count_nonzero(moderate)]
+    libm = []
+    cis = expsum._cis
+    monkeypatch.setattr(expsum, "_cis", lambda p: libm.append(p.size) or cis(p))
+    z = expsum._e(x[pick].reshape(shape))
+    assert z.shape == (2,) + shape
+    small = pick.size < expsum._E_MIN
+    assert libm == ([pick.size] if small else [])
+    ref = [(hi[pick], lo[pick]) for hi, lo in (c, s)]
+    assert max(_e_error(z.reshape(2, -1), ref)) <= (_CIS_BOUND if small else _E_BOUND)
+
+
+@pytest.mark.parametrize("dtype, L, shape", [
+    (np.int64, 60 * 70, (60, 70)),          # L = cells: the L-entry table
+    (np.int64, 60 * 70 + 1, (60, 70)),      # L = cells + 1: the table kernel
+    (np.uint64, 1 << 12, (64, 64)),         # dyadic, L = cells
+    (np.uint64, 1 << 12, (63, 65)),         # dyadic, L = cells + 1
+])
+def test_row_sums_of_exact_residues_read_an_L_entry_table(monkeypatch, dtype, L, shape):
+    h, w = shape
+    x = np.random.default_rng(L + h).integers(0, L, shape).astype(dtype)
+    kernel = []
+    e = expsum._e
+    monkeypatch.setattr(expsum, "_e", lambda p: kernel.append(p.size) or e(p))
+    r, got = expsum._block_row_sums(range(h), x, L)
+    want = expsum._split_sum(expsum._cis(x / L).reshape(2 * h, w), w).reshape(2, h)
+    assert r == range(h)
+    if L <= x.size:
+        assert kernel == []
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert kernel == [x.size]
+        assert np.max(np.abs(got - want)) <= 2 * w * FLOAT_TERM_BUDGET
