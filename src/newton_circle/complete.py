@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike
-from .expsum import _box_histogram, _histogram_peak, _sum_e, weyl_sum
+from .expsum import _box_histogram, _e, _histogram_peak, _sum_e, weyl_sum
 from .poly import Poly2, transpose
 
 WORK_CAP_CELLS = 10**8
@@ -386,30 +386,27 @@ def vinogradov_diagonal(s: int, k: int, N: int) -> int:
     return sum(c * c for c in counts.values())
 
 
-def _e(turns: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i*(turns mod 1)), exponentiated in place in one complex array."""
-    z = np.zeros(turns.shape, dtype=complex)
-    np.remainder(turns, 1.0, out=z.imag)
-    z.imag *= 2 * np.pi
-    return np.exp(z, out=z)
-
-
 def _table_sum(s: int, N: int, lam: np.ndarray, J: np.ndarray,
                xi: Sequence[float]) -> complex:
     """sum over the rows of J(lambda) e(xi.lambda), as J times the product of
     e(xi_i * lambda_i) over the axes, lambda_i in [-s*N**i, s*N**i].  An axis
     whose 2*s*N**i + 1 phases are at most the row count gathers them from a
-    table of e(xi_i * j), a longer one takes them on the column: besides the
-    product no step holds more than a complex column and a table no longer,
-    within the flat phase sum's float column and two complex ones."""
+    table of e(xi_i * j), a longer one takes them on the column, both from
+    the table kernel (expsum._e) on the phases centred exactly, which gives
+    e(0) = 1 exactly: besides the product no step holds more than a complex
+    column and a table no longer, or a float column and two complex ones."""
     terms = J.astype(complex)
     for i, (col, x) in enumerate(zip(lam.T, xi), start=1):
         b = s * N**i
-        if 2 * b + 1 <= len(col):
-            # j = 0..b, then -b..-1: a negative coordinate indexes from the end
-            terms *= _e(np.r_[0:b + 1, -b:0] * x)[col]
-        else:
-            terms *= _e(col * x)
+        table = 2 * b + 1 <= len(col)
+        # j = 0..b, then -b..-1: a negative coordinate indexes from the end
+        phase = np.r_[0:b + 1, -b:0] * x if table else col * x
+        # centred exactly: below _E_MIN phases _e takes libm, whose angle
+        # 2*pi*phase would round in proportion to the phase
+        phase -= np.rint(phase)
+        z = _e(phase).T.copy().view(complex).ravel()     # cos + i sin
+        del phase
+        terms *= z[col] if table else z
     return complex(terms.sum())
 
 

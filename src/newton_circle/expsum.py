@@ -17,34 +17,36 @@ uint64 phases by wraparound and the fractional parts a float tail below
 2**-12 of a turn, each in one product with the column power table, so the
 phase is off by less than 2**-52 of a turn.
 
-Two reductions read the residues of a box sum (``double_sum``,
+Two reductions read the phases of a box sum (``double_sum``,
 ``weyl_sum``), chosen by the input.  A dense box, with L at most its cell
 count (and at most ``HISTOGRAM_BINS``), is read from its L-bin histogram
 (``_box_histogram``, which the complete sums of ``complete`` read too): P
 mod L depends on each coordinate only mod L, so only the first L rows and
 columns are counted, each weighted by the periods it stands for, and each
-distinct phase takes one cos and one sin.  A sparse box, with more bins
-than cells, sorts the residues of each block (``residue_sum``); an L past
-both exact arithmetics sums its tail phases term by term.  The row sums of
-``double_sum_abs`` take e of every cell, as their rows are short and their
-residues mostly distinct; residues with L at most a block's cells read an
-L-entry table instead, the values ``_cis`` gives them.  Phases travel in
-turns, and two routes take their cos and sin.  Sorted phases (the runs of
-``residue_sum``, the bins of a histogram) and arrays below ``_E_MIN``
-phases go through libm at 2*pi times the phase (``_cis``), whose branches
-predict well on sorted input.  Phases that come many and unsorted (tail
-phases, the cells of row sums, the nodes of ``circle``'s quadrature) go
-through the table kernel ``_e``: an exact reduction by multiples of 1/1024,
-one table entry and a short polynomial, in 0.34-0.41 of libm's time from
-8,192 phases on.  The tail producer reads its uint64 head as signed, so its
-phases come centred in [-1/2, 1/2].  Up to ``_SHORT_SUM`` terms are added
-with ``math.fsum``; longer runs by an exact split into integer and
-fractional parts (``_split_sum``), within 1 ulp of ``math.fsum``, a block
-or a slice of BLOCK_CELLS histogram bins at a time, and the partials with
-``math.fsum``.  ``mode`` names the kind of input, exact (rational) or
-float; either way every result reports an ``error_budget`` of
-``FLOAT_TERM_BUDGET`` per term (per term of its row for a row sum) that
-bounds the rounding of the phases, the trigonometry and the summation.
+distinct phase takes one cos and one sin.  Any other box (more bins than
+cells, or an L past both exact arithmetics) is the sum of its row sums
+(``_lattice_row_sums``), the reduction ``double_sum_abs`` reads too: each
+block takes e of every cell, residues t as the phases t/L, and adds its rows.
+Row sums of residues with L at most a block's cells (``double_sum_abs``; a
+box sum meets them only past 2**52 cells) read an L-entry table instead, the
+values ``_cis`` gives them.  Phases travel in turns, and two routes take their cos and sin.
+Sorted phases (the bins of a histogram, the runs of the oracle
+``residue_sum``) and arrays below ``_E_MIN`` phases go through libm at 2*pi
+times the phase (``_cis``), whose branches predict well on sorted input.
+Phases that come many and unsorted (the cells of row sums, whether residues
+or tail phases, and the nodes of ``circle``'s quadrature) go through the
+table kernel ``_e``: an exact reduction by multiples of 1/1024, one table
+entry and a short polynomial, in 0.34-0.41 of libm's time from 8,192 phases
+on.  The tail producer reads its uint64 head as signed, so its phases come
+centred in [-1/2, 1/2].  Up to ``_SHORT_SUM`` sorted phases are added with
+``math.fsum``; longer runs, and the rows of every block, by an exact split
+into integer and fractional parts (``_split_sum``), within 1 ulp of
+``math.fsum``, a block or a slice of BLOCK_CELLS histogram bins at a time,
+and the partials with ``math.fsum``.  ``mode`` names the kind of input,
+exact (rational) or float; either way every result reports an
+``error_budget`` of ``FLOAT_TERM_BUDGET`` per term (per term of its row for
+a row sum) that bounds the rounding of the phases, the trigonometry and the
+summation.
 """
 
 from __future__ import annotations
@@ -96,22 +98,24 @@ _TAIL_GROWTH = 1 << 52
 # (t & 2047) * 2**-64, both exact; lo + tail, below 2**-11 in size, rounds by
 # at most u * 2**-12 and hi + (lo + tail), below 1/2 + 2**-11 in size, by
 # u/2: the phase is off by less than 0.55u, and centred.  On libm's path
-# (_cis: sorted runs, histogram bins, arrays below _E_MIN) the angle
+# (_cis: histogram bins, sorted runs, arrays below _E_MIN) the angle
 # 2*pi*phase adds the rounding of the float 2*pi (off by 4u, times |phase|)
 # and of the product (half an ulp): 4u + 4u on the residue paths, 2u + 2u on
 # the centred tail phases, so with 2*pi times the phase's error the angle is
 # off by less than 12u.  cos and sin are 1-Lipschitz and add at most 4 ulp
-# of a value below 1: 16u.  The table kernel (_e: tail phases, row sums)
-# forms no angle: it reduces the phase exactly and lands within 1.54u of
-# e(phase) per component, and e is 2*pi-Lipschitz in turns, so with the
-# phase's error it is off by less than 2*pi * 0.55u + 1.54u < 5.1u; 16u
-# bounds both.  Multiplying by the residue count adds u per term.  Within a
-# block (or a slice of histogram bins) _split_sum lands within 1 ulp of the
-# correctly rounded sum S, so off by at most 1.5 ulp(S) <= 3u|S|, and |S| is
-# at most the block's term count: 3u per term; a short sum's math.fsum is
-# correctly rounded, u|S|.  The fsum over the partials
-# adds u: 21u per component, below sqrt(2)*21u < 30u for the complex term.
-# The budget stays at 64u.
+# of a value below 1: 16u.  The table kernel (_e: the cells of row sums,
+# residue or tail phases) forms no angle: it reduces the phase exactly and
+# lands within 1.54u of e(phase) per component, and e is 2*pi-Lipschitz in
+# turns, so with the phase's error it is off by less than 2*pi * u/2 + 1.54u
+# < 4.7u on residue phases and 2*pi * 0.55u + 1.54u < 5.1u on tail phases;
+# 16u bounds all of them.  Multiplying a histogram bin by its count adds u
+# per term.  Within a block's row (or a slice of histogram bins) _split_sum
+# lands within 1 ulp of the correctly rounded sum S, so off by at most 1.5
+# ulp(S) <= 3u|S|, and |S| is at most its term count: 3u per term; a short
+# sum's math.fsum is correctly rounded, u|S|.  The fsum over the partials
+# adds u, and on the row-sum route the fsum over a row's partials another
+# u: 21u per component, below sqrt(2)*21u < 30u for the complex term.  The
+# budget stays at 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
@@ -128,16 +132,12 @@ class ExpSumValue:
 
 def residue_sum(residues, L: int) -> complex:
     """Sum of e(t/L) over residues t in [0, L), from a sort into runs of equal
-    residues: the reduction of a sparse box's blocks (more bins than cells),
-    and of the per-cell oracles that check the histogram (criterion 04a).
+    residues: an oracle, no box sum's path (suite_gauss and the per-cell
+    oracles of the tests, which check the histogram and the row sums).
 
-    Residues are int64 with L <= 2**53 (from the exact producer, 65*L**2 <
-    2**63), so each phase t/L rounds once; or uint64 with L dividing 2**64:
-    float(t) rounds once and the division by the power of two L is exact.
+    Residues fit int64 and L <= 2**53, so each phase t/L rounds once.
     """
-    if getattr(residues, "dtype", None) != np.uint64:
-        residues = np.asarray(residues, dtype=np.int64)
-    t = np.sort(residues, axis=None)
+    t = np.sort(np.asarray(residues, dtype=np.int64), axis=None)
     # bounds of the runs of equal residues
     edge = np.empty(t.size + 1, dtype=bool)
     edge[0] = edge[-1] = True
@@ -197,8 +197,9 @@ _E_SLICE = BLOCK_CELLS // 2
 def _e(x: np.ndarray) -> np.ndarray:
     """cos and sin of 2*pi*x for an array x of phases in turns, |x| < 2**53,
     stacked on a new first axis as _cis does: the kernel for phases that come
-    many and unsorted (tail phases, row sums, quadrature); below _E_MIN
-    phases, _cis.
+    many and unsorted (row sums, quadrature, the moment identity); below
+    _E_MIN phases, _cis, whose angle rounds in proportion to |x|, so callers
+    pass phases centred or in [0, 1).
 
     Per slice of _E_SLICE phases: y = 1024 x and j = rint(y) are exact, so is
     r = y - j in [-1/2, 1/2] (Sterbenz), and e(x) = e(j/1024) e(r/1024), the
@@ -248,19 +249,18 @@ def _e(x: np.ndarray) -> np.ndarray:
     return out.reshape((2,) + x.shape)
 
 
-def _sum_e(phase: np.ndarray, weights, W: int, cis=_cis) -> complex:
-    """Sum of weights * e(phase) over a 1-D array of phases in turns, with sum
-    |weights| <= W (weights None: each 1): term by term with math.fsum up to
-    _SHORT_SUM terms, past them by _split_sum of cis(phase) (_cis, or _e for
-    unsorted phases)."""
+def _sum_e(phase: np.ndarray, weights: np.ndarray, W: int) -> complex:
+    """Sum of weights * e(phase) over a 1-D array of sorted phases in turns
+    (histogram bins, the runs of residue_sum), with sum |weights| <= W: term
+    by term with math.fsum up to _SHORT_SUM terms, past them by _split_sum of
+    _cis(phase)."""
     if phase.size <= _SHORT_SUM:
         a = (math.tau * phase).tolist()
-        w = [1.0] * len(a) if weights is None else weights.tolist()
+        w = weights.tolist()
         return complex(math.fsum(map(mul, w, map(math.cos, a))),
                        math.fsum(map(mul, w, map(math.sin, a))))
-    z = cis(phase)
-    if weights is not None:
-        z *= weights
+    z = _cis(phase)
+    z *= weights
     return complex(*_split_sum(z, W).tolist())
 
 
@@ -309,19 +309,18 @@ def _lattice_phase_sum(form, K1: int, M1: int, K2: int, M2: int) -> complex:
     """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form
     (L, ints).  A dense box (L <= its cells, L <= HISTOGRAM_BINS, and fewer
     than 2**52 cells, the bound of _split_sum's W) is read from its L-bin
-    histogram; any other box block by block (_block_sum)."""
+    histogram; any other box is the math.fsum of its row sums
+    (_lattice_row_sums)."""
     L, ints = form
     cells = max(M1 - K1, 0) * max(M2 - K2, 0)
     if L <= min(cells, HISTOGRAM_BINS) and cells < 1 << 52:
         hist = _box_histogram(ints, L, range(K1 + 1, M1 + 1), range(K2 + 1, M2 + 1))
         return _histogram_sum(hist, cells)
-    # starmap lets go of each block before the producer builds the next
-    return _fsum_complex(starmap(_block_sum, _phase_blocks(form, K1, M1, K2, M2)))
+    return _fsum_complex(_lattice_row_sums(form, K1, M1, K2, M2).tolist())
 
 
 def _fsum_complex(parts) -> complex:
-    """The complex sum of parts, each component by math.fsum."""
-    parts = list(parts)
+    """The complex sum of a list of parts, each component by math.fsum."""
     return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
 
@@ -379,13 +378,6 @@ def _histogram_sum(hist: np.ndarray, W: int) -> complex:
         t = np.flatnonzero(hist[a:a + BLOCK_CELLS]) + a
         parts.append(_sum_e(t / L, hist[t], W))
     return parts[0] if len(parts) == 1 else _fsum_complex(parts)
-
-
-def _block_sum(r, x, L) -> complex:
-    """A sparse block's part of the box sum: its residues through their sort
-    (residue_sum), or its tail phases term by term through the table kernel
-    (_e)."""
-    return residue_sum(x, L) if L else _sum_e(x.reshape(-1), None, x.size, _e)
 
 
 def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:

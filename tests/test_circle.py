@@ -29,6 +29,7 @@ from newton_circle.iw import IWParams
 from newton_circle.newton import build_diagram
 from newton_circle.poly import Poly2, evaluate, parse_poly, pin, scale, transpose
 from newton_circle.suites import random_nondegenerate_poly
+from test_expsum import _per_cell_oracle
 
 
 @pytest.fixture(scope="module")
@@ -442,18 +443,24 @@ def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2
 
 def test_oracles_run_without_the_table_kernel(monkeypatch):
     # grid-vs-direct and rule-vs-oracle checks compare two trig algorithms:
-    # the direct multiplier, residue_sum and the complex-exp oracle take libm
-    # or np.exp, never the table kernel that the checked paths take
+    # the direct multiplier, residue_sum, the per-cell box oracle of
+    # tests/test_expsum.py and the complex-exp oracle take libm or np.exp,
+    # never the table kernel that the checked paths take
     def no_kernel(x):
         raise AssertionError("the table kernel ran")
 
-    monkeypatch.setattr(expsum, "_e", no_kernel)
-    monkeypatch.setattr(circle, "_e", no_kernel)
+    for module in (expsum, circle, complete):
+        monkeypatch.setattr(module, "_e", no_kernel)
     P = parse_poly("m1^2*m2^3 + m1*m2")
     direct = discrete_multiplier_direct(P, range(1, 40), 97, 64, 64, 2)
     assert np.allclose(direct, discrete_multiplier_grid(P, 97, 64, 64, 2)[1:40], atol=1e-12)
     residues = np.random.default_rng(3).integers(0, 10**6, 4 * expsum.BLOCK_CELLS)
     assert abs(expsum.residue_sum(residues, 10**6)) < residues.size
+    # an exact sparse box: L = 10007 above its 64 x 64 cells, one block of
+    # 4,096 >= _E_MIN cells; its oracle runs (uncached), the box sum does not
+    sparse = tuple(sorted((g, Fraction(3 * c, 10007)) for g, c in P.terms.items()))
+    assert abs(_per_cell_oracle.__wrapped__(sparse, 0, 64, 0, 64)) < 64 * 64
+    assert 64 * 64 >= expsum._E_MIN
     x = np.linspace(0.5, 1.0, 200)
     w = np.full(200, 0.5 / 200)
     level = _complex_exp_level(_complex_exp_phase(scale(P, 0.01), 8.0, 8.0), None)
@@ -463,6 +470,10 @@ def test_oracles_run_without_the_table_kernel(monkeypatch):
         continuous_multiplier(P, 0.01, 8, 8, 2)
     with pytest.raises(AssertionError, match="table kernel"):
         double_sum(scale(P, golden_ratio_conjugate(192)), 0, 64, 0, 64)
+    with pytest.raises(AssertionError, match="table kernel"):
+        double_sum(scale(P, Fraction(3, 10007)), 0, 64, 0, 64)
+    with pytest.raises(AssertionError, match="table kernel"):
+        complete.moment_identity_gap(2, 2, 6, [0.3, 0.7])
 
 
 @pytest.mark.parametrize("xi, M1, M2, axis_partial", [

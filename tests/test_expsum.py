@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -489,7 +490,7 @@ def test_double_sum_modulus_bound(m1, m2, xi):
 
 
 # ---------------------------------------------------------------------------
-# Box sums: the histogram of a dense box, the sort of a sparse one
+# Box sums: the histogram of a dense box, the row sums of a sparse one
 # ---------------------------------------------------------------------------
 
 
@@ -497,7 +498,8 @@ def test_double_sum_modulus_bound(m1, m2, xi):
 def _per_cell_oracle(terms, K1, M1, K2, M2):
     """The box sum of e(Q) for Q with these (exponent, Fraction) terms, with
     one poly.evaluate per cell in big integers and the residues summed by
-    residue_sum (a sort): no power table, no histogram, no period."""
+    residue_sum (a sort, through libm): no power table, no histogram, no
+    period, no table kernel."""
     fracs = dict(terms)
     L = math.lcm(*(f.denominator for f in fracs.values()))
     P = Poly2({g: int(f * L) for g, f in fracs.items()})
@@ -519,10 +521,10 @@ def _check_weyl(xs, N):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Spies on the box sums: "histogram" per dense box, "sort" per sparse
-    block; cells and dtypes of every block the producer yields."""
+    """Spies on the box sums: "histogram" per dense box, "blocks" per sparse
+    one (its row sums); cells and dtypes of every block the producer yields."""
     seen = {"route": [], "cells": [], "dtypes": set()}
-    hist, block, blocks = expsum._box_histogram, expsum._block_sum, expsum._residue_blocks
+    hist, rows, blocks = expsum._box_histogram, expsum._lattice_row_sums, expsum._residue_blocks
 
     def produce(*args):
         for b in blocks(*args):
@@ -532,7 +534,8 @@ def routes(monkeypatch):
 
     monkeypatch.setattr(expsum, "_box_histogram", lambda *a: seen["route"].append("histogram")
                         or hist(*a))
-    monkeypatch.setattr(expsum, "_block_sum", lambda *a: seen["route"].append("sort") or block(*a))
+    monkeypatch.setattr(expsum, "_lattice_row_sums", lambda *a: seen["route"].append("blocks")
+                        or rows(*a))
     monkeypatch.setattr(expsum, "_residue_blocks", produce)
     return seen
 
@@ -540,9 +543,9 @@ def routes(monkeypatch):
 @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7, 64])
 def test_box_route_follows_the_cell_count(monkeypatch, routes, block_cells):
     # 4 x 5 boxes and 20-term Weyl sums: L = cells - 1 and cells take the
-    # histogram, L = cells + 1 the sort
+    # histogram, L = cells + 1 the row sums
     monkeypatch.setattr(expsum, "BLOCK_CELLS", block_cells)
-    for L, route in ((19, "histogram"), (20, "histogram"), (21, "sort")):
+    for L, route in ((19, "histogram"), (20, "histogram"), (21, "blocks")):
         routes["route"].clear()
         _check_box(scale(_ABS_P, Fraction(11, L)), 2, 6, 3, 8)
         _check_weyl((Fraction(11, L), Fraction(3, L)), 20)
@@ -567,15 +570,15 @@ def test_box_histogram_counts_each_period_once(monkeypatch, routes, block_cells,
     for N in sides:                     # N = L - 1 < L is a sparse box
         routes["route"].clear()
         _check_weyl((Fraction(5, L), Fraction(3, L)), N)
-        assert set(routes["route"]) == {"histogram" if N >= L else "sort"}
+        assert set(routes["route"]) == {"histogram" if N >= L else "blocks"}
     assert routes["dtypes"] == {np.dtype(np.int64 if L == 7 else np.uint64)}
 
 
 def test_box_route_at_the_bin_cap(monkeypatch, routes):
     # a 7 x 9 box with the cap at 40 bins: L = cap is read from its
-    # histogram, L = cap + 1 sorted
+    # histogram, L = cap + 1 by its row sums
     monkeypatch.setattr(expsum, "HISTOGRAM_BINS", 40)
-    for L, route in ((40, "histogram"), (41, "sort")):
+    for L, route in ((40, "histogram"), (41, "blocks")):
         routes["route"].clear()
         _check_box(scale(_ABS_P, Fraction(11, L)), 1, 8, 2, 11)
         assert set(routes["route"]) == {route}
@@ -584,12 +587,42 @@ def test_box_route_at_the_bin_cap(monkeypatch, routes):
 def test_weyl_sum_at_the_real_bin_cap(routes):
     # sum over n <= L of e(a*n/L) is exactly 0 for a coprime to L: at L =
     # HISTOGRAM_BINS = N the box is read from its histogram, one bin more
-    # and it is sorted block by block
-    for L, route in ((HISTOGRAM_BINS, "histogram"), (HISTOGRAM_BINS + 1, "sort")):
+    # and it is summed block by block
+    for L, route in ((HISTOGRAM_BINS, "histogram"), (HISTOGRAM_BINS + 1, "blocks")):
         routes["route"].clear()
         v = weyl_sum((Fraction(12345, L),), L)
         assert abs(v.value) <= v.error_budget
         assert set(routes["route"]) == {route}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_sparse_box_within_budget_of_mpmath(monkeypatch, dtype):
+    # a seeded polynomial with L above the 170 x 64 box's 10,880 cells: int64
+    # residues for L in (cells, 10**8), uint64 for L a power of two up to
+    # 2**64.  With blocks of 4,096 cells the box is three blocks of 4,096,
+    # 4,096 and 2,688 cells, each past _E_MIN, so every cell's phase t/L
+    # goes through the table kernel; against e(t/L) summed in mpmath at 30
+    # digits over the residues of one big-integer evaluation per cell
+    mp = pytest.importorskip("mpmath")
+    rnd = random.Random(31 + (dtype is np.uint64))
+    L = 2 ** rnd.randint(14, 64) if dtype is np.uint64 else rnd.randrange(10**6, 10**8)
+    P = Poly2({(rnd.randint(0, 3), rnd.randint(1, 3)): rnd.randrange(1, L) for _ in range(4)})
+    Q = RealPoly2({g: Fraction(c, L) for g, c in P.terms.items()})
+    K1, M1, K2, M2 = 7, 177, 3, 67
+    monkeypatch.setattr(expsum, "BLOCK_CELLS", 4096)
+    blocks, kernel = [], []
+    produce, e = expsum._residue_blocks, expsum._e
+    monkeypatch.setattr(expsum, "_residue_blocks", lambda *a: (
+        blocks.append((b[1].size, b[1].dtype)) or b for b in produce(*a)))
+    monkeypatch.setattr(expsum, "_e", lambda x: kernel.append(x.size) or e(x))
+    got = double_sum(Q, K1, M1, K2, M2)
+    assert expsum._integer_form(Q.terms)[0] == L > got.term_count
+    assert blocks == [(4096, dtype), (4096, dtype), (2688, dtype)]
+    assert kernel == [4096, 4096, 2688] and min(kernel) > expsum._E_MIN
+    mp.mp.dps = 30
+    want = mp.fsum(mp.expjpi(mp.mpf(2 * (evaluate(P, (m1, m2)) % L)) / L)
+                   for m1 in range(K1 + 1, M1 + 1) for m2 in range(K2 + 1, M2 + 1))
+    assert abs(got.value - complex(want)) <= got.error_budget
 
 
 # ---------------------------------------------------------------------------
