@@ -19,13 +19,13 @@ equally often.
 
 The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
-C(N+s-1, s) lattice points (multisets of size s).  Each convolution step
-u + x and the difference table lambda = u - v merge all pairs of two point
-sets with one kernel, _pair_reduce.  The mixed-radix code of a lattice point
-is linear, so the pair codes are one outer sum or difference of per-point
-codes; each code is packed above its weight c_u * c_v in one int64 and a
-single np.sort groups equal points.  When the packed value could reach 2**63
-the pair rows go to the older sort-reduce (argsort of the code, or
+C(N+s-1, s) lattice points (multisets of size s), cached as arrays.  The
+mixed-radix code of a lattice point is linear, so the pair codes of each
+convolution step u + x (_pair_reduce) are one outer sum of per-point codes,
+and those of the difference table lambda = u - v only the positive half
+(_difference_reduce; J is even).  Each is packed above its weight in one
+int64 and a single np.sort groups equal points.  When the packed value could
+reach 2**63 all pairs go to the older sort-reduce (argsort of the code, or
 np.lexsort when the code alone would not fit).  Work guards raise
 WorkCapExceeded before allocating when a table would exceed the configured
 cell cap or when a count or coordinate could overflow int64, so nothing is
@@ -248,21 +248,23 @@ def _check_params(s: int, k: int, N: int, table: bool = False) -> None:
         )
 
 
+def _radix(s: int, N: int, k: int) -> Tuple[List[int], List[int], int]:
+    """(bounds s*N**i, places, span) of the mixed radix 2*s*N**i + 1 of k
+    coordinates; coordinate i (from 1) lies in [-s*N**i, s*N**i]."""
+    bounds = [s * N**i for i in range(1, k + 1)]
+    places = [math.prod(2 * b + 1 for b in bounds[i + 1:]) for i in range(k)]
+    return bounds, places, places[0] * (2 * bounds[0] + 1)
+
+
 def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
                  N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of the (n, k) int64 array ``keys`` with their summed weights.
-
-    The fallback of _pair_reduce, for tables whose packed sort would not fit
-    in int64.  Coordinate i (from 1) must lie in [-s*N**i, s*N**i].  Rows
-    come back in lexicographic order: sorted by one mixed-radix int64 code
-    (argsort, then gathers) when the k radices 2*s*N**i + 1 multiply to less
-    than 2**63, by np.lexsort over the columns otherwise.
-    """
-    bounds = [s * N**i for i in range(1, keys.shape[1] + 1)]
-    if math.prod(2 * b + 1 for b in bounds) < INT64_LIMIT:
-        code = np.zeros(len(keys), dtype=np.int64)
-        for col, b in zip(keys.T, bounds):
-            code = code * (2 * b + 1) + (col + b)
+    """Distinct rows of the (n, k) int64 array ``keys``, coordinate i (from 1)
+    in [-s*N**i, s*N**i], with their summed weights, in lexicographic order:
+    the fallback of the packed reductions, by argsort of the int64 code while
+    the span is below 2**63, by np.lexsort over the columns past it."""
+    bounds, places, span = _radix(s, N, keys.shape[1])
+    if span < INT64_LIMIT:
+        code = (keys + bounds) @ places
         order = np.argsort(code)
         code = code[order]
         new_run = code[1:] != code[:-1]
@@ -274,42 +276,60 @@ def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
     return keys[order[starts]], np.add.reduceat(weights[order], starts)
 
 
-def _pair_reduce(op: np.ufunc, a: np.ndarray, wa: np.ndarray, b: np.ndarray,
-                 wb: np.ndarray, s: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of op(a[i], b[j]) over all pairs (i, j), op np.add or
-    np.subtract, with the summed weights wa[i] * wb[j], in lexicographic order.
-
-    Coordinate i (from 1) of every op(a[i], b[j]) must lie in
-    [-s*N**i, s*N**i], and that of every a[i] and b[j] in [0, s*N**i].  The
-    mixed-radix code of a row, sum of (row_i + s*N**i) * place_i over the
-    radices 2*s*N**i + 1, is linear, so the n*m pair codes are one outer op
-    of the per-point codes and no (n*m, k) array is formed.  When the radix
-    product shifted left by the bit length of the largest weight product is
-    below 2**63, each code is packed above its weight and one in-place
-    np.sort orders the pairs: no argsort and no gather.  Otherwise the pair
-    rows go to _sort_reduce.
-    """
-    k = a.shape[1]
-    bounds = [s * N**i for i in range(1, k + 1)]
-    places = [math.prod(2 * c + 1 for c in bounds[i + 1:]) for i in range(k)]
-    bits = (int(wa.max()) * int(wb.max())).bit_length()
-    if math.prod(2 * c + 1 for c in bounds) << bits >= INT64_LIMIT:
-        keys = op(a[:, None, :], b[None, :, :]).reshape(-1, k)
-        return _sort_reduce(keys, np.multiply.outer(wa, wb).ravel(), s, N)
-    offset = sum(c * p for c, p in zip(bounds, places))  # the code of row 0
-    place = np.array(places, dtype=np.int64)
-    packed = op.outer((a @ place + offset) << bits, (b @ place) << bits).ravel()
-    packed |= np.multiply.outer(wa, wb).ravel()
+def _packed_reduce(packed: np.ndarray, bits: int, bounds: List[int],
+                   places: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows x with summed weights, in lexicographic order, of int64
+    values C(x) << bits | weight, C(x) = sum x_i * place_i: one in-place
+    np.sort, then np.divmod decodes C(x) + C(bounds) digit by digit."""
     packed.sort()
     code = packed >> bits
     packed &= (1 << bits) - 1  # the weights, in code order
     starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-    code = code[starts]
-    keys = np.empty((len(starts), k), dtype=np.int64)
-    for i, (c, p) in enumerate(zip(bounds, places)):
+    code = code[starts] + sum(b * p for b, p in zip(bounds, places))
+    keys = np.empty((len(starts), len(bounds)), dtype=np.int64)
+    for i, (b, p) in enumerate(zip(bounds, places)):
         digit, code = np.divmod(code, p)
-        keys[:, i] = digit - c
+        keys[:, i] = digit - b
     return keys, np.add.reduceat(packed, starts)
+
+
+def _pair_reduce(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray,
+                 s: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a[i] + b[j] with the summed weights wa[i] * wb[j], in
+    lexicographic order; each coordinate i (from 1) lies in [0, s*N**i].  The
+    code sum x_i * place_i is linear, so the pair codes are one outer sum,
+    packed (_packed_reduce) while span << (bit length of max(wa) * max(wb))
+    < 2**63; otherwise the pair rows go to _sort_reduce."""
+    k = a.shape[1]
+    bounds, places, span = _radix(s, N, k)
+    bits = (int(wa.max()) * int(wb.max())).bit_length()
+    if span << bits >= INT64_LIMIT:
+        keys = (a[:, None, :] + b[None, :, :]).reshape(-1, k)
+        return _sort_reduce(keys, np.multiply.outer(wa, wb).ravel(), s, N)
+    packed = np.add.outer((a @ places) << bits, (b @ places) << bits).ravel()
+    packed |= np.multiply.outer(wa, wb).ravel()
+    return _packed_reduce(packed, bits, bounds, places)
+
+
+def _difference_reduce(u: np.ndarray, c: np.ndarray, s: int,
+                       N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(lam, J): distinct rows of u[i] - u[j] with summed weights c[i] * c[j],
+    in lexicographic order, for distinct rows u in that order.  As J is even
+    and J(0) = sum c**2, only pairs i > j (the positive codes) are packed,
+    under _pair_reduce's guard, and mirrored; past it all go to _sort_reduce."""
+    k = u.shape[1]
+    bounds, places, span = _radix(s, N, k)
+    bits = (int(c.max()) ** 2).bit_length()
+    if span << bits >= INT64_LIMIT:
+        keys = (u[:, None, :] - u[None, :, :]).reshape(-1, k)
+        return _sort_reduce(keys, np.multiply.outer(c, c).ravel(), s, N)
+    code = (u @ places) << bits
+    half = np.tri(len(u), k=-1, dtype=bool)  # the pairs i > j
+    packed = np.subtract.outer(code, code)[half]
+    packed |= np.multiply.outer(c, c)[half]
+    pos, Jp = _packed_reduce(packed, bits, bounds, places)
+    return (np.concatenate([-pos[::-1], np.zeros((1, k), dtype=np.int64), pos]),
+            np.concatenate([Jp[::-1], [c @ c], Jp]))
 
 
 def _as_dict(keys: np.ndarray, weights: np.ndarray) -> Dict[Tuple[int, ...], int]:
@@ -317,20 +337,28 @@ def _as_dict(keys: np.ndarray, weights: np.ndarray) -> Dict[Tuple[int, ...], int
 
 
 @lru_cache(maxsize=32)
-def moment_curve_counts(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
-    """Counts of representations of lambda as a sum of s moment-curve points.
-
-    Returned mapping: lambda -> #{(x_1..x_s) in [N]^s : sum (x_i,..,x_i^k) = lambda}.
-    Treat as immutable; results are cached.
-    """
+def _count_arrays(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 (keys, weights) of moment_curve_counts, keys in
+    lexicographic order, from s - 1 steps of _pair_reduce."""
     _check_params(s, k, N)
     x = np.arange(1, N + 1, dtype=np.int64)
     base = np.stack([x**i for i in range(1, k + 1)], axis=1)
     ones = np.ones(N, dtype=np.int64)
     keys, weights = base, ones
     for _ in range(s - 1):
-        keys, weights = _pair_reduce(np.add, keys, weights, base, ones, s, N)
-    return _as_dict(keys, weights)
+        keys, weights = _pair_reduce(keys, weights, base, ones, s, N)
+    keys.flags.writeable = weights.flags.writeable = False
+    return keys, weights
+
+
+@lru_cache(maxsize=32)
+def moment_curve_counts(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
+    """Counts of representations of lambda as a sum of s moment-curve points.
+
+    Returned mapping: lambda -> #{(x_1..x_s) in [N]^s : sum (x_i,..,x_i^k) = lambda},
+    the dict of the cached _count_arrays.  Treat as immutable; results are cached.
+    """
+    return _as_dict(*_count_arrays(s, k, N))
 
 
 def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCount:
@@ -354,21 +382,12 @@ def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCo
 
 @lru_cache(maxsize=16)
 def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only arrays (lam, J(lam)) of the inhomogeneous moment system.
-
-    Built from every difference u - v of s-fold moment-curve sums, weighted
-    by c_u * c_v, by one _pair_reduce: one outer difference of the per-point
-    codes and one packed sort, or the _sort_reduce fallback when the radix
-    product shifted by the bit length of max(c)**2 reaches 2**63 (at
-    s = 1, k = 3 from N = 913 on).  Rows are in lexicographic order.
-    """
+    """Read-only (lam, J(lam)) of the inhomogeneous moment system, in
+    lexicographic order: _difference_reduce of the count arrays (all pairs
+    through _sort_reduce only at s = 1, k = 3 from N = 913 on)."""
     _check_params(s, k, N, table=True)
-    counts = moment_curve_counts(s, k, N)
-    u = np.array(list(counts), dtype=np.int64)
-    c = np.array(list(counts.values()), dtype=np.int64)
-    lam, J = _pair_reduce(np.subtract, u, c, u, c, s, N)
-    lam.flags.writeable = False
-    J.flags.writeable = False
+    lam, J = _difference_reduce(*_count_arrays(s, k, N), s, N)
+    lam.flags.writeable = J.flags.writeable = False
     return lam, J
 
 
@@ -381,9 +400,9 @@ def vinogradov_table(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
 
 
 def vinogradov_diagonal(s: int, k: int, N: int) -> int:
-    """Count at lambda = 0, the largest entry of the table."""
-    counts = moment_curve_counts(s, k, N)
-    return sum(c * c for c in counts.values())
+    """Count at lambda = 0, the largest entry of the table: the sum of c**2
+    in Python integers, which may pass 2**63 where the counts do not."""
+    return sum(c * c for c in _count_arrays(s, k, N)[1].tolist())
 
 
 def _table_sum(s: int, N: int, lam: np.ndarray, J: np.ndarray,

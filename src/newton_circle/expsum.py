@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice, starmap
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -405,15 +406,23 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _residue_table(L: int) -> np.ndarray:
+    """Read-only _cis(arange(L) / L), built once for all blocks of a box."""
+    z = _cis(np.arange(L) / L)
+    z.flags.writeable = False
+    return z
+
+
 def _block_row_sums(r, x, L):
     """(r, sums): a block's part of each of its rows' sums, sums[0] real and
     sums[1] imaginary.  Residues with L at most the block's cells read e(t/L)
-    from an L-entry table, _cis(arange(L) / L), the values _cis(x / L) would
-    take; any other cell's phase goes through the table kernel (_e).  One
-    _split_sum adds the 2*h rows of the h-row block, with W = its width."""
+    from the L-entry _residue_table, the values _cis(x / L) would take; any
+    other cell's phase goes through the table kernel (_e).  One _split_sum
+    adds the 2*h rows of the h-row block, with W = its width."""
     h, w = x.shape
     if L and L <= x.size:
-        z = _cis(np.arange(L) / L).take(x.view(np.int64), axis=1)
+        z = _residue_table(L).take(x.view(np.int64), axis=1)
     else:
         z = _e(x / L if L else x)
     return r, _split_sum(z.reshape(2 * h, w), w).reshape(2, h)

@@ -134,23 +134,14 @@ def suite_counts() -> List[dict]:
 
 
 def direction_witness_vertices(P: Poly2) -> frozenset:
-    """Brute-force vertex oracle: v is a corner iff some small positive
-    direction strictly separates it from every other support point."""
-    supp = sorted(poly.support(P))
-    bound = 2 * P.total_degree + 1
-    out = set()
-    for v in supp:
-        others = [w for w in supp if w != v]
-        for a in range(1, bound + 1):
-            found = False
-            for b in range(1, bound + 1):
-                if all(a * (w[0] - v[0]) + b * (w[1] - v[1]) < 0 for w in others):
-                    found = True
-                    break
-            if found:
-                out.add(v)
-                break
-    return frozenset(out)
+    """Brute-force vertex oracle: v is a corner iff some (a, b) in [1, 2*deg + 1]**2
+    strictly separates it from every other support point, all tested in one int array."""
+    supp = np.array(sorted(poly.support(P)), dtype=np.int64).reshape(-1, 2)
+    steps = np.arange(1, 2 * P.total_degree + 2)
+    dirs = np.stack(np.meshgrid(steps, steps)).reshape(2, -1)
+    score = (supp[None, :, :] - supp[:, None, :]) @ dirs
+    score[np.diag_indices(len(supp))] = -1  # v itself does not block
+    return frozenset(map(tuple, supp[(score < 0).all(axis=1).any(axis=1)].tolist()))
 
 
 def suite_newton(trials: int = 200, seed: int = 7) -> List[dict]:

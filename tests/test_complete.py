@@ -443,13 +443,13 @@ Tables = namedtuple("Tables", "keys weights want got fell_back")
 def _tables(s, k, N):
     """The s-fold sums (keys, weights) and difference table (want) by the
     reference, and the cached table complete._difference_table gives (got),
-    built here from an empty cache with whether _pair_reduce called
+    built here from an empty cache with whether _difference_reduce called
     _sort_reduce.  The last call is cached, so the lexsort corner (1, 3, 1100)
     is built once by the reference and once by the library for the
     packed-sort check and test_table_lexsort_branch, which runs next."""
     keys, weights = _counts_by_fallback(s, k, N)
     want = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
-    moment_curve_counts(s, k, N)  # built outside the spy
+    complete._count_arrays(s, k, N)  # built outside the spy
     complete._difference_table.cache_clear()
     calls = []
     real = complete._sort_reduce
@@ -461,7 +461,7 @@ def _tables(s, k, N):
 
 @pytest.fixture
 def fallback_calls(monkeypatch):
-    """Record every _sort_reduce call, to tell which branch _pair_reduce took."""
+    """Record every _sort_reduce call, to tell which branch a pair reduction took."""
     calls = []
     real = complete._sort_reduce
 
@@ -476,17 +476,27 @@ def fallback_calls(monkeypatch):
 @pytest.mark.parametrize("s, k, N, packed", [
     (3, 3, 20, True), (3, 2, 20, True), (2, 3, 20, True), (3, 3, 12, True), (2, 2, 9, True),
     (4, 2, 8, True), (5, 3, 5, True), (6, 1, 6, True), (3, 1, 38, True), (1, 2, 50, True),
+    (1, 1, 2, True),  # the smallest table: one positive difference
     (1, 3, 1100, False),  # the radix product passes 2**63: lexsort
 ])
 def test_packed_sort_equals_fallback(fallback_calls, s, k, N, packed):
     keys, weights, (lam, J), got, fell_back = _tables(s, k, N)
     fallback_calls.clear()
-    counts = moment_curve_counts.__wrapped__(s, k, N)  # uncached, so the sums run
+    arrays = complete._count_arrays.__wrapped__(s, k, N)  # uncached, so the sums run
     assert not fallback_calls  # every s-fold sum on the grid is packed
-    assert counts == complete._as_dict(keys, weights)
+    for a in (arrays, complete._count_arrays(s, k, N)):
+        assert np.array_equal(a[0], keys) and np.array_equal(a[1], weights)
+        assert a[0].dtype == a[1].dtype == np.int64
+        assert not a[0].flags.writeable and not a[1].flags.writeable
+    assert moment_curve_counts(s, k, N) == complete._as_dict(keys, weights)
     assert fell_back != packed
     assert np.array_equal(got[0], lam) and np.array_equal(got[1], J)
     assert got[0].dtype == got[1].dtype == np.int64
+    assert not got[0].flags.writeable and not got[1].flags.writeable
+    # J is even with J(0) = sum c**2: the packed route mirrors its positive half
+    zero = len(lam) // 2
+    assert np.array_equal(got[0][::-1], -got[0]) and not got[0][zero].any()
+    assert got[1][zero] == int(weights @ weights) == vinogradov_diagonal(s, k, N)
     if len(J) < 10**5:  # the corner's dict alone is about 170 MB
         assert vinogradov_table(s, k, N) == complete._as_dict(lam, J)
 
@@ -514,7 +524,8 @@ def test_table_lexsort_branch():
 
 def test_packing_guard_exact_threshold(monkeypatch, fallback_calls):
     # radices 2*2*5**i + 1 are 21 and 101; the largest weight product is
-    # max(c)**2; the packed value needs span << bits below the int64 limit
+    # max(c)**2; the packed value needs span << bits below the int64 limit,
+    # and the half route must give the fallback's table over every pair
     s, k, N = 2, 2, 5
     keys, weights = _counts_by_fallback(s, k, N)
     want = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
@@ -523,7 +534,7 @@ def test_packing_guard_exact_threshold(monkeypatch, fallback_calls):
     for limit, packed in ((edge, False), (edge + 1, True)):
         monkeypatch.setattr(complete, "INT64_LIMIT", limit)
         fallback_calls.clear()
-        got = complete._pair_reduce(np.subtract, keys, weights, keys, weights, s, N)
+        got = complete._difference_reduce(keys, weights, s, N)
         assert bool(fallback_calls) != packed
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -541,7 +552,7 @@ def test_packing_at_the_real_int64_edge(fallback_calls):
         u, c = np.stack([x, x**2, x**3], axis=1), np.ones(n, dtype=np.int64)
         want = _pairs_by_fallback(np.subtract, u, c, u, c, 1, n)
         fallback_calls.clear()
-        got = complete._pair_reduce(np.subtract, u, c, u, c, 1, n)
+        got = complete._difference_reduce(u, c, 1, n)
         assert bool(fallback_calls) != packed
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -556,6 +567,16 @@ def test_table_caches_keep_their_cache_info():
 def test_diagonal_formula():
     for N in range(2, 30):
         assert vinogradov_diagonal(2, 2, N) == 2 * N * N - N
+
+
+def test_diagonal_past_int64():
+    # an admitted input whose diagonal passes 2**63 while every count fits:
+    # an int64 dot of the count weights wraps there, the Python-int sum not
+    want = 14293391141802144620
+    assert vinogradov_diagonal(6, 1, 60) == want > 2**63
+    weights = complete._count_arrays(6, 1, 60)[1]
+    assert int(weights @ weights) != want
+    assert sum(c * c for c in moment_curve_counts(6, 1, 60).values()) == want
 
 
 def test_table_cache_holds_one_dict():
@@ -606,10 +627,22 @@ def _no_tables(*args):
 def test_int64_overflow_guard(monkeypatch, call):
     monkeypatch.setattr(complete, "WORK_CAP_CELLS", 10**60)
     monkeypatch.setattr(complete, "moment_curve_counts", _no_tables)
+    monkeypatch.setattr(complete, "_count_arrays", _no_tables)
+    monkeypatch.setattr(complete, "_sort_reduce", _no_tables)
+    monkeypatch.setattr(complete, "_pair_reduce", _no_tables)
+    monkeypatch.setattr(complete, "_difference_reduce", _no_tables)
+    with pytest.raises(WorkCapExceeded, match="int64"):
+        call()
+
+
+def test_count_arrays_guard_before_any_pair(monkeypatch):
+    # the diagonal reads the count arrays, whose own guard runs first:
+    # counts up to 1500**6 would overflow int64
+    monkeypatch.setattr(complete, "WORK_CAP_CELLS", 10**60)
     monkeypatch.setattr(complete, "_sort_reduce", _no_tables)
     monkeypatch.setattr(complete, "_pair_reduce", _no_tables)
     with pytest.raises(WorkCapExceeded, match="int64"):
-        call()
+        vinogradov_diagonal(6, 1, 1500)
 
 
 def test_gauss_sweep_work_cap(tmp_path, capsys):

@@ -797,6 +797,23 @@ def test_e_sizes_and_shapes(monkeypatch, e_phases, shape):
     assert max(_e_error(z.reshape(2, -1), ref)) <= (_CIS_BOUND if small else _E_BOUND)
 
 
+def test_residue_table_built_once_per_box(monkeypatch):
+    # 5/4093 on 200 x 200 runs as blocks of 81, 81 and 38 rows of 200, each
+    # of at least L cells, so each reads the L-entry table: one build serves
+    # all three, and the sum is the one a build per block gives, to the bit
+    Q = scale(parse_poly("m1^2*m2^3"), Fraction(5, 4093))
+    builds = []
+    cis = expsum._cis
+    monkeypatch.setattr(expsum, "_cis", lambda p: builds.append(p.size) or cis(p))
+    expsum._residue_table.cache_clear()
+    got = expsum.double_sum_abs(Q, 0, 200, 0, 200)
+    assert builds == [4093]
+    monkeypatch.setattr(expsum, "_residue_table", expsum._residue_table.__wrapped__)
+    builds.clear()
+    assert expsum.double_sum_abs(Q, 0, 200, 0, 200) == got
+    assert builds == [4093] * 3
+
+
 @pytest.mark.parametrize("dtype, L, shape", [
     (np.int64, 60 * 70, (60, 70)),          # L = cells: the L-entry table
     (np.int64, 60 * 70 + 1, (60, 70)),      # L = cells + 1: the table kernel

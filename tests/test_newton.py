@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from newton_circle import newton, suites
+from newton_circle import newton, poly, suites
 from newton_circle.newton import (
     DegeneratePolynomialError,
     GeometryOverflowError,
@@ -18,7 +19,7 @@ from newton_circle.newton import (
     subsector,
     vertex_gap,
 )
-from newton_circle.poly import parse_poly
+from newton_circle.poly import Poly2, parse_poly
 from newton_circle.suites import direction_witness_vertices, random_nondegenerate_poly
 
 
@@ -82,6 +83,60 @@ def test_hull_matches_direction_witness_oracle(rng):
     for _ in range(60):
         P = random_nondegenerate_poly(rng)
         assert frozenset(build_diagram(P).vertices) == direction_witness_vertices(P)
+
+
+def _witness_vertices_by_loop(P):
+    """The witness oracle as a scalar loop: for each support point v, scan
+    the directions (a, b) in [1, 2*deg + 1]**2 for one with
+    a*(w1 - v1) + b*(w2 - v2) < 0 at every other support point w."""
+    supp = sorted(poly.support(P))
+    bound = 2 * P.total_degree + 1
+    out = set()
+    for v in supp:
+        others = [w for w in supp if w != v]
+        for a in range(1, bound + 1):
+            found = False
+            for b in range(1, bound + 1):
+                if all(a * (w[0] - v[0]) + b * (w[1] - v[1]) < 0 for w in others):
+                    found = True
+                    break
+            if found:
+                out.add(v)
+                break
+    return frozenset(out)
+
+
+def test_witness_oracle_equals_its_loop_on_random_polys():
+    rng = random.Random(2024)
+    for _ in range(300):
+        P = random_nondegenerate_poly(rng)
+        got = direction_witness_vertices(P)
+        assert got == _witness_vertices_by_loop(P)
+        assert all(type(x) is int for v in got for x in v)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("m1*m2 + m1^2*m2^2 + m1^3*m2^3", {(3, 3)}),                # collinear, one ray
+    ("m1^3 + m1^2*m2 + m1*m2^2 + m2^3", {(3, 0), (0, 3)}),      # collinear segment
+    ("m1*m2 + m1^2", {(1, 1), (2, 0)}),                         # two points, both corners
+    ("m1*m2 + m1^2*m2^2", {(2, 2)}),                            # two points, one dominated
+    ("m1^2*m2^3", {(2, 3)}),                                    # one point
+    ("m1 + m2^6", {(1, 0), (0, 6)}),                            # needs a > deg, below
+])
+def test_witness_oracle_hand_cases(text, want):
+    P = parse_poly(text)
+    assert direction_witness_vertices(P) == _witness_vertices_by_loop(P) == want
+
+
+def test_witness_oracle_vertex_past_the_degree():
+    # the corner (1, 0) of m1 + m2^6 is separated from (0, 6) only by the
+    # directions with a > 6*b, so every one has a > deg = 6 and a search over
+    # a <= deg misses it; the zero polynomial has no corner
+    P = parse_poly("m1 + m2^6")
+    seps = [(a, b) for a in range(1, 14) for b in range(1, 14) if a > 6 * b]
+    assert min(a for a, _ in seps) == 7
+    assert (1, 0) in direction_witness_vertices(P)
+    assert direction_witness_vertices(Poly2({})) == frozenset()
 
 
 def test_membership_examples(two_sector):
