@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike, as_fraction, dirichlet_approx, is_exact, torus_representative
-from .complete import _check_work, _residue_histogram, gauss_sum, partial_gauss
+from .complete import _check_work, gauss_sum, partial_gauss
 from .ergodic import EmptyRegionError
-from .expsum import BLOCK_CELLS, _e, _histogram_peak, double_sum
+from .expsum import BLOCK_CELLS, _box_histogram, _e, _histogram_peak, double_sum
 from .iw import IWParams, sigma_fractions
 from .newton import NewtonDiagram, dominant_scale
 from .poly import Poly2, RealPoly2, evaluate, pin, scale
@@ -81,7 +81,7 @@ def discrete_multiplier_grid(P: Poly2, n: int, M1: RealLike, M2: RealLike,
     """discrete_multiplier(P, i/n, M1, M2, tau) for every i in [0, n), as one array.
 
     With h the histogram of P(m) mod n over the (M/tau, M] box
-    (complete._residue_histogram, the kernel of the complete sums), the sum
+    (expsum._box_histogram, the kernel of the complete sums), the sum
     of e(i*P(m)/n) over the box is the sum of h[t] * e(i*t/n) over t, which
     is n times the inverse DFT of h at i.  The box and the n bins must fit
     WORK_CAP_CELLS, else WorkCapExceeded is raised first.
@@ -93,7 +93,7 @@ def discrete_multiplier_grid(P: Poly2, n: int, M1: RealLike, M2: RealLike,
     cells = (m1 - k1) * (m2 - k2)
     _check_work(cells + n, _histogram_peak(n), f"multiplier grid needs a {m1 - k1} x "
                 f"{m2 - k2} residue table mod q = {n} and {n} bins")
-    hist = _residue_histogram(P.terms, 1, n, range(k1 + 1, m1 + 1), range(k2 + 1, m2 + 1))
+    hist = _box_histogram(P.terms, n, range(k1 + 1, m1 + 1), range(k2 + 1, m2 + 1))
     return np.fft.ifft(hist) * (n / cells)
 
 

@@ -1,8 +1,8 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
 Every complete sum is read from one object, the int64 q-bin histogram h of
-a*P(r1, r2) mod q over a box (_residue_histogram), counted by the routine
-that reads the dense box sums of expsum too (expsum._box_histogram); a work
+a*P(r1, r2) mod q over a box, counted by the routine that reads the dense box
+sums of expsum too (expsum._box_histogram, given the terms of a*P); a work
 cap bounds the box, and _histogram_peak every int64 intermediate, before
 anything is allocated.
 gauss_sum and partial_gauss sum e(t/q) over the bins of one histogram, one
@@ -58,36 +58,29 @@ def gauss_sum(P: Poly2, a_over_q: Fraction) -> complex:
     """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q).
 
     Read from the q-bin histogram of a*P mod q over the box
-    (_residue_histogram); the q x q box must fit WORK_CAP_CELLS (q <= 10**4),
+    (expsum._box_histogram); the q x q box must fit WORK_CAP_CELLS (q <= 10**4),
     else WorkCapExceeded is raised first.
     """
     a, q = a_over_q.numerator, a_over_q.denominator
     _check_work(q * q, _histogram_peak(q), f"complete sum needs a {q} x {q} residue box")
     box = range(1, q + 1)
-    return _complete_sum(_residue_histogram(P.terms, a, q, box, box), q * q)
+    terms = {g: a * c for g, c in P.terms.items()}
+    return _complete_sum(_box_histogram(terms, q, box, box), q * q)
 
 
 def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> complex:
     """Normalized complete sum in one residue with m_axis pinned to frozen.
 
-    The single row r1 = frozen of _residue_histogram (P transposed for axis
-    2); q must fit WORK_CAP_CELLS, else WorkCapExceeded is raised first.
+    The single row r1 = frozen of the histogram of a*P mod q
+    (expsum._box_histogram; P transposed for axis 2); q must fit
+    WORK_CAP_CELLS, else WorkCapExceeded is raised first.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     a, q = a_over_q.numerator, a_over_q.denominator
     _check_work(q, _histogram_peak(q), f"partial complete sum needs {q} residues")
-    terms = (P if axis == 1 else transpose(P)).terms
-    return _complete_sum(_residue_histogram(terms, a, q, range(frozen, frozen + 1),
-                                            range(1, q + 1)), q)
-
-
-def _residue_histogram(terms: Dict[Tuple[int, int], int], a: int, q: int,
-                       rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """int64 q-bin histogram of a*P(r1, r2) mod q over r1 in rows and r2 in
-    cols, for the polynomial P with these terms (expsum._box_histogram); q
-    must divide 2**64 or have _histogram_peak(q) < 2**63."""
-    return _box_histogram({g: a * c for g, c in terms.items()}, q, rows, cols)
+    terms = {g: a * c for g, c in (P if axis == 1 else transpose(P)).terms.items()}
+    return _complete_sum(_box_histogram(terms, q, range(frozen, frozen + 1), range(1, q + 1)), q)
 
 
 def _complete_sum(hist: np.ndarray, W: int) -> complex:
@@ -159,7 +152,7 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
     For a one-term P = c*m1**a*m2**b with a, b >= 1 a prime table is
     _monomial_histogram's closed form, since (i, j) -> a*i + b*j covers the
     index-gcd(a, b, p - 1) subgroup of Z/(p - 1) evenly; proper prime powers
-    and every other P take _residue_histogram.  Rows are cross-checkable
+    and every other P take expsum._box_histogram.  Rows are cross-checkable
     against a per-cell evaluation of P, which needs no histogram.
     """
     q_values = list(q_values)
@@ -181,7 +174,7 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
                     hist = _monomial_histogram(c, a, b, p)
                 else:
                     r = range(pk)
-                    hist = _residue_histogram(P.terms, 1, pk, r, r)
+                    hist = _box_histogram(P.terms, pk, r, r)
                 spectrum = np.abs(np.fft.fft(hist)) / pk**2
                 maxima[pk] = float(spectrum[np.arange(pk) % p != 0].max())
             max_abs *= maxima[pk]

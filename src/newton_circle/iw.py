@@ -1,9 +1,9 @@
 """Ionescu-Wainger denominator sets and their reduced-fraction companions.
 
-The sets are built exactly: the factorial block comes from a Legendre-formula
-factorization, the medium-prime block from a capped depth-first product
-enumeration.  Truncation against the enumeration cap is always explicit via
-a flag; nothing is dropped silently.
+The denominator set is built exactly, in one capped depth-first enumeration
+over the primes: those up to N0 at their Legendre exponents in (N0!)**D, the
+medium primes at powers up to D.  Truncation against the enumeration cap is
+always explicit via a flag; nothing is dropped silently.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 DEFAULT_ENUMERATION_CAP = 10**6
 SIGMA_CARDINALITY_CAP = 4_000_000  # candidate tuples build_sigma may enumerate
@@ -91,85 +91,43 @@ def _sieve(limit: int) -> List[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _factorial_factorization(n: int, power: int) -> Dict[int, int]:
-    """Prime factorization of (n!)**power via Legendre's formula."""
-    out = {}
-    for p in _sieve(n):
-        e, pk = 0, p
-        while pk <= n:
-            e += n // pk
-            pk *= p
-        out[p] = e * power
-    return out
+def build_p_le(params: IWParams) -> IWSets:
+    """The denominator set: {Q*w <= cap, Q | (N0!)**D, w a product of at most D
+    distinct primes from (N0, 2**l], each to a power 1..D}.
 
-
-def _divisors_capped(factorization: Dict[int, int], cap: int) -> Tuple[List[int], bool]:
-    divisors = [1]
-    truncated = False
-    for p, e in factorization.items():
-        new = []
-        for d in divisors:
-            v = d
-            for _ in range(e + 1):
-                if v > cap:
-                    truncated = True
-                    break
-                new.append(v)
-                v *= p
-        divisors = new
-    return sorted(set(divisors)), truncated
-
-
-def medium_prime_products(params: IWParams) -> Tuple[List[int], bool]:
-    """Products of 1..D distinct primes from (N0, 2**l], each at powers 1..D,
-    capped at the enumeration cap."""
-    primes = [p for p in _sieve(2**params.l) if p > params.N0]
-    cap, D = params.enumeration_cap, params.D
-    out: List[int] = []
+    One depth-first pass over the primes in increasing order appends each
+    member once: p <= N0 at powers up to D*v_p(N0!) (Legendre), a medium prime
+    at powers up to D while fewer than D are used.  A branch stops at its first
+    product past the cap, since every later prime is larger, so truncated is
+    set exactly when some member of the uncapped set exceeds the cap.
+    """
+    N0, D, cap = params.N0, params.D, params.enumeration_cap
+    primes = _sieve(max(N0, 2**params.l))
+    tops = [D * sum(N0 // p**i for i in range(1, N0.bit_length())) if p <= N0 else D
+            for p in primes]
+    values = [1]
     truncated = False
 
     def grow(start: int, value: int, used: int) -> None:
         nonlocal truncated
         for i in range(start, len(primes)):
             p = primes[i]
+            if p > N0 and used == D:
+                break
             if value * p > cap:
-                # primes are sorted, so every remaining extension overflows too
                 truncated = True
                 break
             v = value
-            for _ in range(D):
+            for _ in range(tops[i]):
                 v *= p
                 if v > cap:
                     truncated = True
                     break
-                out.append(v)
-                if used + 1 < D:
-                    grow(i + 1, v, used + 1)
+                values.append(v)
+                grow(i + 1, v, used + (p > N0))
 
     grow(0, 1, 0)
-    return sorted(set(out)), truncated
-
-
-def build_p_le(params: IWParams) -> IWSets:
-    """The denominator set: {Q*w <= cap, Q | (N0!)**D, w a medium-prime product}."""
-    fact = _factorial_factorization(params.N0, params.D)
-    divisors, trunc_d = _divisors_capped(fact, params.enumeration_cap)
-    products, trunc_w = medium_prime_products(params)
-    cap = params.enumeration_cap
-    values = set()
-    truncated = trunc_d or trunc_w
-    for w in [1] + products:
-        for d in divisors:
-            v = d * w
-            if v <= cap:
-                values.add(v)
-            else:
-                truncated = True
-    return IWSets(
-        params=params,
-        p_le=tuple(sorted(values)),
-        truncated=truncated,
-    )
+    return IWSets(params=params, p_le=tuple(sorted(values)), truncated=truncated)
 
 
 def p_le_values(rho: Fraction, l: int) -> Tuple[int, ...]:

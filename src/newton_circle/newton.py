@@ -104,18 +104,6 @@ class SectorPoint:
     offset_n: int
 
 
-def _pareto_maximal(points) -> list:
-    pts = sorted(points)
-    keep = []
-    for p in pts:
-        dominated = any(
-            q != p and q[0] >= p[0] and q[1] >= p[1] for q in pts
-        )
-        if not dominated:
-            keep.append(p)
-    return keep
-
-
 def _reduced_normal(v: Vec, w: Vec) -> Vec:
     # inward edge v -> w has dx > 0, dy < 0; outward normal is (-dy, dx)
     dx, dy = w[0] - v[0], w[1] - v[1]
@@ -134,10 +122,11 @@ def build_diagram(P: Poly2) -> NewtonDiagram:
             "no mixed dominant monomial exists"
         )
     supp = support(P)
-    pareto = _pareto_maximal(supp)
-    # upper convex chain over the Pareto points (x increasing, y decreasing)
+    # upper convex chain from the top point rightwards; the pop below drops
+    # every dominated point, so the chain runs x increasing, y decreasing
+    top = max(supp, key=lambda v: (v[1], v[0]))
     chain: list = []
-    for p in pareto:
+    for p in [top] + sorted(v for v in supp if v[0] > top[0]):
         while len(chain) >= 2:
             ax, ay = chain[-2]
             bx, by = chain[-1]

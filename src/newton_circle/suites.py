@@ -114,7 +114,14 @@ def suite_counts() -> List[dict]:
         diag = table[tuple([0] * k)]
         if sum(table.values()) != N ** (2 * s):
             table_viol += 1
-        if any(table[lam] != table.get(tuple(-x for x in lam), 0) for lam in table):
+        # the packed table is mirrored from its positive half, so symmetry is
+        # checked on the table summed over all n**2 pairs by the sort-reduce
+        u, c = complete._count_arrays(s, k, N)
+        keys = (u[:, None, :] - u[None, :, :]).reshape(-1, k)
+        pairs = complete._as_dict(*complete._sort_reduce(keys, np.outer(c, c).ravel(), s, N))
+        if pairs != table:
+            table_viol += 1
+        if any(pairs[lam] != pairs.get(tuple(-x for x in lam), 0) for lam in pairs):
             table_viol += 1
         if any(v > diag for v in table.values()):
             table_viol += 1

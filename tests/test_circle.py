@@ -89,7 +89,7 @@ def test_multiplier_grid_guards(mixed, monkeypatch):
         raise AssertionError("histogram built before the work cap")
 
     # the n bins count towards the cap, checked before anything is allocated
-    monkeypatch.setattr(circle, "_residue_histogram", refuse)
+    monkeypatch.setattr(circle, "_box_histogram", refuse)
     with pytest.raises(WorkCapExceeded):
         discrete_multiplier_grid(mixed, complete.WORK_CAP_CELLS + 1, 8, 8, 2)
 
@@ -167,7 +167,7 @@ def test_direct_multiplier_needs_no_histogram_or_fft(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("histogram or FFT engine called")
 
-    for module, name in ((complete, "_residue_histogram"), (circle, "_residue_histogram"),
+    for module, name in ((complete, "_box_histogram"), (circle, "_box_histogram"),
                          (np.fft, "fft"), (np.fft, "ifft")):
         monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):

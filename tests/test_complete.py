@@ -123,7 +123,7 @@ def _no_histogram(*args):
 
 
 def test_complete_sums_work_cap(monkeypatch, capsys):
-    monkeypatch.setattr(complete, "_residue_histogram", _no_histogram)
+    monkeypatch.setattr(complete, "_box_histogram", _no_histogram)
     P = parse_poly("m1^2*m2^3")
     cap = f"the cap is {complete.WORK_CAP_CELLS} cells"
     start = time.perf_counter()
@@ -215,7 +215,7 @@ def test_residue_histogram_matches_direct_evaluation(monkeypatch, rng):
     for block in (expsum.BLOCK_CELLS, 7, 64):
         monkeypatch.setattr(expsum, "BLOCK_CELLS", block)
         for (P, a, q, rows, cols), want in zip(cases, wants):
-            got = complete._residue_histogram(P.terms, a, q, rows, cols)
+            got = expsum._box_histogram({g: a * c for g, c in P.terms.items()}, q, rows, cols)
             assert got.dtype == np.int64
             assert got.tolist() == [want[t] for t in range(q)], (block, P.terms, a, q, rows, cols)
 
@@ -227,7 +227,7 @@ def test_sweep_dft_matches_gauss_sum_at_every_unit(seed):
     for q, row in zip(qs, gauss_sum_sweep(P, qs)):
         tol = fft_tolerance(q) + FLOAT_TERM_BUDGET  # the DFT's rounding and residue_sum's
         r = range(q)
-        spectrum = np.fft.fft(complete._residue_histogram(P.terms, 1, q, r, r)) / q**2
+        spectrum = np.fft.fft(expsum._box_histogram(P.terms, q, r, r)) / q**2
         direct = dict(zip(_units(q), _gauss_per_cell_at(P, q, _units(q))))
         for a, g in direct.items():
             # fft sums h[t] * e(-a*t/q); h is real, so that is conj(q**2 * G(a/q))
@@ -275,7 +275,7 @@ def test_sweep_product_matches_direct_composite_table(index):
     qs = range(2, 129)
     for q, row in zip(qs, gauss_sum_sweep(P, qs)):
         r = range(q)
-        spectrum = np.abs(np.fft.fft(complete._residue_histogram(P.terms, 1, q, r, r))) / q**2
+        spectrum = np.abs(np.fft.fft(expsum._box_histogram(P.terms, q, r, r))) / q**2
         units = np.gcd(np.arange(q), q) == 1
         # every factor is at most 1, so the product is off by at most the
         # sum of the factors' errors
@@ -297,7 +297,7 @@ def _is_prime_power(n):
 
 def _general_histogram(c, a, b, p):
     r = range(p)
-    return complete._residue_histogram({(a, b): c}, 1, p, r, r)
+    return expsum._box_histogram({(a, b): c}, p, r, r)
 
 
 # (a, b, c, top): gcd(a, b, p - 1) > 1 for some p, a = b = 1, a negative c,
@@ -322,19 +322,19 @@ def test_monomial_histogram_equals_general_route(monkeypatch, a, b, c, top):
 def histogram_moduli(monkeypatch):
     """Record the modulus of every table built by either producer: a
     monomial's prime tables come from _monomial_histogram, the rest from
-    _residue_histogram."""
+    _box_histogram."""
     moduli = []
-    residue, monomial = complete._residue_histogram, complete._monomial_histogram
+    residue, monomial = complete._box_histogram, complete._monomial_histogram
 
-    def residue_spy(terms, a, q, rows, cols):
+    def residue_spy(terms, q, rows, cols):
         moduli.append(q)
-        return residue(terms, a, q, rows, cols)
+        return residue(terms, q, rows, cols)
 
     def monomial_spy(c, a, b, p):
         moduli.append(p)
         return monomial(c, a, b, p)
 
-    monkeypatch.setattr(complete, "_residue_histogram", residue_spy)
+    monkeypatch.setattr(complete, "_box_histogram", residue_spy)
     monkeypatch.setattr(complete, "_monomial_histogram", monomial_spy)
     return moduli
 

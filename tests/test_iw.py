@@ -80,6 +80,48 @@ def test_truncation_flag():
     assert all(q <= 10**4 for q in sets.p_le)
 
 
+def _factorizations(top):
+    """{p: e} for every n in [1, top], from a smallest-prime-factor sieve."""
+    spf = list(range(top + 1))
+    for p in range(2, math.isqrt(top) + 1):
+        if spf[p] == p:
+            for m in range(p * p, top + 1, p):
+                spf[m] = min(spf[m], p)
+    out = [None, {}]
+    for n in range(2, top + 1):
+        fac = dict(out[n // spf[n]])
+        fac[spf[n]] = fac.get(spf[n], 0) + 1
+        out.append(fac)
+    return out
+
+
+def test_p_le_matches_its_definition():
+    # the set, read off each q's factorisation: v_p(q) <= v_p((N0!)**D) for
+    # p <= N0, and every other prime in (N0, 2**l], at most D of them, each
+    # to a power <= D; truncated iff the largest uncapped member, (N0!)**D
+    # times p**D over the D largest medium primes, passes the cap
+    top = 20000
+    factorizations = _factorizations(top)
+    for rho in (Fraction(1, 2), Fraction(1, 4), Fraction(2, 3), Fraction(9, 10), Fraction(1, 10)):
+        for l in range(12):
+            params = IWParams(rho=rho, l=l)
+            N0, D, Q0 = params.N0, params.D, params.Q0
+            medium = [p for p in range(N0 + 1, 2**l + 1) if factorizations[p] == {p: 1}]
+            members = []
+            for q in range(1, top + 1):
+                fac = factorizations[q]
+                big = [e for p, e in fac.items() if p > N0]
+                if (len(big) <= D and all(e <= D for e in big)
+                        and all(p <= 2**l for p in fac if p > N0)
+                        and all(Q0 % p**e == 0 for p, e in fac.items() if p <= N0)):
+                    members.append(q)
+            largest = Q0 * math.prod(p**D for p in medium[-D:])
+            for cap in [c for c in (2**l, 2**l + 1, 500, 4096, top) if c >= 2**l]:
+                sets = build_p_le(IWParams(rho=rho, l=l, enumeration_cap=cap))
+                assert sets.p_le == tuple(q for q in members if q <= cap), (rho, l, cap)
+                assert sets.truncated == (largest > cap), (rho, l, cap)
+
+
 def test_sigma_level0_count():
     sig = build_sigma(IWParams(rho=Fraction(1, 2), l=0), 1)
     assert len(sig) == 32

@@ -122,10 +122,14 @@ def test_witness_oracle_equals_its_loop_on_random_polys():
     ("m1*m2 + m1^2*m2^2", {(2, 2)}),                            # two points, one dominated
     ("m1^2*m2^3", {(2, 3)}),                                    # one point
     ("m1 + m2^6", {(1, 0), (0, 6)}),                            # needs a > deg, below
+    ("m1*m2^3 + m1^3*m2^3 + m1^3*m2", {(3, 3)}),                # top and right ties
+    ("m1*m2^4 + m1^2*m2^4 + m1^4*m2 + m1^4*m2^2", {(2, 4), (4, 2)}),  # tied rows, columns
 ])
 def test_witness_oracle_hand_cases(text, want):
     P = parse_poly(text)
     assert direction_witness_vertices(P) == _witness_vertices_by_loop(P) == want
+    if not poly.is_degenerate(P):
+        assert set(build_diagram(P).vertices) == want
 
 
 def test_witness_oracle_vertex_past_the_degree():
