@@ -1,13 +1,13 @@
 """Complete Gauss-type sums over residue boxes and moment-system counts.
 
-Every complete sum is read from one object, the int64 q-bin histogram h of
-a*P(r1, r2) mod q over a box, counted by the routine that reads the dense box
-sums of expsum too (expsum._box_histogram, given the terms of a*P); a work
-cap bounds the box, and _histogram_peak every int64 intermediate, before
-anything is allocated.
-gauss_sum and partial_gauss sum e(t/q) over the bins of one histogram, one
-frequency at a time.  The all-frequency sweep
-takes one DFT of the histogram of P mod p**k:
+Complete sums are box sums.  gauss_sum and partial_gauss are the sums of
+e(a*P/q) over [1, q]**2 and over one row of it, through the kernel of
+expsum's box sums (expsum._lattice_phase_sum): read from the int64 q-bin
+histogram h of a*P mod q (expsum._box_histogram), or, for a row of more
+than expsum.HISTOGRAM_BINS residues, as its row sum in bounded memory.  A
+work cap bounds the box, and _histogram_peak every int64 intermediate,
+before anything is allocated.  The all-frequency sweep takes one DFT of the
+histogram of P mod p**k:
 p**2k * G(a/p**k) = sum_t h[t] * e(a*t/p**k) for every a at once.  It does so
 only for prime powers: by the Chinese remainder theorem G(a/q) factors over
 the coprime prime-power factors of q, so max over units |G(a/q)| is the
@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike
-from .expsum import _box_histogram, _e, _histogram_peak, _sum_e, weyl_sum
+from .expsum import _box_histogram, _e, _histogram_peak, _lattice_phase_sum, weyl_sum
 from .poly import Poly2, transpose
 
 WORK_CAP_CELLS = 10**8
@@ -55,42 +55,27 @@ class WorkCapExceeded(RuntimeError):
 
 
 def gauss_sum(P: Poly2, a_over_q: Fraction) -> complex:
-    """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q).
-
-    Read from the q-bin histogram of a*P mod q over the box
-    (expsum._box_histogram); the q x q box must fit WORK_CAP_CELLS (q <= 10**4),
-    else WorkCapExceeded is raised first.
-    """
+    """Normalized complete sum q^-2 * sum over (r1, r2) in [1,q]^2 of e(a*P/q),
+    the box sum of a*P/q (expsum._lattice_phase_sum) read from its q-bin
+    histogram; the q x q box must fit WORK_CAP_CELLS (q <= 10**4), else
+    WorkCapExceeded is raised first."""
     a, q = a_over_q.numerator, a_over_q.denominator
     _check_work(q * q, _histogram_peak(q), f"complete sum needs a {q} x {q} residue box")
-    box = range(1, q + 1)
-    terms = {g: a * c for g, c in P.terms.items()}
-    return _complete_sum(_box_histogram(terms, q, box, box), q * q)
+    return _lattice_phase_sum((q, {g: a * c for g, c in P.terms.items()}), 0, q, 0, q) / q**2
 
 
 def partial_gauss(P: Poly2, a_over_q: Fraction, frozen: int, axis: int) -> complex:
-    """Normalized complete sum in one residue with m_axis pinned to frozen.
-
-    The single row r1 = frozen of the histogram of a*P mod q
-    (expsum._box_histogram; P transposed for axis 2); q must fit
-    WORK_CAP_CELLS, else WorkCapExceeded is raised first.
-    """
+    """Normalized complete sum in one residue with m_axis pinned to frozen:
+    the box sum of a*P/q over m1 = frozen, m2 in [1, q] (P transposed for
+    axis 2; expsum._lattice_phase_sum), from its histogram up to
+    HISTOGRAM_BINS residues, past them as its row sum in bounded memory; q
+    must fit WORK_CAP_CELLS, else WorkCapExceeded is raised first."""
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     a, q = a_over_q.numerator, a_over_q.denominator
     _check_work(q, _histogram_peak(q), f"partial complete sum needs {q} residues")
     terms = {g: a * c for g, c in (P if axis == 1 else transpose(P)).terms.items()}
-    return _complete_sum(_box_histogram(terms, q, range(frozen, frozen + 1), range(1, q + 1)), q)
-
-
-def _complete_sum(hist: np.ndarray, W: int) -> complex:
-    """W^-1 * sum of h[t] * e(t/q) over the bins of a q-bin histogram h of W
-    cells, in one _sum_e over every nonzero bin: it gets the sorted
-    residues, counts and W that residue_sum would give it for the same
-    cells, so the value is the same to the bit as the per-cell oracles'.
-    (expsum._histogram_sum, for box sums, slices the bins by BLOCK_CELLS.)"""
-    t = np.flatnonzero(hist)
-    return _sum_e(t / hist.size, hist[t], W) / W
+    return _lattice_phase_sum((q, terms), frozen - 1, frozen, 0, q) / q
 
 
 def _monomial_histogram(c: int, a: int, b: int, p: int) -> np.ndarray:

@@ -41,7 +41,7 @@ on.  The tail producer reads its uint64 head as signed, so its phases come
 centred in [-1/2, 1/2].  Up to ``_SHORT_SUM`` sorted phases are added with
 ``math.fsum``; longer runs, and the rows of every block, by an exact split
 into integer and fractional parts (``_split_sum``), within 1 ulp of
-``math.fsum``, a block or a slice of BLOCK_CELLS histogram bins at a time,
+``math.fsum``, a block or a slice of ``_E_SLICE`` histogram bins at a time,
 and the partials with ``math.fsum``.  ``mode`` names the kind of input,
 exact (rational) or float; either way every result reports an
 ``error_budget`` of ``FLOAT_TERM_BUDGET`` per term (per term of its row for
@@ -192,6 +192,8 @@ _E_MIN = 2048
 # Values per slice of _e: its four scratch arrays of 64 KiB stay below
 # glibc's default mmap threshold of 128 KiB, which slices of BLOCK_CELLS pass,
 # paying for fresh pages on every call (1.5x the time at BLOCK_CELLS values).
+# It slices _histogram_sum's bins too, fixed at import so that no sum's bits
+# depend on a patched BLOCK_CELLS: up to 8,192 bins are one _sum_e.
 _E_SLICE = BLOCK_CELLS // 2
 
 
@@ -371,12 +373,12 @@ def _period_fold(axis: Sequence[int], L: int) -> Tuple[Sequence[int], Optional[n
 
 def _histogram_sum(hist: np.ndarray, W: int) -> complex:
     """Sum of h[t] * e(t/L) over the bins of an L-bin histogram h of W
-    cells, one _sum_e per slice of BLOCK_CELLS bins, so no array but h
-    passes a block's size; the slice partials are added with math.fsum."""
+    cells, one _sum_e per slice of _E_SLICE bins, so no array but h passes
+    a slice's size; the slice partials are added with math.fsum."""
     L = hist.size
     parts = []
-    for a in range(0, L, BLOCK_CELLS):
-        t = np.flatnonzero(hist[a:a + BLOCK_CELLS]) + a
+    for a in range(0, L, _E_SLICE):
+        t = np.flatnonzero(hist[a:a + _E_SLICE]) + a
         parts.append(_sum_e(t / L, hist[t], W))
     return parts[0] if len(parts) == 1 else _fsum_complex(parts)
 
@@ -442,54 +444,60 @@ def _phase_blocks(form, K1: int, M1: int, K2: int, M2: int):
     return _residue_blocks(ints, L, range(K1 + 1, M1 + 1), range(K2 + 1, M2 + 1))
 
 
+def _reduce(t: np.ndarray, L: int) -> np.ndarray:
+    """t mod L in place: masked to L - 1 in uint64 when L divides 2**64 (at L
+    = 2**64 uint64 arithmetic wraps by itself), else, for t >= 0 in int64, as
+    t - L*(t // L) (numpy divides by a scalar with a multiply-shift but takes
+    a remainder by hardware division)."""
+    if _WRAP % L == 0:
+        if L < _WRAP:
+            t &= L - 1
+    elif t.size < 1024:                 # one call beats three on short arrays
+        np.remainder(t, L, out=t)
+    else:
+        quot = t // L
+        quot *= L
+        t -= quot
+    return t
+
+
+def _power_table(r: Sequence[int], k: int, L: int) -> np.ndarray:
+    """(k + 1) x len(r) table of r**j, congruent mod L; L alone sets the type:
+    uint64 when L divides 2**64, else int64 with every entry below
+    cap = (L << 63) // _histogram_peak(L), reduced (_reduce) only when needed."""
+    wrap = _WRAP % L == 0
+    dtype, cap = (np.uint64, math.inf) if wrap else (np.int64, (L << 63) // _histogram_peak(L))
+    table = np.empty((k + 1, len(r)), dtype=dtype)
+    table[0] = 1
+    if k and isinstance(r, range) and r.step == 1:
+        np.add(np.arange(len(r), dtype=dtype), r.start % L, out=table[1])
+        if r.start % L + len(r) > L:
+            _reduce(table[1], L)
+    elif k:
+        table[1] = [v % L for v in r]
+    bound = L                           # every entry of table[j] is below it
+    for j in range(1, k):
+        np.multiply(table[j], table[1], out=table[j + 1])
+        bound *= L
+        if bound > cap:
+            _reduce(table[j + 1], L)
+            bound = L
+    return table
+
+
 def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int],
                     cols: Sequence[int]):
     """Blocks (r, t, L), in the form of _phase_blocks, of the residues
     t = P(m1, m2) mod L over m1 in rows and m2 in cols for the integer terms
     of P; r is the range of the block's positions in rows, restarting with
-    each column block.  L divides 2**64 (uint64, masked to L - 1) or has
-    _histogram_peak(L) < 2**63 (int64).  Rows, columns and coefficients are
-    reduced mod L first, so values of any size never reach numpy.  Per column
-    block the vectors C_g1(m2) of the terms with m1-exponent g1 are the
-    coefficients times the power table m2**g2, and a block is its rows' table
-    m1**g1 times them.  In int64 a table entry stays below cap = 2**63 //
-    (65*L) >= L, so each sum of at most 65 terms stays below 2**63, and a
-    reduction t - L*(t // L) (numpy divides by a scalar with a multiply-shift
-    but takes a remainder by hardware division) runs only when needed."""
-    wrap = _WRAP % L == 0
-    dtype, cap = (np.uint64, math.inf) if wrap else (np.int64, (L << 63) // _histogram_peak(L))
-
-    def reduce(t: np.ndarray) -> np.ndarray:
-        if wrap:
-            if L < _WRAP:               # uint64 arithmetic wraps mod 2**64 by itself
-                t &= L - 1
-        elif t.size < 1024:             # one call beats three on short arrays
-            np.remainder(t, L, out=t)
-        else:
-            quot = t // L
-            quot *= L
-            t -= quot
-        return t
-
-    def powers(r: Sequence[int], k: int) -> np.ndarray:
-        """(k + 1) x len(r) table of r**j, congruent mod L (int64: below cap)."""
-        table = np.empty((k + 1, len(r)), dtype=dtype)
-        table[0] = 1
-        if k and isinstance(r, range) and r.step == 1:
-            np.add(np.arange(len(r), dtype=dtype), r.start % L, out=table[1])
-            if r.start % L + len(r) > L:
-                reduce(table[1])
-        elif k:
-            table[1] = [v % L for v in r]
-        bound = L                       # every entry of table[j] is below it
-        for j in range(1, k):
-            np.multiply(table[j], table[1], out=table[j + 1])
-            bound *= L
-            if bound > cap:
-                reduce(table[j + 1])
-                bound = L
-        return table
-
+    each column block.  L divides 2**64 (uint64) or has _histogram_peak(L) <
+    2**63 (int64).  Rows, columns and coefficients are reduced mod L first,
+    so values of any size never reach numpy.  Per column block the vectors
+    C_g1(m2) of the terms with m1-exponent g1 are the coefficients times the
+    power table m2**g2 (_power_table), and a block is its rows' table m1**g1
+    times them.  In int64 a table entry stays below cap = 2**63 // (65*L) >=
+    L, so each sum of at most 65 terms stays below 2**63."""
+    dtype = np.uint64 if _WRAP % L == 0 else np.int64
     top = max((g2 for _, g2 in terms), default=0)
     groups: Dict[int, List[int]] = {}
     for (g1, g2), c in terms.items():
@@ -502,14 +510,15 @@ def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[in
     step = max(1, BLOCK_CELLS // (top + 1))     # no column table passes BLOCK_CELLS
     for c0 in range(0, len(cols), width):
         part = cols[c0:c0 + width]
-        vectors = [coeffs @ powers(part[a:a + step], top) for a in range(0, len(part), step)]
-        vectors = reduce(vectors[0] if len(vectors) == 1 else np.concatenate(vectors, axis=1))
+        vectors = [coeffs @ _power_table(part[a:a + step], top, L)
+                   for a in range(0, len(part), step)]
+        vectors = _reduce(vectors[0] if len(vectors) == 1 else np.concatenate(vectors, axis=1), L)
         for r0 in range(0, len(rows), height):
             block = rows[r0:r0 + height]
             if not g1_top:
                 t = vectors if len(block) == 1 else vectors.repeat(len(block), axis=0)
             else:
-                t = reduce(powers(block, g1_top).take(sel, axis=0).T @ vectors)
+                t = _reduce(_power_table(block, g1_top, L).take(sel, axis=0).T @ vectors, L)
             yield range(r0, r0 + len(block)), t, L
 
 
@@ -552,7 +561,8 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
         origins.setdefault(range(1, min(w, M2 - o2) + 1), []).append(o2)
     # power tables of the offsets [1, w], at most BLOCK_CELLS entries each;
     # a narrower tile's offsets are a prefix of them
-    full = [(a, _powers(range(a + 1, min(a + step, w) + 1), e2)) for a in range(0, w, step)]
+    full = [(a, _power_table(range(a + 1, min(a + step, w) + 1), e2, _WRAP))
+            for a in range(0, w, step)]
     for u2, o2s in origins.items():
         tables = [U2[:, :len(u2) - a] for a, U2 in full if a < len(u2)]
         height = BLOCK_CELLS // len(u2)
@@ -562,7 +572,7 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
                  for c in [_expand_m1(ints, K1 + 1 + s, L, e1, e2)] for o2 in o2s)
         while chunk := list(islice(tiles, max(1, BLOCK_CELLS // ((e1 + 1) * max(len(u2), e2 + 1))))):
             H, R = _split([_shift_m2(row, o2, L) for _, c, o2 in chunk for row in c], L)
-            T = _joined([H @ U2.view(np.uint64) for U2 in tables])
+            T = _joined([H @ U2 for U2 in tables])
             V = _joined([R @ U2 for U2 in tables])
             if h == 1:
                 x = _phase(T, V)
@@ -572,8 +582,8 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
                 for (s, _, _), Tk, Vk in zip(chunk, np.split(T, len(chunk)), np.split(V, len(chunk))):
                     for a in range(s, min(s + h, M1 - K1), height):
                         r = range(a, min(a + height, s + h, M1 - K1))
-                        U1 = _powers(range(a - s, r.stop - s), e1)
-                        yield r, _phase(U1.view(np.uint64).T @ Tk, U1.T @ Vk), None
+                        U1 = _power_table(range(a - s, r.stop - s), e1, _WRAP)
+                        yield r, _phase(U1.T @ Tk, U1.T @ Vk), None
 
 
 def _joined(blocks: List[np.ndarray]) -> np.ndarray:
@@ -601,18 +611,6 @@ def _phase(t: np.ndarray, tail: np.ndarray) -> np.ndarray:
     hi >>= 11
     x += hi * 2.0**-53
     return x
-
-
-def _powers(u: range, d: int) -> np.ndarray:
-    """(d + 1) x len(u) int64 table of u**j, exact while |u|**d < 2**63 (the
-    tail's growth bound keeps it below 2**52, so it is an exact float too)."""
-    table = np.empty((d + 1, len(u)), dtype=np.int64)
-    table[0] = 1
-    if d:
-        table[1] = np.arange(u.start, u.stop)
-    for j in range(1, d):
-        np.multiply(table[j], table[1], out=table[j + 1])
-    return table
 
 
 def _expand_m1(terms: Dict[Tuple[int, int], int], o1: int, L: int, e1: int,

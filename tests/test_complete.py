@@ -118,12 +118,30 @@ def test_partial_gauss_huge_frozen_value():
                             "--frozen", str(frozen), "--axis", axis]) == 0
 
 
+@pytest.mark.parametrize("q, peak_mib", [(1_000_003, 9), (1_048_583, 2)])
+def test_partial_gauss_past_the_bin_cap(q, peak_mib):
+    # 5 * 3 * m2**2 over the residues of a prime q: a quadratic Gauss sum,
+    # |value| = q**-1/2 in closed form.  Up to HISTOGRAM_BINS residues the
+    # row is one histogram (8 MB of bins), past them its row sum, in blocks
+    tracemalloc.start()
+    try:
+        value = partial_gauss(parse_poly("m1*m2^2"), Fraction(5, q), 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(abs(value) * math.sqrt(q) - 1) <= FLOAT_TERM_BUDGET * math.sqrt(q)
+    assert peak <= peak_mib * 2**20
+    assert run_command(["gauss", "--poly", "m1*m2^2", "--q", str(q), "--a", "5",
+                        "--frozen", "3"]) == 0
+
+
 def _no_histogram(*args):
     raise AssertionError("the work cap must be checked before any work")
 
 
 def test_complete_sums_work_cap(monkeypatch, capsys):
     monkeypatch.setattr(complete, "_box_histogram", _no_histogram)
+    monkeypatch.setattr(complete, "_lattice_phase_sum", _no_histogram)
     P = parse_poly("m1^2*m2^3")
     cap = f"the cap is {complete.WORK_CAP_CELLS} cells"
     start = time.perf_counter()
@@ -148,8 +166,8 @@ def test_gauss_modulus_and_periodicity(rng):
 
 
 def test_gauss_equals_double_sum(rng):
-    # both read the q x q box's histogram (expsum._box_histogram), so the
-    # double sum is held to the per-cell poly.evaluate oracle as well
+    # both sides run one kernel, the box sum of expsum._lattice_phase_sum, so
+    # the second algorithm is the per-cell poly.evaluate oracle (residue_sum)
     P = parse_poly("m1^2*m2^3")
     for q in (1, 2, 3, 5, 8, 12, 24):
         a = 1 if q > 1 else 0
