@@ -21,11 +21,13 @@ The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
 C(N+s-1, s) lattice points (multisets of size s), cached as arrays.  The
 mixed-radix code of a lattice point is linear, so the pair codes of each
-convolution step u + x (_pair_reduce) are one outer sum of per-point codes,
-and those of the difference table lambda = u - v only the positive half
-(_difference_reduce; J is even).  Each is packed above its weight in one
-int64 and a single np.sort groups equal points.  When the packed value could
-reach 2**63 all pairs go to the older sort-reduce (argsort of the code, or
+convolution step u + x (_pair_reduce) are one outer sum of per-point codes.
+The difference table lambda = u - v is even, J(lambda) = J(-lambda), so only
+its positive half is built, cached and evaluated, with J(0) beside it
+(_difference_reduce, _table_sum); vinogradov_table mirrors it into a dict on
+demand.  Each code is packed above its weight in one int64 and a single
+np.sort groups equal points.  When the packed value could reach 2**63 all
+pairs go to the older sort-reduce (argsort of the code, or
 np.lexsort when the code alone would not fit).  Work guards raise
 WorkCapExceeded before allocating when a table would exceed the configured
 cell cap or when a count or coordinate could overflow int64, so nothing is
@@ -290,24 +292,26 @@ def _pair_reduce(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray,
 
 
 def _difference_reduce(u: np.ndarray, c: np.ndarray, s: int,
-                       N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(lam, J): distinct rows of u[i] - u[j] with summed weights c[i] * c[j],
-    in lexicographic order, for distinct rows u in that order.  As J is even
-    and J(0) = sum c**2, only pairs i > j (the positive codes) are packed,
-    under _pair_reduce's guard, and mirrored; past it all go to _sort_reduce."""
+                       N: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(pos, Jp, J0) of the rows u[i] - u[j], weights c[i] * c[j], for distinct
+    rows u in lexicographic order: the distinct rows after lambda = 0 in that
+    order, their summed weights and J0 = J(0) = sum c**2; J is even.  Only the
+    pairs i > j, the positive codes, are packed, under _pair_reduce's guard;
+    past it all pairs go to _sort_reduce."""
     k = u.shape[1]
     bounds, places, span = _radix(s, N, k)
     bits = (int(c.max()) ** 2).bit_length()
     if span << bits >= INT64_LIMIT:
         keys = (u[:, None, :] - u[None, :, :]).reshape(-1, k)
-        return _sort_reduce(keys, np.multiply.outer(c, c).ravel(), s, N)
+        lam, J = _sort_reduce(keys, np.multiply.outer(c, c).ravel(), s, N)
+        zero = int(np.flatnonzero(~lam.any(axis=1))[0])
+        return lam[zero + 1:].copy(), J[zero + 1:].copy(), int(J[zero])
     code = (u @ places) << bits
-    half = np.tri(len(u), k=-1, dtype=bool)  # the pairs i > j
-    packed = np.subtract.outer(code, code)[half]
-    packed |= np.multiply.outer(c, c)[half]
-    pos, Jp = _packed_reduce(packed, bits, bounds, places)
-    return (np.concatenate([-pos[::-1], np.zeros((1, k), dtype=np.int64), pos]),
-            np.concatenate([Jp[::-1], [c @ c], Jp]))
+    packed = np.multiply.outer(c, c)  # plus code[i] - code[j], in place, in int64
+    packed -= code
+    packed += code[:, None]
+    packed = packed[np.tri(len(u), k=-1, dtype=bool)]  # the pairs i > j
+    return (*_packed_reduce(packed, bits, bounds, places), int(c @ c))
 
 
 def _as_dict(keys: np.ndarray, weights: np.ndarray) -> Dict[Tuple[int, ...], int]:
@@ -359,22 +363,25 @@ def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCo
 
 
 @lru_cache(maxsize=16)
-def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Read-only (lam, J(lam)) of the inhomogeneous moment system, in
-    lexicographic order: _difference_reduce of the count arrays (all pairs
-    through _sort_reduce only at s = 1, k = 3 from N = 913 on)."""
+def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Positive half (pos, Jp, J0) of the inhomogeneous moment system's
+    table, pos and Jp read-only: _difference_reduce of the count arrays (all
+    pairs through _sort_reduce only at s = 1, k = 3 from N = 913 on)."""
     _check_params(s, k, N, table=True)
-    lam, J = _difference_reduce(*_count_arrays(s, k, N), s, N)
-    lam.flags.writeable = J.flags.writeable = False
-    return lam, J
+    pos, Jp, J0 = _difference_reduce(*_count_arrays(s, k, N), s, N)
+    pos.flags.writeable = Jp.flags.writeable = False
+    return pos, Jp, J0
 
 
 # One dict at a time: it is several times the size of the cached arrays it is
-# built from (169 MB against 30 MB for (3, 3, 20)).
+# built from (169 MB against 15 MB for (3, 3, 20)).
 @lru_cache(maxsize=1)
 def vinogradov_table(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
-    """Full sparse table lambda -> count for the inhomogeneous moment system."""
-    return _as_dict(*_difference_table(s, k, N))
+    """Full sparse table lambda -> count for the inhomogeneous moment system,
+    in lexicographic order: the cached positive half, mirrored."""
+    pos, Jp, J0 = _difference_table(s, k, N)
+    return _as_dict(np.concatenate([-pos[::-1], np.zeros((1, k), dtype=np.int64), pos]),
+                    np.concatenate([Jp[::-1], [J0], Jp]))
 
 
 def vinogradov_diagonal(s: int, k: int, N: int) -> int:
@@ -383,17 +390,19 @@ def vinogradov_diagonal(s: int, k: int, N: int) -> int:
     return sum(c * c for c in _count_arrays(s, k, N)[1].tolist())
 
 
-def _table_sum(s: int, N: int, lam: np.ndarray, J: np.ndarray,
-               xi: Sequence[float]) -> complex:
-    """sum over the rows of J(lambda) e(xi.lambda), as J times the product of
-    e(xi_i * lambda_i) over the axes, lambda_i in [-s*N**i, s*N**i].  An axis
-    whose 2*s*N**i + 1 phases are at most the row count gathers them from a
-    table of e(xi_i * j), a longer one takes them on the column, both from
-    the table kernel (expsum._e) on the phases centred exactly, which gives
-    e(0) = 1 exactly: besides the product no step holds more than a complex
-    column and a table no longer, or a float column and two complex ones."""
-    terms = J.astype(complex)
-    for i, (col, x) in enumerate(zip(lam.T, xi), start=1):
+def _table_sum(s: int, N: int, pos: np.ndarray, Jp: np.ndarray, J0: int,
+               xi: Sequence[float]) -> float:
+    """J0 + 2 * sum over the rows of pos of Jp * Re e(xi.lambda): the sum of
+    J(lambda) e(xi.lambda) over the whole table, which is even.  e(xi.lambda)
+    is the product of e(xi_i * lambda_i) over the axes, lambda_i in
+    [-s*N**i, s*N**i].  An axis whose 2*s*N**i + 1 phases are at most the row
+    count gathers them from a table of e(xi_i * j), a longer one takes them on
+    the column, both from the table kernel (expsum._e) on the phases centred
+    exactly, which gives e(0) = 1 exactly.  The weighted sum makes no BLAS
+    call, whose threads spin on after it (notes/decisions.md, "The moment
+    table from its positive half")."""
+    terms = np.ones(len(Jp), dtype=complex)
+    for i, (col, x) in enumerate(zip(pos.T, xi), start=1):
         b = s * N**i
         table = 2 * b + 1 <= len(col)
         # j = 0..b, then -b..-1: a negative coordinate indexes from the end
@@ -404,14 +413,15 @@ def _table_sum(s: int, N: int, lam: np.ndarray, J: np.ndarray,
         z = _e(phase).T.copy().view(complex).ravel()     # cos + i sin
         del phase
         terms *= z[col] if table else z
-    return complex(terms.sum())
+    return J0 + 2 * float((Jp * terms.real).sum())
 
 
 def moment_identity_gap(s: int, k: int, N: int, xi: Sequence[RealLike]) -> float:
     """|  |S_k(xi;N)|^(2s) - sum_lambda J(lambda) e(xi.lambda) |.
 
     The left side is the direct power sum; the right side is evaluated from
-    the sparse count table, an independent combinatorial path.
+    the positive half of the sparse count table (_table_sum), an independent
+    combinatorial path.
     """
     xs = tuple(xi)
     if len(xs) != k:
@@ -419,5 +429,4 @@ def moment_identity_gap(s: int, k: int, N: int, xi: Sequence[RealLike]) -> float
     ws = weyl_sum(xs, N)
     v = ws.value
     lhs = (v.real * v.real + v.imag * v.imag) ** s
-    lam, J = _difference_table(s, k, N)
-    return abs(lhs - _table_sum(s, N, lam, J, [float(x) for x in xs]))
+    return abs(lhs - _table_sum(s, N, *_difference_table(s, k, N), [float(x) for x in xs]))

@@ -598,13 +598,15 @@ def test_diagonal_monomial_matches_incomplete_gamma(turns, axis):
 
 def test_eight_million_turn_diagonal_is_certified_quickly():
     # m1^2*m2^3 at xi = 0.9, M = 12, frozen m1 = 60: 8.4 M turns of slope
-    # times length; the refinement ladder raised after 8.0 s
+    # times length; the refinement ladder raised after 8.0 s.  The bound is
+    # on this thread's CPU time, which other load on the machine does not
+    # stretch as it does wall time; the node count is the deterministic check
     P = parse_poly("m1^2*m2^3")
-    start = time.perf_counter()
+    start = time.thread_time()
     value, bound, nodes, _ = _rule_of(P, 0.9, 12, 12, 2, (1, 60))
-    assert time.perf_counter() - start < 3.0
+    assert time.thread_time() - start < 3.0
     assert abs(value - _monomial_oracle(0.9 * 60**2 * 12**3, 3, 0.5)) <= bound
-    assert nodes[0] == 1 and nodes[1] <= complete.WORK_CAP_CELLS
+    assert nodes[0] == 1 and nodes[1] <= 15_247_744 <= complete.WORK_CAP_CELLS
 
 
 # tracemalloc peaks of one cold call each (fresh interpreter, first call) on

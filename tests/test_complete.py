@@ -445,6 +445,19 @@ def _pairs_by_fallback(op, a, wa, b, wb, s, N):
     return complete._sort_reduce(rows, np.multiply.outer(wa, wb).ravel(), s, N)
 
 
+def _mirrored(pos, Jp, J0):
+    """The full table from its positive half: rows [-pos reversed; 0; pos]
+    with counts [Jp reversed; J0; Jp]."""
+    zero = np.zeros((1, pos.shape[1]), dtype=np.int64)
+    return np.concatenate([-pos[::-1], zero, pos]), np.concatenate([Jp[::-1], [J0], Jp])
+
+
+def _positive_rows(pos):
+    """Whether every row of pos has a positive first nonzero coordinate."""
+    first = pos[np.arange(len(pos)), (pos != 0).argmax(axis=1)]
+    return bool((first > 0).all())
+
+
 def _counts_by_fallback(s, k, N):
     x = np.arange(1, N + 1, dtype=np.int64)
     base = np.stack([x**i for i in range(1, k + 1)], axis=1)
@@ -460,7 +473,8 @@ Tables = namedtuple("Tables", "keys weights want got fell_back")
 @functools.lru_cache(maxsize=1)
 def _tables(s, k, N):
     """The s-fold sums (keys, weights) and difference table (want) by the
-    reference, and the cached table complete._difference_table gives (got),
+    reference, and the cached positive half (pos, Jp, J0) that
+    complete._difference_table gives (got),
     built here from an empty cache with whether _difference_reduce called
     _sort_reduce.  The last call is cached, so the lexsort corner (1, 3, 1100)
     is built once by the reference and once by the library for the
@@ -508,13 +522,17 @@ def test_packed_sort_equals_fallback(fallback_calls, s, k, N, packed):
         assert not a[0].flags.writeable and not a[1].flags.writeable
     assert moment_curve_counts(s, k, N) == complete._as_dict(keys, weights)
     assert fell_back != packed
-    assert np.array_equal(got[0], lam) and np.array_equal(got[1], J)
-    assert got[0].dtype == got[1].dtype == np.int64
-    assert not got[0].flags.writeable and not got[1].flags.writeable
-    # J is even with J(0) = sum c**2: the packed route mirrors its positive half
+    pos, Jp, J0 = got
+    assert pos.dtype == Jp.dtype == np.int64
+    assert not pos.flags.writeable and not Jp.flags.writeable
+    assert _positive_rows(pos)
+    # J is even with J(0) = sum c**2 on the reference over all n**2 pairs, so
+    # the positive half mirrored around J0 is the whole table
     zero = len(lam) // 2
-    assert np.array_equal(got[0][::-1], -got[0]) and not got[0][zero].any()
-    assert got[1][zero] == int(weights @ weights) == vinogradov_diagonal(s, k, N)
+    assert np.array_equal(lam[::-1], -lam) and not lam[zero].any()
+    assert J[zero] == J0 == int(weights @ weights) == vinogradov_diagonal(s, k, N)
+    full = _mirrored(pos, Jp, J0)
+    assert np.array_equal(full[0], lam) and np.array_equal(full[1], J)
     if len(J) < 10**5:  # the corner's dict alone is about 170 MB
         assert vinogradov_table(s, k, N) == complete._as_dict(lam, J)
 
@@ -529,15 +547,21 @@ def test_table_lexsort_branch():
     # reference table _tables still holds, and reads the library table that
     # _tables built into the cache
     N = 1100
-    lam, J = complete._difference_table(1, 3, N)
+    pos, Jp, J0 = complete._difference_table(1, 3, N)
+    lam, J = _mirrored(pos, Jp, J0)
     assert len(lam) == N * (N - 1) + 1
-    assert J[~lam.any(axis=1)].tolist() == [N]
+    assert J[~lam.any(axis=1)].tolist() == [N] == [J0]
     assert J.sum() == N * N
-    assert np.array_equal(lam[::-1], -lam)
-    assert np.array_equal(J[::-1], J)
-    assert not lam.flags.writeable and not J.flags.writeable
+    assert _positive_rows(pos)
+    assert not pos.flags.writeable and not Jp.flags.writeable
     want = _tables(1, 3, N).want
+    assert np.array_equal(want[0][::-1], -want[0])
+    assert np.array_equal(want[1][::-1], want[1])
     assert np.array_equal(lam, want[0]) and np.array_equal(J, want[1])
+    # the fallback's half is exactly the reference's rows after lambda = 0
+    zero = len(want[0]) // 2
+    assert not want[0][zero].any() and want[1][zero] == J0
+    assert np.array_equal(pos, want[0][zero + 1:]) and np.array_equal(Jp, want[1][zero + 1:])
 
 
 def test_packing_guard_exact_threshold(monkeypatch, fallback_calls):
@@ -552,8 +576,10 @@ def test_packing_guard_exact_threshold(monkeypatch, fallback_calls):
     for limit, packed in ((edge, False), (edge + 1, True)):
         monkeypatch.setattr(complete, "INT64_LIMIT", limit)
         fallback_calls.clear()
-        got = complete._difference_reduce(keys, weights, s, N)
+        pos, Jp, J0 = complete._difference_reduce(keys, weights, s, N)
         assert bool(fallback_calls) != packed
+        assert _positive_rows(pos) and J0 == vinogradov_diagonal(s, k, N)
+        got = _mirrored(pos, Jp, J0)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -570,8 +596,10 @@ def test_packing_at_the_real_int64_edge(fallback_calls):
         u, c = np.stack([x, x**2, x**3], axis=1), np.ones(n, dtype=np.int64)
         want = _pairs_by_fallback(np.subtract, u, c, u, c, 1, n)
         fallback_calls.clear()
-        got = complete._difference_reduce(u, c, 1, n)
+        pos, Jp, J0 = complete._difference_reduce(u, c, 1, n)
         assert bool(fallback_calls) != packed
+        assert _positive_rows(pos) and J0 == n
+        got = _mirrored(pos, Jp, J0)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -690,11 +718,13 @@ def test_moment_identity_examples():
     (2, 3, 10, [Fraction(1, 3), 0.25, 0.777]),
 ])
 def test_per_axis_phases_equal_the_flat_phase_sum(s, k, N, xi):
-    # the flat evaluation: one phase lambda . xi per row, reduced mod 1
-    lam, J = complete._difference_table(s, k, N)
+    # the flat evaluation: one phase lambda . xi per row of the full
+    # mirrored table, reduced mod 1; _table_sum reads the positive half
+    pos, Jp, J0 = complete._difference_table(s, k, N)
+    lam, J = _mirrored(pos, Jp, J0)
     x = np.array([float(v) for v in xi])
     flat = (J * np.exp(2j * np.pi * ((lam.astype(np.float64) @ x) % 1.0))).sum()
-    per_axis = complete._table_sum(s, N, lam, J, x.tolist())
+    per_axis = complete._table_sum(s, N, pos, Jp, J0, x.tolist())
     assert abs(per_axis - flat) <= 1e-12 * N ** (2 * s)  # N**(2s) = sum of J
     assert moment_identity_gap(s, k, N, [Fraction(0)] * k) == 0.0
 
@@ -710,6 +740,25 @@ def test_moment_identity_memory_stays_with_the_table():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert gap <= 1e-9 * 300**2
+
+
+def test_corner_moment_identity_holds_half_the_table():
+    # (3, 3, 20), the moment suite's corner: 949,975 rows.  Built and
+    # evaluated from cached count arrays, the whole table peaked at 58.7 MiB
+    # of traced allocations and was cached in 30.4 MB
+    complete._count_arrays(3, 3, 20)
+    complete._difference_table.cache_clear()
+    tracemalloc.start()
+    try:
+        gap = moment_identity_gap(3, 3, 20, [0.3, 0.61, 0.17])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
+    pos, Jp, J0 = complete._difference_table(3, 3, 20)
+    assert 2 * len(pos) + 1 == 949_975
+    assert pos.nbytes + Jp.nbytes <= 15.2e6
+    assert gap <= 1e-8 * 20**6
 
 
 def test_envelope_row_shape():
