@@ -43,6 +43,18 @@ def _real(text: str):
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}") from exc
 
 
+def _entries(text: str, parse, kind: str) -> list:
+    """The comma-separated entries of a list argument through parse; a
+    malformed entry is a usage error that names it."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(parse(entry))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not {kind}: {entry!r}") from exc
+    return out
+
+
 def _positive_int(text: str) -> int:
     value = int(text)  # argparse turns a ValueError into a usage error
     if value < 1:
@@ -225,7 +237,7 @@ def _cmd_expsum(args, report: VerificationReport) -> None:
 
 
 def _cmd_vinogradov(args, report: VerificationReport) -> None:
-    lam = [int(t) for t in args.lam.split(",")] if args.lam else [0] * args.k
+    lam = _entries(args.lam, int, "an integer") if args.lam else [0] * args.k
     count = complete.vinogradov_count(args.s, args.k, args.n, lam)
     report.results.append({"s": args.s, "k": args.k, "N": args.n,
                            "lambda": list(count.lam), "count": str(count.count)})
@@ -274,10 +286,10 @@ def _cmd_iw(args, report: VerificationReport) -> None:
 
 
 def _cmd_osc(args, report: VerificationReport) -> None:
-    values = [complex(t) for t in args.values.split(",")]
+    values = _entries(args.values, complex, "a complex number")
     fam = osc.IndexedFamily.of({i: v for i, v in enumerate(values)})
     if args.seq:
-        pts = [int(t) for t in args.seq.split(",")]
+        pts = _entries(args.seq, int, "an integer")
     else:
         pts = list(range(len(values)))
     seq = osc.IncreasingSequence.of(pts)
@@ -367,7 +379,7 @@ def run_command(argv: Optional[List[str]] = None) -> int:
     try:
         _DISPATCH[args.command](args, report)
     except (PolynomialSyntaxError, argparse.ArgumentTypeError) as exc:
-        # ArgumentTypeError: a value parsed after argparse, such as --weyl's
+        # ArgumentTypeError: a value parsed after argparse, such as an entry of --weyl
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SystemExit as exc:

@@ -26,12 +26,12 @@ The difference table lambda = u - v is even, J(lambda) = J(-lambda), so only
 its positive half is built, cached and evaluated, with J(0) beside it
 (_difference_reduce, _table_sum); vinogradov_table mirrors it into a dict on
 demand.  Each code is packed above its weight in one int64 and a single
-np.sort groups equal points.  When the packed value could reach 2**63 all
-pairs go to the older sort-reduce (argsort of the code, or
-np.lexsort when the code alone would not fit).  Work guards raise
-WorkCapExceeded before allocating when a table would exceed the configured
-cell cap or when a count or coordinate could overflow int64, so nothing is
-truncated or wrapped silently.
+np.sort groups equal points.  When the packed value could reach 2**63 the
+same pairs go as rows to the older sort-reduce (argsort of the code, or
+np.lexsort when the code alone would not fit).  One work guard,
+_check_work, raises WorkCapExceeded before allocating when a table would
+exceed the configured cell cap or when a count or coordinate could overflow
+int64, so nothing is truncated or wrapped silently.
 """
 
 from __future__ import annotations
@@ -215,17 +215,9 @@ def _check_params(s: int, k: int, N: int, table: bool = False) -> None:
     # bounds every count, every product c_u*c_v and every partial sum of them;
     # s*N**k bounds every coordinate
     mass = N ** (2 * s if table else s)
-    if mass >= INT64_LIMIT or s * N**k >= INT64_LIMIT:
-        raise WorkCapExceeded(
-            f"counts up to {mass} or coordinates up to s*N**k = {s * N**k} "
-            f"would overflow int64"
-        )
-    cells = math.comb(N + s - 1, s)  # exact bound on the sparse support
-    needed = cells * cells if table else cells
-    if needed > WORK_CAP_CELLS:
-        raise WorkCapExceeded(
-            f"count table needs up to {needed} cells, cap is {WORK_CAP_CELLS}"
-        )
+    cells = math.comb(N + s - 1, s) ** (2 if table else 1)  # bounds the sparse support
+    _check_work(cells, max(mass, s * N**k), f"count table needs up to {cells} cells, "
+                f"counts up to {mass} and coordinates up to s*N**k = {s * N**k}")
 
 
 def _radix(s: int, N: int, k: int) -> Tuple[List[int], List[int], int]:
@@ -296,16 +288,15 @@ def _difference_reduce(u: np.ndarray, c: np.ndarray, s: int,
     """(pos, Jp, J0) of the rows u[i] - u[j], weights c[i] * c[j], for distinct
     rows u in lexicographic order: the distinct rows after lambda = 0 in that
     order, their summed weights and J0 = J(0) = sum c**2; J is even.  Only the
-    pairs i > j, the positive codes, are packed, under _pair_reduce's guard;
-    past it all pairs go to _sort_reduce."""
-    k = u.shape[1]
-    bounds, places, span = _radix(s, N, k)
+    pairs i > j, the positive rows, are reduced: packed under _pair_reduce's
+    guard, past it by _sort_reduce."""
+    bounds, places, span = _radix(s, N, u.shape[1])
     bits = (int(c.max()) ** 2).bit_length()
     if span << bits >= INT64_LIMIT:
-        keys = (u[:, None, :] - u[None, :, :]).reshape(-1, k)
-        lam, J = _sort_reduce(keys, np.multiply.outer(c, c).ravel(), s, N)
-        zero = int(np.flatnonzero(~lam.any(axis=1))[0])
-        return lam[zero + 1:].copy(), J[zero + 1:].copy(), int(J[zero])
+        i, j = np.tril_indices(len(u), -1)
+        keys, weights = u[i] - u[j], c[i] * c[j]
+        del i, j  # not held through the sort
+        return (*_sort_reduce(keys, weights, s, N), int(c @ c))
     code = (u @ places) << bits
     packed = np.multiply.outer(c, c)  # plus code[i] - code[j], in place, in int64
     packed -= code
@@ -365,8 +356,8 @@ def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCo
 @lru_cache(maxsize=16)
 def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """Positive half (pos, Jp, J0) of the inhomogeneous moment system's
-    table, pos and Jp read-only: _difference_reduce of the count arrays (all
-    pairs through _sort_reduce only at s = 1, k = 3 from N = 913 on)."""
+    table, pos and Jp read-only: _difference_reduce of the count arrays (the
+    pairs i > j through _sort_reduce only at s = 1, k = 3 from N = 913 on)."""
     _check_params(s, k, N, table=True)
     pos, Jp, J0 = _difference_reduce(*_count_arrays(s, k, N), s, N)
     pos.flags.writeable = Jp.flags.writeable = False

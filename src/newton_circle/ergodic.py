@@ -187,15 +187,8 @@ def degenerate_factorization_gap(p1: UniPoly, p2: UniPoly, f: FiniteFunction,
     if mf < 1:
         raise EmptyRegionError("outer averaging range is empty")
     # nested path: average in m2 first, then in m1
-    inner_cache: Dict[int, complex] = {}
-
-    def inner(y: int) -> complex:
-        if y not in inner_cache:
-            inner_cache[y] = shift_average_1d(p2, M2, f, y)
-        return inner_cache[y]
-
     total = 0j
     for m in range(1, mf + 1):
-        total += inner(x - int(p1(m)))
+        total += shift_average_1d(p2, M2, f, x - int(p1(m)))
     nested = total / mf
     return abs(direct - nested)

@@ -179,18 +179,12 @@ def pin(P: Union[Poly2, RealPoly2], axis: int, value: int) -> Union[Poly2, RealP
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     value = operator.index(value)
-    # per output key, numerator and denominator of its coefficient, in integers
-    sums: Dict[ExpPair, Tuple[int, int]] = {}
-    rational = set()        # keys reached by a non-int coefficient hold a Fraction
+    # a key reached by a non-int coefficient sums to a Fraction, any other to an int
+    sums: Dict[ExpPair, Union[int, Fraction]] = {}
     for (g1, g2), c in P.terms.items():
         key, power = ((0, g2), g1) if axis == 1 else ((g1, 0), g2)
-        num, den = c.as_integer_ratio()
-        if not isinstance(c, int):
-            rational.add(key)
-        n0, d0 = sums.get(key, (0, 1))
-        d = math.lcm(d0, den)
-        sums[key] = (n0 * (d // d0) + num * value**power * (d // den), d)
-    return type(P)({key: Fraction(n, d) if key in rational else n for key, (n, d) in sums.items()})
+        sums[key] = sums.get(key, 0) + (c if isinstance(c, int) else Fraction(c)) * value**power
+    return type(P)(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,23 @@ def test_vinogradov_command(tmp_path):
     assert doc["results"][0]["count"] == "15"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["vinogradov", "--s", "1", "--k", "2", "--n", "3", "--lam", "1,x"], "not an integer: 'x'"),
+    (["osc", "--values", "1,zz"], "not a complex number: 'zz'"),
+    (["osc", "--values", "1,2", "--seq", "0,q"], "not an integer: 'q'"),
+])
+def test_malformed_list_entry_is_a_usage_error(tmp_path, capsys, argv, message):
+    code, doc = run(tmp_path, *argv)
+    assert code == USAGE_ERROR and doc is None
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_vinogradov_lam_of_wrong_length_fails(capsys):
+    # well-formed entries, but not k of them: a failed command, not a usage error
+    assert run_command(["vinogradov", "--s", "1", "--k", "2", "--n", "3", "--lam", "1,2,3"]) == 1
+    assert capsys.readouterr().err == "error: lambda must have length k=2\n"
+
+
 def test_gauss_sweep_rows(tmp_path):
     code, doc = run(tmp_path, "gauss", "--poly", "m1^2*m2^3", "--qmax", "50")
     assert code == 0

@@ -1,3 +1,4 @@
+import ast
 import functools
 import itertools
 import math
@@ -6,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter, namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +605,23 @@ def test_packing_at_the_real_int64_edge(fallback_calls):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def test_fallback_reduces_only_the_pairs_i_above_j(fallback_calls):
+    # (1, 3, 913) is the first s = 1, k = 3 table past packing: the fallback
+    # hands _sort_reduce the n(n - 1)/2 pairs i > j, not all n**2, and builds
+    # no n**2-row array (the all-pairs fallback peaked at 77.1 MiB)
+    n = 913
+    u, c = complete._count_arrays(1, 3, n)
+    tracemalloc.start()
+    try:
+        pos, Jp, J0 = complete._difference_reduce(u, c, 1, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fallback_calls == [n * (n - 1) // 2]
+    assert len(pos) == len(Jp) == n * (n - 1) // 2 and J0 == n
+    assert peak <= 48 * 2**20
+
+
 def test_table_caches_keep_their_cache_info():
     # the benchmark worker reads cache_info() of both in every mode
     for fn in (moment_curve_counts, vinogradov_table):
@@ -689,6 +708,27 @@ def test_count_arrays_guard_before_any_pair(monkeypatch):
     monkeypatch.setattr(complete, "_pair_reduce", _no_tables)
     with pytest.raises(WorkCapExceeded, match="int64"):
         vinogradov_diagonal(6, 1, 1500)
+
+
+def _cap_raises(node, scope):
+    """The enclosing function of every raise of WorkCapExceeded under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _cap_raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "WorkCapExceeded":
+                yield scope
+        yield from _cap_raises(child, scope)
+
+
+def test_every_cap_raises_from_check_work():
+    # one guard for every cap, so a change of the cap's unit touches one function
+    sites = [(path.stem, scope)
+             for path in sorted(Path(complete.__file__).parent.glob("*.py"))
+             for scope in _cap_raises(ast.parse(path.read_text()), "<module>")]
+    assert sites == [("complete", "_check_work")]
 
 
 def test_gauss_sweep_work_cap(tmp_path, capsys):

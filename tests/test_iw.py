@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from newton_circle.iw import (
@@ -95,6 +96,30 @@ def _factorizations(top):
     return out
 
 
+# the primes up to 31, the largest N0 on the grid of test_p_le_matches_its_definition
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _factor_table(factorizations):
+    """Per q >= 1 of _factorizations, one row: v_p(q) for each p in
+    _SMALL_PRIMES, then the count, largest exponent and largest prime of the
+    prime factors of q above 31 (0 where q has none)."""
+    rows = []
+    for fac in factorizations[1:]:
+        big = {p: e for p, e in fac.items() if p > _SMALL_PRIMES[-1]}
+        rows.append([fac.get(p, 0) for p in _SMALL_PRIMES]
+                    + [len(big), max(big.values(), default=0), max(big, default=0)])
+    return np.array(rows, dtype=np.int64)
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def test_p_le_matches_its_definition():
     # the set, read off each q's factorisation: v_p(q) <= v_p((N0!)**D) for
     # p <= N0, and every other prime in (N0, 2**l], at most D of them, each
@@ -102,19 +127,26 @@ def test_p_le_matches_its_definition():
     # times p**D over the D largest medium primes, passes the cap
     top = 20000
     factorizations = _factorizations(top)
+    table = _factor_table(factorizations)
+    exps, big_count, big_exp, big_prime = table[:, :-3], table[:, -3], table[:, -2], table[:, -1]
+    small = np.array(_SMALL_PRIMES)
     for rho in (Fraction(1, 2), Fraction(1, 4), Fraction(2, 3), Fraction(9, 10), Fraction(1, 10)):
         for l in range(12):
             params = IWParams(rho=rho, l=l)
             N0, D, Q0 = params.N0, params.D, params.Q0
+            assert N0 <= _SMALL_PRIMES[-1]  # so every p <= N0 has its column
+            low = small <= N0
+            # the factors above N0: primes in (N0, 31], then those above 31
+            mid, mid_primes = exps[:, ~low], small[~low]
+            count = (mid > 0).sum(axis=1) + big_count
+            largest_exp = np.maximum(mid.max(axis=1, initial=0), big_exp)
+            largest_prime = np.maximum((mid_primes * (mid > 0)).max(axis=1, initial=0), big_prime)
+            # v_p(Q0) read from Q0 itself
+            q0_exps = np.array([_valuation(Q0, p) for p in _SMALL_PRIMES if p <= N0])
+            ok = ((exps[:, low] <= q0_exps).all(axis=1) & (count <= D)
+                  & (largest_exp <= D) & (largest_prime <= 2**l))
+            members = (np.flatnonzero(ok) + 1).tolist()
             medium = [p for p in range(N0 + 1, 2**l + 1) if factorizations[p] == {p: 1}]
-            members = []
-            for q in range(1, top + 1):
-                fac = factorizations[q]
-                big = [e for p, e in fac.items() if p > N0]
-                if (len(big) <= D and all(e <= D for e in big)
-                        and all(p <= 2**l for p in fac if p > N0)
-                        and all(Q0 % p**e == 0 for p, e in fac.items() if p <= N0)):
-                    members.append(q)
             largest = Q0 * math.prod(p**D for p in medium[-D:])
             for cap in [c for c in (2**l, 2**l + 1, 500, 4096, top) if c >= 2**l]:
                 sets = build_p_le(IWParams(rho=rho, l=l, enumeration_cap=cap))
