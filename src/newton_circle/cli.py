@@ -16,6 +16,7 @@ import inspect
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional
 
 from . import __version__, circle, complete, ergodic, expsum, iw, newton, osc, poly, suites
@@ -94,7 +95,10 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
                      help="pin runtime_ms to 0 for byte-stable reports")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and a build costs milliseconds."""
     parser = argparse.ArgumentParser(
         prog="newton-circle",
         description="verification toolkit for two-parameter lattice exponential sums",

@@ -25,10 +25,16 @@ convolution step u + x (_pair_reduce) are one outer sum of per-point codes.
 The difference table lambda = u - v is even, J(lambda) = J(-lambda), so only
 its positive half is built, cached and evaluated, with J(0) beside it
 (_difference_reduce, _table_sum); vinogradov_table mirrors it into a dict on
-demand.  Each code is packed above its weight in one int64 and a single
-np.sort groups equal points.  When the packed value could reach 2**63 the
-same pairs go as rows to the older sort-reduce (argsort of the code, or
-np.lexsort when the code alone would not fit).  One work guard,
+demand, and vinogradov_count reads one entry from the count arrays by one
+np.searchsorted.  Each code is packed above its weight in one int64 and a
+single in-place np.sort groups equal points.  The pairs i > j are written in
+bands of rows straight into that one array (_difference_pairs), reduced
+without a second full-size copy (_packed_reduce) and evaluated in bands of
+rows, so beside the packed pairs and the table no temporary exceeds about
+_BAND entries (notes/decisions.md, "The moment table in bands").  When the
+packed value could reach 2**63 the same pairs go as rows to the older
+sort-reduce (argsort of the code, or np.lexsort when the code alone would
+not fit).  One work guard,
 _check_work, raises WorkCapExceeded before allocating when a table would
 exceed the configured cell cap or when a count or coordinate could overflow
 int64, so nothing is truncated or wrapped silently.
@@ -50,6 +56,10 @@ from .poly import Poly2, transpose
 
 WORK_CAP_CELLS = 10**8
 INT64_LIMIT = 2**63
+# Cells of one band: beside its result, a difference table's build, reduction
+# and evaluation hold temporaries of about this many entries.  At least
+# expsum._E_MIN, so that each band of _table_sum takes the kernel of the whole.
+_BAND = 1 << 16
 
 
 class WorkCapExceeded(RuntimeError):
@@ -240,29 +250,50 @@ def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
         order = np.argsort(code)
         code = code[order]
         new_run = code[1:] != code[:-1]
-    else:
+    else:  # the rows are gathered once, in order, and compared column by column
         order = np.lexsort(keys.T[::-1])
-        ranked = keys[order]
-        new_run = (ranked[1:] != ranked[:-1]).any(axis=1)
+        keys = keys[order]
+        new_run = keys[1:, 0] != keys[:-1, 0]
+        for i in range(1, keys.shape[1]):  # no column view outlives the loop
+            new_run |= keys[1:, i] != keys[:-1, i]
     starts = np.flatnonzero(np.concatenate(([True], new_run)))
-    return keys[order[starts]], np.add.reduceat(weights[order], starts)
+    keys = keys[starts] if span >= INT64_LIMIT else keys[order[starts]]
+    return keys, np.add.reduceat(weights[order], starts)
 
 
 def _packed_reduce(packed: np.ndarray, bits: int, bounds: List[int],
                    places: List[int]) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct rows x with summed weights, in lexicographic order, of int64
-    values C(x) << bits | weight, C(x) = sum x_i * place_i: one in-place
-    np.sort, then np.divmod decodes C(x) + C(bounds) digit by digit."""
+    values C(x) << bits | weight, C(x) = sum x_i * place_i.  packed is sorted
+    in place, its run starts found by comparing neighbours in chunks of
+    _BAND, C gathered only there and the weights masked in place and summed;
+    it is dropped before the decode, which frees it unless the caller holds
+    a name for it.  Digit i of C(x) + C(bounds) is its floor quotient by
+    place_i; the remainder passes on by a multiply-subtract, not a second
+    division as np.divmod took."""
     packed.sort()
-    code = packed >> bits
+    new_run = np.empty(len(packed), dtype=bool)
+    new_run[:1] = True
+    for a in range(0, len(packed) - 1, _BAND):
+        run = packed[a:a + _BAND + 1] >> bits
+        np.not_equal(run[1:], run[:-1], out=new_run[a + 1:a + len(run)])
+    starts = np.flatnonzero(new_run)
+    del new_run
+    code = packed[starts]
+    code >>= bits
     packed &= (1 << bits) - 1  # the weights, in code order
-    starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-    code = code[starts] + sum(b * p for b, p in zip(bounds, places))
-    keys = np.empty((len(starts), len(bounds)), dtype=np.int64)
-    for i, (b, p) in enumerate(zip(bounds, places)):
-        digit, code = np.divmod(code, p)
-        keys[:, i] = digit - b
-    return keys, np.add.reduceat(packed, starts)
+    weights = np.add.reduceat(packed, starts)
+    del packed, starts
+    code += sum(b * p for b, p in zip(bounds, places))
+    keys = np.empty((len(code), len(places)), dtype=np.int64)
+    for a in range(0, len(code), _BAND):
+        rest, rows = code[a:a + _BAND], keys[a:a + _BAND]
+        for i, p in enumerate(places[:-1]):  # the last place is 1
+            np.floor_divide(rest, p, out=rows[:, i])
+            rest -= rows[:, i] * p
+        rows[:, -1] = rest
+    keys -= bounds
+    return keys, weights
 
 
 def _pair_reduce(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray,
@@ -289,7 +320,9 @@ def _difference_reduce(u: np.ndarray, c: np.ndarray, s: int,
     rows u in lexicographic order: the distinct rows after lambda = 0 in that
     order, their summed weights and J0 = J(0) = sum c**2; J is even.  Only the
     pairs i > j, the positive rows, are reduced: packed under _pair_reduce's
-    guard, past it by _sort_reduce."""
+    guard, in bands (_difference_pairs) and handed on unnamed, so that
+    _packed_reduce frees them before it decodes; past the guard by
+    _sort_reduce."""
     bounds, places, span = _radix(s, N, u.shape[1])
     bits = (int(c.max()) ** 2).bit_length()
     if span << bits >= INT64_LIMIT:
@@ -297,12 +330,26 @@ def _difference_reduce(u: np.ndarray, c: np.ndarray, s: int,
         keys, weights = u[i] - u[j], c[i] * c[j]
         del i, j  # not held through the sort
         return (*_sort_reduce(keys, weights, s, N), int(c @ c))
-    code = (u @ places) << bits
-    packed = np.multiply.outer(c, c)  # plus code[i] - code[j], in place, in int64
-    packed -= code
-    packed += code[:, None]
-    packed = packed[np.tri(len(u), k=-1, dtype=bool)]  # the pairs i > j
-    return (*_packed_reduce(packed, bits, bounds, places), int(c @ c))
+    # unnamed, so that _packed_reduce can free the pairs before it decodes
+    pos, Jp = _packed_reduce(_difference_pairs((u @ places) << bits, c), bits, bounds, places)
+    return pos, Jp, int(c @ c)
+
+
+def _difference_pairs(code: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """int64 code[i] - code[j] + c[i] * c[j] over the pairs i > j, row by row
+    (the order of a boolean gather of the strict lower triangle), written in
+    bands of rows [r0, r1) against the columns [0, r1), each band within
+    _BAND cells, so no n x n square is allocated."""
+    n = len(c)
+    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    step = max(1, _BAND // n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        band = np.multiply.outer(c[r0:r1], c[:r1])
+        band -= code[:r1]
+        band += code[r0:r1, None]
+        out[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2] = band[np.tri(r1 - r0, r1, r0 - 1, dtype=bool)]
+    return out
 
 
 def _as_dict(keys: np.ndarray, weights: np.ndarray) -> Dict[Tuple[int, ...], int]:
@@ -337,19 +384,39 @@ def moment_curve_counts(s: int, k: int, N: int) -> Dict[Tuple[int, ...], int]:
 def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCount:
     """Number of solutions of the inhomogeneous moment system in 2s variables.
 
-    Counts tuples x, y in [N]^s with sum x_j^i - sum y_j^i = lam_i for i <= k.
+    Counts tuples x, y in [N]^s with sum x_j^i - sum y_j^i = lam_i for i <= k:
+    the sum of c(u) * c(u - lam) over the cached count arrays.  Only rows u
+    with u - lam in the box [0, s*N**i] of the keys can match, and on that
+    box the linear code is one-to-one and in lexicographic order, so one
+    np.searchsorted of code(u) - code(lam) among the key codes finds them all;
+    past 2**63 the rows are searched as records of k int64 fields.  The
+    products are summed in int64 only while no partial sum can reach 2**63,
+    else in Python integers.
     """
     _check_params(s, k, N)
     lam = tuple(int(v) for v in lam)
     if len(lam) != k:
         raise ValueError(f"lambda must have length k={k}")
-    counts = moment_curve_counts(s, k, N)
+    keys, weights = _count_arrays(s, k, N)
+    bounds, places, span = _radix(s, N, k)
+    lo = [max(v, 0) for v in lam]
+    hi = [min(b, b + v) for b, v in zip(bounds, lam)]
     total = 0
-    for u, cu in counts.items():
-        shifted = tuple(a - b for a, b in zip(u, lam))
-        cv = counts.get(shifted)
-        if cv:
-            total += cu * cv
+    if all(a <= b for a, b in zip(lo, hi)):  # else no u - lam is in the box
+        u = ((keys >= lo) & (keys <= hi)).all(axis=1)
+        rows = keys[u] - lam
+        if span < INT64_LIMIT:
+            have, want = keys @ places, rows @ places
+        else:  # records of k int64 fields compare lexicographically
+            record = np.dtype([("", np.int64)] * k)
+            have, want = keys.view(record).ravel(), rows.view(record).ravel()
+        at = np.minimum(np.searchsorted(have, want), len(have) - 1)
+        hit = have[at] == want
+        cu, cv = weights[u][hit], weights[at[hit]]
+        if len(cu) * int(weights.max()) ** 2 < INT64_LIMIT:  # no partial sum wraps
+            total = int(cu @ cv)
+        else:
+            total = sum(a * b for a, b in zip(cu.tolist(), cv.tolist()))
     return VinogradovCount(s=s, k=k, N=N, lam=lam, count=total)
 
 
@@ -389,22 +456,33 @@ def _table_sum(s: int, N: int, pos: np.ndarray, Jp: np.ndarray, J0: int,
     [-s*N**i, s*N**i].  An axis whose 2*s*N**i + 1 phases are at most the row
     count gathers them from a table of e(xi_i * j), a longer one takes them on
     the column, both from the table kernel (expsum._e) on the phases centred
-    exactly, which gives e(0) = 1 exactly.  The weighted sum makes no BLAS
-    call, whose threads spin on after it (notes/decisions.md, "The moment
-    table from its positive half")."""
-    terms = np.ones(len(Jp), dtype=complex)
-    for i, (col, x) in enumerate(zip(pos.T, xi), start=1):
-        b = s * N**i
-        table = 2 * b + 1 <= len(col)
-        # j = 0..b, then -b..-1: a negative coordinate indexes from the end
-        phase = np.r_[0:b + 1, -b:0] * x if table else col * x
+    exactly, which gives e(0) = 1 exactly.  The rows go in bands of at least
+    min(n, _BAND) of them, each band on the kernel of the whole column, into
+    one array of weighted terms that is summed once, so the pairwise
+    summation order, and the result, do not depend on the bands.  The
+    weighted sum makes no BLAS call, whose threads spin on after it
+    (notes/decisions.md, "The moment table from its positive half")."""
+    def phases(x: np.ndarray) -> np.ndarray:
         # centred exactly: below _E_MIN phases _e takes libm, whose angle
         # 2*pi*phase would round in proportion to the phase
-        phase -= np.rint(phase)
-        z = _e(phase).T.copy().view(complex).ravel()     # cos + i sin
-        del phase
-        terms *= z[col] if table else z
-    return J0 + 2 * float((Jp * terms.real).sum())
+        x -= np.rint(x)
+        return _e(x).T.copy().view(complex).ravel()     # cos + i sin
+
+    n = len(Jp)
+    tables = []
+    for i, x in enumerate(xi, start=1):
+        b = s * N**i
+        # j = 0..b, then -b..-1: a negative coordinate indexes from the end
+        tables.append(phases(np.r_[0:b + 1, -b:0] * x) if 2 * b + 1 <= n else None)
+    weighted = np.empty(n)
+    bands = max(1, n // _BAND)  # each of at least min(n, _BAND) rows
+    edges = [n * t // bands for t in range(bands + 1)]
+    for r0, r1 in zip(edges, edges[1:]):
+        terms = np.ones(r1 - r0, dtype=complex)
+        for col, x, table in zip(pos[r0:r1].T, xi, tables):
+            terms *= phases(col * x) if table is None else table[col]
+        np.multiply(Jp[r0:r1], terms.real, out=weighted[r0:r1])
+    return J0 + 2 * float(weighted.sum())
 
 
 def moment_identity_gap(s: int, k: int, N: int, xi: Sequence[RealLike]) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from newton_circle import suites
-from newton_circle.cli import USAGE_ERROR, run_command
+from newton_circle.cli import USAGE_ERROR, build_parser, run_command
 from newton_circle.ergodic import FiniteFunction
 
 
@@ -49,6 +49,21 @@ def test_syntax_error_exit_code(capsys):
 
 def test_unknown_flag_exit_code():
     assert run_command(["newton", "--nope"]) == 2
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one parser serves every call of the process; a parse leaves no state
+    # behind, so repeated calls give byte-identical reports and a usage
+    # error between them still exits 2
+    assert build_parser() is build_parser()
+    argv = ("verify", "--suite", "iw", "--rho", "1/2", "--lmax", "3")
+    first = run(tmp_path, *argv, name="a.json")
+    assert run_command(["verify", "--suite", "nope"]) == USAGE_ERROR
+    assert "invalid choice" in capsys.readouterr().err
+    second = run(tmp_path, *argv, name="b.json")
+    assert first[0] == second[0] == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_expsum_double_sum(tmp_path):

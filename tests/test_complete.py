@@ -622,6 +622,42 @@ def test_fallback_reduces_only_the_pairs_i_above_j(fallback_calls):
     assert peak <= 48 * 2**20
 
 
+@pytest.mark.parametrize("n, rows", [
+    (1, 4), (2, 4),  # no pair and one pair
+    (3, 4), (4, 4),  # below and equal to one band
+    (11, 4), (12, 4),  # past it, with a short last band and without
+])
+def test_band_build_equals_the_square(monkeypatch, n, rows):
+    # bands of `rows` rows against the square built whole and masked to
+    # the pairs i > j, as the packed route did before bands
+    monkeypatch.setattr(complete, "_BAND", rows * n)
+    gen = np.random.default_rng(n)
+    code = np.sort(gen.integers(0, 2**40, n)) << 8
+    c = gen.integers(1, 16, n)
+    square = np.multiply.outer(c, c)
+    square -= code
+    square += code[:, None]
+    got = complete._difference_pairs(code, c)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, square[np.tri(n, k=-1, dtype=bool)])
+
+
+def test_difference_reduce_frees_the_pairs_before_decoding():
+    # the corner's 1.18 M packed pairs (9.0 MiB) are freed before the
+    # 474,987 rows (10.9 MiB) are decoded: the reduction peaked at 20.0 MiB
+    # of traced allocations, and at 27.7 MiB with the pairs held by name
+    # through the decode
+    u, c = complete._count_arrays(3, 3, 20)
+    tracemalloc.start()
+    try:
+        pos, Jp, J0 = complete._difference_reduce(u, c, 3, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pos) == 474_987
+    assert peak <= 22 * 2**20
+
+
 def test_table_caches_keep_their_cache_info():
     # the benchmark worker reads cache_info() of both in every mode
     for fn in (moment_curve_counts, vinogradov_table):
@@ -671,6 +707,35 @@ def test_table_invariants():
 
 def test_count_outside_support_is_zero():
     assert vinogradov_count(2, 2, 5, (100, 0)).count == 0
+
+
+def _count_by_dict(s, k, N, lam):
+    """vinogradov_count's sum of c(u) * c(u - lam), over the dict of counts."""
+    counts = moment_curve_counts(s, k, N)
+    return sum(c * counts.get(tuple(a - b for a, b in zip(u, lam)), 0)
+               for u, c in counts.items())
+
+
+@pytest.mark.parametrize("s, k, N, records", [
+    (2, 2, 7, False), (3, 3, 6, False), (4, 2, 5, False), (1, 1, 9, False),
+    (1, 3, 1100, True),  # (2N+1)(2N^2+1)(2N^3+1) > 2**63: no int64 code
+])
+def test_count_from_arrays_equals_the_dict_loop(s, k, N, records):
+    assert (complete._radix(s, N, k)[2] >= 2**63) == records
+    keys = complete._count_arrays(s, k, N)[0]
+    top = [s * N**i for i in range(1, k + 1)]
+    lams = [tuple(r) for r in (keys[::max(1, len(keys) // 25)] - keys[len(keys) // 3]).tolist()]
+    lams += [(0,) * k, tuple(top), tuple(-t for t in top),
+             tuple(t + 1 for t in top), tuple(-t - 1 for t in top),  # outside the support
+             (top[0] + 1,) + (0,) * (k - 1), (10**30,) * k]
+    for lam in lams:
+        assert vinogradov_count(s, k, N, lam).count == _count_by_dict(s, k, N, lam), lam
+
+
+def test_count_from_arrays_past_int64():
+    # J(0) = 14293391141802144620 passes 2**63 while every count fits: the
+    # products are summed in Python integers
+    assert vinogradov_count(6, 1, 60, (0,)).count == vinogradov_diagonal(6, 1, 60) > 2**63
 
 
 def test_work_cap(monkeypatch):
@@ -769,6 +834,22 @@ def test_per_axis_phases_equal_the_flat_phase_sum(s, k, N, xi):
     assert moment_identity_gap(s, k, N, [Fraction(0)] * k) == 0.0
 
 
+@pytest.mark.parametrize("s, k, N, band", [
+    (3, 3, 20, None),  # 474,987 rows: seven bands of the default size
+    (1, 3, 300, expsum._E_MIN),  # 44,850 rows, axes 2 and 3 on the column
+])
+def test_banded_table_sum_is_bit_identical(monkeypatch, s, k, N, band):
+    # one band holding the whole table is the single-array evaluation
+    pos, Jp, J0 = complete._difference_table(s, k, N)
+    xi = [0.3, 0.61, 0.17]
+    if band is not None:
+        monkeypatch.setattr(complete, "_BAND", band)
+    assert len(Jp) > 2 * complete._BAND
+    banded = complete._table_sum(s, N, pos, Jp, J0, xi)
+    monkeypatch.setattr(complete, "_BAND", len(Jp) + 1)
+    assert banded == complete._table_sum(s, N, pos, Jp, J0, xi)
+
+
 def test_moment_identity_memory_stays_with_the_table():
     # the third axis spans 2 * 300**3 + 1 = 5.4e7 phases against about 9e4
     # rows: a table of it alone would be 864 MB
@@ -785,7 +866,8 @@ def test_moment_identity_memory_stays_with_the_table():
 def test_corner_moment_identity_holds_half_the_table():
     # (3, 3, 20), the moment suite's corner: 949,975 rows.  Built and
     # evaluated from cached count arrays, the whole table peaked at 58.7 MiB
-    # of traced allocations and was cached in 30.4 MB
+    # of traced allocations and was cached in 30.4 MB; its positive half
+    # peaked at 38.0 MiB built as a square, 21.0 MiB built in bands
     complete._count_arrays(3, 3, 20)
     complete._difference_table.cache_clear()
     tracemalloc.start()
@@ -794,7 +876,7 @@ def test_corner_moment_identity_holds_half_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2**20
+    assert peak <= 24 * 2**20
     pos, Jp, J0 = complete._difference_table(3, 3, 20)
     assert 2 * len(pos) + 1 == 949_975
     assert pos.nbytes + Jp.nbytes <= 15.2e6
