@@ -17,7 +17,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import __version__, circle, complete, ergodic, expsum, iw, newton, osc, poly, suites
 from .poly import PolynomialSyntaxError, parse_poly
@@ -56,11 +56,19 @@ def _entries(text: str, parse, kind: str) -> list:
     return out
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)  # argparse turns a ValueError into a usage error
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
+    """argparse type of the integers >= low, each described as `kind`."""
+    def parse(text: str) -> int:
+        value = int(text)  # argparse turns a ValueError into a usage error
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _poly_arg(text: str, require_vanishing: bool = False) -> poly.Poly2:
@@ -183,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", required=True,
                    choices=sorted(suites.SUITES) + ["all"])
     p.add_argument("--rho", type=_fraction, default=None, help="iw suite parameter")
-    p.add_argument("--lmax", type=int, default=None, help="iw suite parameter")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--lmax", type=_nonnegative_int, default=None, help="iw suite parameter")
+    p.add_argument("--trials", type=_positive_int, default=None,
                    help="sample count of the moment, newton, osc and factorization suites")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed of every suite that draws random inputs")

@@ -20,21 +20,23 @@ equally often.
 The solution counts are sparse int64 tables: the s-fold additive
 convolution of the moment-curve point mass on [N] lives on at most
 C(N+s-1, s) lattice points (multisets of size s), cached as arrays.  The
-mixed-radix code of a lattice point is linear, so the pair codes of each
-convolution step u + x (_pair_reduce) are one outer sum of per-point codes.
-The difference table lambda = u - v is even, J(lambda) = J(-lambda), so only
-its positive half is built, cached and evaluated, with J(0) beside it
-(_difference_reduce, _table_sum); vinogradov_table mirrors it into a dict on
-demand, and vinogradov_count reads one entry from the count arrays by one
-np.searchsorted.  Each code is packed above its weight in one int64 and a
-single in-place np.sort groups equal points.  The pairs i > j are written in
-bands of rows straight into that one array (_difference_pairs), reduced
-without a second full-size copy (_packed_reduce) and evaluated in bands of
+difference table lambda = u - v is even, J(lambda) = J(-lambda), so only
+its positive half is built, cached and evaluated (_table_sum), with
+J(0) = vinogradov_diagonal beside it; vinogradov_table mirrors it into a
+dict on demand, and vinogradov_count reads one entry from the count arrays
+by one np.searchsorted.  Both tables come from one pair reduction,
+_pair_reduce of a[i] + b[j] over the pairs j < ends[i]: each convolution
+step u + x takes every pair, the positive half the pairs j < i of u and
+-u.  The mixed-radix code of a lattice point is linear, so a pair's code is
+the sum of its rows' codes; packed above its weight in one int64, the pairs
+are written in bands of rows straight into one array (_pair_codes),
+grouped by a single in-place np.sort and reduced without a second
+full-size copy (_packed_reduce), and the half is evaluated in bands of
 rows, so beside the packed pairs and the table no temporary exceeds about
-_BAND entries (notes/decisions.md, "The moment table in bands").  When the
-packed value could reach 2**63 the same pairs go as rows to the older
-sort-reduce (argsort of the code, or np.lexsort when the code alone would
-not fit).  One work guard,
+_BAND entries (notes/decisions.md, "The moment table in bands", "One pair
+reduction for both moment steps").  When the packed value could reach
+2**63 the pair rows go to the older sort-reduce (argsort of the code, or
+np.lexsort when the code alone would not fit).  One work guard,
 _check_work, raises WorkCapExceeded before allocating when a table would
 exceed the configured cell cap or when a count or coordinate could overflow
 int64, so nothing is truncated or wrapped silently.
@@ -242,8 +244,8 @@ def _sort_reduce(keys: np.ndarray, weights: np.ndarray, s: int,
                  N: int) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct rows of the (n, k) int64 array ``keys``, coordinate i (from 1)
     in [-s*N**i, s*N**i], with their summed weights, in lexicographic order:
-    the fallback of the packed reductions, by argsort of the int64 code while
-    the span is below 2**63, by np.lexsort over the columns past it."""
+    the fallback of the packed pair reduction, by argsort of the int64 code
+    while the span is below 2**63, by np.lexsort over the columns past it."""
     bounds, places, span = _radix(s, N, keys.shape[1])
     if span < INT64_LIMIT:
         code = (keys + bounds) @ places
@@ -297,58 +299,46 @@ def _packed_reduce(packed: np.ndarray, bits: int, bounds: List[int],
 
 
 def _pair_reduce(a: np.ndarray, wa: np.ndarray, b: np.ndarray, wb: np.ndarray,
-                 s: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a[i] + b[j] with the summed weights wa[i] * wb[j], in
-    lexicographic order; each coordinate i (from 1) lies in [0, s*N**i].  The
-    code sum x_i * place_i is linear, so the pair codes are one outer sum,
-    packed (_packed_reduce) while span << (bit length of max(wa) * max(wb))
-    < 2**63; otherwise the pair rows go to _sort_reduce."""
-    k = a.shape[1]
-    bounds, places, span = _radix(s, N, k)
+                 ends: np.ndarray, s: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a[i] + b[j] with the summed weights wa[i] * wb[j] over
+    the pairs j < ends[i], ends non-decreasing, in lexicographic order; each
+    coordinate i (from 1) lies in [-s*N**i, s*N**i].  The code sum
+    x_i * place_i is linear, so the pair codes are sums of per-row codes,
+    packed (_pair_codes, handed to _packed_reduce unnamed, so that it frees
+    them before it decodes) while span << (bit length of max(wa) * max(wb))
+    < 2**63; otherwise the pair rows go to _sort_reduce, with the pair
+    indices dropped first."""
+    bounds, places, span = _radix(s, N, a.shape[1])
     bits = (int(wa.max()) * int(wb.max())).bit_length()
     if span << bits >= INT64_LIMIT:
-        keys = (a[:, None, :] + b[None, :, :]).reshape(-1, k)
-        return _sort_reduce(keys, np.multiply.outer(wa, wb).ravel(), s, N)
-    packed = np.add.outer((a @ places) << bits, (b @ places) << bits).ravel()
-    packed |= np.multiply.outer(wa, wb).ravel()
-    return _packed_reduce(packed, bits, bounds, places)
+        i = np.repeat(np.arange(len(a)), ends)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(ends) - ends, ends)
+        keys, weights = a[i] + b[j], wa[i] * wb[j]
+        del i, j, b, ends  # only the pair rows are held through the sort
+        return _sort_reduce(keys, weights, s, N)
+    return _packed_reduce(_pair_codes((a @ places) << bits, wa, (b @ places) << bits, wb, ends),
+                          bits, bounds, places)
 
 
-def _difference_reduce(u: np.ndarray, c: np.ndarray, s: int,
-                       N: int) -> Tuple[np.ndarray, np.ndarray, int]:
-    """(pos, Jp, J0) of the rows u[i] - u[j], weights c[i] * c[j], for distinct
-    rows u in lexicographic order: the distinct rows after lambda = 0 in that
-    order, their summed weights and J0 = J(0) = sum c**2; J is even.  Only the
-    pairs i > j, the positive rows, are reduced: packed under _pair_reduce's
-    guard, in bands (_difference_pairs) and handed on unnamed, so that
-    _packed_reduce frees them before it decodes; past the guard by
-    _sort_reduce."""
-    bounds, places, span = _radix(s, N, u.shape[1])
-    bits = (int(c.max()) ** 2).bit_length()
-    if span << bits >= INT64_LIMIT:
-        i, j = np.tril_indices(len(u), -1)
-        keys, weights = u[i] - u[j], c[i] * c[j]
-        del i, j  # not held through the sort
-        return (*_sort_reduce(keys, weights, s, N), int(c @ c))
-    # unnamed, so that _packed_reduce can free the pairs before it decodes
-    pos, Jp = _packed_reduce(_difference_pairs((u @ places) << bits, c), bits, bounds, places)
-    return pos, Jp, int(c @ c)
-
-
-def _difference_pairs(code: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """int64 code[i] - code[j] + c[i] * c[j] over the pairs i > j, row by row
-    (the order of a boolean gather of the strict lower triangle), written in
-    bands of rows [r0, r1) against the columns [0, r1), each band within
-    _BAND cells, so no n x n square is allocated."""
-    n = len(c)
-    out = np.empty(n * (n - 1) // 2, dtype=np.int64)
-    step = max(1, _BAND // n)
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        band = np.multiply.outer(c[r0:r1], c[:r1])
-        band -= code[:r1]
-        band += code[r0:r1, None]
-        out[r0 * (r0 - 1) // 2:r1 * (r1 - 1) // 2] = band[np.tri(r1 - r0, r1, r0 - 1, dtype=bool)]
+def _pair_codes(ca: np.ndarray, wa: np.ndarray, cb: np.ndarray, wb: np.ndarray,
+                ends: np.ndarray) -> np.ndarray:
+    """int64 ca[i] + cb[j] + wa[i] * wb[j] over the pairs j < ends[i], row by
+    row, for non-decreasing ends: written in bands of rows [r0, r1) against
+    the columns [0, ends[r1 - 1]), each band within _BAND cells, so no
+    len(ca) x len(cb) product is allocated."""
+    out = np.empty(int(ends.sum()), dtype=np.int64)
+    step = max(1, _BAND // max(1, int(ends[-1])))
+    at = 0
+    for r0 in range(0, len(ends), step):
+        rows = slice(r0, r0 + step)
+        cols = int(ends[rows][-1])
+        band = np.multiply.outer(wa[rows], wb[:cols])
+        band += cb[:cols]
+        band += ca[rows, None]
+        # a band whose every row takes every column needs no mask
+        pairs = band.ravel() if ends[r0] == cols else band[np.arange(cols) < ends[rows, None]]
+        out[at:at + len(pairs)] = pairs
+        at += len(pairs)
     return out
 
 
@@ -366,7 +356,7 @@ def _count_arrays(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray]:
     ones = np.ones(N, dtype=np.int64)
     keys, weights = base, ones
     for _ in range(s - 1):
-        keys, weights = _pair_reduce(keys, weights, base, ones, s, N)
+        keys, weights = _pair_reduce(keys, weights, base, ones, np.full(len(keys), N), s, N)
     keys.flags.writeable = weights.flags.writeable = False
     return keys, weights
 
@@ -419,12 +409,17 @@ def vinogradov_count(s: int, k: int, N: int, lam: Sequence[int]) -> VinogradovCo
 @lru_cache(maxsize=16)
 def _difference_table(s: int, k: int, N: int) -> Tuple[np.ndarray, np.ndarray, int]:
     """Positive half (pos, Jp, J0) of the inhomogeneous moment system's
-    table, pos and Jp read-only: _difference_reduce of the count arrays (the
-    pairs i > j through _sort_reduce only at s = 1, k = 3 from N = 913 on)."""
+    table, pos and Jp read-only.  With u the count arrays' rows, in
+    lexicographic order, and c their counts, the rows after lambda = 0 are
+    the differences u[i] - u[j] over the pairs j < i, so pos and Jp are
+    _pair_reduce of u and -u with ends[i] = i (through _sort_reduce only at
+    s = 1, k = 3 from N = 913 on); J0 = J(0) = sum c**2 is
+    vinogradov_diagonal."""
     _check_params(s, k, N, table=True)
-    pos, Jp, J0 = _difference_reduce(*_count_arrays(s, k, N), s, N)
+    u, c = _count_arrays(s, k, N)
+    pos, Jp = _pair_reduce(u, c, -u, c, np.arange(len(u)), s, N)
     pos.flags.writeable = Jp.flags.writeable = False
-    return pos, Jp, J0
+    return pos, Jp, vinogradov_diagonal(s, k, N)
 
 
 # One dict at a time: it is several times the size of the cached arrays it is

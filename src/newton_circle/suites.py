@@ -162,16 +162,9 @@ def suite_newton(trials: int = 200, seed: int = 7) -> List[dict]:
         if frozenset(diagram.vertices) != direction_witness_vertices(P):
             oracle_viol += 1
         r = diagram.r
-        for j in range(1, r + 1):
-            vj = diagram.vertices[j - 1]
-            w_prev, w = diagram.normals[j - 1], diagram.normals[j]
-            for v in diagram.support:
-                if v == vj:
-                    continue
-                d1 = w[0] * (v[0] - vj[0]) + w[1] * (v[1] - vj[1])
-                d2 = w_prev[0] * (v[0] - vj[0]) + w_prev[1] * (v[1] - vj[1])
-                if d1 > 0 or d2 > 0 or (d1 == 0 and d2 == 0):
-                    sign_viol += 1
+        for j in range(1, r + 1):  # (v - v_j) . [w_{j-1}, w_j]: both <= 0, not both 0
+            dots = newton.support_differences(diagram, j) @ np.array(diagram.normals[j - 1:j + 1]).T
+            sign_viol += int(np.count_nonzero((dots > 0).any(axis=1) | (dots == 0).all(axis=1)))
         geo = newton.sector_arrays(diagram, pts)
         cover_viol += int(np.count_nonzero(~geo.member.any(axis=1)))
         open_hits = ((geo.t1 > 0) & (geo.t2 > 0))[interior].sum(axis=1)

@@ -270,6 +270,18 @@ def test_verify_trials_reaches_every_sampling_suite(tmp_path, monkeypatch):
     assert calls == [(name, 3) for name in names]
 
 
+@pytest.mark.parametrize("suite, flags, kind", [
+    ("newton", ["--trials", "0"], "a positive integer"),  # would sample nothing
+    ("moment", ["--trials", "-3"], "a positive integer"),  # failed inside numpy
+    ("iw", ["--lmax", "-2"], "a non-negative integer"),  # would check no level
+])
+def test_verify_rejects_vacuous_sample_settings(tmp_path, capsys, suite, flags, kind):
+    # a run that checks nothing must not report its rows as passing
+    code, doc = run(tmp_path, "verify", "--suite", suite, *flags)
+    assert code == 2 and doc is None
+    assert f"must be {kind}, got {flags[1]}" in capsys.readouterr().err
+
+
 def test_failing_check_gives_exit_1(tmp_path):
     # the gauss suite carries the honest spec-defect failure, so exit is 1
     code, doc = run(tmp_path, "verify", "--suite", "gauss")

@@ -477,7 +477,7 @@ def _tables(s, k, N):
     """The s-fold sums (keys, weights) and difference table (want) by the
     reference, and the cached positive half (pos, Jp, J0) that
     complete._difference_table gives (got),
-    built here from an empty cache with whether _difference_reduce called
+    built here from an empty cache with whether _pair_reduce called
     _sort_reduce.  The last call is cached, so the lexsort corner (1, 3, 1100)
     is built once by the reference and once by the library for the
     packed-sort check and test_table_lexsort_branch, which runs next."""
@@ -568,21 +568,35 @@ def test_table_lexsort_branch():
 
 def test_packing_guard_exact_threshold(monkeypatch, fallback_calls):
     # radices 2*2*5**i + 1 are 21 and 101; the largest weight product is
-    # max(c)**2; the packed value needs span << bits below the int64 limit,
-    # and the half route must give the fallback's table over every pair
+    # max(wa) * max(wb); the packed value needs span << bits below the int64
+    # limit.  On both sides of the edge the half route must give the
+    # fallback's table over every pair, and a convolution step the
+    # reference's count arrays
     s, k, N = 2, 2, 5
     keys, weights = _counts_by_fallback(s, k, N)
     want = _pairs_by_fallback(np.subtract, keys, weights, keys, weights, s, N)
+    J0 = vinogradov_diagonal(s, k, N)
     bits = (int(weights.max()) ** 2).bit_length()
     edge = 21 * 101 << bits
     for limit, packed in ((edge, False), (edge + 1, True)):
         monkeypatch.setattr(complete, "INT64_LIMIT", limit)
         fallback_calls.clear()
-        pos, Jp, J0 = complete._difference_reduce(keys, weights, s, N)
+        pos, Jp = complete._pair_reduce(keys, weights, -keys, weights, np.arange(len(keys)), s, N)
         assert bool(fallback_calls) != packed
-        assert _positive_rows(pos) and J0 == vinogradov_diagonal(s, k, N)
+        assert _positive_rows(pos)
         got = _mirrored(pos, Jp, J0)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # the convolution step of the 2-fold sums: every pair of base points,
+    # unit weights (bits = 1), reduced to the reference's count arrays
+    x = np.arange(1, N + 1, dtype=np.int64)
+    base, ones = np.stack([x, x**2], axis=1), np.ones(N, dtype=np.int64)
+    edge = 21 * 101 << 1
+    for limit, packed in ((edge, False), (edge + 1, True)):
+        monkeypatch.setattr(complete, "INT64_LIMIT", limit)
+        fallback_calls.clear()
+        got = complete._pair_reduce(base, ones, base, ones, np.full(N, N), s, N)
+        assert fallback_calls == ([] if packed else [N * N])
+        assert np.array_equal(got[0], keys) and np.array_equal(got[1], weights)
 
 
 def test_packing_at_the_real_int64_edge(fallback_calls):
@@ -598,7 +612,7 @@ def test_packing_at_the_real_int64_edge(fallback_calls):
         u, c = np.stack([x, x**2, x**3], axis=1), np.ones(n, dtype=np.int64)
         want = _pairs_by_fallback(np.subtract, u, c, u, c, 1, n)
         fallback_calls.clear()
-        pos, Jp, J0 = complete._difference_reduce(u, c, 1, n)
+        pos, Jp, J0 = complete._difference_table.__wrapped__(1, 3, n)  # uncached
         assert bool(fallback_calls) != packed
         assert _positive_rows(pos) and J0 == n
         got = _mirrored(pos, Jp, J0)
@@ -610,10 +624,10 @@ def test_fallback_reduces_only_the_pairs_i_above_j(fallback_calls):
     # hands _sort_reduce the n(n - 1)/2 pairs i > j, not all n**2, and builds
     # no n**2-row array (the all-pairs fallback peaked at 77.1 MiB)
     n = 913
-    u, c = complete._count_arrays(1, 3, n)
+    complete._count_arrays(1, 3, n)
     tracemalloc.start()
     try:
-        pos, Jp, J0 = complete._difference_reduce(u, c, 1, n)
+        pos, Jp, J0 = complete._difference_table.__wrapped__(1, 3, n)  # uncached
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -622,40 +636,71 @@ def test_fallback_reduces_only_the_pairs_i_above_j(fallback_calls):
     assert peak <= 48 * 2**20
 
 
-@pytest.mark.parametrize("n, rows", [
-    (1, 4), (2, 4),  # no pair and one pair
-    (3, 4), (4, 4),  # below and equal to one band
-    (11, 4), (12, 4),  # past it, with a short last band and without
-])
-def test_band_build_equals_the_square(monkeypatch, n, rows):
-    # bands of `rows` rows against the square built whole and masked to
-    # the pairs i > j, as the packed route did before bands
-    monkeypatch.setattr(complete, "_BAND", rows * n)
+@pytest.mark.parametrize("n, rows, full", [
+    (1, 4, False), (2, 4, False),  # no pair and one pair
+    (3, 4, False), (4, 4, False),  # below and equal to one band
+    (11, 4, False), (12, 4, False),  # past it, with a short last band and without
+    (12, 4, True),  # every pair, as a convolution step takes them
+], ids=["1-4", "2-4", "3-4", "4-4", "11-4", "12-4", "12-4-rectangle"])
+def test_band_build_equals_the_square(monkeypatch, n, rows, full):
+    # bands of `rows` rows against the square built whole, np.add.outer of
+    # the codes plus np.multiply.outer of the weights, as the packed routes
+    # did before bands, masked to the pairs j < i of a difference table
+    ends = np.full(n, n) if full else np.arange(n)
+    monkeypatch.setattr(complete, "_BAND", rows * max(1, int(ends.max(initial=0))))
     gen = np.random.default_rng(n)
-    code = np.sort(gen.integers(0, 2**40, n)) << 8
-    c = gen.integers(1, 16, n)
-    square = np.multiply.outer(c, c)
-    square -= code
-    square += code[:, None]
-    got = complete._difference_pairs(code, c)
+    ca, cb = np.sort(gen.integers(-2**40, 2**40, (2, n))) << 8
+    wa, wb = gen.integers(1, 16, (2, n))
+    square = np.add.outer(ca, cb) + np.multiply.outer(wa, wb)
+    got = complete._pair_codes(ca, wa, cb, wb, ends)
     assert got.dtype == np.int64
-    assert np.array_equal(got, square[np.tri(n, k=-1, dtype=bool)])
+    assert np.array_equal(got, square.ravel() if full else square[np.tri(n, k=-1, dtype=bool)])
 
 
-def test_difference_reduce_frees_the_pairs_before_decoding():
+def test_pair_reduce_frees_the_pairs_before_decoding():
     # the corner's 1.18 M packed pairs (9.0 MiB) are freed before the
     # 474,987 rows (10.9 MiB) are decoded: the reduction peaked at 20.0 MiB
     # of traced allocations, and at 27.7 MiB with the pairs held by name
     # through the decode
-    u, c = complete._count_arrays(3, 3, 20)
+    complete._count_arrays(3, 3, 20)
     tracemalloc.start()
     try:
-        pos, Jp, J0 = complete._difference_reduce(u, c, 3, 20)
+        pos, Jp, J0 = complete._difference_table.__wrapped__(3, 3, 20)  # uncached
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(pos) == 474_987
     assert peak <= 22 * 2**20
+
+
+def test_convolution_builds_no_outer_product():
+    # the last step of (6, 3, 24) has 98,280 x 24 = 2.36 M pairs (18.0 MiB
+    # packed): written in bands, the build peaked at 31.0 MiB of traced
+    # allocations, and at 37.7 MiB with the codes and weights each built
+    # as a full n_a x n_b outer product
+    tracemalloc.start()
+    try:
+        keys, weights = complete._count_arrays.__wrapped__(6, 3, 24)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(weights.sum()) == 24**6
+    assert peak <= 34 * 2**20
+
+
+def test_lexsort_fallback_holds_only_the_pair_rows():
+    # (1, 3, 1100) reduces its 604,450 pair rows by np.lexsort; the pair
+    # indices and the rows -u are dropped before the sort, which peaked at
+    # 51.31 MiB of traced allocations, and at 60.6 MiB with them held
+    complete._count_arrays(1, 3, 1100)
+    tracemalloc.start()
+    try:
+        pos, Jp, J0 = complete._difference_table.__wrapped__(1, 3, 1100)  # uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pos) == 1100 * 1099 // 2 and J0 == 1100
+    assert peak <= 51.31 * 2**20
 
 
 def test_table_caches_keep_their_cache_info():
@@ -760,7 +805,7 @@ def test_int64_overflow_guard(monkeypatch, call):
     monkeypatch.setattr(complete, "_count_arrays", _no_tables)
     monkeypatch.setattr(complete, "_sort_reduce", _no_tables)
     monkeypatch.setattr(complete, "_pair_reduce", _no_tables)
-    monkeypatch.setattr(complete, "_difference_reduce", _no_tables)
+    monkeypatch.setattr(complete, "_pair_codes", _no_tables)
     with pytest.raises(WorkCapExceeded, match="int64"):
         call()
 

@@ -333,3 +333,24 @@ def test_suite_counts_uncovered_points(monkeypatch):
     assert rows["sector_cones_cover_grid"]["lhs"] == 3
     assert not rows["sector_cones_cover_grid"]["pass"]
     assert rows["subsector_gap_inequality_exact"]["pass"]
+
+
+def test_suite_sign_conditions_see_a_negated_normal(monkeypatch):
+    # w_0 = (0, 1) negated: v_1 has the top m2-exponent of the support, so
+    # every support point below it then has a positive dot with w_0.  The
+    # cone tests keep the true diagram's operands, so only the
+    # sign-condition row can see the corruption
+    real = newton.build_diagram
+
+    def negated_first_normal(P):
+        diagram = real(P)
+        (a, b), *rest = diagram.normals
+        bad = dataclasses.replace(diagram, normals=((-a, -b), *rest))
+        bad.__dict__["_sector_operands"] = diagram._sector_operands
+        return bad
+
+    monkeypatch.setattr(newton, "build_diagram", negated_first_normal)
+    rows = {row["name"]: row for row in suites.suite_newton(trials=3)}
+    assert rows["vertex_normal_sign_conditions"]["lhs"] > 0
+    assert not rows["vertex_normal_sign_conditions"]["pass"]
+    assert all(row["pass"] for name, row in rows.items() if name != "vertex_normal_sign_conditions")
