@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional
@@ -56,26 +58,26 @@ def _entries(text: str, parse, kind: str) -> list:
     return out
 
 
-def _int_at_least(low: int, kind: str) -> Callable[[str], int]:
-    """argparse type of the integers >= low, each described as `kind`."""
-    def parse(text: str) -> int:
-        value = int(text)  # argparse turns a ValueError into a usage error
-        if value < low:
+def _at_least(low: int, kind: str, number=int) -> Callable[[str], float]:
+    """argparse type of the finite numbers >= low, each described as `kind`."""
+    def parse(text: str):
+        value = number(text)  # argparse turns a ValueError into a usage error
+        if not low <= value < math.inf:  # NaN fails every comparison
             raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    parse.__name__ = number.__name__  # argparse names it: "invalid int value"
     return parse
 
 
-_positive_int = _int_at_least(1, "a positive integer")
-_nonnegative_int = _int_at_least(0, "a non-negative integer")
+_positive_int = _at_least(1, "a positive integer")
+_nonnegative_int = _at_least(0, "a non-negative integer")
 
 
 def _poly_arg(text: str, require_vanishing: bool = False) -> poly.Poly2:
     P = parse_poly(text)
     if require_vanishing and P.constant_term() != 0:
-        raise SystemExit(
-            f"error: polynomial has nonzero constant term {P.constant_term()}; "
+        raise argparse.ArgumentTypeError(
+            f"polynomial has nonzero constant term {P.constant_term()}; "
             "averages and diagrams require P(0,0) = 0"
         )
     return P
@@ -164,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("osc", help="oscillation and variation of a value list")
     p.add_argument("--values", required=True, help="comma-separated complex values")
     p.add_argument("--seq", help="comma-separated anchor indices")
-    p.add_argument("--rho", type=float, default=2.0)
+    p.add_argument("--rho", type=_at_least(1, "a finite number >= 1", float), default=2.0)
     _add_output_flags(p)
 
     p = subs.add_parser("average", help="shift average of a finite function")
@@ -209,7 +211,7 @@ def _cmd_newton(args, report: VerificationReport) -> None:
         "determinants": list(diagram.determinants),
         "gaps": [str(g) for g in diagram.gaps],
     })
-    report.add_check("vertex_count_positive", diagram.r >= 1, float(diagram.r), 1.0)
+    report.add_check("vertex_count_positive", 1, diagram.r)
 
 
 def _cmd_sectors(args, report: VerificationReport) -> None:
@@ -218,7 +220,7 @@ def _cmd_sectors(args, report: VerificationReport) -> None:
     grid = ergodic.sector_grid(diagram, args.j, args.tau, args.bound)
     for m1, m2 in grid:
         report.results.append({"M1": str(m1), "M2": str(m2)})
-    report.add_check("grid_nonempty", len(grid) > 0, float(len(grid)), 1.0)
+    report.add_check("grid_nonempty", 1, len(grid))
 
 
 def _add_sum_row(report: VerificationReport, kind: str, value: expsum.ExpSumValue) -> None:
@@ -227,8 +229,7 @@ def _add_sum_row(report: VerificationReport, kind: str, value: expsum.ExpSumValu
         "mode": value.mode, "terms": value.term_count, "error_budget": value.error_budget,
     })
     bound = value.term_count + value.error_budget
-    report.add_check("modulus_within_term_count", abs(value.value) <= bound + 1e-9,
-                     abs(value.value), bound, 1e-9)
+    report.add_check("modulus_within_term_count", abs(value.value), bound, 1e-9)
 
 
 def _cmd_expsum(args, report: VerificationReport) -> None:
@@ -237,13 +238,13 @@ def _cmd_expsum(args, report: VerificationReport) -> None:
         _add_sum_row(report, "moment_curve", expsum.weyl_sum(coeffs, args.n))
         return
     if not args.poly:
-        raise SystemExit("error: expsum needs --poly or --weyl")
+        raise argparse.ArgumentTypeError("expsum needs --poly or --weyl")
     P = _poly_arg(args.poly)
     Q = poly.scale(P, args.xi)
     if args.abs_axis:
         total = expsum.double_sum_abs(Q, args.k1, args.m1, args.k2, args.m2, args.abs_axis)
         report.results.append({"kind": "absolute_double_sum", "value": total})
-        report.add_check("nonnegative", total >= 0, 0.0, total)
+        report.add_check("nonnegative", 0, total)
         return
     _add_sum_row(report, "double_sum", expsum.double_sum(Q, args.k1, args.m1, args.k2, args.m2))
 
@@ -253,9 +254,7 @@ def _cmd_vinogradov(args, report: VerificationReport) -> None:
     count = complete.vinogradov_count(args.s, args.k, args.n, lam)
     report.results.append({"s": args.s, "k": args.k, "N": args.n,
                            "lambda": list(count.lam), "count": str(count.count)})
-    report.add_check("count_within_trivial_bound",
-                     count.count <= args.n ** (2 * args.s),
-                     float(count.count), float(args.n ** (2 * args.s)))
+    report.add_check("count_within_trivial_bound", count.count, args.n ** (2 * args.s))
 
 
 def _cmd_gauss(args, report: VerificationReport) -> None:
@@ -270,16 +269,14 @@ def _cmd_gauss(args, report: VerificationReport) -> None:
             kind = "complete_sum"
         report.results.append({"kind": kind, "q": args.q, "a": frac.numerator,
                                "re": value.real, "im": value.imag, "abs": abs(value)})
-        report.add_check("modulus_at_most_one", abs(value) <= 1 + 1e-12, abs(value), 1.0, 1e-12)
+        report.add_check("modulus_at_most_one", abs(value), 1, 1e-12)
         return
     rows = complete.gauss_sum_sweep(P, range(1, args.qmax + 1))
     report.results.extend(rows)
     if args.qmax >= 8:
         # the fit runs over 2 <= q <= qmax, the rows after q = 1
         report.results.append({"fitted_decay_exponent": complete._decay_fit(rows[1:])})
-    report.add_check("sweep_moduli_at_most_one",
-                     max(r["max_abs_G"] for r in rows) <= 1 + 1e-12,
-                     max(r["max_abs_G"] for r in rows), 1.0, 1e-12)
+    report.add_check("sweep_moduli_at_most_one", max(r["max_abs_G"] for r in rows), 1, 1e-12)
 
 
 def _cmd_iw(args, report: VerificationReport) -> None:
@@ -292,9 +289,8 @@ def _cmd_iw(args, report: VerificationReport) -> None:
         "fractions": len(sigma), "lcm_log2": iw.lcm_log2(sets),
     })
     denominators = set(sets.p_le)
-    report.add_check("initial_segment_contained",
-                     all(n in denominators for n in range(1, 2**args.l + 1)),
-                     0.0, 0.0)
+    missing = sum(1 for n in range(1, 2**args.l + 1) if n not in denominators)
+    report.add_check("initial_segment_contained", missing, 0)
 
 
 def _cmd_osc(args, report: VerificationReport) -> None:
@@ -309,7 +305,7 @@ def _cmd_osc(args, report: VerificationReport) -> None:
     v = osc.variation(fam, args.rho)
     report.results.append({"oscillation": o, "variation": v, "rho": args.rho})
     if args.rho <= 2:
-        report.add_check("oscillation_at_most_variation", o <= v + 1e-10, o, v, 1e-10)
+        report.add_check("oscillation_at_most_variation", o, v, 1e-10)
 
 
 def _cmd_average(args, report: VerificationReport) -> None:
@@ -325,8 +321,7 @@ def _cmd_average(args, report: VerificationReport) -> None:
     report.results.append({"re": value.real, "im": value.imag,
                            "region_size": spec.cardinality()})
     peak = max((abs(v) for v in f.values.values()), default=0.0)
-    report.add_check("average_bounded_by_sup", abs(value) <= peak + 1e-12,
-                     abs(value), peak, 1e-12)
+    report.add_check("average_bounded_by_sup", abs(value), peak, 1e-12)
 
 
 def _cmd_arcs(args, report: VerificationReport) -> None:
@@ -339,7 +334,7 @@ def _cmd_arcs(args, report: VerificationReport) -> None:
         row["center"] = str(ac.center)
         row["offset"] = ac.offset
     report.results.append(row)
-    report.add_check("classification_total", ac.kind in ("major", "minor"), 0.0, 0.0)
+    report.add_check("classification_total", int(ac.kind not in ("major", "minor")), 0)
 
 
 def _cmd_verify(args, report: VerificationReport) -> None:
@@ -358,9 +353,7 @@ def _cmd_verify(args, report: VerificationReport) -> None:
         for key in ("trials", "seed"):
             if getattr(args, key) is not None and key in params:
                 kwargs[key] = getattr(args, key)
-        for check in fn(**kwargs):
-            report.add_check(f"{name}:{check['name']}", check["pass"],
-                             check["lhs"], check["rhs"], check["tolerance"])
+        report.checks.extend(replace(check, name=f"{name}:{check.name}") for check in fn(**kwargs))
 
 
 _DISPATCH = {
@@ -391,14 +384,10 @@ def run_command(argv: Optional[List[str]] = None) -> int:
     try:
         _DISPATCH[args.command](args, report)
     except (PolynomialSyntaxError, argparse.ArgumentTypeError) as exc:
-        # ArgumentTypeError: a value parsed after argparse, such as an entry of --weyl
+        # ArgumentTypeError: a value checked after argparse, such as an entry
+        # of --weyl or a polynomial's constant term
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return USAGE_ERROR
-        raise
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         # ArithmeticError: a float past its range that no named check caught
         print(f"error: {exc}", file=sys.stderr)

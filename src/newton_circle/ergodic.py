@@ -50,10 +50,12 @@ class FiniteFunction:
     @classmethod
     def from_json(cls, text: str) -> "FiniteFunction":
         """The inverse of to_json; JSON of any other shape than {point: [re,
-        im]} with real numbers re and im raises ValueError."""
+        im]} with real numbers re and im raises ValueError.  Python's json
+        reads NaN and Infinity, which are not real numbers."""
         raw = json.loads(text)
         if not isinstance(raw, dict) or not all(
-                isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v)
+                isinstance(v, list) and len(v) == 2
+                and all(isinstance(t, (int, float)) and -math.inf < t < math.inf for t in v)
                 for v in raw.values()):
             raise ValueError("a finite function must be a JSON object {point: [re, im]}")
         return cls({int(k): complex(re, im) for k, (re, im) in raw.items()})

@@ -534,10 +534,10 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
     and each coefficient c splits once as 2**64 * c / L = H + rho / L, H =
     (c << 64) // L < 2**64 (_split).  The split rows of the tiles of one
     width are stacked, as many as fit BLOCK_CELLS, into two products with the
-    power table U2 of the column offsets (per slice of at most BLOCK_CELLS
-    entries): the uint64 H @ U2, whose wraparound keeps the head, sum of H *
-    u**g mod 2**64, exact however large Q gets, and the float tail R @ U2, R
-    = rho / (L * 2**64).  A one-row tile (h = 1: u1 = 0 keeps the m1-exponent
+    power table U2 of the column offsets (at most 4 * BLOCK_CELLS entries,
+    since the growth bound caps w): the uint64 H @ U2, whose wraparound
+    keeps the head, sum of H * u**g mod 2**64, exact however large Q gets,
+    and the float tail R @ U2, R = rho / (L * 2**64).  A one-row tile (h = 1: u1 = 0 keeps the m1-exponent
     0 only) is its row of both; a taller tile's rows are U1.T @ (.) of both,
     U1 the power table of its row offsets, per block of rows.
 
@@ -554,26 +554,23 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
     top = list(accumulate(reversed(top), max))[::-1]
     h, w = _tile_shape(top, M1 - K1, M2 - K2)
     e1, e2 = min(len(top) - 1, h - 1), top[0]
-    step = max(1, BLOCK_CELLS // (e2 + 1))      # no column table passes BLOCK_CELLS
-    # the column tiles' origins by their offsets: all alike but a narrower last one
-    origins: Dict[range, List[int]] = {}
+    # the column tiles' origins by their widths: all w but a narrower last one
+    origins: Dict[int, List[int]] = {}
     for o2 in range(K2, M2, w):
-        origins.setdefault(range(1, min(w, M2 - o2) + 1), []).append(o2)
-    # power tables of the offsets [1, w], at most BLOCK_CELLS entries each;
-    # a narrower tile's offsets are a prefix of them
-    full = [(a, _power_table(range(a + 1, min(a + step, w) + 1), e2, _WRAP))
-            for a in range(0, w, step)]
-    for u2, o2s in origins.items():
-        tables = [U2[:, :len(u2) - a] for a, U2 in full if a < len(u2)]
-        height = BLOCK_CELLS // len(u2)
+        origins.setdefault(min(w, M2 - o2), []).append(o2)
+    # the power table of the offsets [1, w]; a narrower tile's is its prefix
+    full = _power_table(range(1, w + 1), e2, _WRAP)
+    for width, o2s in origins.items():
+        U2 = full[:, :width]
+        height = BLOCK_CELLS // width
         # tiles as (first row offset s, Q expanded at row K1 + 1 + s, o2); no
         # table of a chunk passes BLOCK_CELLS
         tiles = ((s, c, o2) for s in range(0, M1 - K1, h)
                  for c in [_expand_m1(ints, K1 + 1 + s, L, e1, e2)] for o2 in o2s)
-        while chunk := list(islice(tiles, max(1, BLOCK_CELLS // ((e1 + 1) * max(len(u2), e2 + 1))))):
+        while chunk := list(islice(tiles, max(1, BLOCK_CELLS // ((e1 + 1) * max(width, e2 + 1))))):
             H, R = _split([_shift_m2(row, o2, L) for _, c, o2 in chunk for row in c], L)
-            T = _joined([H @ U2 for U2 in tables])
-            V = _joined([R @ U2 for U2 in tables])
+            T = H @ U2
+            V = R @ U2
             if h == 1:
                 x = _phase(T, V)
                 del T, V                # let go of both before the consumer allocates
@@ -584,11 +581,6 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
                         r = range(a, min(a + height, s + h, M1 - K1))
                         U1 = _power_table(range(a - s, r.stop - s), e1, _WRAP)
                         yield r, _phase(U1.T @ Tk, U1.T @ Vk), None
-
-
-def _joined(blocks: List[np.ndarray]) -> np.ndarray:
-    """The blocks side by side."""
-    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
 def _split(coeffs: List[List[int]], L: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from .report import Check
+
 DEFAULT_ENUMERATION_CAP = 10**6
 SIGMA_CARDINALITY_CAP = 4_000_000  # candidate tuples build_sigma may enumerate
 MAX_LEVEL = 24  # sieve bound 2**l stays desk-scale
@@ -178,17 +180,17 @@ def lcm_log2(sets: IWSets) -> float:
     return math.log2(l)
 
 
-def verify_iw_properties(rho: Fraction, l_max: int) -> List[dict]:
+def verify_iw_properties(rho: Fraction, l_max: int) -> List[Check]:
     """Structural checks on the denominator sets for every level up to l_max.
 
     Checks per level: nesting in the previous level's set, containment of
     [2**l], divisor closure, and the lower bound 2**(l-1) < q for new
-    elements.  Violation counts are reported; all should be zero.
+    elements.  Each row's lhs is a violation count and its rhs 0.
     """
-    checks = []
+    checks: List[Check] = []
 
     def violations(name: str, count: int) -> None:
-        checks.append({"name": name, "pass": count == 0, "lhs": count, "rhs": 0, "tolerance": 0})
+        checks.append(Check(name, count, 0))
 
     prev: Tuple[int, ...] = ()
     for l in range(l_max + 1):

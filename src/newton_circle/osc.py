@@ -136,8 +136,8 @@ def variation(family: IndexedFamily, rho: float = 2.0) -> float:
     """Sup over increasing subsequences of the rho-sum of increments, 1-D only."""
     if family.dim != 1:
         raise ValueError("variation is defined for 1-parameter families")
-    if rho < 1:
-        raise ValueError("variation exponent must be >= 1")
+    if not rho >= 1:  # NaN fails every comparison
+        raise ValueError(f"variation exponent must be >= 1, got {rho}")
     vals = [family.values[t] for t in sorted(family.values)]
     return float(variation_rows(np.array([vals]), rho)[0])
 

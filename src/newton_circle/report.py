@@ -1,8 +1,11 @@
 """Structured verification reports with JSON and CSV emission.
 
-Reports are deterministic given identical inputs and single-partition
-summation; the wall-clock field is the one run-dependent entry and can be
-pinned to zero for byte-stable comparisons.
+A check row holds three finite floats and passes iff lhs <= rhs + tolerance:
+the verdict is derived from the numbers it summarises, never set beside
+them, so a row cannot contradict itself.  Suites and commands alike build
+their rows as ``Check``.  Reports are deterministic given identical inputs
+and single-partition summation; the wall-clock field is the one
+run-dependent entry and can be pinned to zero for byte-stable comparisons.
 """
 
 from __future__ import annotations
@@ -15,21 +18,30 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
+    """One check row: lhs <= rhs + tolerance, each stored as a finite float."""
+
     name: str
-    passed: bool
     lhs: float
     rhs: float
-    tolerance: float
+    tolerance: float = 0.0
+
+    def __post_init__(self):
+        for key in ("lhs", "rhs", "tolerance"):
+            value = float(getattr(self, key))
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite check field in {self.name}")
+            object.__setattr__(self, key, value)
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs + self.tolerance
 
     def as_dict(self) -> Dict[str, Any]:
-        for v in (self.lhs, self.rhs, self.tolerance):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"non-finite check field in {self.name}")
         return {
             "name": self.name,
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "lhs": self.lhs,
             "rhs": self.rhs,
             "tolerance": self.tolerance,
@@ -45,9 +57,8 @@ class VerificationReport:
     checks: List[Check] = field(default_factory=list)
     runtime_ms: int = 0
 
-    def add_check(self, name: str, passed: bool, lhs: float, rhs: float,
-                  tolerance: float = 0.0) -> None:
-        self.checks.append(Check(name, bool(passed), lhs, rhs, tolerance))
+    def add_check(self, name: str, lhs: float, rhs: float, tolerance: float = 0.0) -> None:
+        self.checks.append(Check(name, lhs, rhs, tolerance))
 
     @property
     def all_passed(self) -> bool:

@@ -1,6 +1,6 @@
 """Named verification suites: every numeric is pinned to an exact identity or
-an independent brute-force computation, and each suite returns check rows for
-the report machinery.  A check passes iff lhs <= rhs + tolerance.
+an independent brute-force computation, and each suite returns its rows as
+``report.Check``, which passes iff lhs <= rhs + tolerance.
 
 Every size, bound and cap is fixed in the suite body.  The settable values
 are the ones the CLI sets: ``trials`` (``verify --trials``: the sample count of
@@ -21,16 +21,7 @@ import numpy as np
 from . import circle, complete, ergodic, expsum, iw, newton, osc, poly
 from .arith import golden_ratio_conjugate
 from .poly import Poly2, UniPoly, parse_poly
-
-
-def _check(name: str, lhs: float, rhs: float, tolerance: float = 0.0) -> dict:
-    return {
-        "name": name,
-        "pass": bool(lhs <= rhs + tolerance),
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "tolerance": float(tolerance),
-    }
+from .report import Check
 
 
 def random_nondegenerate_poly(rng: random.Random) -> Poly2:
@@ -54,7 +45,7 @@ def random_nondegenerate_poly(rng: random.Random) -> Poly2:
 # ---------------------------------------------------------------------------
 
 
-def suite_moment(trials: int = 100, seed: int = 2024) -> List[dict]:
+def suite_moment(trials: int = 100, seed: int = 2024) -> List[Check]:
     rng = random.Random(seed)
     rel_tol = 1e-8
     worst = 0.0
@@ -65,17 +56,17 @@ def suite_moment(trials: int = 100, seed: int = 2024) -> List[dict]:
         xi = [rng.random() for _ in range(k)]
         gap = complete.moment_identity_gap(s, k, N, xi)
         worst = max(worst, gap / float(N) ** (2 * s))
-    checks = [_check("moment_identity_max_relative_gap", worst, 0.0, rel_tol)]
+    checks = [Check("moment_identity_max_relative_gap", worst, 0.0, rel_tol)]
     # the most expensive corner of the parameter box, hit deterministically
     corner = complete.moment_identity_gap(3, 3, 20, [rng.random() for _ in range(3)])
-    checks.append(_check("moment_identity_corner_relative_gap",
-                         corner / 20.0**6, 0.0, rel_tol))
+    checks.append(Check("moment_identity_corner_relative_gap",
+                        corner / 20.0**6, 0.0, rel_tol))
     exact_fail = 0
     for s, k, N in [(1, 1, 12), (2, 2, 9), (3, 3, 7), (3, 2, 20)]:
         gap0 = complete.moment_identity_gap(s, k, N, [Fraction(0)] * k)
         if gap0 != 0.0:
             exact_fail += 1
-    checks.append(_check("moment_identity_exact_at_zero", exact_fail, 0))
+    checks.append(Check("moment_identity_exact_at_zero", exact_fail, 0))
     return checks
 
 
@@ -95,18 +86,18 @@ def _brute_count_22(N: int) -> int:
     return total
 
 
-def suite_counts() -> List[dict]:
+def suite_counts() -> List[Check]:
     checks = []
     brute_viol = sum(
         1 for N in range(2, 13)
         if _brute_count_22(N) != 2 * N * N - N
     )
-    checks.append(_check("pair_count_formula_vs_brute_force", brute_viol, 0))
+    checks.append(Check("pair_count_formula_vs_brute_force", brute_viol, 0))
     formula_viol = sum(
         1 for N in range(2, 51)
         if complete.vinogradov_diagonal(2, 2, N) != 2 * N * N - N
     )
-    checks.append(_check("pair_count_formula_all_N", formula_viol, 0))
+    checks.append(Check("pair_count_formula_all_N", formula_viol, 0))
 
     table_viol = 0
     for s, k, N in [(1, 1, 30), (2, 2, 12), (3, 2, 8), (2, 3, 6)]:
@@ -127,11 +118,11 @@ def suite_counts() -> List[dict]:
             table_viol += 1
         if diag < N**s:
             table_viol += 1
-    checks.append(_check("count_table_mass_symmetry_peak", table_viol, 0))
+    checks.append(Check("count_table_mass_symmetry_peak", table_viol, 0))
 
     base = complete.vinogradov_diagonal(4, 2, 4) / 4**5
     worst = max(complete.vinogradov_diagonal(4, 2, N) / N**5 for N in range(4, 25))
-    checks.append(_check("deep_count_growth_envelope", worst, 1.5 * base))
+    checks.append(Check("deep_count_growth_envelope", worst, 1.5 * base))
     return checks
 
 
@@ -151,7 +142,7 @@ def direction_witness_vertices(P: Poly2) -> frozenset:
     return frozenset(map(tuple, supp[(score < 0).all(axis=1).any(axis=1)].tolist()))
 
 
-def suite_newton(trials: int = 200, seed: int = 7) -> List[dict]:
+def suite_newton(trials: int = 200, seed: int = 7) -> List[Check]:
     rng = random.Random(seed)
     oracle_viol = cover_viol = disjoint_viol = gap_viol = sign_viol = 0
     pts = np.indices((41, 41)).reshape(2, -1).T
@@ -180,11 +171,11 @@ def suite_newton(trials: int = 200, seed: int = 7) -> List[dict]:
             gap_viol += int(np.count_nonzero(
                 dot * sigma.denominator > -sigma.numerator * level[sel, None]))
     return [
-        _check("hull_chain_equals_direction_witness_oracle", oracle_viol, 0),
-        _check("vertex_normal_sign_conditions", sign_viol, 0),
-        _check("sector_cones_cover_grid", cover_viol, 0),
-        _check("open_cones_pairwise_disjoint", disjoint_viol, 0),
-        _check("subsector_gap_inequality_exact", gap_viol, 0),
+        Check("hull_chain_equals_direction_witness_oracle", oracle_viol, 0),
+        Check("vertex_normal_sign_conditions", sign_viol, 0),
+        Check("sector_cones_cover_grid", cover_viol, 0),
+        Check("open_cones_pairwise_disjoint", disjoint_viol, 0),
+        Check("subsector_gap_inequality_exact", gap_viol, 0),
     ]
 
 
@@ -200,7 +191,7 @@ def _coprime_samples(q: int) -> List[int]:
     return sorted({cands[0], cands[-1], cands[len(cands) // 2]})
 
 
-def suite_gauss(seed: int = 11) -> List[dict]:
+def suite_gauss(seed: int = 11) -> List[Check]:
     P0 = parse_poly("m1^2*m2^3")
     ident_viol = 0
     worst_rel = 0.0
@@ -216,8 +207,8 @@ def suite_gauss(seed: int = 11) -> List[dict]:
             if rel > 1e-9:
                 ident_viol += 1
     checks = [
-        _check("complete_sum_equals_exact_double_sum", ident_viol, 0),
-        _check("complete_sum_identity_worst_relative_error", worst_rel, 0.0, 1e-9),
+        Check("complete_sum_equals_exact_double_sum", ident_viol, 0),
+        Check("complete_sum_identity_worst_relative_error", worst_rel, 0.0, 1e-9),
     ]
     rng = random.Random(seed)
     polys = [("m1^2*m2^3", P0)]
@@ -232,9 +223,9 @@ def suite_gauss(seed: int = 11) -> List[dict]:
         # at q=4 and q=9 that the sweep itself multiplies; a test pins 5/12
         # by evaluating every cell of the 36 x 36 box.  The check is kept as
         # specified and reported honestly.
-        checks.append(_check(f"dyadic_envelope_nonincreasing[{name}]", steps_up, 0))
+        checks.append(Check(f"dyadic_envelope_nonincreasing[{name}]", steps_up, 0))
         worst_tail = max(worst_tail, env[-1])
-    checks.append(_check("dyadic_envelope_tail_bound", worst_tail, 0.6))
+    checks.append(Check("dyadic_envelope_tail_bound", worst_tail, 0.6))
     return checks
 
 
@@ -243,14 +234,14 @@ def suite_gauss(seed: int = 11) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_equidistribution() -> List[dict]:
+def suite_equidistribution() -> List[Check]:
     P = parse_poly("m1^2*m2^3")
     theta = golden_ratio_conjugate(192)
     v_small = abs(ergodic.character_average(P, theta, 16, 16))
     v_big = abs(ergodic.character_average(P, theta, 1024, 1024))
     return [
-        _check("character_average_tail_bound", v_big, 0.05),
-        _check("character_average_decay_factor", 4.0 * v_big, v_small),
+        Check("character_average_tail_bound", v_big, 0.05),
+        Check("character_average_decay_factor", 4.0 * v_big, v_small),
     ]
 
 
@@ -267,7 +258,7 @@ def _random_unipoly(rng: random.Random) -> UniPoly:
     return UniPoly(tuple(coeffs))
 
 
-def suite_factorization(trials: int = 50, seed: int = 5) -> List[dict]:
+def suite_factorization(trials: int = 50, seed: int = 5) -> List[Check]:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
@@ -280,7 +271,7 @@ def suite_factorization(trials: int = 50, seed: int = 5) -> List[dict]:
         M1, M2 = rng.randint(1, 8), rng.randint(1, 8)
         x = rng.randint(-10, 10)
         worst = max(worst, ergodic.degenerate_factorization_gap(p1, p2, f, M1, M2, x))
-    checks = [_check("separable_two_path_gap", worst, 0.0, 1e-12)]
+    checks = [Check("separable_two_path_gap", worst, 0.0, 1e-12)]
     # negative control: a mixed polynomial does not factor through nested averages
     f = ergodic.FiniteFunction.delta(0)
     spec = ergodic.AverageSpec(P=parse_poly("m1*m2"), M1=2, M2=2)
@@ -290,7 +281,7 @@ def suite_factorization(trials: int = 50, seed: int = 5) -> List[dict]:
         f, 1,
     )
     control_gap = abs(mixed - nested)
-    checks.append(_check("mixed_polynomial_negative_control", 0.01, control_gap))
+    checks.append(Check("mixed_polynomial_negative_control", 0.01, control_gap))
     return checks
 
 
@@ -300,15 +291,15 @@ def suite_factorization(trials: int = 50, seed: int = 5) -> List[dict]:
 
 
 def suite_iw(rhos: Sequence[Fraction] = (Fraction(1, 2), Fraction(1, 4)),
-             l_max: int = 3) -> List[dict]:
+             l_max: int = 3) -> List[Check]:
     checks = []
     for rho in rhos:
         rows = iw.verify_iw_properties(Fraction(rho), l_max)
-        viol = sum(1 for r in rows if not r["pass"])
-        checks.append(_check(f"denominator_set_properties_rho_{rho.numerator}_{rho.denominator}",
-                             viol, 0))
+        viol = sum(1 for r in rows if not r.passed)
+        checks.append(Check(f"denominator_set_properties_rho_{rho.numerator}_{rho.denominator}",
+                            viol, 0))
     n0 = len(iw.build_sigma(iw.IWParams(rho=Fraction(1, 2), l=0), 1))
-    checks.append(_check("fraction_count_level0_abs_error", abs(n0 - 32), 0))
+    checks.append(Check("fraction_count_level0_abs_error", abs(n0 - 32), 0))
     reduce_viol = 0
     params = iw.IWParams(rho=Fraction(1, 2), l=2)
     for (a,), q in iw.build_sigma(params, 1):
@@ -319,7 +310,7 @@ def suite_iw(rhos: Sequence[Fraction] = (Fraction(1, 2), Fraction(1, 4)),
     for (a1, a2), q in sig2:
         if math.gcd(math.gcd(a1, a2), q) != 1:
             reduce_viol += 1
-    checks.append(_check("fractions_already_reduced", reduce_viol, 0))
+    checks.append(Check("fractions_already_reduced", reduce_viol, 0))
     return checks
 
 
@@ -363,7 +354,7 @@ def _osc_trials(rng: random.Random, trials: int) -> tuple:
     return f, g, j0, top, chains, c, half
 
 
-def suite_osc(trials: int = 500, seed: int = 13) -> List[dict]:
+def suite_osc(trials: int = 500, seed: int = 13) -> List[Check]:
     f, g, j0, top, chains, c, half = _osc_trials(random.Random(seed), trials)
     cols = np.arange(OSC_WIDTH)
     dom = (j0[:, None] <= cols) & (cols < top[:, None])
@@ -387,12 +378,12 @@ def suite_osc(trials: int = 500, seed: int = 13) -> List[dict]:
     anchor_peak = np.abs(np.take_along_axis(f, full, axis=1)).max(axis=1)
     max_viol = count(peak > anchor_peak + o(f, chain=full) + 1e-10)
     return [
-        _check("seminorm_axioms", axiom_viol, 0),
-        _check("subdomain_splitting", split_viol, 0),
-        _check("oscillation_below_quadratic_variation", variation_viol, 0),
-        _check("dyadic_block_majorant", rm_viol, 0),
-        _check("crude_l2_bound_constant_2", crude_viol, 0),
-        _check("max_dominated_by_anchors_plus_oscillation", max_viol, 0),
+        Check("seminorm_axioms", axiom_viol, 0),
+        Check("subdomain_splitting", split_viol, 0),
+        Check("oscillation_below_quadratic_variation", variation_viol, 0),
+        Check("dyadic_block_majorant", rm_viol, 0),
+        Check("crude_l2_bound_constant_2", crude_viol, 0),
+        Check("max_dominated_by_anchors_plus_oscillation", max_viol, 0),
     ]
 
 
@@ -401,7 +392,7 @@ def suite_osc(trials: int = 500, seed: int = 13) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_multiplier(seed: int = 17) -> List[dict]:
+def suite_multiplier(seed: int = 17) -> List[Check]:
     rng = random.Random(seed)
     grid, M1, M2, tau = 1000, 8, 8, 2
     polys = [parse_poly("m1^2*m2^3")] + [random_nondegenerate_poly(rng) for _ in range(4)]
@@ -431,11 +422,11 @@ def suite_multiplier(seed: int = 17) -> List[dict]:
             if abs(circle.discrete_multiplier(P, -xi, M1, M2, tau) - v.conjugate()) > 1e-12:
                 conj_viol += 1
     return [
-        _check("discrete_multiplier_normalized_at_zero", norm_viol, 0),
-        _check("continuous_multiplier_normalized_at_zero", cont_viol, 0),
-        _check("discrete_multiplier_bounded_by_one", bound_viol, 0),
-        _check("discrete_multiplier_periodic", period_viol, 0),
-        _check("discrete_multiplier_conjugation_symmetry", conj_viol, 0),
+        Check("discrete_multiplier_normalized_at_zero", norm_viol, 0),
+        Check("continuous_multiplier_normalized_at_zero", cont_viol, 0),
+        Check("discrete_multiplier_bounded_by_one", bound_viol, 0),
+        Check("discrete_multiplier_periodic", period_viol, 0),
+        Check("discrete_multiplier_conjugation_symmetry", conj_viol, 0),
     ]
 
 
@@ -444,7 +435,7 @@ def suite_multiplier(seed: int = 17) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
-def suite_approx() -> List[dict]:
+def suite_approx() -> List[Check]:
     P = parse_poly("m1^2*m2^3")
     diagram = newton.build_diagram(P)
     tau, beta = 2, 4.0
@@ -466,8 +457,8 @@ def suite_approx() -> List[dict]:
                         step_viol += 1
                     prev = measured
     return [
-        _check("partial_approx_ratio_cap", worst_ratio, 50.0),
-        _check("partial_approx_decreases_under_doubling", step_viol, 0),
+        Check("partial_approx_ratio_cap", worst_ratio, 50.0),
+        Check("partial_approx_decreases_under_doubling", step_viol, 0),
     ]
 
 

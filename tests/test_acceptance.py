@@ -18,15 +18,15 @@ from newton_circle import suites
 
 
 def _run(criterion: str, label: str, checks, keep=None):
-    rows = [c for c in checks if keep is None or keep(c["name"])]
-    ok = all(c["pass"] for c in rows)
+    rows = [c for c in checks if keep is None or keep(c.name)]
+    ok = all(c.passed for c in rows)
     print(f"ACCEPTANCE {criterion} {label}: {'PASS' if ok else 'FAIL'}")
     for c in rows:
-        flag = "ok " if c["pass"] else "FAIL"
-        print(f"    [{flag}] {c['name']}: lhs={c['lhs']:.6g} rhs={c['rhs']:.6g} "
-              f"tol={c['tolerance']:.2g}")
+        flag = "ok " if c.passed else "FAIL"
+        print(f"    [{flag}] {c.name}: lhs={c.lhs:.6g} rhs={c.rhs:.6g} "
+              f"tol={c.tolerance:.2g}")
     assert ok, f"criterion {criterion} violated: " + "; ".join(
-        c["name"] for c in rows if not c["pass"])
+        c.name for c in rows if not c.passed)
 
 
 def test_criterion_01_moment_identity():

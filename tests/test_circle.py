@@ -177,7 +177,7 @@ def test_direct_multiplier_needs_no_histogram_or_fft(monkeypatch):
 
 
 def _multiplier_rows():
-    return {row["name"]: row["pass"] for row in suites.suite_multiplier()}
+    return {row.name: row.passed for row in suites.suite_multiplier()}
 
 
 def test_suite_multiplier_catches_conjugated_direct_kernel(monkeypatch):

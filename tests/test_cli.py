@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from newton_circle import suites
+from newton_circle import iw, suites
 from newton_circle.cli import USAGE_ERROR, build_parser, run_command
 from newton_circle.ergodic import FiniteFunction
 
@@ -38,6 +39,16 @@ def test_sectors_command(tmp_path, capsys):
     assert [(c["name"], c["pass"]) for c in doc["checks"]] == [("grid_nonempty", True)]
     assert run_command(["sectors", "--poly", "m1^2*m2^3 + 1"]) == USAGE_ERROR
     assert "P(0,0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["newton", "--poly", "m1*m2 + 1"],
+     "polynomial has nonzero constant term 1; averages and diagrams require P(0,0) = 0"),
+    (["expsum", "--m1", "4"], "expsum needs --poly or --weyl"),
+])
+def test_usage_errors_found_after_parsing_exit_2(capsys, argv, message):
+    assert run_command(argv) == USAGE_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_syntax_error_exit_code(capsys):
@@ -178,10 +189,31 @@ def test_iw_command(tmp_path):
     assert doc["results"][0]["denominators"] == 36
 
 
+def test_iw_command_counts_a_missing_initial_member(tmp_path, monkeypatch):
+    real = iw.build_p_le
+
+    def without_3(params):
+        sets = real(params)
+        return dataclasses.replace(sets, p_le=tuple(q for q in sets.p_le if q != 3))
+
+    monkeypatch.setattr(iw, "build_p_le", without_3)
+    code, doc = run(tmp_path, "iw", "--rho", "1/2", "--l", "2")
+    assert code == 1
+    assert [(c["name"], c["lhs"], c["rhs"], c["pass"]) for c in doc["checks"]] == [
+        ("initial_segment_contained", 1.0, 0.0, False)]
+
+
 def test_osc_command(tmp_path):
     code, doc = run(tmp_path, "osc", "--values", "0,1,0", "--seq", "0,2")
     assert code == 0
     assert doc["checks"][0]["pass"]
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf", "0.5"])
+def test_osc_rho_must_be_finite_and_at_least_one(tmp_path, capsys, rho):
+    code, doc = run(tmp_path, "osc", "--values", "1,2,3", "--rho", rho)
+    assert code == USAGE_ERROR and doc is None
+    assert f"argument --rho: must be a finite number >= 1, got {rho}" in capsys.readouterr().err
 
 
 def test_osc_variation_past_sixteen_points(tmp_path):
@@ -225,6 +257,7 @@ _BAD_INPUT_MESSAGES = {
     (["arcs", "--poly", "m1^2*m2^3", "--xi", "0.3", "--m1", "1e300", "--m2", "1e300"], None),
     (["osc", "--values", "1,2,3", "--rho", "1e308"], None),
     (["sectors", "--poly", "m1*m2", "--j", "99", "--bound", "0.5"], None),
+    (["average", "--poly", "m1*m2", "--m1", "4", "--m2", "4", "--x", "0"], '{"0": [NaN, 0]}'),
 ])
 def test_bad_input_exits_1_with_a_message(tmp_path, capsys, argv, f_json):
     # run_command returns, so nothing escaped it as a traceback
@@ -342,5 +375,9 @@ def test_readme_commands_exit_as_documented(tmp_path, capsys):
     assert len(commands) >= 12
     for argv, status in commands:
         argv = [str(tmp_path / a) if a == "f.json" else a for a in argv]
-        assert run_command(argv) == status, (argv, capsys.readouterr().err)
-        capsys.readouterr()
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        assert code == status, (argv, err)
+        # every row's verdict is its own inequality
+        for c in json.loads(out)["checks"]:
+            assert c["pass"] == (c["lhs"] <= c["rhs"] + c["tolerance"]), (argv, c)

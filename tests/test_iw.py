@@ -195,7 +195,7 @@ def test_sigma_cap(monkeypatch):
 def test_properties_pass():
     for rho in (Fraction(1, 2), Fraction(1, 4)):
         for check in verify_iw_properties(rho, 3):
-            assert check["pass"], check
+            assert check.passed, check
 
 
 def test_properties_catch_broken_set(monkeypatch):
@@ -212,8 +212,8 @@ def test_properties_catch_broken_set(monkeypatch):
 
     monkeypatch.setattr(iw_mod, "p_le_values", broken)
     checks = iw_mod.verify_iw_properties(Fraction(1, 2), 2)
-    failed = [c for c in checks if not c["pass"]]
-    assert any(c["name"] == "initial_segment_l2" for c in failed)
+    failed = [c for c in checks if not c.passed]
+    assert any(c.name == "initial_segment_l2" for c in failed)
 
 
 def test_lcm_log2():

@@ -329,10 +329,10 @@ def test_suite_counts_uncovered_points(monkeypatch):
         return geo
 
     monkeypatch.setattr(newton, "sector_arrays", drop_first_point)
-    rows = {row["name"]: row for row in suites.suite_newton(trials=3)}
-    assert rows["sector_cones_cover_grid"]["lhs"] == 3
-    assert not rows["sector_cones_cover_grid"]["pass"]
-    assert rows["subsector_gap_inequality_exact"]["pass"]
+    rows = {row.name: row for row in suites.suite_newton(trials=3)}
+    assert rows["sector_cones_cover_grid"].lhs == 3
+    assert not rows["sector_cones_cover_grid"].passed
+    assert rows["subsector_gap_inequality_exact"].passed
 
 
 def test_suite_sign_conditions_see_a_negated_normal(monkeypatch):
@@ -350,7 +350,7 @@ def test_suite_sign_conditions_see_a_negated_normal(monkeypatch):
         return bad
 
     monkeypatch.setattr(newton, "build_diagram", negated_first_normal)
-    rows = {row["name"]: row for row in suites.suite_newton(trials=3)}
-    assert rows["vertex_normal_sign_conditions"]["lhs"] > 0
-    assert not rows["vertex_normal_sign_conditions"]["pass"]
-    assert all(row["pass"] for name, row in rows.items() if name != "vertex_normal_sign_conditions")
+    rows = {row.name: row for row in suites.suite_newton(trials=3)}
+    assert rows["vertex_normal_sign_conditions"].lhs > 0
+    assert not rows["vertex_normal_sign_conditions"].passed
+    assert all(row.passed for name, row in rows.items() if name != "vertex_normal_sign_conditions")

@@ -136,6 +136,12 @@ def test_variation_examples():
     assert variation(IndexedFamily.of({0: 7, 1: 7}), 2.0) == 0.0
 
 
+@pytest.mark.parametrize("rho", [math.nan, 0.5, -math.inf])
+def test_variation_rejects_an_exponent_below_one_or_nan(rho):
+    with pytest.raises(ValueError, match=re.escape(f"variation exponent must be >= 1, got {rho}")):
+        variation(IndexedFamily.of({0: 0, 1: 1}), rho)
+
+
 @pytest.mark.parametrize("values, rho", [((1, 2, 3), 1e308), ((1e200, -1e200, 3), 2.0),
                                          ((0, 1e155, 0, 1e155, 0), 2.0)])
 def test_variation_past_the_float_range_is_a_named_error(values, rho):
