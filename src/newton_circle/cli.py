@@ -175,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, default=0)
     p.add_argument("--m1", type=_real, required=True)
     p.add_argument("--m2", type=_real, required=True)
-    p.add_argument("--truncated", action="store_true")
-    p.add_argument("--tau", type=_fraction, default=Fraction(2))
+    p.add_argument("--tau", type=_fraction, help="average over the truncated region (M/tau, M]")
     _add_output_flags(p)
 
     p = subs.add_parser("arcs", help="major/minor classification of a frequency")
@@ -211,7 +210,8 @@ def _cmd_newton(args, report: VerificationReport) -> None:
         "determinants": list(diagram.determinants),
         "gaps": [str(g) for g in diagram.gaps],
     })
-    report.add_check("vertex_count_positive", 1, diagram.r)
+    missed = suites.direction_witness_vertices(P).symmetric_difference(diagram.vertices)
+    report.add_check("vertices_match_witnesses", len(missed), 0)
 
 
 def _cmd_sectors(args, report: VerificationReport) -> None:
@@ -244,7 +244,8 @@ def _cmd_expsum(args, report: VerificationReport) -> None:
     if args.abs_axis:
         total = expsum.double_sum_abs(Q, args.k1, args.m1, args.k2, args.m2, args.abs_axis)
         report.results.append({"kind": "absolute_double_sum", "value": total})
-        report.add_check("nonnegative", 0, total)
+        cells = (args.m1 - args.k1) * (args.m2 - args.k2)
+        report.add_check("total_within_cell_count", total, cells, cells * expsum.FLOAT_TERM_BUDGET)
         return
     _add_sum_row(report, "double_sum", expsum.double_sum(Q, args.k1, args.m1, args.k2, args.m2))
 
@@ -303,20 +304,18 @@ def _cmd_osc(args, report: VerificationReport) -> None:
     seq = osc.IncreasingSequence.of(pts)
     o = osc.oscillation(fam, seq)
     v = osc.variation(fam, args.rho)
-    report.results.append({"oscillation": o, "variation": v, "rho": args.rho})
-    if args.rho <= 2:
-        report.add_check("oscillation_at_most_variation", o, v, 1e-10)
+    check_rho = min(args.rho, 2.0)      # O <= V_2 <= V_rho for rho <= 2
+    report.results.append({"oscillation": o, "variation": v, "rho": args.rho, "check_rho": check_rho})
+    v_check = v if check_rho == args.rho else osc.variation(fam, check_rho)
+    report.add_check("oscillation_at_most_variation", o, v_check, 1e-10)
 
 
 def _cmd_average(args, report: VerificationReport) -> None:
     P = _poly_arg(args.poly, require_vanishing=True)
     with open(args.f, "r", encoding="utf-8") as fh:
         f = ergodic.FiniteFunction.from_json(fh.read())
-    spec = ergodic.AverageSpec(
-        P=P, M1=args.m1, M2=args.m2,
-        region="truncated" if args.truncated else "full",
-        tau=args.tau if args.truncated else None,
-    )
+    spec = ergodic.AverageSpec(P=P, M1=args.m1, M2=args.m2, tau=args.tau,
+                               region="full" if args.tau is None else "truncated")
     value = ergodic.shift_average(spec, f, args.x)
     report.results.append({"re": value.real, "im": value.imag,
                            "region_size": spec.cardinality()})
@@ -329,12 +328,16 @@ def _cmd_arcs(args, report: VerificationReport) -> None:
     diagram = newton.build_diagram(P)
     ac = circle.arc_classify(P, diagram, args.j, args.xi, args.m1, args.m2,
                              args.beta, args.tau)
-    row = {"kind": ac.kind, **{k: v for k, v in ac.thresholds.items()}}
+    row = {"kind": ac.kind, **ac.thresholds}
     if ac.kind == "major":
         row["center"] = str(ac.center)
         row["offset"] = ac.offset
+        # arc_classify's offset bound: |xi - a/q| <= 1 / (q * resolution)
+        ratio = abs(ac.offset) * row["q"] * row["resolution"]
+        report.add_check("major_offset_within_resolution", ratio, 1, 1e-12)
+    else:
+        report.add_check("minor_denominator_past_threshold", row["q_threshold"], row["q"])
     report.results.append(row)
-    report.add_check("classification_total", int(ac.kind not in ("major", "minor")), 0)
 
 
 def _cmd_verify(args, report: VerificationReport) -> None:

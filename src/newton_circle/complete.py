@@ -172,8 +172,7 @@ def gauss_sum_sweep(P: Poly2, q_values: Iterable[int]) -> List[dict]:
                     (a, b), c = terms[0]
                     hist = _monomial_histogram(c, a, b, p)
                 else:
-                    r = range(pk)
-                    hist = _box_histogram(P.terms, pk, r, r)
+                    hist = _box_histogram(P.terms, pk, range(pk), range(pk))
                 spectrum = np.abs(np.fft.fft(hist)) / pk**2
                 maxima[pk] = float(spectrum[np.arange(pk) % p != 0].max())
             max_abs *= maxima[pk]

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, starmap
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -327,11 +327,11 @@ def _fsum_complex(parts) -> complex:
     return complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
 
 
-def _box_histogram(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int],
-                   cols: Sequence[int]) -> np.ndarray:
+def _box_histogram(terms: Dict[Tuple[int, int], int], L: int, rows: range,
+                   cols: range) -> np.ndarray:
     """int64 L-bin histogram of P(m1, m2) mod L over m1 in rows and m2 in
-    cols, for the integer terms of P; L must divide 2**64 or have
-    _histogram_peak(L) < 2**63, and the bins fit in memory.
+    cols, step-1 ranges, for the integer terms of P; L must divide 2**64 or
+    have _histogram_peak(L) < 2**63, and the bins fit in memory.
 
     P mod L depends on each coordinate only mod L, so an axis of more than L
     consecutive integers is cut to its first L, each weighted by the number
@@ -341,11 +341,9 @@ def _box_histogram(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int
     counts in time linear in each block however many bins there are, and
     uint64 blocks (residues below L) through an int64 view, which it counts
     faster."""
-    (rows, w1), (cols, w2) = _period_fold(rows, L), _period_fold(cols, L)
-    folded = w1 is not None or w2 is not None
+    folded = max(len(rows), len(cols)) > L
     if folded:
-        w1 = np.ones(len(rows), dtype=np.int64) if w1 is None else w1
-        w2 = np.ones(len(cols), dtype=np.int64) if w2 is None else w2
+        (rows, w1), (cols, w2) = _period_fold(rows, L), _period_fold(cols, L)
     hist = np.zeros(L, dtype=np.int64)
     end = 0
     for r, t, _ in _residue_blocks(terms, L, rows, cols):
@@ -358,15 +356,12 @@ def _box_histogram(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int
     return hist
 
 
-def _period_fold(axis: Sequence[int], L: int) -> Tuple[Sequence[int], Optional[np.ndarray]]:
-    """(run, counts): of a range of n > L consecutive integers its first L,
+def _period_fold(axis: range, L: int) -> Tuple[range, np.ndarray]:
+    """(run, counts): of a step-1 range of n integers its first min(n, L),
     with the number of times each one's class mod L occurs in the range (n
-    // L, one more for the first n % L) as an int64 array; any other axis as
-    it is, with counts None (once each)."""
-    if len(axis) <= L or not (isinstance(axis, range) and axis.step == 1):
-        return axis, None
+    // L, one more for the first n % L) as an int64 array."""
     c, s = divmod(len(axis), L)
-    counts = np.full(L, c, dtype=np.int64)
+    counts = np.full(min(len(axis), L), c, dtype=np.int64)
     counts[:s] += 1
     return axis[:L], counts
 
@@ -461,20 +456,18 @@ def _reduce(t: np.ndarray, L: int) -> np.ndarray:
     return t
 
 
-def _power_table(r: Sequence[int], k: int, L: int) -> np.ndarray:
-    """(k + 1) x len(r) table of r**j, congruent mod L; L alone sets the type:
-    uint64 when L divides 2**64, else int64 with every entry below
-    cap = (L << 63) // _histogram_peak(L), reduced (_reduce) only when needed."""
+def _power_table(r: range, k: int, L: int) -> np.ndarray:
+    """(k + 1) x len(r) table of r**j, r a step-1 range, congruent mod L; L
+    alone sets the type: uint64 when L divides 2**64, else int64 with every
+    entry below cap = (L << 63) // _histogram_peak(L), reduced when needed."""
     wrap = _WRAP % L == 0
     dtype, cap = (np.uint64, math.inf) if wrap else (np.int64, (L << 63) // _histogram_peak(L))
     table = np.empty((k + 1, len(r)), dtype=dtype)
     table[0] = 1
-    if k and isinstance(r, range) and r.step == 1:
+    if k:
         np.add(np.arange(len(r), dtype=dtype), r.start % L, out=table[1])
         if r.start % L + len(r) > L:
             _reduce(table[1], L)
-    elif k:
-        table[1] = [v % L for v in r]
     bound = L                           # every entry of table[j] is below it
     for j in range(1, k):
         np.multiply(table[j], table[1], out=table[j + 1])
@@ -485,18 +478,17 @@ def _power_table(r: Sequence[int], k: int, L: int) -> np.ndarray:
     return table
 
 
-def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: Sequence[int],
-                    cols: Sequence[int]):
-    """Blocks (r, t, L), in the form of _phase_blocks, of the residues
-    t = P(m1, m2) mod L over m1 in rows and m2 in cols for the integer terms
-    of P; r is the range of the block's positions in rows, restarting with
-    each column block.  L divides 2**64 (uint64) or has _histogram_peak(L) <
-    2**63 (int64).  Rows, columns and coefficients are reduced mod L first,
-    so values of any size never reach numpy.  Per column block the vectors
-    C_g1(m2) of the terms with m1-exponent g1 are the coefficients times the
-    power table m2**g2 (_power_table), and a block is its rows' table m1**g1
-    times them.  In int64 a table entry stays below cap = 2**63 // (65*L) >=
-    L, so each sum of at most 65 terms stays below 2**63."""
+def _residue_blocks(terms: Dict[Tuple[int, int], int], L: int, rows: range, cols: range):
+    """Blocks (r, t, L), in the form of _phase_blocks, of the residues t =
+    P(m1, m2) mod L over m1 in rows and m2 in cols, step-1 ranges, for the
+    integer terms of P; r is the range of the block's positions in rows,
+    restarting with each column block.  L divides 2**64 (uint64) or has
+    _histogram_peak(L) < 2**63 (int64).  Rows, columns and coefficients are
+    reduced mod L first, so values of any size never reach numpy.  Per column
+    block the vectors C_g1(m2) of the terms with m1-exponent g1 are the
+    coefficients times the power table m2**g2 (_power_table), and a block is
+    its rows' table m1**g1 times them.  In int64 a table entry stays below
+    2**63 // (65*L) >= L, so each sum of at most 65 terms stays below 2**63."""
     dtype = np.uint64 if _WRAP % L == 0 else np.int64
     top = max((g2 for _, g2 in terms), default=0)
     groups: Dict[int, List[int]] = {}
@@ -529,17 +521,21 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
 
     The box is cut into tiles of h x w cells (_tile_shape), the cells o + u,
     u in [0, h) x [1, w], of their origin o.  Per tile, Q is Taylor-shifted
-    exactly mod L to o (_expand_m1 up to the m1-exponent e1 = min(d1, h - 1),
-    d1 the m1-degree, then _shift_m2 on each row, none at column origin 0),
-    and each coefficient c splits once as 2**64 * c / L = H + rho / L, H =
-    (c << 64) // L < 2**64 (_split).  The split rows of the tiles of one
-    width are stacked, as many as fit BLOCK_CELLS, into two products with the
-    power table U2 of the column offsets (at most 4 * BLOCK_CELLS entries,
-    since the growth bound caps w): the uint64 H @ U2, whose wraparound
-    keeps the head, sum of H * u**g mod 2**64, exact however large Q gets,
-    and the float tail R @ U2, R = rho / (L * 2**64).  A one-row tile (h = 1: u1 = 0 keeps the m1-exponent
-    0 only) is its row of both; a taller tile's rows are U1.T @ (.) of both,
-    U1 the power table of its row offsets, per block of rows.
+    exactly mod L to o (_expand_m1 up to the m1-exponent e1, then _shift_m2
+    on each row, none at column origin 0), and each coefficient c splits
+    once as 2**64 * c / L = H + rho / L, H = (c << 64) // L < 2**64
+    (_split).  e1 is 0 for a one-row tile (u1 = 0 keeps the m1-exponent 0
+    only) and the m1-degree d1 for a taller one (_tile_shape gives h = 1 or
+    h >= d1 + 2): this all-or-nothing rule keeps the expansion exact, as any
+    e1 < d1 would drop the terms u1**i, i > e1, of a taller tile's rows.
+    The split rows of the tiles of one width are stacked, as many as fit
+    BLOCK_CELLS, into two products with the power table U2 of the column
+    offsets (at most 4 * BLOCK_CELLS entries, since the growth bound caps
+    w): the uint64 H @ U2, whose wraparound keeps the head, sum of H * u**g
+    mod 2**64, exact however large Q gets, and the float tail R @ U2, R =
+    rho / (L * 2**64).  A one-row tile is its row of both; a taller tile's
+    rows are U1.T @ (.) of both, U1 the power table of its row offsets, per
+    block of rows.
 
     The tail's terms are below 2**-64 * |u**g| in size, so the growth bound
     of 2**52 keeps it below 2**-12 of a turn and every table entry an exact
@@ -553,7 +549,7 @@ def _tail_phase_blocks(L: int, ints: Dict[Tuple[int, int], int], K1: int, M1: in
         top[g1] = max(top[g1], g2)
     top = list(accumulate(reversed(top), max))[::-1]
     h, w = _tile_shape(top, M1 - K1, M2 - K2)
-    e1, e2 = min(len(top) - 1, h - 1), top[0]
+    e1, e2 = 0 if h == 1 else len(top) - 1, top[0]
     # the column tiles' origins by their widths: all w but a narrower last one
     origins: Dict[int, List[int]] = {}
     for o2 in range(K2, M2, w):
@@ -652,7 +648,8 @@ def _tile_shape(top: List[int], n1: int, n2: int) -> Tuple[int, int]:
     with its column power table fit a block; h is then the tallest within
     the bound.  A tile of 1 < h <= d1 + 1 rows (d1 the m1-degree) would
     shift (d1 + 1)(e2 + 1) coefficients, at least as many as its h rows one
-    by one: then h is 1, and the box is cut into one-row tiles of width w.
+    by one, so h is 1, cutting the box into one-row tiles of width w, or at
+    least d1 + 2: the rule by which _tail_phase_blocks expands a tile.
     """
     def largest(n: int, growth) -> int:
         """Largest x in [1, n] whose growth(x) meets the bound (growth rises with x)."""

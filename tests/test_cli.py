@@ -24,6 +24,20 @@ def test_newton_command(tmp_path):
     assert code == 0
     assert doc["results"][0]["vertices"] == [[1, 3], [3, 1]]
     assert doc["results"][0]["normals"] == [[0, 1], [1, 1], [1, 0]]
+    assert [(c["name"], c["lhs"], c["pass"]) for c in doc["checks"]] == [
+        ("vertices_match_witnesses", 0.0, True)]
+
+
+def test_newton_command_fails_on_a_lost_vertex(tmp_path, monkeypatch):
+    from newton_circle import newton
+
+    real = newton.build_diagram
+    monkeypatch.setattr(newton, "build_diagram",
+                        lambda P: dataclasses.replace(real(P), vertices=real(P).vertices[:-1]))
+    code, doc = run(tmp_path, "newton", "--poly", "m1^3*m2 + m1*m2^3")
+    assert code == 1
+    assert [(c["name"], c["lhs"], c["pass"]) for c in doc["checks"]] == [
+        ("vertices_match_witnesses", 1.0, False)]
 
 
 def test_newton_rejects_constant_term(tmp_path, capsys):
@@ -102,7 +116,22 @@ def test_expsum_abs_axis(tmp_path, axis):
     assert code == 0
     want = double_sum_abs(scale(parse_poly("m1^2*m2^3 + m1*m2"), Fraction(3, 7)), 2, 12, 1, 9, axis)
     assert doc["results"] == [{"kind": "absolute_double_sum", "value": want}]
-    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [("nonnegative", True)]
+    assert [(c["name"], c["rhs"], c["pass"]) for c in doc["checks"]] == [
+        ("total_within_cell_count", 80.0, True)]
+
+
+def test_expsum_abs_axis_fails_past_the_cell_count(tmp_path, monkeypatch):
+    # at xi = 0 every inner sum is its row's length, so the total is the
+    # cell count exactly; one more is past the budget of 80 cells
+    from newton_circle import expsum
+
+    real = expsum.double_sum_abs
+    monkeypatch.setattr(expsum, "double_sum_abs", lambda *a: real(*a) + 1)
+    code, doc = run(tmp_path, "expsum", "--poly", "m1*m2", "--xi", "0",
+                    "--m1", "10", "--m2", "8", "--abs-axis", "1")
+    assert code == 1
+    assert [(c["name"], c["lhs"], c["rhs"], c["pass"]) for c in doc["checks"]] == [
+        ("total_within_cell_count", 81.0, 80.0, False)]
 
 
 def test_expsum_weyl(tmp_path):
@@ -217,10 +246,26 @@ def test_osc_rho_must_be_finite_and_at_least_one(tmp_path, capsys, rho):
 
 
 def test_osc_variation_past_sixteen_points(tmp_path):
+    # past rho = 2 the row compares the oscillation with the 2-variation
     values = ",".join(["0", "1"] * 8 + ["0"])
     code, doc = run(tmp_path, "osc", "--values", values, "--rho", "3")
     assert code == 0
     assert doc["results"][0]["variation"] == pytest.approx(16 ** (1 / 3))
+    assert doc["results"][0]["check_rho"] == 2.0
+    assert [(c["name"], c["rhs"], c["pass"]) for c in doc["checks"]] == [
+        ("oscillation_at_most_variation", pytest.approx(4.0), True)]
+
+
+@pytest.mark.parametrize("rho", ["1.5", "3"])
+def test_osc_fails_on_a_scaled_oscillation(tmp_path, monkeypatch, rho):
+    from newton_circle import osc
+
+    real = osc.oscillation
+    monkeypatch.setattr(osc, "oscillation", lambda *a: 10 * real(*a))
+    code, doc = run(tmp_path, "osc", "--values", "0,1,0,2", "--seq", "0,2,3", "--rho", rho)
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [
+        ("oscillation_at_most_variation", False)]
 
 
 def test_average_command(tmp_path):
@@ -230,6 +275,19 @@ def test_average_command(tmp_path):
                     "--x", "1", "--m1", "2", "--m2", "2")
     assert code == 0
     assert doc["results"][0]["re"] == pytest.approx(0.25)
+    assert doc["results"][0]["region_size"] == 4 and "tau" not in doc["params"]
+
+
+def test_average_tau_selects_the_truncated_region(tmp_path, capsys):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(FiniteFunction.delta(0).to_json())
+    argv = ["average", "--poly", "m1*m2", "--f", str(fpath), "--x", "0", "--m1", "4", "--m2", "4"]
+    code, doc = run(tmp_path, *argv, "--tau", "2")
+    assert code == 0
+    # (2, 4] x (2, 4], not the 16 cells of the full region
+    assert doc["results"][0]["region_size"] == 4 and doc["params"]["tau"] == "2"
+    assert run_command(argv + ["--truncated"]) == USAGE_ERROR
+    assert "unrecognized arguments: --truncated" in capsys.readouterr().err
 
 
 def test_arcs_command(tmp_path):
@@ -237,6 +295,36 @@ def test_arcs_command(tmp_path):
                     "--m1", "16", "--m2", "16")
     assert code == 0
     assert doc["results"][0]["kind"] == "major"
+    # off the center 1/2 by 1e-4: 1e-4 * q * resolution = 1e-4 * 2 * 4096
+    code, doc = run(tmp_path, "arcs", "--poly", "m1^2*m2^3", "--xi", "0.5001",
+                    "--m1", "16", "--m2", "16")
+    assert code == 0
+    assert [(c["name"], c["lhs"], c["rhs"]) for c in doc["checks"]] == [
+        ("major_offset_within_resolution", pytest.approx(0.8192), 1.0)]
+
+
+def test_arcs_command_minor_arc(tmp_path):
+    # the golden ratio's convergent at resolution 4096 is 1597/2584
+    code, doc = run(tmp_path, "arcs", "--poly", "m1^2*m2^3", "--xi", "0.6180339887498949",
+                    "--m1", "16", "--m2", "16")
+    assert code == 0
+    assert doc["results"][0]["kind"] == "minor"
+    assert [(c["name"], c["lhs"], c["rhs"]) for c in doc["checks"]] == [
+        ("minor_denominator_past_threshold", 256.0, 2584.0)]
+
+
+def test_arcs_command_fails_on_a_far_center(tmp_path, monkeypatch):
+    # a center 1/3 at offset 1/6 is past 1 / (q * resolution) = 1/12288
+    from fractions import Fraction
+
+    from newton_circle import circle
+
+    monkeypatch.setattr(circle, "dirichlet_approx", lambda x, Q: Fraction(1, 3))
+    code, doc = run(tmp_path, "arcs", "--poly", "m1^2*m2^3", "--xi", "0.5",
+                    "--m1", "16", "--m2", "16")
+    assert code == 1
+    assert [(c["name"], c["lhs"], c["pass"]) for c in doc["checks"]] == [
+        ("major_offset_within_resolution", pytest.approx(2048.0), False)]
 
 
 # the message of each command's bad input below: it names the input, and for

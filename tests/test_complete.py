@@ -208,8 +208,9 @@ def _units(q):
 
 
 def _histogram_cases(rng):
-    """(P, a, q, rows, cols) with a of either sign and above q, negative rows,
-    rows near 10**30, columns not starting at 1, q = 1 and the zero polynomial."""
+    """(P, a, q, rows, cols), step-1 ranges, with a of either sign and above
+    q, negative rows, rows near 10**30 and -10**30, columns not starting at
+    1, q = 1 and the zero polynomial."""
     big = 10**30
     polys = [random_nondegenerate_poly(rng) for _ in range(4)] + [_wide_poly(rng) for _ in range(4)]
     cases = []
@@ -218,11 +219,14 @@ def _histogram_cases(rng):
         a = rng.choice((-1, 1)) * rng.randint(0, 3 * q)
         start = rng.randint(-40, 50)
         cases.append((P, a, q, range(-7, 4 + rng.randint(0, 12)), range(start, start + rng.randint(1, 90))))
-        cases.append((P, a, q, [big + rng.randint(-5, 5), -big - 3, rng.randint(-99, 99)],
+        far = rng.choice((-1, 1)) * big + rng.randint(-5, 5)
+        cases.append((P, a, q, range(far, far + rng.randint(1, 4)),
                       range(big - 20, big + rng.randint(1, 40))))
     P = polys[0]
     cases += [(P, 5, 1, range(1, 9), range(1, 9)), (Poly2({}), 3, 1, range(2), range(-3, 3)),
-              (Poly2({}), -4, 13, [big], range(1, 14)), (P, -17, 11, range(-30, 30), range(-2, 70))]
+              (Poly2({}), -4, 13, range(big, big + 1), range(1, 14)),
+              (P, 7, 29, range(-big - 3, -big + 2), range(-5, 40)),
+              (P, -17, 11, range(-30, 30), range(-2, 70))]
     return cases
 
 

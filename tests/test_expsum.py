@@ -20,7 +20,7 @@ from newton_circle.expsum import (
     residue_sum,
     weyl_sum,
 )
-from newton_circle.poly import Poly2, RealPoly2, evaluate, parse_poly, scale, transpose
+from newton_circle.poly import MAX_EXPONENT, Poly2, RealPoly2, evaluate, parse_poly, scale, transpose
 
 
 def brute_weyl(xs, N):
@@ -341,6 +341,43 @@ def test_tail_segments_at_their_largest_tail(K1, K2):
     assert _growth(Q.terms, 0, 2) == 2**52 - 1 < 2**52 < _growth(Q.terms, 0, 3)
     got = double_sum(Q, K1, K1 + 3, K2, K2 + 7)
     want = brute_dyadic(Q.terms, itertools.product(range(K1 + 1, K1 + 4), range(K2 + 1, K2 + 8)))
+    assert abs(got.value - want) <= got.error_budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.tuples(*[st.integers(0, 3) | st.integers(0, MAX_EXPONENT)] * 2),
+               min_size=1, max_size=5),
+       *[st.integers(1, 2 * MAX_EXPONENT) | st.integers(1, 2**60)] * 2)
+def test_tile_shape_is_one_row_or_past_the_m1_degree(support, n1, n2):
+    # _tail_phase_blocks expands a tile to the m1-exponent 0 or the full
+    # m1-degree d1, which needs no tile of 1 < h <= d1 + 1 rows.  Small
+    # exponents and sides reach the boundary h = d1 + 1 within the growth
+    # bound.  top[i]: the largest g2 of a term with g1 >= i (the down-closure)
+    top = [max(g2 for g1, g2 in support if g1 >= i) for i in range(max(support)[0] + 1)]
+    h, w = expsum._tile_shape(top, n1, n2)
+    assert 1 <= h <= n1 and 1 <= w <= n2
+    assert h == 1 or h >= len(top) + 1
+
+
+@pytest.mark.parametrize("forced_h", [None, 2])
+def test_golden_degree_8_tiles_match_mpmath(monkeypatch, forced_h):
+    # m1^8*m2^8 on 40 x 40 takes one-row tiles; forced to two-row tiles
+    # (within the growth bound) the expansion must still reach u1**8, which
+    # an m1-exponent capped at h - 1 dropped, reading -29.35 - 21.23i.
+    # Against e(phase) summed in mpmath at 30 digits, one Fraction per cell
+    mp = pytest.importorskip("mpmath")
+    Q = scale(parse_poly("m1^8*m2^8"), GOLDEN)
+    shape = expsum._tile_shape
+    assert shape([8] * 9, 40, 40) == (1, 40)
+    if forced_h:
+        assert expsum._growth([8] * 9, forced_h, 40) <= 2**52
+        monkeypatch.setattr(expsum, "_tile_shape", lambda *a: (forced_h, shape(*a)[1]))
+    got = double_sum(Q, 0, 40, 0, 40)
+    mp.mp.dps = 30
+    c = Fraction(Q.terms[(8, 8)])
+    phases = [c * m1**8 * m2**8 % 1 for m1 in range(1, 41) for m2 in range(1, 41)]
+    want = complex(mp.fsum(mp.expjpi(2 * mp.mpf(f.numerator) / f.denominator) for f in phases))
+    assert abs(want - complex(-61.6698, 3.2761)) < 1e-4
     assert abs(got.value - want) <= got.error_budget
 
 
