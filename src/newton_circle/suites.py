@@ -76,14 +76,12 @@ def suite_moment(trials: int = 100, seed: int = 2024) -> List[Check]:
 
 
 def _brute_count_22(N: int) -> int:
-    total = 0
-    for x1 in range(1, N + 1):
-        for x2 in range(1, N + 1):
-            for y1 in range(1, N + 1):
-                for y2 in range(1, N + 1):
-                    if x1 + x2 == y1 + y2 and x1 * x1 + x2 * x2 == y1 * y1 + y2 * y2:
-                        total += 1
-    return total
+    """#{x, y in [N]**2 : x1 + x2 = y1 + y2, x1**2 + x2**2 = y1**2 + y2**2},
+    tested on all N**4 tuples as one N**2 x N**2 comparison of the pairs'
+    power sums."""
+    x = np.arange(1, N + 1)
+    s1, s2 = np.add.outer(x, x).ravel(), np.add.outer(x * x, x * x).ravel()
+    return int(np.count_nonzero((s1[:, None] == s1) & (s2[:, None] == s2)))
 
 
 def suite_counts() -> List[Check]:
@@ -195,10 +193,12 @@ def suite_gauss(seed: int = 11) -> List[Check]:
     P0 = parse_poly("m1^2*m2^3")
     ident_viol = 0
     worst_rel = 0.0
-    # the second algorithm: poly.evaluate per cell in big integers, no power table
-    values = [[poly.evaluate(P0, (m1, m2)) for m2 in range(1, 65)] for m1 in range(1, 65)]
+    # the second algorithm: poly.evaluate per cell in big integers, no power
+    # table; np.array raises OverflowError on a value past int64, never wraps
+    values = np.array([[poly.evaluate(P0, (m1, m2)) for m2 in range(1, 65)]
+                       for m1 in range(1, 65)], dtype=np.int64)
     for q in range(1, 65):
-        box = np.array([v % q for row in values[:q] for v in row[:q]], dtype=np.int64)
+        box = (values[:q, :q] % q).ravel()
         for a in _coprime_samples(q):
             g = complete.gauss_sum(P0, Fraction(a, q)) * q * q
             s = expsum.residue_sum(a * box % q, q)

@@ -944,3 +944,22 @@ def test_fitted_decay_exponent_is_positive():
     assert 0.1 < d_hat < 2.5
     d_mixed = complete._decay_fit(gauss_sum_sweep(parse_poly("m1*m2"), range(2, 101)))
     assert d_mixed > 0.5
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_brute_count_22_equals_a_fourfold_loop(N):
+    from newton_circle import suites
+
+    r = range(1, N + 1)
+    want = sum(1 for x1 in r for x2 in r for y1 in r for y2 in r
+               if x1 + x2 == y1 + y2 and x1 * x1 + x2 * x2 == y1 * y1 + y2 * y2)
+    assert suites._brute_count_22(N) == want
+
+
+def test_suite_gauss_value_table_refuses_values_past_int64(monkeypatch):
+    # a value past int64 raises when the table is built; it is never wrapped
+    from newton_circle import poly, suites
+
+    monkeypatch.setattr(poly, "evaluate", lambda P, m: 2**63)
+    with pytest.raises(OverflowError):
+        suites.suite_gauss()

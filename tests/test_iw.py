@@ -216,6 +216,85 @@ def test_properties_catch_broken_set(monkeypatch):
     assert any(c.name == "initial_segment_l2" for c in failed)
 
 
+def _literal_counts(sets):
+    """The four counts of verify_iw_properties per level, one element at a
+    time: sets[l] is the level-l tuple, repeats counted as they come."""
+    rows, prev = {}, ()
+    for l, cur in enumerate(sets):
+        members, old = set(cur), set(prev)
+        rows[f"nesting_l{l}"] = sum(1 for q in prev if q not in members)
+        rows[f"initial_segment_l{l}"] = sum(1 for n in range(1, 2**l + 1) if n not in members)
+        closure = 0
+        for q in cur:
+            for dv in range(1, math.isqrt(q) + 1):
+                if q % dv == 0 and (dv not in members or q // dv not in members):
+                    closure += 1
+        rows[f"divisor_closure_l{l}"] = closure
+        if l > 0:
+            rows[f"new_denominator_lower_bound_l{l}"] = sum(
+                1 for q in cur if q not in old and q <= 2 ** (l - 1))
+        prev = cur
+    return rows
+
+
+@pytest.mark.parametrize("rho, change, pinned", [
+    # 3 missing from level 2: absent from [4], a divisor of every multiple
+    # of 3 in the set, and new again at level 3, where 3 <= 2**2
+    (Fraction(1, 2), lambda v: tuple(q for q in v if q != 3),
+     {"initial_segment_l2": 1, "divisor_closure_l2": 29, "nesting_l3": 0,
+      "new_denominator_lower_bound_l3": 1}),
+    (Fraction(1, 4), lambda v: tuple(q for q in v if q != 3),
+     {"initial_segment_l2": 1, "divisor_closure_l2": 82, "new_denominator_lower_bound_l3": 1}),
+    # 4 = 2**2 missing: a level-1 member, the end of [4], and new at level
+    # 3 exactly at the bound 2**2
+    (Fraction(1, 2), lambda v: tuple(q for q in v if q != 4),
+     {"nesting_l2": 1, "initial_segment_l2": 1, "divisor_closure_l2": 23,
+      "new_denominator_lower_bound_l3": 1}),
+    # the composite 12 missing: a divisor of its multiples, nothing else
+    (Fraction(1, 2), lambda v: tuple(q for q in v if q != 12),
+     {"initial_segment_l2": 0, "divisor_closure_l2": 19, "new_denominator_lower_bound_l3": 0}),
+    # 22 = 2 * 11 added, 11 absent: one closure pair, and 22 is not at level 3
+    (Fraction(1, 2), lambda v: v + (22,),
+     {"divisor_closure_l2": 1, "nesting_l3": 1, "new_denominator_lower_bound_l2": 0}),
+], ids=["drop-3", "drop-3-rho-1-4", "drop-4", "drop-12", "add-22"])
+def test_property_counts_equal_a_literal_loop(monkeypatch, rho, change, pinned):
+    import newton_circle.iw as iw_mod
+
+    real = iw_mod.p_le_values
+
+    def broken(r, l):
+        return change(real(r, l)) if l == 2 else real(r, l)
+
+    monkeypatch.setattr(iw_mod, "p_le_values", broken)
+    got = {c.name: c.lhs for c in iw_mod.verify_iw_properties(rho, 3)}
+    want = _literal_counts([broken(rho, l) for l in range(4)])
+    assert got == want
+    assert {k: got[k] for k in pinned} == pinned
+
+
+def _literal_sigma(params, d):
+    out = []
+    for q in build_p_le(params).p_le:
+        if d == 1:
+            out += [((a,), q) for a in range(q) if math.gcd(a, q) == 1]
+        else:
+            out += [((a1, a2), q) for a1 in range(q) for a2 in range(q)
+                    if math.gcd(math.gcd(a1, q), a2) == 1]
+    return out
+
+
+@pytest.mark.parametrize("l, d", [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2)])
+def test_sigma_equals_a_literal_gcd_loop(l, d):
+    params = IWParams(rho=Fraction(1, 2), l=l)
+    assert build_sigma(params, d) == _literal_sigma(params, d)
+
+
+def test_sigma_level2_pairs_pass_the_cap():
+    # sum of q**2 over the level-2 set passes SIGMA_CARDINALITY_CAP
+    with pytest.raises(EnumerationCapError):
+        build_sigma(IWParams(rho=Fraction(1, 2), l=2), 2)
+
+
 def test_lcm_log2():
     sets = build_p_le(IWParams(rho=Fraction(1, 2), l=0))
     assert lcm_log2(sets) == pytest.approx(5.0)
