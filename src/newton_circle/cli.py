@@ -253,7 +253,7 @@ def _cmd_expsum(args, report: VerificationReport) -> None:
 def _cmd_vinogradov(args, report: VerificationReport) -> None:
     lam = _entries(args.lam, int, "an integer") if args.lam else [0] * args.k
     count = complete.vinogradov_count(args.s, args.k, args.n, lam)
-    report.results.append({"s": args.s, "k": args.k, "N": args.n,
+    report.results.append({"s": count.s, "k": count.k, "N": count.N,
                            "lambda": list(count.lam), "count": str(count.count)})
     report.add_check("count_within_trivial_bound", count.count, args.n ** (2 * args.s))
 
@@ -391,8 +391,9 @@ def run_command(argv: Optional[List[str]] = None) -> int:
         # of --weyl or a polynomial's constant term
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        # ArithmeticError: a float past its range that no named check caught
+    except (ValueError, ArithmeticError, RuntimeError, OSError, MemoryError) as exc:
+        # ArithmeticError: a float past its range that no named check caught;
+        # MemoryError: an array past memory, such as 2**40 row sums
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _finish(report, args, t0)

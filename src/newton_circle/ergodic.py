@@ -66,7 +66,8 @@ class AverageSpec:
     """Averaging recipe: polynomial, scales, and full or truncated region.
 
     Truncated regions drop the initial tau^-1 portion of each axis; tau must
-    be rational so the region cardinalities stay exact.
+    be rational so the region cardinalities stay exact.  A full region takes
+    no tau.
     """
 
     P: Poly2
@@ -83,6 +84,8 @@ class AverageSpec:
                 raise ValueError("truncated regions need a rational tau > 1")
             if as_fraction(self.tau) <= 1:
                 raise ValueError("tau must exceed 1")
+        elif self.tau is not None:
+            raise ValueError("a full region takes no tau")
         for M in (self.M1, self.M2):
             if not is_exact(M):
                 raise ValueError("scales must be rational for exact region counts")
@@ -150,7 +153,7 @@ def sector_grid(diagram: NewtonDiagram, j: int, tau: Fraction,
                 bound: RealLike) -> List[Tuple[Fraction, Fraction]]:
     """Lacunary scale pairs (tau^n1, tau^n2) over sector j with both <= bound.
 
-    Exponent membership comes from `sector_arrays`, one call per row of the
+    Exponent membership comes from one `sector_arrays` call on the whole
     exponent grid; powers are exact rationals.
     """
     t = as_fraction(tau)
@@ -163,14 +166,9 @@ def sector_grid(diagram: NewtonDiagram, j: int, tau: Fraction,
     while p <= b:
         powers.append(p)
         p *= t
-    # one kernel call per row keeps the arrays to O(len(powers)) beside the output
-    out = []
-    row = np.column_stack((np.zeros(len(powers), dtype=np.int64), np.arange(len(powers))))
-    for n1, p1 in enumerate(powers):
-        row[:, 0] = n1
-        member = sector_arrays(diagram, row).member[:, j - 1]
-        out.extend((p1, powers[n2]) for n2 in np.flatnonzero(member).tolist())
-    return out
+    grid = np.indices((len(powers), len(powers))).reshape(2, -1).T
+    member = sector_arrays(diagram, grid).member[:, j - 1]
+    return [(powers[n1], powers[n2]) for n1, n2 in grid[member].tolist()]
 
 
 def degenerate_factorization_gap(p1: UniPoly, p2: UniPoly, f: FiniteFunction,

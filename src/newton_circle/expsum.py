@@ -27,18 +27,16 @@ distinct phase takes one cos and one sin.  Any other box (more bins than
 cells, or an L past both exact arithmetics) is the sum of its row sums
 (``_lattice_row_sums``), the reduction ``double_sum_abs`` reads too: each
 block takes e of every cell, residues t as the phases t/L, and adds its rows.
-Row sums of residues with L at most a block's cells (``double_sum_abs``; a
-box sum meets them only past 2**52 cells) read an L-entry table instead, the
-values ``_cis`` gives them.  Phases travel in turns, and two routes take their cos and sin.
-Sorted phases (the bins of a histogram, the runs of the oracle
-``residue_sum``) and arrays below ``_E_MIN`` phases go through libm at 2*pi
-times the phase (``_cis``), whose branches predict well on sorted input.
-Phases that come many and unsorted (the cells of row sums, whether residues
-or tail phases, and the nodes of ``circle``'s quadrature) go through the
-table kernel ``_e``: an exact reduction by multiples of 1/1024, one table
-entry and a short polynomial, in 0.34-0.41 of libm's time from 8,192 phases
-on.  The tail producer reads its uint64 head as signed, so its phases come
-centred in [-1/2, 1/2].  Up to ``_SHORT_SUM`` sorted phases are added with
+Row sums of residues with L at most a block's cells (``double_sum_abs``
+only: a box sum with L at most its cells reads its histogram) read an
+L-entry table instead.  A box sum takes fewer than 2**63 cells, which its
+int64 histogram counts.  Phases travel in turns; ``_e`` takes their cos and
+sin: below ``_E_MIN`` phases libm at 2*pi times the phase (``_cis``), from
+it a table kernel, an exact reduction by multiples of 1/1024, one table
+entry and a short polynomial, in 0.34-0.41 of libm's time from 8,192
+unsorted phases on and 0.63-0.94 on sorted ones from 2,048.  The tail
+producer reads its uint64 head as signed, so its phases come centred in
+[-1/2, 1/2].  Up to ``_SHORT_SUM`` sorted phases are added with
 ``math.fsum``; longer runs, and the rows of every block, by an exact split
 into integer and fractional parts (``_split_sum``), within 1 ulp of
 ``math.fsum``, a block or a slice of ``_E_SLICE`` histogram bins at a time,
@@ -69,8 +67,8 @@ BLOCK_CELLS = 1 << 14
 
 # Bins of the largest residue histogram a box sum builds: 2**20 int64 bins,
 # 8 MB.  Without it an int64 L near 3.7e8 on a box of as many cells would
-# allocate gigabytes at once; a larger L sorts block by block, in bounded
-# memory, as a sparse box does.
+# allocate gigabytes at once; a larger L takes the row sums, block by block,
+# in bounded memory, as a sparse box does.
 HISTOGRAM_BINS = 1 << 20
 
 # Terms up to which _sum_e adds term by term with math.fsum: below the fixed
@@ -98,25 +96,25 @@ _TAIL_GROWTH = 1 << 52
 # signed integer, splits as hi + lo, (t >> 11) * 2**-53 in [-1/2, 1/2) and
 # (t & 2047) * 2**-64, both exact; lo + tail, below 2**-11 in size, rounds by
 # at most u * 2**-12 and hi + (lo + tail), below 1/2 + 2**-11 in size, by
-# u/2: the phase is off by less than 0.55u, and centred.  On libm's path
-# (_cis: histogram bins, sorted runs, arrays below _E_MIN) the angle
-# 2*pi*phase adds the rounding of the float 2*pi (off by 4u, times |phase|)
-# and of the product (half an ulp): 4u + 4u on the residue paths, 2u + 2u on
-# the centred tail phases, so with 2*pi times the phase's error the angle is
-# off by less than 12u.  cos and sin are 1-Lipschitz and add at most 4 ulp
-# of a value below 1: 16u.  The table kernel (_e: the cells of row sums,
-# residue or tail phases) forms no angle: it reduces the phase exactly and
-# lands within 1.54u of e(phase) per component, and e is 2*pi-Lipschitz in
-# turns, so with the phase's error it is off by less than 2*pi * u/2 + 1.54u
-# < 4.7u on residue phases and 2*pi * 0.55u + 1.54u < 5.1u on tail phases;
-# 16u bounds all of them.  Multiplying a histogram bin by its count adds u
-# per term.  Within a block's row (or a slice of histogram bins) _split_sum
-# lands within 1 ulp of the correctly rounded sum S, so off by at most 1.5
-# ulp(S) <= 3u|S|, and |S| is at most its term count: 3u per term; a short
-# sum's math.fsum is correctly rounded, u|S|.  The fsum over the partials
-# adds u, and on the row-sum route the fsum over a row's partials another
-# u: 21u per component, below sqrt(2)*21u < 30u for the complex term.  The
-# budget stays at 64u.
+# u/2: the phase is off by less than 0.55u, and centred.  Below _E_MIN
+# phases _e takes libm (_cis): the angle 2*pi*phase adds the rounding of the
+# float 2*pi (off by 4u, times |phase|) and of the product (half an ulp): 4u
+# + 4u on the residue phases, 2u + 2u on the centred tail phases, so with
+# 2*pi times the phase's error (pi*u, 3.46u) the angle is off by less than
+# 11.2u.  cos and sin are 1-Lipschitz and add at most 4 ulp of a value below
+# 1: 15.2u.  From _E_MIN phases on, the table kernel forms no angle: it
+# reduces the phase exactly and lands within 1.54u of e(phase) per
+# component, and e is 2*pi-Lipschitz in turns, so with the phase's error it
+# is off by less than 2*pi * u/2 + 1.54u < 4.7u on residue phases and 2*pi *
+# 0.55u + 1.54u < 5.1u on tail phases.  A histogram bin's count rounds once
+# as a float (past 2**53) and its product once more: 2u per term.  Within a
+# block's row (or a slice of histogram bins) _split_sum lands within 1 ulp
+# of the correctly rounded sum S, so off by at most 1.5 ulp(S) <= 3u|S|, and
+# |S| is at most its term count: 3u per term; a short sum's math.fsum is
+# correctly rounded, u|S|.  The fsum over the partials adds u: 21.2u per
+# component on the histogram route, and 20.2u on the row-sum route (no
+# count; the fsum over a row's partials adds u), below sqrt(2)*21.2u < 30u
+# for the complex term.  The budget stays at 64u.
 FLOAT_TERM_BUDGET = 64 * 2.0**-53
 
 
@@ -186,7 +184,9 @@ _E_S5 = (math.tau / _E_STEPS) ** 5 / 120
 
 # Phases below which _e takes libm (_cis), near the break-even: paired
 # kernel/libm times read 1.38 at 1,024 phases, 1.05 at 2,048, 0.79 at 3,072
-# and 0.34-0.41 from 8,192 on (numpy 2.4.6, 2-vCPU Xeon VM).
+# and 0.34-0.41 from 8,192 on; on sorted phases, whose branches libm predicts
+# well, 0.94 at 2,048, 0.75 at 4,096 and 0.63-0.65 from 8,192 on (numpy
+# 2.4.6, 2-vCPU Xeon VM).
 _E_MIN = 2048
 
 # Values per slice of _e: its four scratch arrays of 64 KiB stay below
@@ -199,10 +199,10 @@ _E_SLICE = BLOCK_CELLS // 2
 
 def _e(x: np.ndarray) -> np.ndarray:
     """cos and sin of 2*pi*x for an array x of phases in turns, |x| < 2**53,
-    stacked on a new first axis as _cis does: the kernel for phases that come
-    many and unsorted (row sums, quadrature, the moment identity); below
-    _E_MIN phases, _cis, whose angle rounds in proportion to |x|, so callers
-    pass phases centred or in [0, 1).
+    stacked on a new first axis: the one choice between libm and the table
+    kernel for every phase, sorted or not.  Below _E_MIN phases it is _cis,
+    whose angle rounds in proportion to |x|, so callers pass phases centred
+    or in [0, 1).
 
     Per slice of _E_SLICE phases: y = 1024 x and j = rint(y) are exact, so is
     r = y - j in [-1/2, 1/2] (Sterbenz), and e(x) = e(j/1024) e(r/1024), the
@@ -256,22 +256,23 @@ def _sum_e(phase: np.ndarray, weights: np.ndarray, W: int) -> complex:
     """Sum of weights * e(phase) over a 1-D array of sorted phases in turns
     (histogram bins, the runs of residue_sum), with sum |weights| <= W: term
     by term with math.fsum up to _SHORT_SUM terms, past them by _split_sum of
-    _cis(phase)."""
+    _e(phase)."""
     if phase.size <= _SHORT_SUM:
         a = (math.tau * phase).tolist()
         w = weights.tolist()
         return complex(math.fsum(map(mul, w, map(math.cos, a))),
                        math.fsum(map(mul, w, map(math.sin, a))))
-    z = _cis(phase)
+    z = _e(phase)
     z *= weights
     return complex(*_split_sum(z, W).tolist())
 
 
 def _split_sum(x: np.ndarray, W: int) -> np.ndarray:
-    """Sums of the rows of x, each within 1 ulp of math.fsum, given that
-    W < 2**52 bounds the sum of |x| over every row; x is scaled in place.
+    """Sums of the rows of x, each within 1 ulp of math.fsum, given that the
+    integer W >= 1 bounds the sum of |x| over every row; x is scaled in place.
 
-    With k = 2**(52 - W.bit_length()) each x*k splits exactly as hi + lo, hi
+    With k = 2**(52 - W.bit_length()), so k*W < 2**52 for any W, each x*k
+    (normal, as in every box sum, where k < 1) splits exactly as hi + lo, hi
     = rint(x*k) and |lo| <= 1/2.  The hi are integers whose absolute sum stays
     below k*W + n/2 < 2**53, so their float sum is exact; the computed lo sum
     is off by less than n*n*u/2 (u = 2**-53) in any order, and one rounding of
@@ -310,13 +311,14 @@ def _histogram_peak(L: int) -> int:
 
 def _lattice_phase_sum(form, K1: int, M1: int, K2: int, M2: int) -> complex:
     """Sum of e(Q(m1, m2)) over (K1, M1] x (K2, M2], with Q in integer form
-    (L, ints).  A dense box (L <= its cells, L <= HISTOGRAM_BINS, and fewer
-    than 2**52 cells, the bound of _split_sum's W) is read from its L-bin
-    histogram; any other box is the math.fsum of its row sums
-    (_lattice_row_sums)."""
+    (L, ints).  A dense box (L <= its cells and L <= HISTOGRAM_BINS) is read
+    from its L-bin histogram; any other box is the math.fsum of its row sums
+    (_lattice_row_sums).  2**63 cells, past int64's counts, raise ValueError."""
     L, ints = form
     cells = max(M1 - K1, 0) * max(M2 - K2, 0)
-    if L <= min(cells, HISTOGRAM_BINS) and cells < 1 << 52:
+    if cells >= 1 << 63:
+        raise ValueError(f"a box sum takes fewer than 2**63 cells, got {cells}")
+    if L <= min(cells, HISTOGRAM_BINS):
         hist = _box_histogram(ints, L, range(K1 + 1, M1 + 1), range(K2 + 1, M2 + 1))
         return _histogram_sum(hist, cells)
     return _fsum_complex(_lattice_row_sums(form, K1, M1, K2, M2).tolist())
@@ -405,8 +407,8 @@ def _lattice_row_sums(form, K1: int, M1: int, K2: int, M2: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _residue_table(L: int) -> np.ndarray:
-    """Read-only _cis(arange(L) / L), built once for all blocks of a box."""
-    z = _cis(np.arange(L) / L)
+    """Read-only _e(arange(L) / L), built once for all blocks of a box."""
+    z = _e(np.arange(L) / L)
     z.flags.writeable = False
     return z
 
@@ -414,8 +416,8 @@ def _residue_table(L: int) -> np.ndarray:
 def _block_row_sums(r, x, L):
     """(r, sums): a block's part of each of its rows' sums, sums[0] real and
     sums[1] imaginary.  Residues with L at most the block's cells read e(t/L)
-    from the L-entry _residue_table, the values _cis(x / L) would take; any
-    other cell's phase goes through the table kernel (_e).  One _split_sum
+    from the L-entry _residue_table; any other cell's phase goes through _e,
+    as the table's L phases t/L did.  One _split_sum
     adds the 2*h rows of the h-row block, with W = its width."""
     h, w = x.shape
     if L and L <= x.size:

@@ -81,7 +81,6 @@ def _floor_root(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class IWSets:
-    params: IWParams
     p_le: Tuple[int, ...]
     truncated: bool
 
@@ -133,7 +132,7 @@ def build_p_le(params: IWParams) -> IWSets:
                 grow(i + 1, v, used + (p > N0))
 
     grow(0, 1, 0)
-    return IWSets(params=params, p_le=tuple(sorted(values)), truncated=truncated)
+    return IWSets(p_le=tuple(sorted(values)), truncated=truncated)
 
 
 def p_le_values(rho: Fraction, l: int) -> Tuple[int, ...]:

@@ -443,9 +443,10 @@ def test_real_trig_levels_match_complex_exp_oracle(monkeypatch, poly, xi, M1, M2
 
 def test_oracles_run_without_the_table_kernel(monkeypatch):
     # grid-vs-direct and rule-vs-oracle checks compare two trig algorithms:
-    # the direct multiplier, residue_sum, the per-cell box oracle of
-    # tests/test_expsum.py and the complex-exp oracle take libm or np.exp,
-    # never the table kernel that the checked paths take
+    # the direct multiplier, the per-cell box oracle of tests/test_expsum.py
+    # and the complex-exp oracle take libm or np.exp, never the table kernel
+    # that the checked paths take.  residue_sum is no second trig algorithm:
+    # its runs, like a histogram's bins, go through _e
     def no_kernel(x):
         raise AssertionError("the table kernel ran")
 
@@ -454,8 +455,6 @@ def test_oracles_run_without_the_table_kernel(monkeypatch):
     P = parse_poly("m1^2*m2^3 + m1*m2")
     direct = discrete_multiplier_direct(P, range(1, 40), 97, 64, 64, 2)
     assert np.allclose(direct, discrete_multiplier_grid(P, 97, 64, 64, 2)[1:40], atol=1e-12)
-    residues = np.random.default_rng(3).integers(0, 10**6, 4 * expsum.BLOCK_CELLS)
-    assert abs(expsum.residue_sum(residues, 10**6)) < residues.size
     # an exact sparse box: L = 10007 above its 64 x 64 cells, one block of
     # 4,096 >= _E_MIN cells; its oracle runs (uncached), the box sum does not
     sparse = tuple(sorted((g, Fraction(3 * c, 10007)) for g, c in P.terms.items()))
@@ -472,6 +471,9 @@ def test_oracles_run_without_the_table_kernel(monkeypatch):
         double_sum(scale(P, golden_ratio_conjugate(192)), 0, 64, 0, 64)
     with pytest.raises(AssertionError, match="table kernel"):
         double_sum(scale(P, Fraction(3, 10007)), 0, 64, 0, 64)
+    residues = np.random.default_rng(3).integers(0, 10**6, 4 * expsum.BLOCK_CELLS)
+    with pytest.raises(AssertionError, match="table kernel"):
+        expsum.residue_sum(residues, 10**6)
     with pytest.raises(AssertionError, match="table kernel"):
         complete.moment_identity_gap(2, 2, 6, [0.3, 0.7])
 

@@ -336,6 +336,7 @@ _BAD_INPUT_MESSAGES = {
     "osc": "error: the rho-sum of increments at rho = 1e+308 exceeds the largest float, "
            "1.798e+308",
     "sectors": "error: sector index must lie in [1, 1], got 99",
+    "expsum": "error: a box sum takes fewer than 2**63 cells, got 18446744073709551616",
 }
 
 
@@ -346,6 +347,8 @@ _BAD_INPUT_MESSAGES = {
     (["osc", "--values", "1,2,3", "--rho", "1e308"], None),
     (["sectors", "--poly", "m1*m2", "--j", "99", "--bound", "0.5"], None),
     (["average", "--poly", "m1*m2", "--m1", "4", "--m2", "4", "--x", "0"], '{"0": [NaN, 0]}'),
+    (["expsum", "--poly", "m1*m2", "--xi", "1/7", "--m1", "4294967296", "--m2", "4294967296"],
+     None),
 ])
 def test_bad_input_exits_1_with_a_message(tmp_path, capsys, argv, f_json):
     # run_command returns, so nothing escaped it as a traceback
@@ -354,6 +357,21 @@ def test_bad_input_exits_1_with_a_message(tmp_path, capsys, argv, f_json):
         argv = argv + ["--f", str(tmp_path / "f.json")]
     assert run_command(argv) == 1
     assert capsys.readouterr().err.startswith(_BAD_INPUT_MESSAGES[argv[0]])
+
+
+def test_memory_error_exits_1_with_a_message(capsys, monkeypatch):
+    # one row sum per row of 2**40 rows is 16 TiB: the row array's allocation
+    # fails, here simulated, and the command ends with exit 1, no traceback
+    from newton_circle import expsum
+
+    def no_memory(*_):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(expsum, "_lattice_row_sums", no_memory)
+    argv = ["expsum", "--poly", "m1*m2", "--xi", "1/7", "--abs-axis", "1",
+            "--m1", "1099511627776", "--m2", "2"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 16.0 TiB for an array\n"
 
 
 def test_verify_exit_codes(tmp_path):

@@ -75,6 +75,15 @@ def test_rational_tau_required():
         AverageSpec(P=parse_poly("m1*m2"), M1=4, M2=4, region="truncated", tau=1.5)
 
 
+def test_full_region_takes_no_tau():
+    # a tau beside the full region would be dropped without a word
+    P = parse_poly("m1*m2")
+    with pytest.raises(ValueError, match="full region takes no tau"):
+        AverageSpec(P=P, M1=16, M2=16, region="full", tau=Fraction(2))
+    with pytest.raises(ValueError, match="full region takes no tau"):
+        character_average(P, Fraction(1, 3), 16, 16, "full", Fraction(2))
+
+
 def test_character_average_examples():
     P = parse_poly("m1*m2")
     assert character_average(P, 0, 5, 7) == pytest.approx(1)

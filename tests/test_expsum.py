@@ -1,4 +1,5 @@
 import cmath
+import collections
 import functools
 import itertools
 import math
@@ -17,7 +18,6 @@ from newton_circle.expsum import (
     HISTOGRAM_BINS,
     double_sum,
     double_sum_abs,
-    residue_sum,
     weyl_sum,
 )
 from newton_circle.poly import MAX_EXPONENT, Poly2, RealPoly2, evaluate, parse_poly, scale, transpose
@@ -534,14 +534,17 @@ def test_double_sum_modulus_bound(m1, m2, xi):
 @functools.lru_cache(maxsize=None)
 def _per_cell_oracle(terms, K1, M1, K2, M2):
     """The box sum of e(Q) for Q with these (exponent, Fraction) terms, with
-    one poly.evaluate per cell in big integers and the residues summed by
-    residue_sum (a sort, through libm): no power table, no histogram, no
-    period, no table kernel."""
+    one poly.evaluate per cell in big integers, a count per residue t and
+    the cos and sin of 2*pi*(t/L) from libm, added with math.fsum: no power
+    table, no histogram, no period, no split sum, no table kernel."""
     fracs = dict(terms)
     L = math.lcm(*(f.denominator for f in fracs.values()))
     P = Poly2({g: int(f * L) for g, f in fracs.items()})
-    return residue_sum([evaluate(P, (m1, m2)) % L for m1 in range(K1 + 1, M1 + 1)
-                        for m2 in range(K2 + 1, M2 + 1)], L)
+    counts = collections.Counter(evaluate(P, (m1, m2)) % L for m1 in range(K1 + 1, M1 + 1)
+                                 for m2 in range(K2 + 1, M2 + 1))
+    angles = [(n, math.tau * (t / L)) for t, n in counts.items()]
+    return complex(math.fsum(n * math.cos(a) for n, a in angles),
+                   math.fsum(n * math.sin(a) for n, a in angles))
 
 
 def _check_box(Q, K1, M1, K2, M2):
@@ -630,6 +633,62 @@ def test_weyl_sum_at_the_real_bin_cap(routes):
         v = weyl_sum((Fraction(12345, L),), L)
         assert abs(v.value) <= v.error_budget
         assert set(routes["route"]) == {route}
+
+
+def _class_count_value(mp, terms, M1, M2):
+    """The sum of e(Q) over (0, M1] x (0, M2] for Q with these {exponent:
+    Fraction} terms, from the exact number of m1 and of m2 in each residue
+    class mod L (Python integers) and e(t/L) in mpmath at 30 digits."""
+    L = math.lcm(*(c.denominator for c in terms.values()))
+    P = Poly2({g: int(c * L) for g, c in terms.items()})
+
+    def classes(n):                     # class a in [1, L] holds (n - a) // L + 1 of [1, n]
+        return [(a, (n - a) // L + 1) for a in range(1, min(n, L) + 1)]
+
+    counts = {}
+    for (a, n1), (b, n2) in itertools.product(classes(M1), classes(M2)):
+        t = evaluate(P, (a, b)) % L
+        counts[t] = counts.get(t, 0) + n1 * n2
+    mp.mp.dps = 30
+    return complex(mp.fsum(n * mp.expjpi(mp.mpf(2 * t) / L) for t, n in counts.items()))
+
+
+def _no_row_sums(*_):
+    raise AssertionError("a dense box of this size must not take its row sums")
+
+
+@pytest.mark.parametrize("side1, side2", [(2**26, 2**26), (3 * 10**9, 3 * 10**9),
+                                          (1, 2**52), (1, 2**63 - 1)])
+def test_box_sums_of_2_52_cells_and_more_read_their_histogram(monkeypatch, routes, side1, side2):
+    # boxes of 2**52 cells and more, up to the last count int64 holds, are
+    # dense at L = 7: each is read from its histogram (a row-sum route, which
+    # would not finish, fails at once) within its budget of a class count;
+    # a count past 2**53 rounds once as a float
+    mp = pytest.importorskip("mpmath")
+    monkeypatch.setattr(expsum, "_lattice_row_sums", _no_row_sums)
+    if side1 == 1:
+        got, terms = weyl_sum([Fraction(1, 7), Fraction(2, 7)], side2), {(0, 1): 1, (0, 2): 2}
+    else:
+        terms = {(1, 1): 1, (0, 2): 3}
+        got = double_sum(scale(Poly2(terms), Fraction(1, 7)), 0, side1, 0, side2)
+    want = _class_count_value(mp, {g: Fraction(c, 7) for g, c in terms.items()}, side1, side2)
+    assert routes["route"] == ["histogram"]
+    assert got.term_count == side1 * side2
+    assert abs(got.value - want) <= got.error_budget
+
+
+def test_box_sums_of_2_63_cells_raise_before_any_work(monkeypatch, routes):
+    # dense at L = 7, and sparse past HISTOGRAM_BINS, whose row sums would
+    # not finish either
+    monkeypatch.setattr(expsum, "_lattice_row_sums", _no_row_sums)
+    Q = scale(parse_poly("m1*m2"), Fraction(1, 7))
+    with pytest.raises(ValueError, match=str(2**64)):
+        double_sum(Q, 0, 2**32, 0, 2**32)
+    with pytest.raises(ValueError, match=str(2**63)):
+        weyl_sum([Fraction(1, 7)], 2**63)
+    with pytest.raises(ValueError, match=str(2**63)):
+        double_sum(scale(Q, Fraction(1, HISTOGRAM_BINS + 1)), 5, 5 + 2**62, 1, 3)
+    assert routes["route"] == []
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
@@ -722,8 +781,8 @@ def test_split_sum_of_a_full_residue_block():
     counts = counts[counts > 0]
     assert counts.sum() == W
     phase = r.uniform(0.0, 1.0, counts.size)
-    angle = math.tau * phase
-    x = np.stack([counts * np.cos(angle), counts * np.sin(angle)])
+    assert counts.size >= expsum._E_MIN         # _sum_e takes the table kernel
+    x = expsum._e(phase) * counts
     _assert_rows_match_fsum(x, W)
     want = complex(math.fsum(x[0].tolist()), math.fsum(x[1].tolist()))
     got = expsum._sum_e(phase, counts, W)
@@ -840,8 +899,8 @@ def test_residue_table_built_once_per_box(monkeypatch):
     # all three, and the sum is the one a build per block gives, to the bit
     Q = scale(parse_poly("m1^2*m2^3"), Fraction(5, 4093))
     builds = []
-    cis = expsum._cis
-    monkeypatch.setattr(expsum, "_cis", lambda p: builds.append(p.size) or cis(p))
+    e = expsum._e
+    monkeypatch.setattr(expsum, "_e", lambda p: builds.append(p.size) or e(p))
     expsum._residue_table.cache_clear()
     got = expsum.double_sum_abs(Q, 0, 200, 0, 200)
     assert builds == [4093]
@@ -858,17 +917,44 @@ def test_residue_table_built_once_per_box(monkeypatch):
     (np.uint64, 1 << 12, (63, 65)),         # dyadic, L = cells + 1
 ])
 def test_row_sums_of_exact_residues_read_an_L_entry_table(monkeypatch, dtype, L, shape):
+    # the table's one _e of the L phases t/L gives each cell the value _e
+    # gives its own phase, to the bit; the cells' own phases go through _e
+    # once, within budget of libm's row sums
     h, w = shape
     x = np.random.default_rng(L + h).integers(0, L, shape).astype(dtype)
     kernel = []
     e = expsum._e
-    monkeypatch.setattr(expsum, "_e", lambda p: kernel.append(p.size) or e(p))
+    monkeypatch.setattr(expsum, "_e", lambda p: kernel.append(p) or e(p))
+    expsum._residue_table.cache_clear()
     r, got = expsum._block_row_sums(range(h), x, L)
-    want = expsum._split_sum(expsum._cis(x / L).reshape(2 * h, w), w).reshape(2, h)
     assert r == range(h)
+    assert len(kernel) == 1
     if L <= x.size:
-        assert kernel == []
+        assert np.array_equal(kernel[0], np.arange(L) / L)
+        want = expsum._split_sum(e(x / L).reshape(2 * h, w), w).reshape(2, h)
         assert got.tobytes() == want.tobytes()
     else:
-        assert kernel == [x.size]
+        assert np.array_equal(kernel[0], x / L)
+        want = expsum._split_sum(expsum._cis(x / L).reshape(2 * h, w), w).reshape(2, h)
         assert np.max(np.abs(got - want)) <= 2 * w * FLOAT_TERM_BUDGET
+
+
+def test_histogram_bins_and_the_residue_table_take_e(monkeypatch, routes):
+    # m1*m2 at 5/4099 on 100 x 100 is dense: its histogram has at least
+    # _E_MIN nonzero bins, one _sum_e, which hands them all to _e, and _e to
+    # the table kernel, not libm; the L-entry residue table is _e of t/L
+    mp = pytest.importorskip("mpmath")
+    L = 4099
+    kernel, libm = [], []
+    e, cis = expsum._e, expsum._cis
+    monkeypatch.setattr(expsum, "_e", lambda p: kernel.append(p.size) or e(p))
+    monkeypatch.setattr(expsum, "_cis", lambda p: libm.append(p.size) or cis(p))
+    got = double_sum(scale(parse_poly("m1*m2"), Fraction(5, L)), 0, 100, 0, 100)
+    bins = len({5 * m1 * m2 % L for m1 in range(1, 101) for m2 in range(1, 101)})
+    assert routes["route"] == ["histogram"]
+    assert kernel == [bins] and bins >= expsum._E_MIN and libm == []
+    want = _class_count_value(mp, {(1, 1): Fraction(5, L)}, 100, 100)
+    assert abs(got.value - want) <= got.error_budget
+    for n in (expsum._E_MIN - 1, expsum._E_MIN, L):
+        expsum._residue_table.cache_clear()
+        assert expsum._residue_table(n).tobytes() == e(np.arange(n) / n).tobytes()

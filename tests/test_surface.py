@@ -4,9 +4,11 @@ A top-level ``def`` or ``class`` in ``src/newton_circle`` counts as reached
 when other code of the package names it (an ``ast.Name`` or an
 ``ast.Attribute``, outside its own body) or when a benchmark script under
 ``bench/`` mentions it.  The methods, properties and classmethods of every
-class are held to the same rule, with their sibling members counting as
-other code.  Unit tests do not count: a function that only its own tests
-call feeds no suite row, no CLI command and no benchmark.
+class, and its annotated fields, are held to the same rule, with their
+sibling members counting as other code; a field is read through an
+attribute, and ``self.<name>`` inside another class reads that class's own
+field, not this one.  Unit tests do not count: a function that only its own
+tests call feeds no suite row, no CLI command and no benchmark.
 
 A defaulted parameter of a ``src`` function counts as set when some call
 passes it, by keyword or by position, in ``src`` outside the function's own
@@ -29,18 +31,26 @@ KEEP = {
     "projection_multiplier": "the approximant-centre row planned in ROADMAP item 4 "
                              "reads its overlap flag",
     "IWParams.Q0": "the paper's (N0!)**D; tests/test_iw.py reads it beside D and N0",
+    "ProjectionValue.overlap_warning": "the approximant-centre row planned in ROADMAP "
+                                       "item 4 reads it",
+    **{f"SectorPoint.{field}": "a field of the record subsector returns; bench/spans.py "
+                               "holds subsector (ROADMAP item 17b)"
+       for field in ("point", "sector", "branch", "offset_n")},
 }
 
 
 def _referenced(node: ast.AST) -> tuple:
-    """(every ast.Name id and ast.Attribute attr under node, the attrs alone)."""
-    names, attrs = set(), set()
+    """(every ast.Name id and ast.Attribute attr under node, the attrs alone,
+    the attrs of anything but ``self``)."""
+    names, attrs, foreign = set(), set(), set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             attrs.add(sub.attr)
-    return names | attrs, attrs
+            if not (isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                foreign.add(sub.attr)
+    return names | attrs, attrs, foreign
 
 
 def _modules() -> list:
@@ -63,21 +73,26 @@ def _unreached() -> list:
     bench = "\n".join(_bench_scripts())
     out = []
     for module, node in defs:
-        used = any(node.name in names for other, names, _ in refs if other is not node)
+        used = any(node.name in names for other, names, _, _ in refs if other is not node)
         if not used and not re.search(rf"\b{re.escape(node.name)}\b", bench):
             out.append(f"{module}.{node.name}")
         if not isinstance(node, ast.ClassDef):
             continue
         # a member is reached through an attribute; a local of the same name is not it
-        outside = set().union(*(attrs for other, _, attrs in refs if other is not node))
+        others = [r for r in refs if r[0] is not node]
+        outside = set().union(*(attrs for _, _, attrs, _ in others))
+        foreign = set().union(*(attrs for _, _, _, attrs in others))
         members = [(m, _referenced(m)[1]) for m in node.body]
         for member, _ in members:
-            if not isinstance(member, ast.FunctionDef) or member.name.startswith("__"):
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                name, readers = member.name, outside
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                name, readers = member.target.id, foreign
+            else:
                 continue
             siblings = set().union(*(attrs for m, attrs in members if m is not member))
-            if (member.name not in outside | siblings
-                    and not re.search(rf"\.{re.escape(member.name)}\b", bench)):
-                out.append(f"{module}.{node.name}.{member.name}")
+            if name not in readers | siblings and not re.search(rf"\.{re.escape(name)}\b", bench):
+                out.append(f"{module}.{node.name}.{name}")
     return out
 
 
